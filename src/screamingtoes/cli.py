@@ -95,6 +95,18 @@ def _emit(report, args) -> None:
         sys.stdout.write(text)
 
 
+def _config(**fields) -> harness.ExperimentConfig:
+    """The run's configuration; an invalid one, or a method that cannot
+    produce a requested table, exits with a one-line message."""
+    try:
+        config = harness.ExperimentConfig(**fields)
+        for table in config.tables:
+            config.method_for(table)
+    except ValueError as exc:
+        raise SystemExit(f"screamingtoes: {exc}") from None
+    return config
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     _apply_config_file(args)
@@ -102,7 +114,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "exact":
         _setdefaults(args, model="both")
-        config = harness.ExperimentConfig(
+        config = _config(
             n=args.n, replicates=0, seed=args.seed, tables=(args.table,),
             workers=args.workers, batch_size=args.batch_size,
         )
@@ -117,7 +129,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "simulate":
         _setdefaults(args, reps=1_000_000)
-        config = harness.ExperimentConfig(
+        config = _config(
             n=args.n, replicates=args.reps, seed=args.seed, method=args.method,
             tables=(args.table,), workers=args.workers, batch_size=args.batch_size,
         )
@@ -127,7 +139,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "tables":
         _setdefaults(args, tables="1,2,3,cycles,core", reps=1_000_000)
         ids = tuple(t.strip() for t in str(args.tables).split(",") if t.strip())
-        config = harness.ExperimentConfig(
+        config = _config(
             n=args.n, replicates=args.reps, seed=args.seed, method=args.method,
             tables=ids, workers=args.workers, batch_size=args.batch_size,
         )

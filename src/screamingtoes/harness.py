@@ -120,6 +120,8 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         self.tables = tuple(canonical_table(t) for t in self.tables)
+        if self.n is not None and self.n < 2:
+            raise ValueError(f"n must be >= 2 (got {self.n})")
         if self.method is not None and self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; known: {METHODS}")
         if self.replicates < 0:
@@ -184,44 +186,37 @@ class ExperimentReport:
 
 
 def _simulate_batch(task: tuple) -> dict:
-    """One batch of one simulation kind; returns integer tallies only."""
+    """One batch of one simulation kind; returns integer tallies only
+    (keys as in :func:`samplers.zero_tally`).  The direct route draws and
+    decomposes the batch in chunks of ``samplers.chunk_rows(n)`` rows; the
+    chunks' draws are the batch's draws, so the tallies do not depend on the
+    chunk size."""
     kind, n, seed, size = task
     rng = RngStream(seed)
     if kind == "direct":
-        images = samplers.sample_mappings_batch(n, size, rng)
-        dec = samplers.decompose_batch(images)
-        comp, cyc = dec.component_counts, dec.cycle_counts
-        no_comp = (comp <= 1).all(axis=1)
-        no_cyc = (cyc <= 1).all(axis=1)
-        return {
-            "replicates": size,
-            "comp_sum": comp.sum(axis=0),
-            "comp_sumsq": (comp * comp).sum(axis=0),
-            "cyc_sum": cyc.sum(axis=0),
-            "cyc_sumsq": (cyc * cyc).sum(axis=0),
-            "scream_hist": np.bincount(cyc[:, 2], minlength=n // 2 + 1),
-            "core_hist": np.bincount(dec.core_sizes, minlength=n + 1),
-            "no_repeat": np.array(
-                [no_comp.sum(), no_cyc.sum(), (no_comp & no_cyc).sum()], dtype=np.int64
-            ),
-        }
+        tally = samplers.zero_tally(
+            n, "comp_sum", "comp_sumsq", "cyc_sum", "cyc_sumsq",
+            "scream_hist", "core_hist", "no_repeat",
+        )
+        step = samplers.chunk_rows(n)
+        for done in range(0, size, step):
+            images = samplers.sample_mappings_batch(n, min(step, size - done), rng)
+            dec = samplers.decompose_batch(images)
+            comp, cyc = dec.component_counts, dec.cycle_counts
+            samplers.tally_moments(tally, "comp", comp)
+            samplers.tally_cycles(tally, cyc)
+            tally["core_hist"] += np.bincount(dec.core_sizes, minlength=n + 1)
+            no_comp = (comp <= 1).all(axis=1)
+            no_cyc = (cyc <= 1).all(axis=1)
+            tally["no_repeat"] += [no_comp.sum(), no_cyc.sum(), (no_comp & no_cyc).sum()]
+        return {"replicates": size, **tally}
     if kind == "rejection":
         comp, attempts = samplers.toes_component_counts_batch(n, size, rng)
-        return {
-            "replicates": size,
-            "attempts": attempts,
-            "comp_sum": comp.sum(axis=0),
-            "comp_sumsq": (comp * comp).sum(axis=0),
-        }
+        tally = samplers.zero_tally(n, "comp_sum", "comp_sumsq")
+        samplers.tally_moments(tally, "comp", comp)
+        return {"replicates": size, "attempts": attempts, **tally}
     if kind == "core-joint":
-        cyc, sizes = samplers.toes_core_cycle_counts_batch(n, size, rng)
-        return {
-            "replicates": size,
-            "cyc_sum": cyc.sum(axis=0),
-            "cyc_sumsq": (cyc * cyc).sum(axis=0),
-            "scream_hist": np.bincount(cyc[:, 2], minlength=n // 2 + 1),
-            "core_hist": np.bincount(sizes, minlength=n + 1),
-        }
+        return {"replicates": size, **samplers.toes_core_cycle_counts_batch(n, size, rng)}
     raise ValueError(f"unknown simulation kind {kind!r}")
 
 
@@ -460,7 +455,6 @@ def run_table(config: ExperimentConfig) -> ExperimentReport:
         "seed": config.seed,
         "method": config.method,
         "tables": list(config.tables),
-        "workers": config.resolved_workers(),
         "batch_size": config.batch_size,
         "seed_splitting": "kind_seed = seed XOR kind_offset<<32; batch k uses kind_seed XOR k",
     }

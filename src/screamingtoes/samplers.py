@@ -170,7 +170,12 @@ def sample_mapping(n: int, rng: RngStream) -> Mapping:
 
 
 def sample_mappings_batch(n: int, count: int, rng: RngStream) -> np.ndarray:
-    """(count, n) array of independent uniform fixed-point-free mappings."""
+    """(count, n) array of independent uniform fixed-point-free mappings.
+
+    Drawing ``count`` rows in several calls gives the same rows as one call
+    (numpy's bounded integers take whole 32-bit draws per value), which is
+    what lets the harness draw a batch in chunks of :func:`chunk_rows`.
+    """
     u = rng.gen.integers(0, n - 1, size=(count, n), dtype=np.int64)
     u += u >= np.arange(n, dtype=np.int64)
     return u
@@ -193,57 +198,99 @@ class DecompositionBatch:
 def decompose_batch(images: np.ndarray) -> DecompositionBatch:
     """Vectorised decomposition of a (B, n) batch of mappings.
 
-    Pointer doubling: after ceil(log2 n) squarings, f**(2**K) lands every
-    element in the core, and a min-accumulating doubling pass labels each
-    cycle by its smallest element.  Everything else is bincounts.
+    One orbit-min pass over the flattened batch (:func:`_orbit_min`) labels
+    every element with the smallest element of its forward orbit and lands
+    it in the core at f**(2**K), K = ceil(log2 n).  The landed elements are
+    the core; the orbit minimum of a core element labels its cycle, and the
+    label of the cycle an element lands on labels its component.
+    Everything else is bincounts.  Working memory is a few arrays of B*n
+    entries, so callers bound it by the number of rows they pass.
     """
-    images = np.asarray(images, dtype=np.int64)
+    images = np.asarray(images)
     batch, n = images.shape
-    rows = np.arange(batch)[:, None]
+    orbit_min, landed = _orbit_min(images)
 
-    doublings = max(1, math.ceil(math.log2(n)))
-    landed = images
-    for _ in range(doublings):
-        landed = landed[rows, landed]
+    is_core = np.zeros(batch * n, dtype=bool)
+    is_core[landed] = True
+    core_sizes = is_core.reshape(batch, n).sum(axis=1)
 
-    orbit_min = np.broadcast_to(np.arange(n, dtype=np.int64), (batch, n)).copy()
-    hop = images
-    for _ in range(doublings):
-        np.minimum(orbit_min, orbit_min[rows, hop], out=orbit_min)
-        hop = hop[rows, hop]
-
-    is_core = np.zeros((batch, n), dtype=bool)
-    np.put_along_axis(is_core, landed, True, axis=1)
-    core_sizes = is_core.sum(axis=1)
-
-    # component label = smallest element of the cycle the element feeds into
-    comp_label = np.take_along_axis(orbit_min, landed, axis=1)
-    flat_offsets = np.arange(batch, dtype=np.int64)[:, None] * n
-    comp_sizes = np.bincount(
-        (comp_label + flat_offsets).ravel(), minlength=batch * n
-    ).reshape(batch, n)
-    component_counts = _sizes_to_counts(comp_sizes, n)
-
-    core_rows, core_cols = np.nonzero(is_core)
-    cyc_label = orbit_min[core_rows, core_cols]
-    cycle_sizes = np.bincount(
-        core_rows * n + cyc_label, minlength=batch * n
-    ).reshape(batch, n)
-    cycle_counts = _sizes_to_counts(cycle_sizes, n)
-
-    return DecompositionBatch(component_counts, cycle_counts, core_sizes)
+    comp_sizes = np.bincount(orbit_min[landed], minlength=batch * n).reshape(batch, n)
+    cycle_sizes = np.bincount(orbit_min[is_core], minlength=batch * n).reshape(batch, n)
+    return DecompositionBatch(
+        _sizes_to_counts(comp_sizes), _sizes_to_counts(cycle_sizes), core_sizes
+    )
 
 
-def _sizes_to_counts(sizes: np.ndarray, n: int) -> np.ndarray:
+def _orbit_min(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pointer doubling over a (B, n) batch of functions on {0, ..., n-1}.
+
+    Works on flat indices (row b, element i is b*n + i).  Returns, per flat
+    element x, the smallest flat index in {f**k(x) : k < 2**K} and f**(2**K)(x),
+    where K = max(1, ceil(log2 n)).  As 2**K >= n, the first is the minimum
+    of x's whole forward orbit and the second lies on x's cycle.
+    """
+    batch, n = succ.shape
+    index = np.int32 if batch * n < 2**31 else np.int64
+    hop = succ.astype(index)
+    hop += np.arange(0, batch * n, n, dtype=index)[:, None]
+    hop = hop.ravel()
+    orbit_min = np.arange(batch * n, dtype=index)
+    for _ in range(max(1, math.ceil(math.log2(n)))):
+        np.minimum(orbit_min, orbit_min[hop], out=orbit_min)
+        hop = hop[hop]
+    return orbit_min, hop
+
+
+def _sizes_to_counts(sizes: np.ndarray) -> np.ndarray:
     """Turn a (B, n) matrix of group sizes (0 = no group) into per-row
     histograms (B, n+1) of how many groups have each size."""
-    batch = sizes.shape[0]
+    batch, n = sizes.shape
     flat = sizes.ravel()
-    mask = flat > 0
-    row_idx = np.repeat(np.arange(batch, dtype=np.int64), sizes.shape[1])[mask]
+    where = np.flatnonzero(flat)
     return np.bincount(
-        row_idx * (n + 1) + flat[mask], minlength=batch * (n + 1)
+        where // n * (n + 1) + flat[where], minlength=batch * (n + 1)
     ).reshape(batch, n + 1)
+
+
+# ---------------------------------------------------------------------------
+# Integer tallies of per-replicate counts
+
+#: Cells (rows times row width) a batch kernel works on at once.  A chunk of
+#: this size keeps decompose_batch under about 130 MB whatever the batch.
+CHUNK_CELLS = 1 << 21
+
+
+def chunk_rows(width: int) -> int:
+    """Rows of the given width that fit in one chunk of ``CHUNK_CELLS``."""
+    return max(1, CHUNK_CELLS // width)
+
+
+def zero_tally(n: int, *keys: str) -> dict[str, np.ndarray]:
+    """Zeroed int64 tallies for size-n replicates.
+
+    ``<name>_sum`` and ``<name>_sumsq`` are per-length sums of counts and of
+    squared counts (length n+1), ``core_hist`` is a histogram of core sizes
+    (n+1), ``scream_hist`` one of 2-cycle counts (n//2 + 1), and
+    ``no_repeat`` counts the replicates with no repeated component size, no
+    repeated cycle length, and neither (3).
+    """
+    width = {"scream_hist": n // 2 + 1, "no_repeat": 3}
+    return {key: np.zeros(width.get(key, n + 1), dtype=np.int64) for key in keys}
+
+
+def tally_moments(tally: dict, name: str, counts: np.ndarray) -> None:
+    """Add a (rows, w) block of per-replicate count vectors, w <= n+1, to
+    ``tally[name + "_sum"]`` and ``tally[name + "_sumsq"]``."""
+    width = counts.shape[1]
+    tally[name + "_sum"][:width] += counts.sum(axis=0)
+    tally[name + "_sumsq"][:width] += (counts * counts).sum(axis=0)
+
+
+def tally_cycles(tally: dict, counts: np.ndarray) -> None:
+    """Add a block of per-replicate cycle counts to the ``cyc`` moments and
+    to the histogram of 2-cycles (screaming pairs)."""
+    tally_moments(tally, "cyc", counts)
+    tally["scream_hist"] += np.bincount(counts[:, 2], minlength=tally["scream_hist"].size)
 
 
 # ---------------------------------------------------------------------------
@@ -478,21 +525,24 @@ def sample_derangement_cycles(r: int, rng: RngStream) -> Spectrum:
 
 def derangement_cycle_counts_batch(
     sizes: np.ndarray, n: int, rng: RngStream
-) -> np.ndarray:
-    """Cycle-count matrix (len(sizes), n+1) of uniform derangements.
+) -> dict[str, np.ndarray]:
+    """Cycle tallies (``zero_tally`` keys ``cyc_sum``, ``cyc_sumsq`` and
+    ``scream_hist``) of uniform derangements, one of each size in ``sizes``.
 
-    Row b is a derangement of sizes[b].  Groups rows by size (ascending,
-    for a deterministic draw order), redraws any permutation with a fixed
-    point, and extracts cycle lengths by min-label pointer doubling.
+    Groups rows by size (ascending, for a deterministic draw order), draws
+    each group's derangements at once, and folds the group's (m, r+1)
+    cycle-count block into the tallies in chunks of ``CHUNK_CELLS``; nothing
+    n+1 wide is held per row.
     """
     sizes = np.asarray(sizes)
-    total = sizes.shape[0]
-    counts = np.zeros((total, n + 1), dtype=np.int64)
+    tally = zero_tally(n, "cyc_sum", "cyc_sumsq", "scream_hist")
     for r in np.unique(sizes):
-        idx = np.nonzero(sizes == r)[0]
-        perms = _derangements_of(int(r), idx.size, rng)
-        counts[idx] += _permutation_cycle_counts(perms, n)
-    return counts
+        r = int(r)
+        perms = _derangements_of(r, int(np.count_nonzero(sizes == r)), rng)
+        step = chunk_rows(r)
+        for lo in range(0, perms.shape[0], step):
+            tally_cycles(tally, _permutation_cycle_counts(perms[lo:lo + step]))
+    return tally
 
 
 def _derangements_of(r: int, m: int, rng: RngStream) -> np.ndarray:
@@ -506,18 +556,11 @@ def _derangements_of(r: int, m: int, rng: RngStream) -> np.ndarray:
     return perms
 
 
-def _permutation_cycle_counts(perms: np.ndarray, n: int) -> np.ndarray:
+def _permutation_cycle_counts(perms: np.ndarray) -> np.ndarray:
+    """(m, r+1) cycle-count matrix of an (m, r) batch of permutations."""
     m, r = perms.shape
-    rows = np.arange(m)[:, None]
-    orbit_min = np.broadcast_to(np.arange(r, dtype=np.int64), (m, r)).copy()
-    hop = perms
-    for _ in range(max(1, math.ceil(math.log2(r)))):
-        np.minimum(orbit_min, orbit_min[rows, hop], out=orbit_min)
-        hop = hop[rows, hop]
-    lens = np.bincount(
-        (orbit_min + np.arange(m, dtype=np.int64)[:, None] * r).ravel(), minlength=m * r
-    ).reshape(m, r)
-    return _sizes_to_counts(lens, n)
+    orbit_min, _ = _orbit_min(perms)
+    return _sizes_to_counts(np.bincount(orbit_min, minlength=m * r).reshape(m, r))
 
 
 def sample_toes_core(n: int, rng: RngStream) -> Spectrum:
@@ -526,19 +569,22 @@ def sample_toes_core(n: int, rng: RngStream) -> Spectrum:
     return sample_derangement_cycles(r, rng)
 
 
-def toes_core_cycle_counts_batch(
-    n: int, count: int, rng: RngStream
-) -> tuple[np.ndarray, np.ndarray]:
-    """(cycle_counts (count, n+1), core_sizes (count,)) by the core-joint route."""
+def toes_core_cycle_counts_batch(n: int, count: int, rng: RngStream) -> dict[str, np.ndarray]:
+    """Tallies of ``count`` replicates by the core-joint route: the cycle
+    tallies of :func:`derangement_cycle_counts_batch` plus ``core_hist``."""
     sizes = core_sizes_batch(n, count, rng)
-    return derangement_cycle_counts_batch(sizes, n, rng), sizes
+    tally = derangement_cycle_counts_batch(sizes, n, rng)
+    tally["core_hist"] = np.bincount(sizes, minlength=n + 1)
+    return tally
 
 
 __all__ = [
+    "CHUNK_CELLS",
     "Decomposition",
     "DecompositionBatch",
     "Mapping",
     "RngStream",
+    "chunk_rows",
     "core_sizes_batch",
     "decompose",
     "decompose_batch",
@@ -554,6 +600,9 @@ __all__ = [
     "sample_mappings_batch",
     "sample_toes_components",
     "sample_toes_core",
+    "tally_cycles",
+    "tally_moments",
     "toes_component_counts_batch",
     "toes_core_cycle_counts_batch",
+    "zero_tally",
 ]

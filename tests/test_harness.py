@@ -66,6 +66,9 @@ class TestConfig:
             ExperimentConfig(method="magic")
         with pytest.raises(ValueError):
             ExperimentConfig(workers=0)
+        for n in (1, 0, -3):
+            with pytest.raises(ValueError):
+                ExperimentConfig(n=n)
 
 
 class TestRunTable:
@@ -133,6 +136,13 @@ class TestDeterminism:
         r1 = run_table(ExperimentConfig(**cfg, workers=1))
         r2 = run_table(ExperimentConfig(**cfg, workers=3))
         assert r1.records == r2.records
+
+    def test_json_bytes_identical_across_worker_counts(self):
+        cfg = dict(n=8, replicates=30_000, seed=77, tables=("scream", "repeats"),
+                   method="direct", batch_size=10_000)
+        a = emit(run_table(ExperimentConfig(**cfg, workers=1)), "json")
+        b = emit(run_table(ExperimentConfig(**cfg, workers=2)), "json")
+        assert a == b
 
     def test_acceptance_attempts_deterministic(self):
         cfg = dict(n=10, replicates=20_000, seed=3, tables=("acceptance",), batch_size=5_000)
@@ -254,6 +264,26 @@ class TestCli:
         cfg.write_text(json.dumps({"bogus": 1}))
         with pytest.raises(SystemExit):
             cli.main(["exact", "--table", "q", "--config", str(cfg)])
+
+    @pytest.mark.parametrize("argv", [
+        ["exact", "--table", "core", "--n", "0"],
+        ["exact", "--table", "core", "--n", "-3"],
+        ["exact", "--table", "components", "--n", "1"],
+        ["exact", "--table", "q", "--n", "1"],
+    ])
+    def test_bad_n_is_a_one_line_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        message = exc.value.code
+        assert isinstance(message, str) and "\n" not in message and "n must be >= 2" in message
+        assert capsys.readouterr().out == ""
+
+    def test_method_without_the_table_is_a_one_line_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--table", "scream", "--method", "rejection", "--n", "5"])
+        message = exc.value.code
+        assert isinstance(message, str) and "\n" not in message and "cannot produce" in message
+        assert capsys.readouterr().out == ""
 
     def test_workers_env_default(self, monkeypatch):
         monkeypatch.setenv(harness.ENV_WORKERS, "3")

@@ -2,6 +2,7 @@
 agreement with the exact laws (which double as the oracles)."""
 
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -341,8 +342,9 @@ class TestDerangementSampler:
         # P(k 2-cycles | derangement of 6), exact vs 10^5 batch draws
         reps = 100_000
         sizes = np.full(reps, 6)
-        counts = samplers.derangement_cycle_counts_batch(sizes, 6, RngStream(801))
-        observed = {int(k): int(c) for k, c in zip(*np.unique(counts[:, 2], return_counts=True))}
+        hist = samplers.derangement_cycle_counts_batch(sizes, 6, RngStream(801))["scream_hist"]
+        assert hist.sum() == reps
+        observed = {k: int(c) for k, c in enumerate(hist) if c}
         norm = F(derangement_number(6), math.factorial(6))
         expected = {
             k: laws.derangement_two_cycle_pmf(6, k) / norm for k in range(0, 4)
@@ -350,10 +352,13 @@ class TestDerangementSampler:
         assert chi_square_pvalue(observed, expected, reps) > 1e-4
 
     def test_batch_cycle_totals(self):
-        sizes = np.array([2, 5, 9, 9, 3])
-        counts = samplers.derangement_cycle_counts_batch(sizes, 9, RngStream(802))
-        assert ((counts * np.arange(10)).sum(axis=1) == sizes).all()
-        assert (counts[:, 1] == 0).all()
+        # per row of each size group: sum_j j*c_j = r and no 1-cycles
+        rng = RngStream(802)
+        for r in (2, 5, 9, 3):
+            counts = samplers._permutation_cycle_counts(samplers._derangements_of(r, 200, rng))
+            assert counts.shape == (200, r + 1)
+            assert ((counts * np.arange(r + 1)).sum(axis=1) == r).all()
+            assert (counts[:, 1] == 0).all()
 
 
 class TestCoreJointSampler:
@@ -362,13 +367,96 @@ class TestCoreJointSampler:
 
     def test_cycle_mean_agreement(self):
         n, reps = 10, 100_000
-        counts, sizes = toes_core_cycle_counts_batch(n, reps, RngStream(901))
-        assert ((counts * np.arange(n + 1)).sum(axis=1) == sizes).all()
+        tally = toes_core_cycle_counts_batch(n, reps, RngStream(901))
+        assert tally["core_hist"].sum() == reps
+        assert tally["cyc_sum"] @ np.arange(n + 1) == tally["core_hist"] @ np.arange(n + 1)
         for j in (2, 3, 10):
             exact = float(to_mpf(laws.mean_cycle_count(n, j, "toes")))
-            mean = counts[:, j].mean()
-            se = counts[:, j].std(ddof=1) / math.sqrt(reps)
+            mean, se = _mean_and_se(tally, "cyc", j, reps)
             assert abs(mean - exact) <= 5 * max(se, 1e-9)
+
+
+def _mean_and_se(tally, name, j, reps):
+    """Replicate mean of c_j and its standard error, from the sum and the
+    sum of squares (the same as the mean and std(ddof=1)/sqrt(reps) of the
+    per-row counts)."""
+    total, sumsq = int(tally[name + "_sum"][j]), int(tally[name + "_sumsq"][j])
+    var = (sumsq - total * total / reps) / (reps - 1)
+    return total / reps, math.sqrt(max(var, 0.0) / reps)
+
+
+def _matrix_tally(counts, name):
+    return {name + "_sum": counts.sum(axis=0), name + "_sumsq": (counts * counts).sum(axis=0)}
+
+
+class TestChunkedTallies:
+    """The chunked kernels tally exactly what full per-row matrices give."""
+
+    def test_direct_route_n9(self, monkeypatch):
+        n, reps, seed = 9, 1000, 4242
+        dec = decompose_batch(sample_mappings_batch(n, reps, RngStream(seed)))
+        comp, cyc = dec.component_counts, dec.cycle_counts
+        no_comp, no_cyc = (comp <= 1).all(axis=1), (cyc <= 1).all(axis=1)
+        want = {
+            "replicates": reps,
+            **_matrix_tally(comp, "comp"),
+            **_matrix_tally(cyc, "cyc"),
+            "scream_hist": np.bincount(cyc[:, 2], minlength=n // 2 + 1),
+            "core_hist": np.bincount(dec.core_sizes, minlength=n + 1),
+            "no_repeat": [no_comp.sum(), no_cyc.sum(), (no_comp & no_cyc).sum()],
+        }
+        monkeypatch.setattr(samplers, "CHUNK_CELLS", 40)  # 4 rows a chunk
+        got = harness._simulate_batch(("direct", n, seed, reps))
+        assert sorted(got) == sorted(want)
+        for key, value in want.items():
+            assert np.array_equal(got[key], value), key
+
+    def test_core_joint_route_n10(self, monkeypatch):
+        n, reps, seed = 10, 3000, 4343
+        # reference: the same draws, cycle counts per row by the scalar walk
+        rng = RngStream(seed)
+        sizes = samplers.core_sizes_batch(n, reps, rng)
+        cyc = np.zeros((reps, n + 1), dtype=np.int64)
+        for r in np.unique(sizes):
+            rows = np.nonzero(sizes == r)[0]
+            for row, perm in zip(rows, samplers._derangements_of(int(r), rows.size, rng)):
+                _, cycle_lens, _ = samplers._decompose_image(perm.tolist())
+                cyc[row] = np.bincount(cycle_lens, minlength=n + 1)
+        want = {
+            **_matrix_tally(cyc, "cyc"),
+            "scream_hist": np.bincount(cyc[:, 2], minlength=n // 2 + 1),
+            "core_hist": np.bincount(sizes, minlength=n + 1),
+        }
+        monkeypatch.setattr(samplers, "CHUNK_CELLS", 12)  # 1 to 6 rows a chunk
+        got = toes_core_cycle_counts_batch(n, reps, RngStream(seed))
+        assert sorted(got) == sorted(want)
+        for key, value in want.items():
+            assert np.array_equal(got[key], value), key
+
+
+def _traced_peak_mb(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBound:
+    """Peak traced memory of one batch at n = 1000.  Full per-row (B, n+1)
+    int64 matrices would need 160 MB (core-joint, 20 000 rows) and about
+    360 MB (direct, 5 000 rows) here."""
+
+    def test_core_joint_batch(self):
+        samplers._core_size_cdf(1000)  # the cached exact CDF is set-up, not batch memory
+        peak = _traced_peak_mb(toes_core_cycle_counts_batch, 1000, 20_000, RngStream(950))
+        assert peak < 16
+
+    def test_direct_batch(self):
+        # one chunk of 2**21 cells needs about 130 MB, whatever the batch size
+        peak = _traced_peak_mb(harness._simulate_batch, ("direct", 1000, 951, 5_000))
+        assert peak < 160
 
 
 class TestDirectRegression:
@@ -436,12 +524,13 @@ class TestRouteAgreement:
 
     def test_corejoint_and_direct_cycle_means(self):
         n, reps = 8, 120_000
-        joint, _ = toes_core_cycle_counts_batch(n, reps, RngStream(1102))
+        joint = toes_core_cycle_counts_batch(n, reps, RngStream(1102))
         direct = decompose_batch(sample_mappings_batch(n, reps, RngStream(1103)))
         for j in range(2, n + 1):
-            a, b = joint[:, j], direct.cycle_counts[:, j]
-            se = math.sqrt(a.var(ddof=1) / reps + b.var(ddof=1) / reps)
-            assert abs(a.mean() - b.mean()) <= 4 * max(se, 1e-9)
+            a_mean, a_se = _mean_and_se(joint, "cyc", j, reps)
+            b = direct.cycle_counts[:, j]
+            se = math.sqrt(a_se**2 + b.var(ddof=1) / reps)
+            assert abs(a_mean - b.mean()) <= 4 * max(se, 1e-9)
 
 
 class TestBatchDeterminism:
