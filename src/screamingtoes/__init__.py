@@ -28,12 +28,12 @@ from .laws import (
     NoRepeatProbs,
     Spectrum,
     component_count_with_core,
-    component_mean_table,
     component_pair_moment,
     component_pmf,
     component_pmf_table,
     component_total_count,
     core_identity_sides,
+    core_size_counts,
     core_size_pmf,
     core_size_table,
     core_size_tail_std,

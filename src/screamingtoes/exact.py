@@ -221,23 +221,78 @@ class ScaledExp:
 
 
 def _rational_to_mpf(num: int, den: int, prec: int) -> mpmath.mpf:
-    # exact integer operands, one correctly rounded division; avoids
-    # mpmath.fraction, which stringifies its arguments (slow and capped for
-    # the tens-of-thousands-digit integers that arise here)
-    raw = libmp.mpf_div(libmp.from_int(num), libmp.from_int(den), prec, libmp.round_nearest)
+    """num/den (den > 0, not necessarily in lowest terms) rounded to `prec`
+    bits, half to even.
+
+    One integer divmod gives the quotient to prec + 2 or prec + 3 bits; the
+    bits below `prec` and a sticky bit for a nonzero remainder decide the
+    rounding.  This is the value ``libmp.mpf_div`` returns for the same
+    operands, without building mpfs of the operands first: that strips their
+    trailing zero bits eight at a time, which is quadratic for the
+    ten-thousand-bit integers of the n = 1000 laws.
+    """
+    if num == 0:
+        return mpmath.mp.make_mpf(libmp.fzero)
+    mag = abs(num)
+    shift = prec + 2 - (mag.bit_length() - den.bit_length())
+    if shift >= 0:
+        quot, rem = divmod(mag << shift, den)
+    else:
+        quot, rem = divmod(mag, den << -shift)
+    extra = quot.bit_length() - prec
+    man = quot >> extra
+    low = quot & ((1 << extra) - 1)
+    half = 1 << (extra - 1)
+    if low > half or (low == half and (rem or man & 1)):
+        man += 1
+    raw = libmp.from_man_exp(-man if num < 0 else man, extra - shift)
     return mpmath.mp.make_mpf(raw)
 
 
 def to_mpf(value: ScaledExp | RationalLike, prec: int = DEFAULT_PRECISION) -> mpmath.mpf:
     """Correctly rounded conversion of an exact value to an mpf of `prec` bits."""
-    with mpmath.workprec(prec):
-        if isinstance(value, ScaledExp):
-            coeff = _rational_to_mpf(value.coeff.numerator, value.coeff.denominator, prec)
-            if value.epow == 0:
-                return coeff
+    if isinstance(value, ScaledExp):
+        coeff = _rational_to_mpf(value.coeff.numerator, value.coeff.denominator, prec)
+        if value.epow == 0:
+            return coeff
+        with mpmath.workprec(prec):
             return coeff * mpmath.exp(value.epow)
-        value = Fraction(value)
-        return _rational_to_mpf(value.numerator, value.denominator, prec)
+    value = Fraction(value)
+    return _rational_to_mpf(value.numerator, value.denominator, prec)
+
+
+def _coprime_fraction(num: int, den: int) -> Fraction:
+    """Fraction(num, den) for coprime num and den > 0, without the full-width
+    gcd the constructor would redo.  Uses CPython's private fast path where
+    there is one and the plain constructor elsewhere."""
+    make = getattr(Fraction, "_from_coprime_ints", None)  # Python >= 3.12
+    if make is not None:
+        return make(num, den)
+    try:
+        return Fraction(num, den, _normalize=False)  # Python <= 3.11
+    except TypeError:
+        return Fraction(num, den)
+
+
+def fraction_over_power(num: int, base: int, exp: int) -> Fraction:
+    """num / base**exp in lowest terms, for base >= 2 and exp >= 0.
+
+    A common factor of num and base**exp divides base**exp, so it is found
+    by repeated gcds against the small `base` (one linear pass over num
+    each) instead of one quadratic gcd against base**exp; a count of
+    mappings over (n-1)**n is reduced this way in microseconds at n = 1000.
+    """
+    den = base**exp
+    if num == 0:
+        return Fraction(0)
+    common = 1
+    for _ in range(exp):
+        step = math.gcd(num, base)
+        if step == 1:
+            break
+        num //= step
+        common *= step
+    return _coprime_fraction(num, den // common)
 
 
 def format_fixed(value: RationalLike, places: int = 4) -> str:

@@ -19,6 +19,7 @@ enumeration against the closed forms with exact equality.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -38,10 +39,10 @@ from .samplers import RngStream
 
 REPORT_SCHEMA = "screamingtoes-report/1"
 
-# exact rationals at n = 10**4 have tens of thousands of digits; the
-# interpreter's int<->str conversion guard would reject serialising them
-if hasattr(sys, "set_int_max_str_digits") and sys.get_int_max_str_digits() < 1_000_000:
-    sys.set_int_max_str_digits(1_000_000)
+#: Digits of the int<->str conversions that emit and parse_report allow
+#: themselves: exact rationals at n = 10**4 have tens of thousands of
+#: digits, past the interpreter's default guard.
+INT_STR_DIGITS = 1_000_000
 
 #: The n values of the reference probability-of-a-scream table.
 Q_TABLE_NS = (5, 10, 15, 20, 30, 40, 50, 60, 70, 80, 90, 100, 1000, 10000)
@@ -134,6 +135,11 @@ class ExperimentConfig:
             n = self.size_for(self.tables[0]) if self.tables else (self.n or 0)
             if n > 7:
                 raise ValueError("brute-force enumeration is limited to n <= 7")
+        if "repeats" in self.tables and self.size_for("repeats") > laws.REPEATS_MAX_N:
+            raise ValueError(
+                f"the repeats table is limited to n <= {laws.REPEATS_MAX_N} "
+                "(the cost of its exact joint law grows exponentially with n)"
+            )
 
     def size_for(self, table: str) -> int:
         if self.n is not None:
@@ -331,37 +337,37 @@ def _table_scream(config: ExperimentConfig, tally: dict | None, brute) -> list[S
 
 def _table_cycles(config: ExperimentConfig, tally: dict | None, brute) -> list[StatRecord]:
     n = config.size_for("cycles")
+    toes = laws.cycle_mean_table(n, "toes")
     records = []
     for j in range(2, n + 1):
-        exact = laws.mean_cycle_count(n, j, "toes")
+        exact = toes[j]
         sim = se = None
         if tally is not None:
             sim, se = _mean_cell(tally["cyc_sum"], tally["cyc_sumsq"], tally["replicates"], j)
         elif brute is not None:
             sim = float(to_mpf(brute.cycle_means.get(j, Fraction(0))))
         records.append(_record("cycles", f"mean_cycles[j={j}]", exact, sim, se))
+    standard = laws.cycle_mean_table(n, "standard")
     for j in range(1, n + 1):
-        records.append(
-            _record("cycles", f"mean_cycles_std[j={j}]", laws.mean_cycle_count(n, j, "standard"))
-        )
+        records.append(_record("cycles", f"mean_cycles_std[j={j}]", standard[j]))
     return records
 
 
 def _table_core(config: ExperimentConfig, tally: dict | None, brute) -> list[StatRecord]:
     n = config.size_for("core")
+    toes = laws.core_size_table(n, "toes")
     records = []
     for r in range(2, n + 1):
-        exact = laws.core_size_pmf(n, r, "toes")
+        exact = toes[r]
         sim = se = None
         if tally is not None:
             sim, se = _pmf_cell(tally["core_hist"], tally["replicates"], r, exact)
         elif brute is not None:
             sim = float(to_mpf(brute.core_pmf.get(r, Fraction(0))))
         records.append(_record("core", f"core_size[r={r}]", exact, sim, se))
+    standard = laws.core_size_table(n, "standard")
     for r in range(1, n + 1):
-        records.append(
-            _record("core", f"core_size_std[r={r}]", laws.core_size_pmf(n, r, "standard"))
-        )
+        records.append(_record("core", f"core_size_std[r={r}]", standard[r]))
     return records
 
 
@@ -469,14 +475,15 @@ def repeated_size_stats(
     batch_size: int = 125_000,
 ) -> tuple[float, float, float]:
     """Monte Carlo (no repeated component size, no repeated cycle length,
-    neither) probabilities by direct simulation of `replicates` mappings."""
+    neither) probabilities by direct simulation of `replicates` mappings.
+    No exact column is built, so n is not bounded by REPEATS_MAX_N."""
     if n < 2:
         raise ValueError("need n >= 2")
     config = ExperimentConfig(
         n=n,
         replicates=replicates,
         seed=seed,
-        tables=("repeats",),
+        tables=(),
         workers=workers,
         batch_size=batch_size,
     )
@@ -586,7 +593,8 @@ def validate(n: int, model: str = "toes") -> list[tuple[str, bool]]:
     checks.append(("component_pmf", pmf_table.entries == brute.component_pmf))
 
     lo = 2 if model == "toes" else 1
-    core_ok = all(
+    core_counts = tuple(brute.core_pmf.get(r, 0) * brute.total for r in range(n + 1))
+    core_ok = laws.core_size_counts(n, model) == core_counts and all(
         laws.core_size_pmf(n, r, model) == brute.core_pmf.get(r, Fraction(0))
         for r in range(lo, n + 1)
     )
@@ -624,6 +632,21 @@ def validate(n: int, model: str = "toes") -> list[tuple[str, bool]]:
 # Serialisation
 
 
+@contextlib.contextmanager
+def _long_int_strings():
+    """Allow int<->str conversions of up to INT_STR_DIGITS digits inside the
+    block, and restore the interpreter's own limit after it (0 is none)."""
+    old = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    raise_limit = 0 < old < INT_STR_DIGITS
+    if raise_limit:
+        sys.set_int_max_str_digits(INT_STR_DIGITS)
+    try:
+        yield
+    finally:
+        if raise_limit:
+            sys.set_int_max_str_digits(old)
+
+
 def _exact_fields(value) -> dict:
     if value is None:
         return {"exact": None, "exact_rational": None, "exact_float": None}
@@ -645,6 +668,15 @@ def emit(report: ExperimentReport, format: str = "pretty", out: str | None = Non
     (rationals verbatim).  Wall time is carried on the object only and is
     never serialised, keeping equal-config runs byte-identical.
     """
+    with _long_int_strings():
+        text = _serialise(report, format)
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    return text
+
+
+def _serialise(report: ExperimentReport, format: str) -> str:
     if format == "json":
         payload = {
             "schema": REPORT_SCHEMA,
@@ -681,9 +713,6 @@ def emit(report: ExperimentReport, format: str = "pretty", out: str | None = Non
         text = _pretty(report)
     else:
         raise ValueError(f"unknown format {format!r}; use pretty, csv or json")
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
     return text
 
 
@@ -735,7 +764,8 @@ def parse_report(text: str) -> ExperimentReport:
     for r in payload["records"]:
         if r["exact_rational"] is not None:
             num, den = r["exact_rational"].split("/")
-            exact = Fraction(int(num), int(den))
+            with _long_int_strings():
+                exact = Fraction(int(num), int(den))
         elif r["exact_float"] is not None:
             exact = float(r["exact_float"])
         else:

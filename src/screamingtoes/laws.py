@@ -23,6 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator, Literal, Mapping, NamedTuple
 
 import numpy as np
@@ -32,7 +33,9 @@ from .exact import (
     ScaledExp,
     binomial,
     derangement_number,
+    derangement_numbers,
     falling_factorial,
+    fraction_over_power,
     multinomial,
     poisson_partial_sum,
     rising_factorial,
@@ -137,8 +140,9 @@ class LawTable:
     """A materialised exact law: index -> Fraction, plus what kind it is.
 
     pmf kinds must sum to exactly 1 over their recorded support; builders
-    call :meth:`check_normalized` so a broken formula fails loudly rather
-    than producing a slightly-off table.
+    call :meth:`check_normalized` (the core-size law checks its integer
+    counts instead) so a broken formula fails loudly rather than producing
+    a slightly-off table.
     """
 
     n: int
@@ -169,22 +173,6 @@ def partitions(n: int, min_part: int = 1, max_part: int | None = None) -> Iterat
         return
     for p in range(min(n, max_part), min_part - 1, -1):
         for rest in partitions(n - p, min_part, p):
-            yield (p,) + rest
-
-
-def distinct_partitions(n: int, min_part: int = 2, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Partitions of n into strictly decreasing parts >= min_part.
-
-    Far smaller than the full partition lattice, which keeps the exact
-    no-repeat probabilities cheap well beyond table-sized n.
-    """
-    if max_part is None:
-        max_part = n
-    if n == 0:
-        yield ()
-        return
-    for p in range(min(n, max_part), min_part - 1, -1):
-        for rest in distinct_partitions(n - p, min_part, p - 1):
             yield (p,) + rest
 
 
@@ -433,21 +421,75 @@ def expected_num_components(n: int, model: Model = "toes") -> Fraction:
 # Core-size laws
 
 
+def _base(n: int, model: Model) -> int:
+    """Admissible images per point: the model has _base(n)**n mappings."""
+    return n - 1 if model == "toes" else n
+
+
+@lru_cache(maxsize=4)
+def core_size_counts(n: int, model: Model = "toes") -> tuple[int, ...]:
+    """N_r, the number of mappings whose core has r elements, for r = 0..n.
+
+    The core is a permutation (standard model) or a derangement (toes) of
+    r chosen points, and the other n - r points form a forest rooted at the
+    core, of which there are r * n**(n-r-1):
+    N_r = C(n,r) * P_r * r * n**(n-r-1) for r < n and N_n = P_n, with P_r
+    = r! or D_r.  Built by running products from r = n down, and checked to
+    sum to the model's number of mappings, (n-1)**n or n**n, in integers.
+    """
+    _check_model(model, MODELS)
+    lo = 2 if model == "toes" else 1
+    if n < lo:
+        raise ValueError(f"need n >= {lo} in the {model} model")
+    if model == "toes":
+        arrangements = derangement_numbers(n)
+    else:
+        arrangements = [1] * (n + 1)
+        for r in range(1, n + 1):
+            arrangements[r] = arrangements[r - 1] * r
+    counts = [0] * (n + 1)
+    counts[n] = arrangements[n]
+    binom, forests = n, 1  # C(n, r) and n**(n-r-1) at r = n-1
+    for r in range(n - 1, 0, -1):
+        counts[r] = binom * arrangements[r] * r * forests
+        binom = binom * r // (n - r + 1)
+        forests *= n
+    if sum(counts) != _base(n, model) ** n:
+        raise ConsistencyError(f"{model} core-size counts for n={n} do not sum to the total")
+    return tuple(counts)
+
+
+@lru_cache(maxsize=4)
+def _core_size_law(n: int, model: Model) -> tuple[Fraction, ...]:
+    """P(core has r elements) = N_r / (model's mappings), r = 0..n, with
+    N_r from :func:`core_size_counts`.
+
+    Toes: the only common factors of N_r and (n-1)**n are the few of n-1 in
+    C(n,r) D_r r, so :func:`fraction_over_power` reduces it cheaply.
+    Standard: N_r / n**n shares most of n**(n-r-1) with n**n, so the law is
+    the running product P(1) = 1/n, P(r+1) = P(r) (r+1)(n-r) / (r n),
+    reduced step by step and then checked against the counts by
+    cross-multiplication.
+    """
+    counts = core_size_counts(n, model)
+    if model == "toes":
+        return tuple(fraction_over_power(count, n - 1, n) for count in counts)
+    total = n**n
+    law = [Fraction(0), Fraction(1, n)]
+    for r in range(1, n):
+        law.append(law[r] * Fraction((r + 1) * (n - r), r * n))
+    if any(p.numerator * total != count * p.denominator for p, count in zip(law, counts)):
+        raise ConsistencyError(f"standard core-size law for n={n} disagrees with its counts")
+    return tuple(law)
+
+
 def core_size_pmf(n: int, r: int, model: Model = "toes") -> Fraction:
     """P(core has exactly r elements), exactly."""
     _check_model(model, MODELS)
-    if model == "standard":
-        if not 1 <= r <= n:
-            raise ValueError("need 1 <= r <= n")
-        return Fraction(r, n) * Fraction(falling_factorial(n, r), n**r)
-    if not 2 <= r <= n:
-        raise ValueError("need 2 <= r <= n in the toes model")
-    return (
-        Fraction(n, n - 1) ** n
-        * Fraction(r, n)
-        * Fraction(falling_factorial(n, r), n**r)
-        * Fraction(derangement_number(r), math.factorial(r))
-    )
+    lo = 2 if model == "toes" else 1
+    if not lo <= r <= n:
+        raise ValueError(f"need {lo} <= r <= n in the {model} model")
+    return _core_size_law(n, model)[r]
 
 
 def core_size_tail_std(n: int, j: int) -> Fraction:
@@ -458,28 +500,32 @@ def core_size_tail_std(n: int, j: int) -> Fraction:
 
 
 def core_size_table(n: int, model: Model = "toes") -> LawTable:
-    """Exact core-size pmf for r over the full support, normalisation checked."""
+    """Exact core-size pmf for r over the full support.  Its normalisation
+    is checked in integers, on the counts it is read from."""
     _check_model(model, MODELS)
+    law = _core_size_law(n, model)
     table = LawTable(n, "core-size-pmf")
-    lo = 2 if model == "toes" else 1
-    fal = falling_factorial(n, lo - 1)
-    for r in range(lo, n + 1):
-        fal *= n - r + 1
-        if model == "toes":
-            table.entries[r] = (
-                Fraction(n, n - 1) ** n
-                * Fraction(r, n)
-                * Fraction(fal, n**r)
-                * Fraction(derangement_number(r), math.factorial(r))
-            )
-        else:
-            table.entries[r] = Fraction(r, n) * Fraction(fal, n**r)
-    table.check_normalized()
+    for r in range(2 if model == "toes" else 1, n + 1):
+        table.entries[r] = law[r]
     return table
 
 
 # ---------------------------------------------------------------------------
 # Cycle-count laws
+
+
+@lru_cache(maxsize=4)
+def _cycle_means(n: int, model: Model) -> tuple[Fraction, ...]:
+    """E C_j = n_[j] / (j b**j), b = n-1 (toes) or n, for j = 0..n, as the
+    running product E C_{j+1} = E C_j (n-j) j / ((j+1) b) from E C_1 = n/b.
+    Each step multiplies by a Fraction of small integers, which costs two
+    gcds against small integers instead of one of full width.  (The toes
+    model has no 1-cycles; its entry 1 only seeds the product.)"""
+    base = _base(n, model)
+    means = [Fraction(0), Fraction(n, base)]
+    for j in range(1, n):
+        means.append(means[j] * Fraction((n - j) * j, (j + 1) * base))
+    return tuple(means)
 
 
 def mean_cycle_count(n: int, j: int, model: CycleModel = "toes") -> Fraction:
@@ -496,16 +542,15 @@ def mean_cycle_count(n: int, j: int, model: CycleModel = "toes") -> Fraction:
     if model == "standard":
         if not 1 <= j <= n:
             raise ValueError("need 1 <= j <= n")
-        return Fraction(falling_factorial(n, j), j * n**j)
-    if not 2 <= j <= n:
+    elif not 2 <= j <= n:
         raise ValueError(f"need 2 <= j <= n in the {model} model")
-    if model == "toes":
-        return Fraction(falling_factorial(n, j), j * (n - 1) ** j)
-    return (
-        Fraction(1, j)
-        * Fraction(math.factorial(n), derangement_number(n))
-        * Fraction(derangement_number(n - j), math.factorial(n - j))
-    )
+    if model == "derangement":
+        return (
+            Fraction(1, j)
+            * Fraction(math.factorial(n), derangement_number(n))
+            * Fraction(derangement_number(n - j), math.factorial(n - j))
+        )
+    return _cycle_means(n, model)[j]
 
 
 def derangement_two_cycle_pmf(n: int, k: int) -> Fraction:
@@ -707,65 +752,74 @@ class NoRepeatProbs(NamedTuple):
     either: Fraction
 
 
+#: Largest n for which :func:`prob_no_repeated_sizes` runs.  Its joint
+#: "either" probability is an exact sum whose memoised states grow by about
+#: 2.3x for every 10 added to n: about 0.5 s at n = 60, 3.4 s at n = 80.
+REPEATS_MAX_N = 60
+
+
+def _distinct_block_counts(n: int, structures: list[int]) -> list[int]:
+    """0/1 knapsack over labelled blocks: entry s counts the ways to split s
+    labelled points into blocks of pairwise distinct sizes j >= 2, a block
+    of size j carrying ``structures[j]`` structures (s = 0..n)."""
+    ways = [1] + [0] * n
+    for j in range(2, n + 1):
+        for s in range(n, j - 1, -1):
+            if ways[s - j]:
+                ways[s] += math.comb(s, j) * structures[j] * ways[s - j]
+    return ways
+
+
 def prob_no_repeated_sizes(n: int) -> NoRepeatProbs:
     """Exact probabilities that a toes mapping has no repeated component size,
-    no repeated cycle length, and neither.
+    no repeated cycle length, and neither; 2 <= n <= REPEATS_MAX_N.
 
-    The first two marginals come from the component pmf and the
-    core-conditioned derangement law.  The joint needs the per-component
-    core sizes: a mapping whose components carry (size, core) pairs
-    {(s_i, c_i)} with multiplicities m has
-    n! * prod (g(s,c)/s!)**m / m!  realisations, where g is
-    :func:`component_count_with_core`.  Enumeration is over partitions into
-    distinct parts, so this stays cheap for table-sized n.
+    Each is a count of mappings over (n-1)**n.  Components: blocks of
+    distinct sizes j, each one of the component_total_count(j) connected
+    mappings on its points.  Cycles: a core of r points whose cycles have
+    distinct lengths j, each in (j-1)! cyclic orders, times the
+    C(n,r) r n**(n-r-1) ways to choose the core and root the rest on it.
+    Both are 0/1 knapsacks.  The joint needs distinct sizes and distinct
+    cores at once, which has no product form: it is summed exactly over
+    sizes from the largest down, memoised on (largest size left, points
+    left, set of cores already used that a smaller size could still take),
+    with g(s, c) = component_count_with_core(s, c).
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
+    if not 2 <= n <= REPEATS_MAX_N:
+        raise ValueError(f"need 2 <= n <= {REPEATS_MAX_N} (got {n})")
+    sizes = range(2, n + 1)
+    comp = _distinct_block_counts(n, [0, 0] + [component_total_count(j) for j in sizes])[n]
+    cores = _distinct_block_counts(n, [0, 0] + [math.factorial(j - 1) for j in sizes])
+    cyc = cores[n] + sum(
+        math.comb(n, r) * r * n ** (n - r - 1) * cores[r] for r in range(2, n)
+    )
 
-    comp = Fraction(0)
-    for parts in distinct_partitions(n):
-        comp += component_pmf(n, Spectrum.from_sizes(parts), "toes")
+    g = [[component_count_with_core(s, c) if 2 <= c <= s else 0 for c in range(s + 1)]
+         for s in range(n + 1)]
 
-    core_table = core_size_table(n, "toes")
-    cyc = Fraction(0)
-    for r, pr in core_table.items():
-        distinct = Fraction(0)
-        for parts in distinct_partitions(r):
-            distinct += derangement_cycle_type_pmf(r, parts)
-        cyc += pr * distinct
+    @lru_cache(maxsize=None)
+    def joint(size: int, left: int, used: int) -> int:
+        # sizes 2..size are free; `used` has bit c set for each core c <= size taken
+        if left == 0:
+            return 1
+        if size > left:
+            size, used = left, used & ((2 << left) - 1)
+        if size * (size + 1) // 2 - 1 < left:
+            return 0  # even 2 + 3 + ... + size falls short
+        below = (1 << size) - 1
+        taken = sum(
+            g[size][c] * joint(size - 1, left - size, (used | 1 << c) & below)
+            for c in range(2, size + 1)
+            if not used >> c & 1
+        )
+        return joint(size - 1, left, used & below) + math.comb(left, size) * taken
 
-    either = Fraction(0)
-    denom = (n - 1) ** n
-    for parts in distinct_partitions(n):
-        base = Fraction(math.factorial(n), denom)
-        for s in parts:
-            base /= math.factorial(s)
-
-        def assignments(idx: int, used: frozenset[int]) -> int:
-            if idx == len(parts):
-                return 1
-            total = 0
-            for c in range(2, parts[idx] + 1):
-                if c not in used:
-                    total += component_count_with_core(parts[idx], c) * assignments(
-                        idx + 1, used | {c}
-                    )
-            return total
-
-        either += base * assignments(0, frozenset())
-    return NoRepeatProbs(comp, cyc, either)
+    either = joint(n, n, 0)
+    return NoRepeatProbs(*(fraction_over_power(count, n - 1, n) for count in (comp, cyc, either)))
 
 
 # ---------------------------------------------------------------------------
 # Mean tables for the harness
-
-
-def component_mean_table(n: int, model: Model = "toes") -> LawTable:
-    table = LawTable(n, "component-mean")
-    lo = 2 if model == "toes" else 1
-    for j in range(lo, n + 1):
-        table.entries[j] = mean_component_count(n, j, model)
-    return table
 
 
 def cross_moment_table(n: int) -> LawTable:
@@ -779,6 +833,7 @@ def cross_moment_table(n: int) -> LawTable:
 
 
 def cycle_mean_table(n: int, model: CycleModel = "toes") -> LawTable:
+    """mean_cycle_count for every length j."""
     table = LawTable(n, "cycle-mean")
     lo = 1 if model == "standard" else 2
     for j in range(lo, n + 1):
@@ -792,14 +847,15 @@ __all__ = [
     "LawTable",
     "Model",
     "NoRepeatProbs",
+    "REPEATS_MAX_N",
     "Spectrum",
     "component_count_with_core",
-    "component_mean_table",
     "component_pair_moment",
     "component_pmf",
     "component_pmf_table",
     "component_total_count",
     "core_identity_sides",
+    "core_size_counts",
     "core_size_pmf",
     "core_size_table",
     "core_size_tail_std",
@@ -807,7 +863,6 @@ __all__ = [
     "cycle_mean_table",
     "derangement_cycle_type_pmf",
     "derangement_two_cycle_pmf",
-    "distinct_partitions",
     "esf_mean_cycle_count",
     "esf_pmf",
     "expected_num_components",

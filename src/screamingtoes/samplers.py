@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaincc
 
 from . import laws
-from .exact import to_mpf
+from .exact import DEFAULT_PRECISION, _rational_to_mpf
 from .laws import Spectrum
 
 _SEED_MASK = (1 << 64) - 1
@@ -444,18 +443,22 @@ def toes_component_counts_batch(
 def exact_acceptance_probability(n: int) -> float:
     """The rejection sampler's exact per-proposal acceptance probability.
 
-    Averages the acceptance function over the ESF(1/2) law by enumerating
-    cycle types; feasible for table-sized n and used as the oracle for the
-    observed rate.  The large-n limit is e**-1 / sqrt(2), about 0.2601.
+    Averaging the acceptance function 1{a_1 = 0} prod_j (2 w_j)**a_j over
+    the ESF(1/2) law of the counts a gives n!/(1/2)^(n) times the x**n
+    coefficient h_n of exp(sum_{j>=2} w_j x**j / j) (the exp-log schema of
+    labelled sets).  Differentiating gives the O(n**2) recurrence
+    m h_m = sum_{k=2}^{m} w_k h_{m-k}, h_0 = 1; every term is positive, and
+    each sum is taken with fsum.  The large-n limit is e**-1 / sqrt(2),
+    about 0.2601.
     """
+    if n < 2:
+        raise ValueError("need n >= 2")
     w = omega_values(n)
-    total = 0.0
-    for parts in laws.partitions(n, 2):
-        prob = float(to_mpf(laws.esf_pmf(n, Fraction(1, 2), parts)))
-        for j in parts:
-            prob *= 2.0 * w[j]
-        total += prob
-    return total
+    h = [1.0, 0.0]
+    for m in range(2, n + 1):
+        h.append(math.fsum(w[k] * h[m - k] for k in range(2, m + 1)) / m)
+    # n!/(1/2)^(n) = n! 2**n / (1*3*...*(2n-1)), rounded once
+    return h[n] * (math.factorial(n) * 2**n / math.prod(range(1, 2 * n, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -464,20 +467,23 @@ def exact_acceptance_probability(n: int) -> float:
 
 @lru_cache(maxsize=64)
 def _core_size_cdf(n: int) -> np.ndarray:
-    """Cumulative core-size law for r = 2..n as float64, from the exact table.
+    """Cumulative core-size law for r = 2..n as float64, from the exact counts.
 
-    The exact entries sum to 1 (checked in rational arithmetic); the last
-    cumulative float is forced to 1.0 so a uniform draw can never fall off
-    the end.
+    Running integer sums of :func:`laws.core_size_counts` over (n-1)**n,
+    each rounded to 128 bits and then to float64 (the rounding of the exact
+    rational that the sampler has always used); the sums must reach
+    (n-1)**n exactly.  The last cumulative float is forced to 1.0 so a
+    uniform draw can never fall off the end.
     """
-    table = laws.core_size_table(n, "toes")
-    acc = Fraction(0)
+    counts = laws.core_size_counts(n, "toes")
+    total = (n - 1) ** n
+    acc = 0
     cdf = np.empty(n - 1)
     for idx, r in enumerate(range(2, n + 1)):
-        acc += table[r]
-        cdf[idx] = float(to_mpf(acc))
-    if acc != 1:
-        raise laws.ConsistencyError(f"core-size pmf for n={n} sums to {acc}")
+        acc += counts[r]
+        cdf[idx] = float(_rational_to_mpf(acc, total, DEFAULT_PRECISION))
+    if acc != total:
+        raise laws.ConsistencyError(f"core-size counts for n={n} do not sum to (n-1)**n")
     cdf[-1] = 1.0
     return cdf
 

@@ -6,18 +6,21 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
+from mpmath import libmp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaincc
 
 from screamingtoes import exact
 from screamingtoes.exact import (
+    DEFAULT_PRECISION,
     ScaledExp,
     binomial,
     derangement_number,
     derangement_numbers,
     falling_factorial,
     format_fixed,
+    fraction_over_power,
     multinomial,
     poisson_cdf,
     poisson_partial_sum,
@@ -169,6 +172,64 @@ class TestToMpf:
         with mpmath.workprec(240):
             err = abs(x - mpmath.fraction(10**40 + 1, 7)) / mpmath.fraction(10**40, 7)
             assert err <= mpmath.mpf(2) ** -119
+
+
+def _mpf_div_route(value: F, prec: int) -> tuple:
+    """The conversion by one mpmath division of the exact operands."""
+    num, den = libmp.from_int(value.numerator), libmp.from_int(value.denominator)
+    return libmp.mpf_div(num, den, prec, libmp.round_nearest)
+
+
+# integers of up to 10**4 digits, with and without long runs of trailing zero bits
+_wide_ints = st.builds(
+    lambda head, digits, tail, shift: (head * 10**digits + tail) << shift,
+    st.integers(-(10**20), 10**20),
+    st.sampled_from([0, 30, 300, 9_980]),
+    st.integers(0, 10**20),
+    st.sampled_from([0, 1, 64, 1000]),
+)
+
+
+class TestToMpfDivision:
+    @given(_wide_ints, _wide_ints, st.sampled_from([53, DEFAULT_PRECISION, 200]))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_mpf_div(self, num, den, prec):
+        if den == 0:
+            den = 1
+        value = F(num, den)
+        assert to_mpf(value, prec)._mpf_ == _mpf_div_route(value, prec)
+
+    @given(st.integers(-(10**9), 10**9), st.integers(1, 10**9))
+    @settings(max_examples=100, deadline=None)
+    def test_small_and_zero(self, num, den):
+        value = F(num, den)
+        assert to_mpf(value)._mpf_ == _mpf_div_route(value, DEFAULT_PRECISION)
+        assert to_mpf(F(0))._mpf_ == libmp.fzero
+
+    @given(st.integers(2 ** (DEFAULT_PRECISION - 1), 2**DEFAULT_PRECISION - 1),
+           st.integers(-400, 400), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_exact_ties_round_to_even(self, mantissa, exp2, negative):
+        # (2m+1) 2**e has one bit more than the working precision and lies
+        # exactly halfway between m 2**(e+1) and (m+1) 2**(e+1)
+        sign = -1 if negative else 1
+        value = F(sign * (2 * mantissa + 1)) * F(2) ** exp2
+        even = mantissa if mantissa % 2 == 0 else mantissa + 1
+        got = to_mpf(value)._mpf_
+        assert got == libmp.from_man_exp(sign * even, exp2 + 1)
+        assert got == _mpf_div_route(value, DEFAULT_PRECISION)
+
+
+class TestFractionOverPower:
+    @given(st.integers(-(10**30), 10**30), st.integers(2, 60), st.integers(0, 40),
+           st.integers(0, 80))
+    @settings(max_examples=200, deadline=None)
+    def test_lowest_terms(self, num, base, exp, extra):
+        # num may hold more factors of base than base**exp does
+        num *= base**extra
+        got = fraction_over_power(num, base, exp)
+        assert got == F(num, base**exp)
+        assert math.gcd(got.numerator, got.denominator) == 1 and got.denominator > 0
 
 
 class TestFormatFixed:

@@ -3,6 +3,10 @@ determinism, and the CLI."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -198,10 +202,42 @@ class TestEmit:
         again = parse_report(emit(report, "json"))
         assert again.records[0].exact == report.records[0].exact
 
+    def test_import_leaves_the_int_str_limit_alone(self):
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        code = (
+            "import sys; before = sys.get_int_max_str_digits(); "
+            "import screamingtoes.harness; "
+            "assert sys.get_int_max_str_digits() == before, sys.get_int_max_str_digits()"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
+    def test_emit_and_parse_restore_the_int_str_limit(self):
+        report = run_table(ExperimentConfig(n=10_000, replicates=0, tables=("q",)))
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)  # the interpreter's default
+        try:
+            text = emit(report, "json")
+            assert sys.get_int_max_str_digits() == 4300
+            again = parse_report(text)
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert again.records[0].name == "q[n=10000]"
+        assert again.records[0].exact == report.records[0].exact
+        # more digits than the default limit lets through
+        assert report.records[0].exact.denominator.bit_length() > 4300 * math.log2(10)
+
 
 class TestRepeatedSizeStats:
     def test_degenerate_n2(self):
         assert harness.repeated_size_stats(2, 200, seed=1) == (1.0, 1.0, 1.0)
+
+    def test_not_bounded_by_the_exact_table(self):
+        n = laws.REPEATS_MAX_N + 10
+        probs = harness.repeated_size_stats(n, 50, seed=3, workers=1)
+        assert all(0.0 <= p <= 1.0 for p in probs) and probs[2] <= min(probs[:2])
 
     def test_n4_matches_enumeration(self):
         reps = 40_000
@@ -284,6 +320,24 @@ class TestCli:
         message = exc.value.code
         assert isinstance(message, str) and "\n" not in message and "cannot produce" in message
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["exact", "--table", "repeats", "--n", "80"],
+        ["simulate", "--table", "repeats", "--n", "1000"],
+    ])
+    def test_repeats_above_the_bound_is_a_one_line_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        message = exc.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert f"n <= {laws.REPEATS_MAX_N}" in message
+        assert capsys.readouterr().out == ""
+
+    def test_exact_acceptance_at_n60_is_quick(self, capsys):
+        started = time.perf_counter()
+        assert cli.main(["exact", "--table", "acceptance", "--n", "60", "--format", "csv"]) == 0
+        assert time.perf_counter() - started < 2.0
+        assert "acceptance_rate,0.2581" in capsys.readouterr().out
 
     def test_workers_env_default(self, monkeypatch):
         monkeypatch.setenv(harness.ENV_WORKERS, "3")

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from screamingtoes import laws
+from screamingtoes import laws, samplers
 from screamingtoes.exact import ScaledExp, derangement_number, falling_factorial, format_fixed, to_mpf
 from screamingtoes.laws import Spectrum
 
@@ -229,6 +229,63 @@ class TestCoreSize:
                 assert laws.core_size_tail_std(n, j) == total
 
 
+def _core_law_per_r(n, model):
+    """The per-r closed forms the law was first written with."""
+    law = {}
+    fal = 1
+    scale = F(n, n - 1) ** n
+    for r in range(1, n + 1):
+        fal *= n - r + 1  # n_[r]
+        if model == "standard":
+            law[r] = F(r, n) * F(fal, n**r)
+        elif r >= 2:
+            law[r] = scale * F(r, n) * F(fal, n**r) * F(derangement_number(r), math.factorial(r))
+    return law
+
+
+def _cycle_means_per_j(n, model):
+    base = n - 1 if model == "toes" else n
+    means = {}
+    fal = 1
+    for j in range(1, n + 1):
+        fal *= n - j + 1
+        if model == "standard" or j >= 2:
+            means[j] = F(fal, j * base**j)
+    return means
+
+
+class TestIntegerCounts:
+    @pytest.mark.parametrize("model", ["standard", "toes"])
+    def test_equal_to_the_per_r_formulas(self, model):
+        for n in [*range(2, 61), 200, 1000]:
+            base = n - 1 if model == "toes" else n
+            counts = laws.core_size_counts(n, model)
+            assert len(counts) == n + 1 and sum(counts) == base**n
+            law = _core_law_per_r(n, model)
+            assert {r: F(counts[r], base**n) for r in law} == law, n
+            assert laws.core_size_table(n, model).entries == law, n
+            assert laws.cycle_mean_table(n, model).entries == _cycle_means_per_j(n, model), n
+
+    def test_pmf_and_means_read_the_same_values(self):
+        for model in ("standard", "toes"):
+            lo = 1 if model == "standard" else 2
+            law = _core_law_per_r(12, model)
+            means = _cycle_means_per_j(12, model)
+            for r in range(lo, 13):
+                assert laws.core_size_pmf(12, r, model) == law[r]
+                assert laws.mean_cycle_count(12, r, model) == means[r]
+
+    def test_counts_are_the_enumerated_counts(self):
+        for n in (2, 3, 4, 5):
+            for model in ("standard", "toes"):
+                choices = [[j for j in range(n) if model == "standard" or j != i] for i in range(n)]
+                tally = [0] * (n + 1)
+                for image in itertools.product(*choices):
+                    _, cycles, _ = samplers._decompose_image(image)
+                    tally[sum(cycles)] += 1
+                assert laws.core_size_counts(n, model) == tuple(tally)
+
+
 class TestCycleMeans:
     def test_reference_values(self):
         assert laws.mean_cycle_count(10, 2, "toes") == F(5, 9)
@@ -408,9 +465,64 @@ class TestEsfLaw:
         assert laws.esf_mean_cycle_count(n, F(1, 2), 2) == direct
 
 
+def _distinct_partitions(n, min_part=2, max_part=None):
+    """Partitions of n into strictly decreasing parts >= min_part."""
+    if max_part is None:
+        max_part = n
+    if n == 0:
+        yield ()
+        return
+    for p in range(min(n, max_part), min_part - 1, -1):
+        for rest in _distinct_partitions(n - p, min_part, p - 1):
+            yield (p,) + rest
+
+
+def _no_repeat_by_enumeration(n):
+    """The three no-repeat probabilities by enumerating partitions into
+    distinct parts, and for the joint every assignment of distinct cores."""
+    comp = sum(
+        (laws.component_pmf(n, Spectrum.from_sizes(parts), "toes")
+         for parts in _distinct_partitions(n)),
+        F(0),
+    )
+    cyc = sum(
+        (pr * sum((laws.derangement_cycle_type_pmf(r, parts) for parts in _distinct_partitions(r)),
+                  F(0))
+         for r, pr in laws.core_size_table(n, "toes").items()),
+        F(0),
+    )
+
+    def assignments(parts, idx, used):
+        if idx == len(parts):
+            return 1
+        return sum(
+            laws.component_count_with_core(parts[idx], c) * assignments(parts, idx + 1, used | {c})
+            for c in range(2, parts[idx] + 1)
+            if c not in used
+        )
+
+    either = F(0)
+    for parts in _distinct_partitions(n):
+        base = F(math.factorial(n), (n - 1) ** n)
+        for s in parts:
+            base /= math.factorial(s)
+        either += base * assignments(parts, 0, frozenset())
+    return comp, cyc, either
+
+
 class TestNoRepeatProbs:
     def test_degenerate(self):
         assert laws.prob_no_repeated_sizes(2) == (1, 1, 1)
+
+    def test_recurrences_equal_the_enumeration(self):
+        for n in range(2, 25):
+            assert laws.prob_no_repeated_sizes(n) == _no_repeat_by_enumeration(n), n
+
+    def test_bounded(self):
+        laws.prob_no_repeated_sizes(laws.REPEATS_MAX_N)
+        for n in (1, laws.REPEATS_MAX_N + 1):
+            with pytest.raises(ValueError):
+                laws.prob_no_repeated_sizes(n)
 
     def test_reference_n10(self):
         comp, cyc, either = laws.prob_no_repeated_sizes(10)

@@ -1,6 +1,7 @@
 """Sampler tests: structural invariants, determinism, and statistical
 agreement with the exact laws (which double as the oracles)."""
 
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction as F
@@ -303,6 +304,20 @@ class TestRejectionSampler:
         se = math.sqrt(exact * (1 - exact) / attempts)
         assert abs(rate - exact) < 5 * se
 
+    def test_recurrence_equals_the_partition_enumeration(self):
+        for n in range(2, 31):
+            w = omega_values(n)
+            enumerated = 0.0
+            for parts in laws.partitions(n, 2):
+                prob = float(to_mpf(laws.esf_pmf(n, F(1, 2), parts)))
+                for j in parts:
+                    prob *= 2.0 * w[j]
+                enumerated += prob
+            assert exact_acceptance_probability(n) == pytest.approx(enumerated, rel=1e-13), n
+
+    def test_acceptance_probability_below_its_limit_at_large_n(self):
+        assert 0.259 < exact_acceptance_probability(300) < math.exp(-1) / math.sqrt(2)
+
     def test_exact_acceptance_probability_frozen(self):
         assert exact_acceptance_probability(10) == pytest.approx(0.247581736473, abs=1e-9)
         # the large-n limit is e**-1/sqrt(2) ~ 0.2601; finite n sits below it
@@ -320,6 +335,16 @@ class TestCoreSizeSampler:
         observed = {int(r): int(c) for r, c in zip(*np.unique(sizes, return_counts=True))}
         expected = {r: p for r, p in laws.core_size_table(n, "toes").items()}
         assert chi_square_pvalue(observed, expected, reps) > 1e-4
+
+    @pytest.mark.parametrize("n, digest", [
+        (10, "ceb030f2f210a0ace7ec8f971fcae89c96e1b9799f7d776e2cdbddf1bb2ec5f6"),
+        (57, "f72dc331eed44f6dd1b69c880884d87e228e05368cdf01a63cd47d5dd40f3f0a"),
+        (1000, "2bf75c5925ab7791894682ca3c5a09f7301e411fdc8ce3baea899a9a4bce9174"),
+    ])
+    def test_cdf_bits_are_pinned(self, n, digest):
+        # the sampler's draws depend on these bits: the exact cumulative
+        # law rounded to 128 bits and then to float64
+        assert hashlib.sha256(samplers._core_size_cdf(n).tobytes()).hexdigest() == digest
 
     def test_cdf_cache_is_exactly_normalised(self):
         cdf = samplers._core_size_cdf(17)
