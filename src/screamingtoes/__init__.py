@@ -24,7 +24,6 @@ from .exact import (
 )
 from .laws import (
     ConsistencyError,
-    LawTable,
     NoRepeatProbs,
     Spectrum,
     component_count_with_core,

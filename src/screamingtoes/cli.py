@@ -70,15 +70,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Flags that take an integer (``type=int`` in :func:`build_parser`); every
+#: other flag takes a string.
+_INT_FLAGS = frozenset({"n", "reps", "seed", "workers", "batch_size"})
+
+
 def _apply_config_file(args: argparse.Namespace) -> None:
     if not getattr(args, "config", None):
         return
-    with open(args.config) as fh:
-        values = json.load(fh)
+    try:
+        with open(args.config) as fh:
+            values = json.load(fh)
+    except (OSError, ValueError) as exc:  # missing, unreadable or not JSON
+        raise SystemExit(f"screamingtoes: cannot read --config {args.config}: {exc}") from None
+    if not isinstance(values, dict):
+        raise SystemExit(f"screamingtoes: --config {args.config} must hold one JSON object")
     for key, value in values.items():
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
-            raise SystemExit(f"config file key {key!r} is not a recognised flag")
+            raise SystemExit(f"screamingtoes: config file key {key!r} is not a recognised flag")
+        wanted = int if attr in _INT_FLAGS else str
+        if type(value) is not wanted:  # a bool is not an int here
+            raise SystemExit(
+                f"screamingtoes: config file key {key!r} must be "
+                f"{'an integer' if wanted is int else 'a string'}, not {value!r}"
+            )
         if getattr(args, attr) is None:  # flags override the file
             setattr(args, attr, value)
 
@@ -96,12 +112,12 @@ def _emit(report, args) -> None:
 
 
 def _config(**fields) -> harness.ExperimentConfig:
-    """The run's configuration; an invalid one, or a method that cannot
-    produce a requested table, exits with a one-line message."""
+    """The run's configuration; an invalid one, including a method that
+    cannot produce a requested table or a malformed worker count in the
+    environment, exits with a one-line message."""
     try:
         config = harness.ExperimentConfig(**fields)
-        for table in config.tables:
-            config.method_for(table)
+        config.resolved_workers()
     except ValueError as exc:
         raise SystemExit(f"screamingtoes: {exc}") from None
     return config
@@ -121,9 +137,11 @@ def main(argv: list[str] | None = None) -> int:
         report = harness.run_table(config)
         if args.model != "both":
             keep_std = args.model == "standard"
-            report.records = [
-                r for r in report.records if ("_std[" in r.name) == keep_std
-            ] or report.records
+            report.records = [r for r in report.records if ("_std[" in r.name) == keep_std]
+            if not report.records:
+                raise SystemExit(
+                    f"screamingtoes: the {config.tables[0]!r} table has no standard-model cells"
+                )
         _emit(report, args)
         return 0
 
@@ -139,6 +157,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "tables":
         _setdefaults(args, tables="1,2,3,cycles,core", reps=1_000_000)
         ids = tuple(t.strip() for t in str(args.tables).split(",") if t.strip())
+        if not ids:
+            raise SystemExit("screamingtoes: --tables names no table")
         config = _config(
             n=args.n, replicates=args.reps, seed=args.seed, method=args.method,
             tables=ids, workers=args.workers, batch_size=args.batch_size,

@@ -27,6 +27,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -47,46 +48,7 @@ INT_STR_DIGITS = 1_000_000
 #: The n values of the reference probability-of-a-scream table.
 Q_TABLE_NS = (5, 10, 15, 20, 30, 40, 50, 60, 70, 80, 90, 100, 1000, 10000)
 
-TABLES = ("q", "components", "scream", "cycles", "core", "repeats", "acceptance")
-
-TABLE_ALIASES = {
-    "1": "q",
-    "q": "q",
-    "2": "components",
-    "components": "components",
-    "component-means": "components",
-    "3": "scream",
-    "scream": "scream",
-    "scream-pmf": "scream",
-    "cycles": "cycles",
-    "cycle-means": "cycles",
-    "core": "core",
-    "core-size": "core",
-    "repeats": "repeats",
-    "repeated-sizes": "repeats",
-    "acceptance": "acceptance",
-    "acceptance-rate": "acceptance",
-}
-
 METHODS = ("direct", "rejection", "core-joint", "brute-force")
-
-#: Which simulation route feeds which table when no method is forced.
-DEFAULT_METHOD = {
-    "components": "rejection",
-    "acceptance": "rejection",
-    "scream": "core-joint",
-    "cycles": "core-joint",
-    "core": "core-joint",
-    "repeats": "direct",
-}
-
-#: Tables each method can honestly produce.
-METHOD_TABLES = {
-    "direct": {"components", "scream", "cycles", "core", "repeats"},
-    "rejection": {"components", "acceptance"},
-    "core-joint": {"scream", "cycles", "core"},
-    "brute-force": {"components", "scream", "cycles", "core", "repeats"},
-}
 
 _KIND_OFFSET = {"direct": 1, "rejection": 2, "core-joint": 3}
 
@@ -103,7 +65,10 @@ def canonical_table(name: str) -> str:
 def default_workers() -> int:
     env = os.environ.get(ENV_WORKERS)
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"{ENV_WORKERS} must be an integer (got {env!r})") from None
     return os.cpu_count() or 1
 
 
@@ -131,32 +96,34 @@ class ExperimentConfig:
             raise ValueError("batch_size must be positive")
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be positive")
-        if self.method == "brute-force":
-            n = self.size_for(self.tables[0]) if self.tables else (self.n or 0)
-            if n > 7:
-                raise ValueError("brute-force enumeration is limited to n <= 7")
-        if "repeats" in self.tables and self.size_for("repeats") > laws.REPEATS_MAX_N:
+        for table in self.tables:
+            methods = _SPECS[table].methods
+            if self.method is not None and methods and self.method not in methods:
+                supported = sorted(s.name for s in _SPECS.values() if self.method in s.methods)
+                raise ValueError(
+                    f"the {self.method!r} method cannot produce the {table!r} table; "
+                    f"it supports {supported}"
+                )
+        if self.method == "brute-force" and self.size > 7:
+            raise ValueError("brute-force enumeration is limited to n <= 7")
+        if "repeats" in self.tables and self.size > laws.REPEATS_MAX_N:
             raise ValueError(
                 f"the repeats table is limited to n <= {laws.REPEATS_MAX_N} "
                 "(the cost of its exact joint law grows exponentially with n)"
             )
 
-    def size_for(self, table: str) -> int:
-        if self.n is not None:
-            return self.n
-        return 10
+    @property
+    def size(self) -> int:
+        """The n of every table of the run (10 when n is unset)."""
+        return self.n if self.n is not None else 10
 
     def method_for(self, table: str) -> str | None:
-        if table == "q":
+        """The method that fills the table's simulated column; None for an
+        exact-only table."""
+        methods = _SPECS[table].methods
+        if not methods:
             return None
-        if self.method is not None:
-            if table not in METHOD_TABLES[self.method]:
-                raise ValueError(
-                    f"the {self.method!r} method cannot produce the {table!r} table; "
-                    f"it supports {sorted(METHOD_TABLES[self.method])}"
-                )
-            return self.method
-        return DEFAULT_METHOD[table]
+        return self.method or methods[0]
 
     def resolved_workers(self) -> int:
         return self.workers if self.workers is not None else default_workers()
@@ -185,6 +152,123 @@ class ExperimentReport:
         for rec in self.records:
             grouped.setdefault(rec.table, []).append(rec)
         return grouped
+
+
+# ---------------------------------------------------------------------------
+# Table specs
+
+#: One report cell before its simulated column is filled:
+#: (name, exact, kind, tally key, index).  ``kind`` says how the simulated
+#: column is estimated: "mean" (tally ``key_sum``/``key_sumsq`` at the index),
+#: "pmf" (histogram ``key`` at the index), "ratio" (replicates over the
+#: ``key`` count) or None (no simulated column).
+Cell = tuple[str, Fraction | float | None, str | None, str | None, int | None]
+
+
+@dataclass(frozen=True)
+class TableSpec:
+    """One report table.  The first of ``methods`` fills it when no method
+    is forced; an exact-only table has none."""
+
+    name: str
+    aliases: tuple[str, ...]
+    title: str
+    methods: tuple[str, ...]
+    cells: Callable[[ExperimentConfig], Iterator[Cell]]
+
+
+def _q_cells(config: ExperimentConfig) -> Iterator[Cell]:
+    for n in (config.n,) if config.n is not None else Q_TABLE_NS:
+        yield f"q[n={n}]", laws.prob_someone_screams(n), None, None, None
+
+
+def _paired_cells(
+    stat: str, var: str, toes: dict, standard: dict, kind: str, key: str
+) -> Iterator[Cell]:
+    """The toes cells of a statistic, then its standard-model column."""
+    for i, exact in toes.items():
+        yield f"{stat}[{var}={i}]", exact, kind, key, i
+    for i, exact in standard.items():
+        yield f"{stat}_std[{var}={i}]", exact, None, None, None
+
+
+def _component_cells(config: ExperimentConfig) -> Iterator[Cell]:
+    n = config.size
+    toes = {j: None if j == 1 else laws.mean_component_count(n, j, "toes") for j in range(1, n + 1)}
+    standard = {j: laws.mean_component_count(n, j, "standard") for j in range(1, n + 1)}
+    return _paired_cells("mean_components", "j", toes, standard, "mean", "comp")
+
+
+def _scream_cells(config: ExperimentConfig) -> Iterator[Cell]:
+    n = config.size
+    for k in range(0, n // 2 + 1):
+        yield f"scream_pmf[k={k}]", laws.scream_pmf(n, k), "pmf", "scream_hist", k
+
+
+def _cycle_cells(config: ExperimentConfig) -> Iterator[Cell]:
+    n = config.size
+    return _paired_cells(
+        "mean_cycles", "j", laws.cycle_mean_table(n, "toes"),
+        laws.cycle_mean_table(n, "standard"), "mean", "cyc",
+    )
+
+
+def _core_cells(config: ExperimentConfig) -> Iterator[Cell]:
+    n = config.size
+    return _paired_cells(
+        "core_size", "r", laws.core_size_table(n, "toes"),
+        laws.core_size_table(n, "standard"), "pmf", "core_hist",
+    )
+
+
+def _repeat_cells(config: ExperimentConfig) -> Iterator[Cell]:
+    exact = laws.prob_no_repeated_sizes(config.size)
+    for idx, name in enumerate(("no_repeat_components", "no_repeat_cycles", "no_repeat_either")):
+        yield name, exact[idx], "pmf", "no_repeat", idx
+
+
+def _acceptance_cells(config: ExperimentConfig) -> Iterator[Cell]:
+    exact = samplers.exact_acceptance_probability(config.size)
+    yield "acceptance_rate", exact, "ratio", "attempts", None
+
+
+#: Every report table, by canonical name.
+_SPECS = {
+    spec.name: spec
+    for spec in (
+        TableSpec("q", ("1",), "Probability that at least one pair screams", (), _q_cells),
+        TableSpec(
+            "components", ("2", "component-means"), "Mean number of components by size",
+            ("rejection", "direct", "brute-force"), _component_cells,
+        ),
+        TableSpec(
+            "scream", ("3", "scream-pmf"), "Distribution of the number of screaming pairs",
+            ("core-joint", "direct", "brute-force"), _scream_cells,
+        ),
+        TableSpec(
+            "cycles", ("cycle-means",), "Mean number of core cycles by length",
+            ("core-joint", "direct", "brute-force"), _cycle_cells,
+        ),
+        TableSpec(
+            "core", ("core-size",), "Distribution of the core size",
+            ("core-joint", "direct", "brute-force"), _core_cells,
+        ),
+        TableSpec(
+            "repeats", ("repeated-sizes",), "Probability of no repeated sizes",
+            ("direct", "brute-force"), _repeat_cells,
+        ),
+        TableSpec(
+            "acceptance", ("acceptance-rate",), "Rejection-sampler acceptance rate",
+            ("rejection",), _acceptance_cells,
+        ),
+    )
+}
+
+TABLES = tuple(_SPECS)
+
+TABLE_ALIASES = {
+    alias: spec.name for spec in _SPECS.values() for alias in (spec.name, *spec.aliases)
+}
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +321,10 @@ def _merge_tallies(parts: list[dict]) -> dict:
     return merged
 
 
-def _run_simulation(kind: str, n: int, config: ExperimentConfig) -> dict:
-    """All batches of one simulation kind, merged.  Batch k of this kind is
-    seeded with (master XOR kind_offset<<32) XOR k, independent of worker
-    count and of which other kinds run."""
+def _run_simulation(kind: str, config: ExperimentConfig) -> dict:
+    """All batches of one simulation kind at ``config.size``, merged.  Batch
+    k of this kind is seeded with (master XOR kind_offset<<32) XOR k,
+    independent of worker count and of which other kinds run."""
     total = config.replicates
     kind_seed = config.seed ^ (_KIND_OFFSET[kind] << 32)
     tasks = []
@@ -248,7 +332,7 @@ def _run_simulation(kind: str, n: int, config: ExperimentConfig) -> dict:
     k = 0
     while done < total:
         size = min(config.batch_size, total - done)
-        tasks.append((kind, n, kind_seed ^ k, size))
+        tasks.append((kind, config.size, kind_seed ^ k, size))
         done += size
         k += 1
     workers = config.resolved_workers()
@@ -260,141 +344,63 @@ def _run_simulation(kind: str, n: int, config: ExperimentConfig) -> dict:
     return _merge_tallies(parts)
 
 
-def _mean_cell(tally_sum, tally_sumsq, reps: int, j: int) -> tuple[float, float]:
-    mean = tally_sum[j] / reps
-    var = (tally_sumsq[j] - tally_sum[j] ** 2 / reps) / max(reps - 1, 1)
-    return float(mean), float(math.sqrt(max(var, 0.0) / reps))
-
-
-def _pmf_cell(hist, reps: int, idx: int, exact: Fraction) -> tuple[float, float]:
-    p_hat = float(hist[idx] / reps) if idx < len(hist) else 0.0
-    p = float(to_mpf(exact))
-    return p_hat, math.sqrt(p * (1.0 - p) / reps)
-
-
-def _zscore(simulated: float, exact: Fraction | float, se: float) -> float:
-    exact_f = float(to_mpf(exact)) if isinstance(exact, Fraction) else float(exact)
-    if se == 0.0:
-        return 0.0 if simulated == exact_f else math.inf
-    return (simulated - exact_f) / se
-
-
-def _record(table, name, exact, simulated=None, se=None) -> StatRecord:
-    z = None
-    if simulated is not None and exact is not None and se is not None:
-        z = _zscore(simulated, exact, se)
-    return StatRecord(table, name, exact, simulated, se, z)
-
-
 # ---------------------------------------------------------------------------
-# Table builders
+# Table records
+
+#: The enumeration column that stands in for each tally key.
+_BRUTE_COLUMNS = {
+    "comp": "component_means",
+    "cyc": "cycle_means",
+    "scream_hist": "scream_pmf",
+    "core_hist": "core_pmf",
+    "no_repeat": "no_repeat",
+}
 
 
-def _table_q(config: ExperimentConfig) -> list[StatRecord]:
-    ns = (config.n,) if config.n is not None else Q_TABLE_NS
-    return [_record("q", f"q[n={n}]", laws.prob_someone_screams(n)) for n in ns]
+def _brute_value(brute: BruteForceLaw, key: str, idx: int) -> float:
+    column = getattr(brute, _BRUTE_COLUMNS[key])
+    value = column[idx] if isinstance(column, tuple) else column.get(idx, Fraction(0))
+    return float(to_mpf(value))
 
 
-def _brute_columns(n: int) -> "BruteForceLaw":
-    return brute_force_law(n, "toes")
+def _simulated_cell(tally: dict, kind: str, key: str, idx, exact) -> tuple[float, float, float]:
+    """Estimate, standard error and z-score of one cell from merged tallies.
+    The exact value is rounded to a float once."""
+    exact_f = float(to_mpf(exact)) if isinstance(exact, Fraction) else float(exact)
+    reps = tally["replicates"]
+    if kind == "mean":
+        total, total_sq = tally[f"{key}_sum"][idx], tally[f"{key}_sumsq"][idx]
+        simulated = float(total / reps)
+        var = (total_sq - total**2 / reps) / max(reps - 1, 1)
+        se = float(math.sqrt(max(var, 0.0) / reps))
+    elif kind == "pmf":
+        hist = tally[key]
+        simulated = float(hist[idx] / reps) if idx < len(hist) else 0.0
+        se = math.sqrt(exact_f * (1.0 - exact_f) / reps)
+    else:  # ratio: accepted replicates per proposal
+        attempts = int(tally[key])
+        simulated = reps / attempts
+        se = math.sqrt(exact_f * (1.0 - exact_f) / attempts)
+    if se == 0.0:
+        z = 0.0 if simulated == exact_f else math.inf
+    else:
+        z = (simulated - exact_f) / se
+    return simulated, se, z
 
 
-def _table_components(config: ExperimentConfig, tally: dict | None, brute) -> list[StatRecord]:
-    n = config.size_for("components")
+def _table_records(spec: TableSpec, config: ExperimentConfig, source) -> list[StatRecord]:
+    """The table's cells with their simulated columns filled from ``source``:
+    a merged tally, the :class:`BruteForceLaw` (estimate only), or None."""
     records = []
-    for j in range(1, n + 1):
-        exact = None if j == 1 else laws.mean_component_count(n, j, "toes")
-        sim = se = None
-        if tally is not None and exact is not None:
-            sim, se = _mean_cell(tally["comp_sum"], tally["comp_sumsq"], tally["replicates"], j)
-        elif brute is not None and exact is not None:
-            sim = float(to_mpf(brute.component_means.get(j, Fraction(0))))
-        records.append(_record("components", f"mean_components[j={j}]", exact, sim, se))
-    for j in range(1, n + 1):
-        records.append(
-            _record(
-                "components",
-                f"mean_components_std[j={j}]",
-                laws.mean_component_count(n, j, "standard"),
-            )
-        )
+    for name, exact, kind, key, idx in spec.cells(config):
+        simulated = se = z = None
+        if kind is not None and exact is not None and source is not None:
+            if isinstance(source, BruteForceLaw):
+                simulated = _brute_value(source, key, idx)
+            else:
+                simulated, se, z = _simulated_cell(source, kind, key, idx, exact)
+        records.append(StatRecord(spec.name, name, exact, simulated, se, z))
     return records
-
-
-def _table_scream(config: ExperimentConfig, tally: dict | None, brute) -> list[StatRecord]:
-    n = config.size_for("scream")
-    records = []
-    for k in range(0, n // 2 + 1):
-        exact = laws.scream_pmf(n, k)
-        sim = se = None
-        if tally is not None:
-            sim, se = _pmf_cell(tally["scream_hist"], tally["replicates"], k, exact)
-        elif brute is not None:
-            sim = float(to_mpf(brute.scream_pmf.get(k, Fraction(0))))
-        records.append(_record("scream", f"scream_pmf[k={k}]", exact, sim, se))
-    return records
-
-
-def _table_cycles(config: ExperimentConfig, tally: dict | None, brute) -> list[StatRecord]:
-    n = config.size_for("cycles")
-    toes = laws.cycle_mean_table(n, "toes")
-    records = []
-    for j in range(2, n + 1):
-        exact = toes[j]
-        sim = se = None
-        if tally is not None:
-            sim, se = _mean_cell(tally["cyc_sum"], tally["cyc_sumsq"], tally["replicates"], j)
-        elif brute is not None:
-            sim = float(to_mpf(brute.cycle_means.get(j, Fraction(0))))
-        records.append(_record("cycles", f"mean_cycles[j={j}]", exact, sim, se))
-    standard = laws.cycle_mean_table(n, "standard")
-    for j in range(1, n + 1):
-        records.append(_record("cycles", f"mean_cycles_std[j={j}]", standard[j]))
-    return records
-
-
-def _table_core(config: ExperimentConfig, tally: dict | None, brute) -> list[StatRecord]:
-    n = config.size_for("core")
-    toes = laws.core_size_table(n, "toes")
-    records = []
-    for r in range(2, n + 1):
-        exact = toes[r]
-        sim = se = None
-        if tally is not None:
-            sim, se = _pmf_cell(tally["core_hist"], tally["replicates"], r, exact)
-        elif brute is not None:
-            sim = float(to_mpf(brute.core_pmf.get(r, Fraction(0))))
-        records.append(_record("core", f"core_size[r={r}]", exact, sim, se))
-    standard = laws.core_size_table(n, "standard")
-    for r in range(1, n + 1):
-        records.append(_record("core", f"core_size_std[r={r}]", standard[r]))
-    return records
-
-
-def _table_repeats(config: ExperimentConfig, tally: dict | None, brute) -> list[StatRecord]:
-    n = config.size_for("repeats")
-    exact = laws.prob_no_repeated_sizes(n)
-    names = ("no_repeat_components", "no_repeat_cycles", "no_repeat_either")
-    records = []
-    for idx, name in enumerate(names):
-        sim = se = None
-        if tally is not None:
-            sim, se = _pmf_cell(tally["no_repeat"], tally["replicates"], idx, exact[idx])
-        elif brute is not None:
-            sim = float(to_mpf(brute.no_repeat[idx]))
-        records.append(_record("repeats", name, exact[idx], sim, se))
-    return records
-
-
-def _table_acceptance(config: ExperimentConfig, tally: dict | None) -> list[StatRecord]:
-    n = config.size_for("acceptance")
-    exact = samplers.exact_acceptance_probability(n)
-    sim = se = None
-    if tally is not None and tally.get("attempts"):
-        attempts = int(tally["attempts"])
-        sim = tally["replicates"] / attempts
-        se = math.sqrt(exact * (1.0 - exact) / attempts)
-    return [_record("acceptance", "acceptance_rate", exact, sim, se)]
 
 
 def run_table(config: ExperimentConfig) -> ExperimentReport:
@@ -407,52 +413,20 @@ def run_table(config: ExperimentConfig) -> ExperimentReport:
     come from the same core-joint replicates.
     """
     started = time.perf_counter()
-    needed_kinds: dict[str, int] = {}
-    brute_needed = False
+    sources: dict[str, object] = {}
     for table in config.tables:
         method = config.method_for(table)
-        if method is None or config.replicates == 0:
+        if method is None or config.replicates == 0 or method in sources:
             continue
         if method == "brute-force":
-            brute_needed = True
+            sources[method] = brute_force_law(config.size, "toes")
         else:
-            n = config.size_for(table)
-            needed_kinds["%s:%d" % (method, n)] = n
-
-    tallies: dict[str, dict] = {}
-    for key, n in needed_kinds.items():
-        kind = key.split(":")[0]
-        tallies[key] = _run_simulation(kind, n, config)
-    brute = _brute_columns(config.size_for(config.tables[0])) if brute_needed else None
-
-    def tally_for(table: str) -> dict | None:
-        method = config.method_for(table)
-        if method is None or method == "brute-force" or config.replicates == 0:
-            return None
-        return tallies.get("%s:%d" % (method, config.size_for(table)))
-
-    def brute_for(table: str):
-        method = config.method_for(table)
-        if method == "brute-force" and config.replicates > 0:
-            return brute
-        return None
+            sources[method] = _run_simulation(method, config)
 
     records: list[StatRecord] = []
     for table in config.tables:
-        if table == "q":
-            records.extend(_table_q(config))
-        elif table == "components":
-            records.extend(_table_components(config, tally_for(table), brute_for(table)))
-        elif table == "scream":
-            records.extend(_table_scream(config, tally_for(table), brute_for(table)))
-        elif table == "cycles":
-            records.extend(_table_cycles(config, tally_for(table), brute_for(table)))
-        elif table == "core":
-            records.extend(_table_core(config, tally_for(table), brute_for(table)))
-        elif table == "repeats":
-            records.extend(_table_repeats(config, tally_for(table), brute_for(table)))
-        elif table == "acceptance":
-            records.extend(_table_acceptance(config, tally_for(table)))
+        source = sources.get(config.method_for(table))
+        records.extend(_table_records(_SPECS[table], config, source))
 
     metadata = {
         "schema": REPORT_SCHEMA,
@@ -487,7 +461,7 @@ def repeated_size_stats(
         workers=workers,
         batch_size=batch_size,
     )
-    tally = _run_simulation("direct", n, config)
+    tally = _run_simulation("direct", config)
     reps = tally["replicates"]
     return tuple(float(c / reps) for c in tally["no_repeat"])  # type: ignore[return-value]
 
@@ -590,7 +564,7 @@ def validate(n: int, model: str = "toes") -> list[tuple[str, bool]]:
     checks: list[tuple[str, bool]] = []
 
     pmf_table = laws.component_pmf_table(n, model)
-    checks.append(("component_pmf", pmf_table.entries == brute.component_pmf))
+    checks.append(("component_pmf", pmf_table == brute.component_pmf))
 
     lo = 2 if model == "toes" else 1
     core_counts = tuple(brute.core_pmf.get(r, 0) * brute.total for r in range(n + 1))
@@ -726,21 +700,10 @@ def _fmt4(value) -> str:
     return f"{value:.4f}"
 
 
-_TABLE_TITLES = {
-    "q": "Probability that at least one pair screams",
-    "components": "Mean number of components by size",
-    "scream": "Distribution of the number of screaming pairs",
-    "cycles": "Mean number of core cycles by length",
-    "core": "Distribution of the core size",
-    "repeats": "Probability of no repeated sizes",
-    "acceptance": "Rejection-sampler acceptance rate",
-}
-
-
 def _pretty(report: ExperimentReport) -> str:
     lines: list[str] = []
     for table, records in report.by_table().items():
-        lines.append(_TABLE_TITLES.get(table, table))
+        lines.append(_SPECS[table].title if table in _SPECS else table)
         if table == "q":
             lines.append(f"{'n':>8}  {'q_n':>8}")
             for r in records:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Literal, Mapping, NamedTuple
@@ -58,7 +58,7 @@ def _check_model(model: str, allowed: tuple[str, ...]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Size spectra and materialised law tables
+# Size spectra and pmf table checks
 
 
 @dataclass(frozen=True)
@@ -131,37 +131,13 @@ class Spectrum:
     def has_repeat(self) -> bool:
         return any(a >= 2 for _, a in self.counts)
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.counts)
 
-
-@dataclass
-class LawTable:
-    """A materialised exact law: index -> Fraction, plus what kind it is.
-
-    pmf kinds must sum to exactly 1 over their recorded support; builders
-    call :meth:`check_normalized` (the core-size law checks its integer
-    counts instead) so a broken formula fails loudly rather than producing
-    a slightly-off table.
-    """
-
-    n: int
-    kind: str  # component-pmf | core-size-pmf | cycle-mean | component-mean | scream-pmf | cross-moment
-    entries: dict = field(default_factory=dict)
-
-    PMF_KINDS = ("component-pmf", "core-size-pmf", "scream-pmf")
-
-    def check_normalized(self) -> None:
-        if self.kind in self.PMF_KINDS:
-            total = sum(self.entries.values())
-            if total != 1:
-                raise ConsistencyError(f"{self.kind} table for n={self.n} sums to {total}, not 1")
-
-    def items(self):
-        return self.entries.items()
-
-    def __getitem__(self, key):
-        return self.entries[key]
+def _check_sums_to_one(pmf: dict, what: str, n: int) -> None:
+    """A pmf table must sum to exactly 1 over its support, so a broken
+    formula fails loudly rather than giving a slightly-off table."""
+    total = sum(pmf.values())
+    if total != 1:
+        raise ConsistencyError(f"{what} table for n={n} sums to {total}, not 1")
 
 
 def partitions(n: int, min_part: int = 1, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -287,15 +263,15 @@ def component_pmf(
     return value.as_fraction()
 
 
-def component_pmf_table(n: int, model: Model = "toes") -> LawTable:
+def component_pmf_table(n: int, model: Model = "toes") -> dict[tuple[int, ...], Fraction]:
     """component_pmf over every complete spectrum, keyed by ascending size tuple."""
     _check_model(model, MODELS)
-    table = LawTable(n, "component-pmf")
+    table = {}
     min_part = 2 if model == "toes" else 1
     for parts in partitions(n, min_part):
         spec = Spectrum.from_sizes(parts)
-        table.entries[spec.sizes()] = component_pmf(n, spec, model)
-    table.check_normalized()
+        table[spec.sizes()] = component_pmf(n, spec, model)
+    _check_sums_to_one(table, "component-pmf", n)
     return table
 
 
@@ -499,15 +475,12 @@ def core_size_tail_std(n: int, j: int) -> Fraction:
     return Fraction(falling_factorial(n - 1, j - 1), n ** (j - 1))
 
 
-def core_size_table(n: int, model: Model = "toes") -> LawTable:
+def core_size_table(n: int, model: Model = "toes") -> dict[int, Fraction]:
     """Exact core-size pmf for r over the full support.  Its normalisation
     is checked in integers, on the counts it is read from."""
     _check_model(model, MODELS)
     law = _core_size_law(n, model)
-    table = LawTable(n, "core-size-pmf")
-    for r in range(2 if model == "toes" else 1, n + 1):
-        table.entries[r] = law[r]
-    return table
+    return {r: law[r] for r in range(2 if model == "toes" else 1, n + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -639,11 +612,9 @@ def scream_pmf(n: int, k: int) -> Fraction:
     )
 
 
-def scream_pmf_table(n: int) -> LawTable:
-    table = LawTable(n, "scream-pmf")
-    for k in range(0, n // 2 + 1):
-        table.entries[k] = scream_pmf(n, k)
-    table.check_normalized()
+def scream_pmf_table(n: int) -> dict[int, Fraction]:
+    table = {k: scream_pmf(n, k) for k in range(0, n // 2 + 1)}
+    _check_sums_to_one(table, "scream-pmf", n)
     return table
 
 
@@ -822,29 +793,25 @@ def prob_no_repeated_sizes(n: int) -> NoRepeatProbs:
 # Mean tables for the harness
 
 
-def cross_moment_table(n: int) -> LawTable:
+def cross_moment_table(n: int) -> dict[tuple[int, int], Fraction]:
     """E C~_i C~_j for 2 <= i <= j (second factorial moment on the diagonal)."""
-    table = LawTable(n, "cross-moment")
-    for i in range(2, n + 1):
-        for j in range(i, n + 1):
-            if i + j <= n:
-                table.entries[(i, j)] = component_pair_moment(n, i, j)
-    return table
+    return {
+        (i, j): component_pair_moment(n, i, j)
+        for i in range(2, n + 1)
+        for j in range(i, n + 1)
+        if i + j <= n
+    }
 
 
-def cycle_mean_table(n: int, model: CycleModel = "toes") -> LawTable:
+def cycle_mean_table(n: int, model: CycleModel = "toes") -> dict[int, Fraction]:
     """mean_cycle_count for every length j."""
-    table = LawTable(n, "cycle-mean")
     lo = 1 if model == "standard" else 2
-    for j in range(lo, n + 1):
-        table.entries[j] = mean_cycle_count(n, j, model)
-    return table
+    return {j: mean_cycle_count(n, j, model) for j in range(lo, n + 1)}
 
 
 __all__ = [
     "ConsistencyError",
     "CycleModel",
-    "LawTable",
     "Model",
     "NoRepeatProbs",
     "REPEATS_MAX_N",

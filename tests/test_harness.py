@@ -1,6 +1,7 @@
 """Harness tests: enumeration golden values, table plumbing, serialisation
 determinism, and the CLI."""
 
+import hashlib
 import json
 import math
 import os
@@ -51,9 +52,8 @@ class TestConfig:
             harness.canonical_table("nope")
 
     def test_method_compatibility(self):
-        cfg = ExperimentConfig(n=6, method="rejection", tables=("scream",))
         with pytest.raises(ValueError):
-            cfg.method_for("scream")
+            ExperimentConfig(n=6, method="rejection", tables=("scream",))
         cfg = ExperimentConfig(n=6, method="core-joint", tables=("cycles",))
         assert cfg.method_for("cycles") == "core-joint"
         cfg = ExperimentConfig(n=6, tables=("repeats",))
@@ -342,3 +342,103 @@ class TestCli:
     def test_workers_env_default(self, monkeypatch):
         monkeypatch.setenv(harness.ENV_WORKERS, "3")
         assert harness.default_workers() == 3
+
+    @pytest.mark.parametrize("table", ["q", "scream", "repeats", "acceptance"])
+    def test_standard_model_on_a_toes_only_table_is_a_one_line_error(self, table, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["exact", "--table", table, "--n", "6", "--model", "standard"])
+        message = exc.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert "no standard-model cells" in message
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv, config, env", [
+        (["tables", "--tables", ","], None, None),
+        (["exact", "--table", "q", "--config", "{missing}"], None, None),
+        (["exact", "--table", "q"], "{not json", None),
+        (["simulate", "--table", "scream"], '{"n": "ten"}', None),
+        (["simulate", "--table", "scream", "--n", "5"], '{"reps": 4000.5}', None),
+        (["simulate", "--table", "scream", "--n", "5", "--reps", "100"], None, "abc"),
+    ], ids=["empty-tables", "missing-config", "config-not-json", "config-str-n",
+            "config-float-reps", "workers-env"])
+    def test_bad_input_is_a_one_line_error(self, argv, config, env, tmp_path, monkeypatch, capsys):
+        argv = [arg.format(missing=tmp_path / "missing.json") for arg in argv]
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(config)
+            argv += ["--config", str(path)]
+        if env is not None:
+            monkeypatch.setenv(harness.ENV_WORKERS, env)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        message = exc.value.code
+        assert isinstance(message, str) and "\n" not in message and message.startswith("screamingtoes:")
+        assert capsys.readouterr().out == ""
+
+
+#: Small CLI runs whose stdout is pinned byte for byte, in every format: they
+#: cover every table through every method that can fill it, the q table with
+#: and without n, the exact model filter and n = 2.  A change to any report
+#: byte must update these digests on purpose.
+GOLDEN_RUNS = {
+    "tables-default": ["tables", "--reps", "20000", "--batch-size", "5000", "--workers", "1"],
+    "direct-n5": ["tables", "--tables", "components,scream,cycles,core,repeats",
+                  "--method", "direct", "--n", "5", "--reps", "3000", "--batch-size", "1000", "--workers", "1"],
+    "rejection-n5": ["tables", "--tables", "components,acceptance",
+                     "--method", "rejection", "--n", "5", "--reps", "3000", "--batch-size", "1000", "--workers", "1"],
+    "core-joint-n5": ["simulate", "--table", "core", "--method", "core-joint", "--n", "5", "--reps", "3000", "--workers", "1"],
+    "core-joint-n5-all": ["tables", "--tables", "scream,cycles,core",
+                          "--method", "core-joint", "--n", "5", "--reps", "3000", "--batch-size", "1000", "--workers", "1"],
+    "brute-force-n5": ["tables", "--tables", "components,scream,cycles,core,repeats",
+                       "--method", "brute-force", "--n", "5", "--reps", "1"],
+    "q": ["exact", "--table", "q"],
+    "q-n7": ["exact", "--table", "q", "--n", "7"],
+    "exact-toes": ["exact", "--table", "components", "--n", "6", "--model", "toes"],
+    "exact-standard": ["exact", "--table", "cycles", "--n", "6", "--model", "standard"],
+    "n2": ["tables", "--tables", "q,components,scream,cycles,core,repeats,acceptance",
+           "--n", "2", "--reps", "500", "--batch-size", "200", "--workers", "1"],
+}
+
+GOLDEN_SHA256 = {
+    ("tables-default", "json"): "70e0b4c1bb4060f965aa0407ee673f97e46306258dac53f16add032059ea03c1",
+    ("tables-default", "csv"): "d0b860ef0f7d0698eb47f784e6411d543e77e93e960d63973accb025aeefbe19",
+    ("tables-default", "pretty"): "b9a692d382eb0c183085dded32d5b46b4777a09baa6a66f8638914fd17077396",
+    ("direct-n5", "json"): "8a852dd758b05de906cea80ad849b341d6b3d5d6b17a07e88dd87ec615c7ab97",
+    ("direct-n5", "csv"): "dcaec34839aca968690a33cd96ff33fd7256823a09de9bf3ec7fda8ca88179f3",
+    ("direct-n5", "pretty"): "4072473e2a4dad372657a82e9e35e5fb4aff65e6b37da1c1983e67499f853c10",
+    ("rejection-n5", "json"): "8b3a83cd39a7112005aa52a8967a8b6a44754030e4bdb82355d470e5d11c06bd",
+    ("rejection-n5", "csv"): "8ef7123e8382ca9e08b9e5192870172d8a2be05dc8c0a02c891233a046a59fc8",
+    ("rejection-n5", "pretty"): "f3375327c6a8e285be39db56e48d6104d24849d53325ec2515dcdcc19b2c1ada",
+    ("core-joint-n5", "json"): "afffdad29c0894d01458df49f13a1919f019d7647e628cbb1ea7e3ea68395d4e",
+    ("core-joint-n5", "csv"): "ce2566a3b332aa643e5998c8e0b1ea050769d879363021bfcd8a81b29c0aee51",
+    ("core-joint-n5", "pretty"): "05e6de0c8fad2ef9bfe225c15a4a0daa078becdae08128ce1bcdf47e41fe80f4",
+    ("core-joint-n5-all", "json"): "e9f170fe48a823e9fb944816980442f6a3ae18e08b9578db61c58049ed8ba0dc",
+    ("core-joint-n5-all", "csv"): "3b2eb1ba102a3fc1b181589c69401c10797c87c2a937f35e968bd2c768ef4201",
+    ("core-joint-n5-all", "pretty"): "f5849dd11d4fe0ec35f80f7464e98eec6aa087b1bbcf9539c045c55eca6c3bda",
+    ("brute-force-n5", "json"): "4071c0c0801f6344f64ea10c1bdd1215acf71854920e6bb46cc764e8f54736dd",
+    ("brute-force-n5", "csv"): "284d8af1790bf0644d57a95364d801b150c6d181c1f85e914baa95971b9e9ca3",
+    ("brute-force-n5", "pretty"): "ec4cd3374c0bb513bb1ea5e6cdf61a8294b9883d5f79b5162e9817ac2fc1cc8d",
+    ("q", "json"): "5f85ebb445a14a3b0afbd9a8cd9fa1d3e052381b6e77ee1c1845edad853d1c9d",
+    ("q", "csv"): "178040b6edc27ee4b41e6ea65f802fc7156b841d8651c3c4132ba04dd36185af",
+    ("q", "pretty"): "c364082adc80ddad4a6ec4cf4b12742988a98f87c4cb012bc2f5584c2c1153d3",
+    ("q-n7", "json"): "1182156a61ec7bda055cccdb28cd503f6fb1672dffa4482a50b7f4277e540fd5",
+    ("q-n7", "csv"): "9641a3b4ab21564aa28589d5b5ff0958b0ebae2dd46b66ec899b63c488bd4ee1",
+    ("q-n7", "pretty"): "7a33422bff48e3c904a4fcde4d458ced7812bb6034a6b98243dd0fb33fef9935",
+    ("exact-toes", "json"): "887ea829b8b43c4f1cdb2522996942c856fe46975695e361e1e5c70de2e0f059",
+    ("exact-toes", "csv"): "0481b405afe9848a6a10c1de1b4c6cea855fa1becb7f21b5f54bd63a31452ab1",
+    ("exact-toes", "pretty"): "408be1c601a9a00e549de253a0e22cf67495d406715764b481bccf1c0d10d25b",
+    ("exact-standard", "json"): "c33e8210118459f915eea7cdd19200ec6d53321df19d370c97543bb12393f783",
+    ("exact-standard", "csv"): "eaf04a4f666a5735800b6a16190455c8366ed94e23de56976b45340f2c297a6e",
+    ("exact-standard", "pretty"): "f3fdc46116ff9cf4c4ec21fbe46f779ff548bdb7a14a5dd6facab918b0b421a2",
+    ("n2", "json"): "355999f19b50ff29511f8c6deae97cc7b5f5e2ac1fdd34dd1df6dafb787cfaf9",
+    ("n2", "csv"): "89e1e6763694ec387ded58409390fb931f0510664c9e27ee8640fe54cdc2af51",
+    ("n2", "pretty"): "7937e9cea0f61220fcb0c7c786e26bc9f1f32b5e5754229788ad95461c92630f",
+}
+
+
+@pytest.mark.parametrize("run", sorted(GOLDEN_RUNS))
+def test_golden_report_bytes(run, capsys):
+    for fmt in ("json", "csv", "pretty"):
+        assert cli.main(GOLDEN_RUNS[run] + ["--format", fmt, "--seed", "4242"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == GOLDEN_SHA256[run, fmt], (run, fmt)

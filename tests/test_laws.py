@@ -121,7 +121,7 @@ class TestComponentPmf:
     @pytest.mark.parametrize("n", range(2, 13))
     def test_toes_normalisation(self, n):
         table = laws.component_pmf_table(n, "toes")  # builder checks the sum
-        assert sum(table.entries.values()) == 1
+        assert sum(table.values()) == 1
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_standard_normalisation(self, n):
@@ -263,8 +263,8 @@ class TestIntegerCounts:
             assert len(counts) == n + 1 and sum(counts) == base**n
             law = _core_law_per_r(n, model)
             assert {r: F(counts[r], base**n) for r in law} == law, n
-            assert laws.core_size_table(n, model).entries == law, n
-            assert laws.cycle_mean_table(n, model).entries == _cycle_means_per_j(n, model), n
+            assert laws.core_size_table(n, model) == law, n
+            assert laws.cycle_mean_table(n, model) == _cycle_means_per_j(n, model), n
 
     def test_pmf_and_means_read_the_same_values(self):
         for model in ("standard", "toes"):
