@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import harness
@@ -70,12 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: Flags that take an integer (``type=int`` in :func:`build_parser`); every
-#: other flag takes a string.
-_INT_FLAGS = frozenset({"n", "reps", "seed", "workers", "batch_size"})
-
-
-def _apply_config_file(args: argparse.Namespace) -> None:
+def _apply_config_file(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Fill unset flags from ``--config``; each value must have the type and
+    be one of the choices that the subcommand's own flag takes."""
     if not getattr(args, "config", None):
         return
     try:
@@ -85,16 +83,17 @@ def _apply_config_file(args: argparse.Namespace) -> None:
         raise SystemExit(f"screamingtoes: cannot read --config {args.config}: {exc}") from None
     if not isinstance(values, dict):
         raise SystemExit(f"screamingtoes: --config {args.config} must hold one JSON object")
+    command = next(a for a in parser._actions if a.dest == "command").choices[args.command]
+    flags = {a.dest: a for a in command._actions if a.default is not argparse.SUPPRESS}
     for key, value in values.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr not in flags:
             raise SystemExit(f"screamingtoes: config file key {key!r} is not a recognised flag")
-        wanted = int if attr in _INT_FLAGS else str
-        if type(value) is not wanted:  # a bool is not an int here
-            raise SystemExit(
-                f"screamingtoes: config file key {key!r} must be "
-                f"{'an integer' if wanted is int else 'a string'}, not {value!r}"
-            )
+        wanted = flags[attr].type or str
+        choices = list(flags[attr].choices or ())
+        if type(value) is not wanted or (choices and value not in choices):  # a bool is not an int here
+            expected = f"one of {choices}" if choices else "an integer" if wanted is int else "a string"
+            raise SystemExit(f"screamingtoes: config file key {key!r} must be {expected}, not {value!r}")
         if getattr(args, attr) is None:  # flags override the file
             setattr(args, attr, value)
 
@@ -124,8 +123,11 @@ def _config(**fields) -> harness.ExperimentConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    _apply_config_file(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    _apply_config_file(parser, args)
+    if args.out and (os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or ".")):
+        raise SystemExit(f"screamingtoes: --out {args.out} is not a file in an existing directory")
     _setdefaults(args, format="pretty", seed=20260808, batch_size=125_000)
 
     if args.command == "exact":
@@ -169,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "validate":
         _setdefaults(args, n=5, model="toes")
         if not 2 <= args.n <= 7:
-            raise SystemExit("validate needs 2 <= n <= 7 (enumeration bound)")
+            raise SystemExit("screamingtoes: validate needs 2 <= n <= 7 (enumeration bound)")
         checks = harness.validate(args.n, args.model)
         width = max(len(name) for name, _ in checks)
         failed = False

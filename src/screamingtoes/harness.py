@@ -20,14 +20,14 @@ enumeration against the closed forms with exact equality.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import json
 import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 from collections.abc import Callable, Iterator
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -275,6 +275,27 @@ TABLE_ALIASES = {
 # Batch simulation plumbing
 
 
+#: The tally keys that :func:`_tally_mappings` fills.
+_MAPPING_KEYS = (
+    "comp_sum", "comp_sumsq", "cyc_sum", "cyc_sumsq", "scream_hist", "core_hist", "no_repeat",
+)
+
+
+def _tally_mappings(tally: dict, images: np.ndarray) -> samplers.DecompositionBatch:
+    """Decompose a (rows, n) block of mappings and add it to a tally with
+    the keys ``_MAPPING_KEYS``; returns the block's decomposition.  The
+    direct route and the brute-force oracle both fold through here."""
+    dec = samplers.decompose_batch(images)
+    comp, cyc = dec.component_counts, dec.cycle_counts
+    samplers.tally_moments(tally, "comp", comp)
+    samplers.tally_cycles(tally, cyc)
+    tally["core_hist"] += np.bincount(dec.core_sizes, minlength=tally["core_hist"].size)
+    no_comp = (comp <= 1).all(axis=1)
+    no_cyc = (cyc <= 1).all(axis=1)
+    tally["no_repeat"] += [no_comp.sum(), no_cyc.sum(), (no_comp & no_cyc).sum()]
+    return dec
+
+
 def _simulate_batch(task: tuple) -> dict:
     """One batch of one simulation kind; returns integer tallies only
     (keys as in :func:`samplers.zero_tally`).  The direct route draws and
@@ -284,21 +305,10 @@ def _simulate_batch(task: tuple) -> dict:
     kind, n, seed, size = task
     rng = RngStream(seed)
     if kind == "direct":
-        tally = samplers.zero_tally(
-            n, "comp_sum", "comp_sumsq", "cyc_sum", "cyc_sumsq",
-            "scream_hist", "core_hist", "no_repeat",
-        )
+        tally = samplers.zero_tally(n, *_MAPPING_KEYS)
         step = samplers.chunk_rows(n)
         for done in range(0, size, step):
-            images = samplers.sample_mappings_batch(n, min(step, size - done), rng)
-            dec = samplers.decompose_batch(images)
-            comp, cyc = dec.component_counts, dec.cycle_counts
-            samplers.tally_moments(tally, "comp", comp)
-            samplers.tally_cycles(tally, cyc)
-            tally["core_hist"] += np.bincount(dec.core_sizes, minlength=n + 1)
-            no_comp = (comp <= 1).all(axis=1)
-            no_cyc = (cyc <= 1).all(axis=1)
-            tally["no_repeat"] += [no_comp.sum(), no_cyc.sum(), (no_comp & no_cyc).sum()]
+            _tally_mappings(tally, samplers.sample_mappings_batch(n, min(step, size - done), rng))
         return {"replicates": size, **tally}
     if kind == "rejection":
         comp, attempts = samplers.toes_component_counts_batch(n, size, rng)
@@ -347,22 +357,6 @@ def _run_simulation(kind: str, config: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------------
 # Table records
 
-#: The enumeration column that stands in for each tally key.
-_BRUTE_COLUMNS = {
-    "comp": "component_means",
-    "cyc": "cycle_means",
-    "scream_hist": "scream_pmf",
-    "core_hist": "core_pmf",
-    "no_repeat": "no_repeat",
-}
-
-
-def _brute_value(brute: BruteForceLaw, key: str, idx: int) -> float:
-    column = getattr(brute, _BRUTE_COLUMNS[key])
-    value = column[idx] if isinstance(column, tuple) else column.get(idx, Fraction(0))
-    return float(to_mpf(value))
-
-
 def _simulated_cell(tally: dict, kind: str, key: str, idx, exact) -> tuple[float, float, float]:
     """Estimate, standard error and z-score of one cell from merged tallies.
     The exact value is rounded to a float once."""
@@ -388,17 +382,19 @@ def _simulated_cell(tally: dict, kind: str, key: str, idx, exact) -> tuple[float
     return simulated, se, z
 
 
-def _table_records(spec: TableSpec, config: ExperimentConfig, source) -> list[StatRecord]:
-    """The table's cells with their simulated columns filled from ``source``:
-    a merged tally, the :class:`BruteForceLaw` (estimate only), or None."""
+def _table_records(
+    spec: TableSpec, config: ExperimentConfig, source: dict | None, exhaustive: bool
+) -> list[StatRecord]:
+    """The table's cells with their simulated columns filled from ``source``,
+    a merged tally or None.  An exhaustive tally (the brute-force oracle's)
+    gives exact frequencies, so its cells have no standard error or z."""
     records = []
     for name, exact, kind, key, idx in spec.cells(config):
         simulated = se = z = None
         if kind is not None and exact is not None and source is not None:
-            if isinstance(source, BruteForceLaw):
-                simulated = _brute_value(source, key, idx)
-            else:
-                simulated, se, z = _simulated_cell(source, kind, key, idx, exact)
+            simulated, se, z = _simulated_cell(source, kind, key, idx, exact)
+            if exhaustive:
+                se = z = None
         records.append(StatRecord(spec.name, name, exact, simulated, se, z))
     return records
 
@@ -413,20 +409,22 @@ def run_table(config: ExperimentConfig) -> ExperimentReport:
     come from the same core-joint replicates.
     """
     started = time.perf_counter()
-    sources: dict[str, object] = {}
+    sources: dict[str, dict] = {}
     for table in config.tables:
         method = config.method_for(table)
         if method is None or config.replicates == 0 or method in sources:
             continue
         if method == "brute-force":
-            sources[method] = brute_force_law(config.size, "toes")
+            sources[method] = _enumerate_mappings(config.size, "toes")[0]
         else:
             sources[method] = _run_simulation(method, config)
 
     records: list[StatRecord] = []
     for table in config.tables:
-        source = sources.get(config.method_for(table))
-        records.extend(_table_records(_SPECS[table], config, source))
+        method = config.method_for(table)
+        records.extend(
+            _table_records(_SPECS[table], config, sources.get(method), method == "brute-force")
+        )
 
     metadata = {
         "schema": REPORT_SCHEMA,
@@ -493,55 +491,54 @@ class BruteForceLaw:
     no_repeat: NoRepeatProbs
 
 
+def _enumerate_mappings(n: int, model: str) -> tuple[dict, Counter[int]]:
+    """Every mapping of size n folded by :func:`_tally_mappings` (with
+    ``replicates`` the number of mappings), and the counts of its joint
+    spectrum codes, whose base-(n+1) digits are the component and cycle
+    count vectors.  Mapping m has the base-``choices`` digits of m as images,
+    shifted past their own index in the toes model."""
+    choices = n - 1 if model == "toes" else n
+    total = choices**n
+    tally = samplers.zero_tally(n, *_MAPPING_KEYS)
+    joint: Counter[int] = Counter()
+    place = choices ** np.arange(n, dtype=np.int64)
+    weights = (n + 1) ** np.arange(2 * n, dtype=np.int64)
+    block = 1 << 14  # mappings decomposed at once: about 10 MB at n = 7
+    for start in range(0, total, block):
+        images = np.arange(start, min(start + block, total))[:, None] // place % choices
+        if model == "toes":
+            images += images >= np.arange(n)
+        dec = _tally_mappings(tally, images)
+        spectra = np.hstack([dec.component_counts[:, 1:], dec.cycle_counts[:, 1:]])
+        codes, counts = np.unique(spectra @ weights, return_counts=True)
+        joint.update(dict(zip(codes.tolist(), counts.tolist())))
+    assert sum(joint.values()) == total
+    return {"replicates": total, **tally}, joint
+
+
 def brute_force_law(n: int, model: str = "toes") -> BruteForceLaw:
     """Decompose every mapping (with or without the f(i) != i constraint)."""
     if model not in ("standard", "toes"):
         raise ValueError("model must be 'standard' or 'toes'")
     if not 2 <= n <= 7:
         raise ValueError("brute-force enumeration is limited to 2 <= n <= 7")
-    if model == "toes":
-        choices = [[j for j in range(n) if j != i] for i in range(n)]
-        total = (n - 1) ** n
-    else:
-        choices = [list(range(n)) for _ in range(n)]
-        total = n**n
+    tally, joint = _enumerate_mappings(n, model)
+    total = tally["replicates"]
 
-    comp_tally: dict[tuple[int, ...], int] = {}
-    cyc_tally: dict[tuple[int, ...], int] = {}
-    joint_tally: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    core_tally: dict[int, int] = {}
-    scream_tally: dict[int, int] = {}
-    comp_sum = [0] * (n + 1)
-    cyc_sum = [0] * (n + 1)
-    components_total = 0
-    no_rep = [0, 0, 0]
+    def spectrum(code: int) -> tuple[int, ...]:  # sizes from the n low digits
+        digits = [code // (n + 1) ** k % (n + 1) for k in range(n)]
+        return tuple(j for j, times in enumerate(digits, 1) for _ in range(times))
 
-    count = 0
-    for image in itertools.product(*choices):
-        count += 1
-        comp_sizes, cycle_lens, _ = samplers._decompose_image(image)
-        comp_key = tuple(sorted(comp_sizes))
-        cyc_key = tuple(sorted(cycle_lens))
-        comp_tally[comp_key] = comp_tally.get(comp_key, 0) + 1
-        cyc_tally[cyc_key] = cyc_tally.get(cyc_key, 0) + 1
-        joint_tally[(comp_key, cyc_key)] = joint_tally.get((comp_key, cyc_key), 0) + 1
-        core = sum(cycle_lens)
-        core_tally[core] = core_tally.get(core, 0) + 1
-        twos = sum(1 for c in cycle_lens if c == 2)
-        scream_tally[twos] = scream_tally.get(twos, 0) + 1
-        for s in comp_sizes:
-            comp_sum[s] += 1
-        for c in cycle_lens:
-            cyc_sum[c] += 1
-        components_total += len(comp_sizes)
-        nc = len(set(comp_sizes)) == len(comp_sizes)
-        ny = len(set(cycle_lens)) == len(cycle_lens)
-        no_rep[0] += nc
-        no_rep[1] += ny
-        no_rep[2] += nc and ny
-    assert count == total
+    joint_tally = {(spectrum(c), spectrum(c // (n + 1) ** n)): k for c, k in joint.items()}
+    comp_tally, cyc_tally = Counter(), Counter()
+    for (comp, cyc), count in joint_tally.items():
+        comp_tally[comp] += count
+        cyc_tally[cyc] += count
 
-    as_prob = lambda tally: {k: Fraction(v, total) for k, v in sorted(tally.items())}
+    def as_prob(counts) -> dict:
+        return {k: Fraction(v, total) for k, v in sorted(dict(counts).items()) if v}
+
+    comp_sum, cyc_sum = tally["comp_sum"].tolist(), tally["cyc_sum"].tolist()
     return BruteForceLaw(
         n=n,
         model=model,
@@ -549,12 +546,12 @@ def brute_force_law(n: int, model: str = "toes") -> BruteForceLaw:
         component_pmf=as_prob(comp_tally),
         cycle_pmf=as_prob(cyc_tally),
         joint_pmf=as_prob(joint_tally),
-        core_pmf=as_prob(core_tally),
-        scream_pmf=as_prob(scream_tally),
+        core_pmf=as_prob(enumerate(tally["core_hist"].tolist())),
+        scream_pmf=as_prob(enumerate(tally["scream_hist"].tolist())),
         component_means={j: Fraction(comp_sum[j], total) for j in range(1, n + 1)},
         cycle_means={j: Fraction(cyc_sum[j], total) for j in range(1, n + 1)},
-        mean_components=Fraction(components_total, total),
-        no_repeat=NoRepeatProbs(*(Fraction(v, total) for v in no_rep)),
+        mean_components=Fraction(sum(comp_sum), total),
+        no_repeat=NoRepeatProbs(*(Fraction(v, total) for v in tally["no_repeat"].tolist())),
     )
 
 

@@ -17,6 +17,29 @@ from screamingtoes.exact import to_mpf
 from screamingtoes.harness import ExperimentConfig, brute_force_law, emit, parse_report, run_table
 
 
+#: sha256 of repr(brute_force_law(n, model)) for n = 2..7, computed by an
+#: enumeration that decomposed each mapping with the scalar walk
+#: samplers._decompose_image, independently of decompose_batch.
+BRUTE_FORCE_SHA256 = {
+    "toes": (
+        "300166c581cfd9815d0164c064a10ab9b6501996a91aaed50fe6f89a0619d5a4",
+        "7a3755a0acb9956009a0e2d66f4c839fc8051107c6b3a19b4dcffcdae14d59f9",
+        "7a5c0000274e4d84d7d2bac4a1e37e11b852467af27f9fb13d15dea13933cbce",
+        "b48dd16d35f53db68e19a5f9945d15d554b7fc5c13d724fd2e3ea3233a9c60c2",
+        "ba2f457f0e27d35231270da01055e3bed3c0a190654e50919920c8049aac97c1",
+        "25056535054f6916d8922d3561bfa0cc0ce8f5cbcbaafb596ebb134f0109a1af",
+    ),
+    "standard": (
+        "a5648f18180b722fa2f44bcd05b07e6d55b1abf9ff602074d66bec40bd180b1d",
+        "71942d67a3ac12e3faf62bdea9158d89b73736442f23c4103289d9bfea5b51d0",
+        "86d4c809ddf247e9e2c9892fbd05bfeeb065615b5ad182a8531f2a8183fbefe0",
+        "59421c2f59e86aac970c1832c63f020ecb6b2b2ab2d6d99d9759d71f239d784c",
+        "17c8ec28429830a61afb6e8a94ec4084710413721fdcb912aaa9952802991122",
+        "7ca6ea1831e302edb6ed627d43662a03d5943850d0ea26d83f28731f9c12349d",
+    ),
+}
+
+
 class TestBruteForce:
     def test_n3_golden(self):
         law = brute_force_law(3, "toes")
@@ -35,6 +58,18 @@ class TestBruteForce:
 
     def test_validate_standard(self):
         assert all(ok for _, ok in harness.validate(4, "standard"))
+
+    @pytest.mark.parametrize("model", ["toes", "standard"])
+    def test_validate_at_the_enumeration_bound(self, model):
+        checks = harness.validate(7, model)
+        assert all(ok for _, ok in checks), checks
+
+    @pytest.mark.parametrize("model", ["toes", "standard"])
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_law_is_pinned(self, n, model):
+        """Every field of the law, values and dict order, through its repr."""
+        digest = hashlib.sha256(repr(brute_force_law(n, model)).encode()).hexdigest()
+        assert digest == BRUTE_FORCE_SHA256[model][n - 2]
 
     def test_bounds(self):
         with pytest.raises(ValueError):
@@ -359,10 +394,18 @@ class TestCli:
         (["simulate", "--table", "scream"], '{"n": "ten"}', None),
         (["simulate", "--table", "scream", "--n", "5"], '{"reps": 4000.5}', None),
         (["simulate", "--table", "scream", "--n", "5", "--reps", "100"], None, "abc"),
+        (["exact", "--table", "q", "--n", "5"], '{"format": "xml"}', None),
+        (["validate", "--n", "4"], '{"model": "foo"}', None),
+        (["exact", "--table", "q", "--n", "5"], '{"model": "foo"}', None),
+        (["exact", "--table", "core", "--n", "4", "--out", "{tmp}/no-such-dir/x.csv"], None, None),
+        (["exact", "--table", "core", "--n", "4", "--out", "{tmp}"], None, None),
+        (["validate", "--n", "8"], None, None),
     ], ids=["empty-tables", "missing-config", "config-not-json", "config-str-n",
-            "config-float-reps", "workers-env"])
+            "config-float-reps", "workers-env", "config-format-choice",
+            "config-model-choice-validate", "config-model-choice-exact", "out-missing-dir",
+            "out-is-a-dir", "validate-n8"])
     def test_bad_input_is_a_one_line_error(self, argv, config, env, tmp_path, monkeypatch, capsys):
-        argv = [arg.format(missing=tmp_path / "missing.json") for arg in argv]
+        argv = [arg.format(missing=tmp_path / "missing.json", tmp=tmp_path) for arg in argv]
         if config is not None:
             path = tmp_path / "cfg.json"
             path.write_text(config)

@@ -2,6 +2,7 @@
 agreement with the exact laws (which double as the oracles)."""
 
 import hashlib
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction as F
@@ -168,6 +169,30 @@ class TestDecompose:
                 assert (batch.component_counts[b] == comp).all()
                 assert (batch.cycle_counts[b] == cyc).all()
                 assert batch.core_sizes[b] == dec.core_size
+
+    @pytest.mark.parametrize("model", ["toes", "standard"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_batch_matches_scalar_on_every_mapping(self, n, model):
+        """The brute-force oracle counts through decompose_batch; the scalar
+        walk checks the kernel on every mapping the oracle enumerates below
+        n = 7, fixed points included for the standard model."""
+        images = np.array([
+            image for image in itertools.product(range(n), repeat=n)
+            if model == "standard" or all(v != i for i, v in enumerate(image))
+        ])
+        assert len(images) == (n if model == "standard" else n - 1) ** n
+        comp = np.zeros((len(images), n + 1), dtype=np.int64)
+        cyc = np.zeros_like(comp)
+        core = np.zeros(len(images), dtype=np.int64)
+        for b, image in enumerate(images.tolist()):
+            comp_sizes, cycle_lens, cyclic = samplers._decompose_image(image)
+            np.add.at(comp[b], comp_sizes, 1)
+            np.add.at(cyc[b], cycle_lens, 1)
+            core[b] = sum(cyclic)
+        batch = decompose_batch(images)
+        assert (batch.component_counts == comp).all()
+        assert (batch.cycle_counts == cyc).all()
+        assert (batch.core_sizes == core).all()
 
 
 class TestFellerCoupling:
@@ -482,6 +507,11 @@ class TestMemoryBound:
         # one chunk of 2**21 cells needs about 130 MB, whatever the batch size
         peak = _traced_peak_mb(harness._simulate_batch, ("direct", 1000, 951, 5_000))
         assert peak < 160
+
+    def test_brute_force_oracle(self):
+        # blocks of 2**14 mappings take about 10 MB; all 7**7 at once would
+        # take well over 100 MB
+        assert _traced_peak_mb(harness.brute_force_law, 7, "standard") < 30
 
 
 class TestDirectRegression:
