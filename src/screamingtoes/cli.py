@@ -22,15 +22,24 @@ import sys
 from . import harness
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+#: Flags that ``validate`` parses (unlisted in its help), so that a mistaken
+#: one gets a one-line error rather than a usage dump, and then rejects.
+_NOT_FOR_VALIDATE = ("format", "workers", "batch_size")
+
+
+def _add_common(parser: argparse.ArgumentParser, validate: bool = False) -> None:
+    hidden = argparse.SUPPRESS if validate else None
     parser.add_argument("--config", help="JSON file with default values for these flags")
-    parser.add_argument("--format", choices=("pretty", "csv", "json"), default=None)
+    parser.add_argument("--format", choices=("pretty", "csv", "json"), default=None, help=hidden)
     parser.add_argument("--out", help="write output to this path instead of stdout")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="parallel workers (default: SCREAMINGTOES_WORKERS or cpu count)")
+    parser.add_argument("--workers", type=int, default=None, help=hidden or
+                        "parallel workers (default: SCREAMINGTOES_WORKERS or cpu count)")
     parser.add_argument("--batch-size", type=int, default=None,
-                        help="replicates per batch/stream (default 125000)")
-    parser.add_argument("--seed", type=int, default=None, help="master seed (default 20260808)")
+                        help=hidden or "replicates per batch/stream (default 125000)")
+    parser.add_argument("--seed", type=int, default=None, help=(
+        "accepted and unused: the enumeration draws no random numbers" if validate
+        else "master seed (default 20260808)"
+    ))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="enumeration oracle vs closed forms (n <= 7)")
     p_val.add_argument("--n", type=int, default=None)
     p_val.add_argument("--model", choices=("toes", "standard"), default=None)
-    _add_common(p_val)
+    _add_common(p_val, validate=True)
 
     return parser
 
@@ -126,6 +135,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _apply_config_file(parser, args)
+    if args.command == "validate":
+        for flag in _NOT_FOR_VALIDATE:
+            if getattr(args, flag) is not None:
+                raise SystemExit(
+                    f"screamingtoes: validate takes no --{flag.replace('_', '-')}; "
+                    "it prints PASS/FAIL lines from one enumeration"
+                )
     if args.out and (os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or ".")):
         raise SystemExit(f"screamingtoes: --out {args.out} is not a file in an existing directory")
     _setdefaults(args, format="pretty", seed=20260808, batch_size=125_000)
@@ -174,11 +190,13 @@ def main(argv: list[str] | None = None) -> int:
             raise SystemExit("screamingtoes: validate needs 2 <= n <= 7 (enumeration bound)")
         checks = harness.validate(args.n, args.model)
         width = max(len(name) for name, _ in checks)
-        failed = False
-        for name, ok in checks:
-            print(f"{name:<{width}}  {'PASS' if ok else 'FAIL'}")
-            failed = failed or not ok
-        return 1 if failed else 0
+        text = "".join(f"{name:<{width}}  {'PASS' if ok else 'FAIL'}\n" for name, ok in checks)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return 0 if all(ok for _, ok in checks) else 1
 
     raise AssertionError("unreachable")
 

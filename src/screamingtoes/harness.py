@@ -311,9 +311,7 @@ def _simulate_batch(task: tuple) -> dict:
             _tally_mappings(tally, samplers.sample_mappings_batch(n, min(step, size - done), rng))
         return {"replicates": size, **tally}
     if kind == "rejection":
-        comp, attempts = samplers.toes_component_counts_batch(n, size, rng)
-        tally = samplers.zero_tally(n, "comp_sum", "comp_sumsq")
-        samplers.tally_moments(tally, "comp", comp)
+        tally, attempts = samplers.toes_component_counts_batch(n, size, rng)
         return {"replicates": size, "attempts": attempts, **tally}
     if kind == "core-joint":
         return {"replicates": size, **samplers.toes_core_cycle_counts_batch(n, size, rng)}

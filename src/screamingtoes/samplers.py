@@ -15,6 +15,12 @@ fixed seed and call sequence.  Scalar functions are the readable reference
 implementations; the ``*_batch`` kernels are vectorised numpy equivalents
 used for million-replicate experiments, and the test suite checks both
 against the exact laws.
+
+Routes 2 and 3 share one kernel, :func:`_feller_gaps`: the Feller coupling
+with record skipping (Arratia, Barbour and Tavare 2003), so a replicate
+costs O(its cycles) random numbers and memory, not O(n).  It stops a row at
+its first 1-cycle; route 2 rejects that proposal and route 3 restarts the
+row, which leaves ESF(1) given a_1 = 0, a uniform derangement's cycle type.
 """
 
 from __future__ import annotations
@@ -292,6 +298,19 @@ def tally_cycles(tally: dict, counts: np.ndarray) -> None:
     tally["scream_hist"] += np.bincount(counts[:, 2], minlength=tally["scream_hist"].size)
 
 
+def _tally_pairs(tally: dict, name: str, rows: np.ndarray, lengths: np.ndarray) -> None:
+    """Add (row, group length) pairs, one per group, to ``tally[name + "_sum"]``
+    and ``tally[name + "_sumsq"]``: the per-length sums over rows of the
+    count c of such groups and of c**2 (the tallies of a dense count matrix)."""
+    width = tally[name + "_sum"].size
+    codes, counts = np.unique(rows * width + lengths, return_counts=True)
+    length = codes % width
+    tally[name + "_sum"] += np.bincount(length, weights=counts, minlength=width).astype(np.int64)
+    tally[name + "_sumsq"] += np.bincount(
+        length, weights=counts * counts, minlength=width
+    ).astype(np.int64)
+
+
 # ---------------------------------------------------------------------------
 # Ewens sampling formula and the rejection sampler
 
@@ -362,25 +381,74 @@ def sample_esf_crp(n: int, theta: float, rng: RngStream) -> Spectrum:
     return Spectrum.from_sizes(tables)
 
 
-def esf_cycle_counts_batch(n: int, theta: float, count: int, rng: RngStream) -> np.ndarray:
-    """(count, n+1) int64 matrix of ESF(theta) cycle counts (Feller coupling)."""
-    i = np.arange(1, n + 1, dtype=np.float64)
-    probs = theta / (theta + i - 1.0)
-    marks = np.empty((count, n + 1), dtype=bool)
-    marks[:, :n] = rng.gen.random((count, n)) < probs
-    marks[:, 0] = True
-    marks[:, n] = True
-    rows, cols = np.nonzero(marks)
-    lens = np.empty_like(cols)
-    lens[0] = 0
-    lens[1:] = cols[1:] - cols[:-1]
-    first = np.empty(rows.size, dtype=bool)
-    first[0] = True
-    first[1:] = rows[1:] != rows[:-1]
-    valid = ~first  # the first mark of a row (column 0) opens no gap
-    return np.bincount(
-        rows[valid] * (n + 1) + lens[valid], minlength=count * (n + 1)
-    ).reshape(count, n + 1)
+@lru_cache(maxsize=64)
+def _neg_log_g(n: int, theta: float) -> np.ndarray:
+    """-log G(k) for k = 0..n+1, where G(k) = prod_{l=2..k} (l-1)/(l-1+theta).
+
+    Running sums of log1p(theta/(l-1)), so the table rises strictly and
+    :func:`_feller_gaps` can search it; entries 0 and 1 are 0.
+    """
+    out = np.zeros(n + 2)
+    out[2:] = np.cumsum(np.log1p(theta / np.arange(1, n + 1, dtype=np.float64)))
+    return out
+
+
+def _feller_gaps(
+    sizes: np.ndarray, n: int, theta: float, rng: RngStream
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One Feller-coupling draw per row of the given sizes (each <= n), by
+    record skipping, each row stopped at its first gap of length 1.
+
+    The marks of a size-r row sit at 1, then at each i = 2..r independently
+    with probability theta/(theta+i-1), then at r+1; the gaps between
+    consecutive marks are the cycle lengths of an ESF(theta) draw.  A row
+    draws only its marks: after a mark at i the next one, K, has
+    P(K > k) = G(k)/G(i), so K is the first k with
+    -log G(k) > -log G(i) + E for a standard exponential E (E = -log U),
+    one search of the cached table.  A mark past r closes the row with gap
+    r+1-i.  All rows advance together, one mark each per step.
+
+    Returns the (row, gap length) pairs, up to and including a stopped
+    row's 1-gap, and the per-row flag that the row stopped.  A row that did
+    not stop is an ESF(theta) draw conditioned on having no 1-cycle.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    neg_log_g = _neg_log_g(n, theta)
+    stopped = np.zeros(sizes.size, dtype=bool)
+    row = np.arange(sizes.size)
+    last = np.ones(sizes.size, dtype=np.int64)
+    end = sizes + 1
+    rows, lengths = [row[:0]], [last[:0]]
+    while row.size:
+        target = neg_log_g[last] + rng.gen.standard_exponential(row.size)
+        mark = np.minimum(np.searchsorted(neg_log_g, target, side="right"), end)
+        gap = mark - last
+        rows.append(row)
+        lengths.append(gap)
+        one = gap == 1
+        stopped[row[one]] = True
+        going = ~one & (mark < end)
+        row, last, end = row[going], mark[going], end[going]
+    return np.concatenate(rows), np.concatenate(lengths), stopped
+
+
+#: Rows (ESF proposals or derangements) that the rejection and core-joint
+#: routes pass to the record-skipping kernel and tally at once; their pairs
+#: take a few MB, whatever the batch size.
+ROW_CHUNK = 1 << 14
+
+
+def esf_cycle_counts_batch(
+    n: int, theta: float, count: int, rng: RngStream
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``count`` ESF(theta) proposals of size n by the record-skipping Feller
+    coupling (:func:`_feller_gaps`), each stopped at its first 1-cycle.
+
+    Returns the (proposal, cycle length) pairs and the per-proposal flag
+    that it stopped at a 1-cycle; a proposal that ran to the end is an
+    ESF(theta) draw conditioned on a_1 = 0.
+    """
+    return _feller_gaps(np.full(count, n), n, theta, rng)
 
 
 def sample_toes_components(
@@ -408,36 +476,50 @@ def sample_toes_components(
             return spec, attempts
 
 
+def _accepted_components(n: int, count: int, rng: RngStream):
+    """Rejection from ESF(1/2) until ``count`` proposals are accepted.
+
+    Proposals come in chunks of at most ``ROW_CHUNK`` from
+    :func:`esf_cycle_counts_batch`.  One that stopped at a 1-cycle is
+    rejected; any other is accepted with probability prod_j (2 w_j)**a_j,
+    the exp of log(2 w_len) summed along its gaps, and acceptances are taken
+    in proposal order.  Yields, chunk by chunk, the (replicate, component
+    size) pairs of the accepted proposals, replicates numbered 0..count-1
+    across chunks, and the number of proposals consumed so far through the
+    last acceptance.
+    """
+    log_ratio = np.zeros(n + 1)
+    log_ratio[2:] = np.log(2.0 * omega_values(n)[2:])
+    have = attempts = 0
+    while have < count:
+        chunk = min(max(4096, int((count - have) / 0.2)), ROW_CHUNK)
+        prop, gap, stopped = esf_cycle_counts_batch(n, 0.5, chunk, rng)
+        log_acc = np.bincount(prop, weights=log_ratio[gap], minlength=chunk)
+        took = np.flatnonzero(~stopped & (rng.gen.random(chunk) < np.exp(log_acc)))
+        took = took[: count - have]
+        attempts += int(took[-1]) + 1 if have + took.size == count else chunk
+        number = np.full(chunk, -1)
+        number[took] = np.arange(have, have + took.size)
+        keep = number[prop] >= 0
+        have += took.size
+        yield number[prop[keep]], gap[keep], attempts
+
+
 def toes_component_counts_batch(
     n: int, count: int, rng: RngStream
-) -> tuple[np.ndarray, int]:
-    """`count` accepted component spectra as a (count, n+1) matrix, plus the
-    total number of ESF proposals consumed through the last acceptance."""
+) -> tuple[dict[str, np.ndarray], int]:
+    """Tallies (``zero_tally`` keys ``comp_sum`` and ``comp_sumsq``) of
+    ``count`` component spectra of the toes mapping by rejection from
+    ESF(1/2), plus the number of proposals consumed through the last
+    acceptance; each chunk of :func:`_accepted_components` is tallied as it
+    comes."""
     if n < 2:
         raise ValueError("need n >= 2")
-    w = omega_values(n)
-    log_ratio = np.full(n + 1, -np.inf)
-    with np.errstate(divide="ignore"):
-        log_ratio[2:] = np.log(2.0 * w[2:])
-    accepted: list[np.ndarray] = []
-    have = 0
+    tally = zero_tally(n, "comp_sum", "comp_sumsq")
     attempts = 0
-    while have < count:
-        chunk = max(4096, int((count - have) / 0.2))
-        counts = esf_cycle_counts_batch(n, 0.5, chunk, rng)
-        log_acc = counts[:, 2:].astype(np.float64) @ log_ratio[2:]
-        ok = (counts[:, 1] == 0) & (rng.gen.random(chunk) < np.exp(log_acc))
-        took = np.nonzero(ok)[0]
-        if have + took.size >= count:
-            last = took[count - have - 1]
-            attempts += int(last) + 1
-            accepted.append(counts[took[: count - have]])
-            have = count
-        else:
-            attempts += chunk
-            accepted.append(counts[took])
-            have += took.size
-    return np.concatenate(accepted, axis=0), attempts
+    for rows, lengths, attempts in _accepted_components(n, count, rng):
+        _tally_pairs(tally, "comp", rows, lengths)
+    return tally, attempts
 
 
 def exact_acceptance_probability(n: int) -> float:
@@ -529,44 +611,49 @@ def sample_derangement_cycles(r: int, rng: RngStream) -> Spectrum:
     return Spectrum.from_sizes(lens)
 
 
+def _derangement_cycles(
+    sizes: np.ndarray, n: int, rng: RngStream
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (row, cycle length) pairs of one uniform derangement of each size
+    in ``sizes`` (each <= n).
+
+    A uniform derangement's cycle type is ESF(1) conditioned on a_1 = 0, so
+    every row runs through :func:`_feller_gaps` at theta = 1 and a row that
+    stops at a 1-cycle starts again with fresh draws, its earlier pairs
+    discarded; about e tries a row, each O(its cycles).  The rows still
+    pending go through the kernel together, round after round.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if sizes.size and sizes.min() < 2:
+        raise ValueError("no derangement of fewer than 2 elements exists")
+    pending = np.arange(sizes.size)
+    rows, lengths = [pending[:0]], [sizes[:0]]
+    while pending.size:
+        row, gap, stopped = _feller_gaps(sizes[pending], n, 1.0, rng)
+        keep = ~stopped[row]
+        rows.append(pending[row[keep]])
+        lengths.append(gap[keep])
+        pending = pending[stopped]
+    return np.concatenate(rows), np.concatenate(lengths)
+
+
 def derangement_cycle_counts_batch(
     sizes: np.ndarray, n: int, rng: RngStream
 ) -> dict[str, np.ndarray]:
     """Cycle tallies (``zero_tally`` keys ``cyc_sum``, ``cyc_sumsq`` and
-    ``scream_hist``) of uniform derangements, one of each size in ``sizes``.
-
-    Groups rows by size (ascending, for a deterministic draw order), draws
-    each group's derangements at once, and folds the group's (m, r+1)
-    cycle-count block into the tallies in chunks of ``CHUNK_CELLS``; nothing
-    n+1 wide is held per row.
-    """
+    ``scream_hist``) of uniform derangements, one of each size in ``sizes``,
+    drawn by record skipping with a restart on any 1-cycle
+    (:func:`_derangement_cycles`) and tallied in blocks of ``ROW_CHUNK``
+    rows; nothing n+1 wide is held per row."""
     sizes = np.asarray(sizes)
     tally = zero_tally(n, "cyc_sum", "cyc_sumsq", "scream_hist")
-    for r in np.unique(sizes):
-        r = int(r)
-        perms = _derangements_of(r, int(np.count_nonzero(sizes == r)), rng)
-        step = chunk_rows(r)
-        for lo in range(0, perms.shape[0], step):
-            tally_cycles(tally, _permutation_cycle_counts(perms[lo:lo + step]))
+    for lo in range(0, sizes.size, ROW_CHUNK):
+        block = sizes[lo:lo + ROW_CHUNK]
+        rows, lengths = _derangement_cycles(block, n, rng)
+        _tally_pairs(tally, "cyc", rows, lengths)
+        twos = np.bincount(rows[lengths == 2], minlength=block.size)
+        tally["scream_hist"] += np.bincount(twos, minlength=tally["scream_hist"].size)
     return tally
-
-
-def _derangements_of(r: int, m: int, rng: RngStream) -> np.ndarray:
-    base = np.broadcast_to(np.arange(r, dtype=np.int64), (m, r))
-    perms = rng.gen.permuted(base, axis=1)
-    bad = (perms == np.arange(r)).any(axis=1)
-    while np.any(bad):
-        k = int(bad.sum())
-        perms[bad] = rng.gen.permuted(np.broadcast_to(np.arange(r, dtype=np.int64), (k, r)), axis=1)
-        bad = (perms == np.arange(r)).any(axis=1)
-    return perms
-
-
-def _permutation_cycle_counts(perms: np.ndarray) -> np.ndarray:
-    """(m, r+1) cycle-count matrix of an (m, r) batch of permutations."""
-    m, r = perms.shape
-    orbit_min, _ = _orbit_min(perms)
-    return _sizes_to_counts(np.bincount(orbit_min, minlength=m * r).reshape(m, r))
 
 
 def sample_toes_core(n: int, rng: RngStream) -> Spectrum:
@@ -589,6 +676,7 @@ __all__ = [
     "Decomposition",
     "DecompositionBatch",
     "Mapping",
+    "ROW_CHUNK",
     "RngStream",
     "chunk_rows",
     "core_sizes_batch",

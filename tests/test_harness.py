@@ -312,6 +312,14 @@ class TestCli:
         assert cli.main(["validate", "--n", "3"]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    def test_validate_writes_out_and_accepts_a_seed(self, tmp_path, capsys):
+        assert cli.main(["validate", "--n", "3"]) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "v.txt"
+        assert cli.main(["validate", "--n", "3", "--seed", "7", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == printed
+
     def test_tables_subcommand(self, capsys):
         rc = cli.main([
             "tables", "--tables", "1,3", "--n", "6", "--reps", "2000",
@@ -400,10 +408,18 @@ class TestCli:
         (["exact", "--table", "core", "--n", "4", "--out", "{tmp}/no-such-dir/x.csv"], None, None),
         (["exact", "--table", "core", "--n", "4", "--out", "{tmp}"], None, None),
         (["validate", "--n", "8"], None, None),
+        (["validate", "--n", "3", "--format", "json"], None, None),
+        (["validate", "--n", "3", "--workers", "2"], None, None),
+        (["validate", "--n", "3", "--batch-size", "100"], None, None),
+        (["validate", "--n", "3"], '{"format": "csv"}', None),
+        (["validate", "--n", "3"], '{"workers": 2}', None),
+        (["validate", "--n", "3"], '{"batch-size": 100}', None),
     ], ids=["empty-tables", "missing-config", "config-not-json", "config-str-n",
             "config-float-reps", "workers-env", "config-format-choice",
             "config-model-choice-validate", "config-model-choice-exact", "out-missing-dir",
-            "out-is-a-dir", "validate-n8"])
+            "out-is-a-dir", "validate-n8", "validate-format", "validate-workers",
+            "validate-batch-size", "validate-config-format", "validate-config-workers",
+            "validate-config-batch-size"])
     def test_bad_input_is_a_one_line_error(self, argv, config, env, tmp_path, monkeypatch, capsys):
         argv = [arg.format(missing=tmp_path / "missing.json", tmp=tmp_path) for arg in argv]
         if config is not None:
@@ -443,21 +459,21 @@ GOLDEN_RUNS = {
 }
 
 GOLDEN_SHA256 = {
-    ("tables-default", "json"): "70e0b4c1bb4060f965aa0407ee673f97e46306258dac53f16add032059ea03c1",
-    ("tables-default", "csv"): "d0b860ef0f7d0698eb47f784e6411d543e77e93e960d63973accb025aeefbe19",
-    ("tables-default", "pretty"): "b9a692d382eb0c183085dded32d5b46b4777a09baa6a66f8638914fd17077396",
+    ("tables-default", "json"): "4e1610026ef54b1ff9eb23078af74f5a210bc06193ea7b44e80f9bcee98da047",
+    ("tables-default", "csv"): "f9e7e09773dea7c0c733c29ba1e78d71a06f4735eeb60c04c0d6af16e182befa",
+    ("tables-default", "pretty"): "28fc4f014e281df7145b5caf1ff11f089f9bf62648d61a2cac1a7d0f12c9a3f6",
     ("direct-n5", "json"): "8a852dd758b05de906cea80ad849b341d6b3d5d6b17a07e88dd87ec615c7ab97",
     ("direct-n5", "csv"): "dcaec34839aca968690a33cd96ff33fd7256823a09de9bf3ec7fda8ca88179f3",
     ("direct-n5", "pretty"): "4072473e2a4dad372657a82e9e35e5fb4aff65e6b37da1c1983e67499f853c10",
-    ("rejection-n5", "json"): "8b3a83cd39a7112005aa52a8967a8b6a44754030e4bdb82355d470e5d11c06bd",
-    ("rejection-n5", "csv"): "8ef7123e8382ca9e08b9e5192870172d8a2be05dc8c0a02c891233a046a59fc8",
-    ("rejection-n5", "pretty"): "f3375327c6a8e285be39db56e48d6104d24849d53325ec2515dcdcc19b2c1ada",
+    ("rejection-n5", "json"): "5e5223719ddf78ab17cfe30dd50604babeab270aed4e44ce351194bb65bf9f12",
+    ("rejection-n5", "csv"): "fad9748818ddac96481fa7847ac4ce11d13486732069ad9e21ee4193131cde4a",
+    ("rejection-n5", "pretty"): "6f59784900bc8adcefd75ed3e7a6ad6db88c91d038cb0a98909c6650e44a406c",
     ("core-joint-n5", "json"): "afffdad29c0894d01458df49f13a1919f019d7647e628cbb1ea7e3ea68395d4e",
     ("core-joint-n5", "csv"): "ce2566a3b332aa643e5998c8e0b1ea050769d879363021bfcd8a81b29c0aee51",
     ("core-joint-n5", "pretty"): "05e6de0c8fad2ef9bfe225c15a4a0daa078becdae08128ce1bcdf47e41fe80f4",
-    ("core-joint-n5-all", "json"): "e9f170fe48a823e9fb944816980442f6a3ae18e08b9578db61c58049ed8ba0dc",
-    ("core-joint-n5-all", "csv"): "3b2eb1ba102a3fc1b181589c69401c10797c87c2a937f35e968bd2c768ef4201",
-    ("core-joint-n5-all", "pretty"): "f5849dd11d4fe0ec35f80f7464e98eec6aa087b1bbcf9539c045c55eca6c3bda",
+    ("core-joint-n5-all", "json"): "f80febb32a9195e76baad0eb108038049bdd2b650a44c584c9d11fa8a48589da",
+    ("core-joint-n5-all", "csv"): "0d6d56feaed18332a6a295e933c54af68bd67d98871f4a7b7b853a8c8bbf6f6a",
+    ("core-joint-n5-all", "pretty"): "d74f4bfd5148c5f5c9415e100b2abbc86ca4c32c5c0ae57232e1ca59862ffcac",
     ("brute-force-n5", "json"): "4071c0c0801f6344f64ea10c1bdd1215acf71854920e6bb46cc764e8f54736dd",
     ("brute-force-n5", "csv"): "284d8af1790bf0644d57a95364d801b150c6d181c1f85e914baa95971b9e9ca3",
     ("brute-force-n5", "pretty"): "ec4cd3374c0bb513bb1ea5e6cdf61a8294b9883d5f79b5162e9817ac2fc1cc8d",
@@ -473,9 +489,9 @@ GOLDEN_SHA256 = {
     ("exact-standard", "json"): "c33e8210118459f915eea7cdd19200ec6d53321df19d370c97543bb12393f783",
     ("exact-standard", "csv"): "eaf04a4f666a5735800b6a16190455c8366ed94e23de56976b45340f2c297a6e",
     ("exact-standard", "pretty"): "f3fdc46116ff9cf4c4ec21fbe46f779ff548bdb7a14a5dd6facab918b0b421a2",
-    ("n2", "json"): "355999f19b50ff29511f8c6deae97cc7b5f5e2ac1fdd34dd1df6dafb787cfaf9",
-    ("n2", "csv"): "89e1e6763694ec387ded58409390fb931f0510664c9e27ee8640fe54cdc2af51",
-    ("n2", "pretty"): "7937e9cea0f61220fcb0c7c786e26bc9f1f32b5e5754229788ad95461c92630f",
+    ("n2", "json"): "3b114cf27eacb50f528962e73d713d79bf42b24d8d0869f718227b1731957302",
+    ("n2", "csv"): "2f7cdd951f1908dc1700fb5ea7abcecb767e06a963b30dda03552a88689a2332",
+    ("n2", "pretty"): "107862ee2b3aa9c77ece68ab750d49b5fff2368b2ee9f1a291f2c9c94b9be3b8",
 }
 
 

@@ -200,31 +200,33 @@ class TestFellerCoupling:
         assert sample_esf_feller(1, 0.5, RngStream(0)).counts == ((1, 1),)
 
     def test_totals_always_n(self):
-        counts = esf_cycle_counts_batch(11, 0.5, 50_000, RngStream(8))
-        assert ((counts * np.arange(12)).sum(axis=1) == 11).all()
+        # a proposal that runs to the end covers n; one that stops ends at
+        # its only 1-gap
+        rows, lengths, stopped = esf_cycle_counts_batch(11, 0.5, 50_000, RngStream(8))
+        counts = _dense_counts(rows, lengths, 50_000, 11)
+        totals = counts @ np.arange(12)
+        assert (totals[~stopped] == 11).all()
+        assert (totals[stopped] <= 11).all()
+        assert (counts[:, 1] == stopped).all()
+        assert 0 < stopped.sum() < 50_000
         rng = RngStream(9)
         for _ in range(200):
             assert sample_esf_feller(7, 1.7, rng).total == 7
 
     def test_theta_one_matches_uniform_permutation_law(self):
-        n, reps = 6, 200_000
-        counts = esf_cycle_counts_batch(n, 1.0, reps, RngStream(101))
-        observed = _class_counts(counts, n)
-        expected = {
-            _class_key_from_sizes(parts, n): laws.esf_pmf(n, 1, parts)
-            for parts in laws.partitions(n, 1)
-        }
-        assert chi_square_pvalue(observed, expected, reps) > 1e-4
+        # at theta = 1 the full proposals are uniform derangement cycle types
+        _check_stopped_esf_law(6, 1, 200_000, RngStream(101))
 
     def test_theta_half_matches_esf_law(self):
-        n, reps = 6, 200_000
-        counts = esf_cycle_counts_batch(n, 0.5, reps, RngStream(202))
-        observed = _class_counts(counts, n)
-        expected = {
-            _class_key_from_sizes(parts, n): laws.esf_pmf(n, F(1, 2), parts)
-            for parts in laws.partitions(n, 1)
-        }
-        assert chi_square_pvalue(observed, expected, reps) > 1e-4
+        _check_stopped_esf_law(6, F(1, 2), 200_000, RngStream(202))
+
+    @pytest.mark.parametrize("n", [4, 5, 7, 8])
+    def test_theta_half_full_proposals_by_n(self, n):
+        _check_stopped_esf_law(n, F(1, 2), 50_000, RngStream(210 + n))
+
+    def test_no_row_is_a_no_op(self):
+        rows, lengths, stopped = esf_cycle_counts_batch(5, 0.5, 0, RngStream(0))
+        assert rows.size == lengths.size == stopped.size == 0
 
     def test_scalar_first_moment(self):
         n, reps, theta = 10, 30_000, 0.5
@@ -233,6 +235,39 @@ class TestFellerCoupling:
         exact = float(to_mpf(laws.esf_mean_cycle_count(n, F(1, 2), 1)))
         se = math.sqrt(exact / reps)  # crude Poisson-scale bound on the s.e.
         assert abs(total / reps - exact) < 5 * se
+
+
+def _check_stopped_esf_law(n, theta, reps, rng):
+    """ESF(theta) proposals stopped at a 1-cycle: the stopped share is
+    P(a_1 > 0), and the proposals that run to the end follow esf_pmf
+    conditioned on a_1 = 0."""
+    rows, lengths, stopped = esf_cycle_counts_batch(n, float(theta), reps, rng)
+    no_ones = {parts: laws.esf_pmf(n, theta, parts) for parts in laws.partitions(n, 2)}
+    p_full = sum(no_ones.values())
+    share = {True: 1 - p_full, False: p_full}
+    observed = {flag: int(c) for flag, c in zip(*np.unique(stopped, return_counts=True))}
+    assert chi_square_pvalue(observed, share, reps) > 1e-4
+    full = np.flatnonzero(~stopped)
+    keep = ~stopped[rows]
+    counts = _dense_counts(rows[keep], lengths[keep], reps, n)[full]
+    observed = _class_counts(counts, n)
+    expected = {_class_key_from_sizes(parts, n): p / p_full for parts, p in no_ones.items()}
+    assert chi_square_pvalue(observed, expected, full.size) > 1e-4
+
+
+def _accepted(n, reps, rng):
+    """Every chunk of the rejection route's accepted (replicate, size)
+    pairs, joined, and the proposals it consumed."""
+    chunks = list(samplers._accepted_components(n, reps, rng))
+    rows, lengths, attempts = zip(*chunks)
+    return np.concatenate(rows), np.concatenate(lengths), attempts[-1]
+
+
+def _dense_counts(rows, lengths, num_rows, n):
+    """(num_rows, n+1) count matrix of (row, group length) pairs."""
+    counts = np.zeros((num_rows, n + 1), dtype=np.int64)
+    np.add.at(counts, (rows, lengths), 1)
+    return counts
 
 
 def _class_key_from_sizes(sizes, n):
@@ -307,9 +342,16 @@ class TestRejectionSampler:
         assert spec.total == 6 and spec.get(1) == 0
 
     def test_batch_matches_component_law(self):
+        # the batch tally is the tally of the accepted pairs, which follow
+        # the component law
         n, reps = 6, 100_000
-        counts, attempts = toes_component_counts_batch(n, reps, RngStream(600))
-        assert counts.shape == (reps, n + 1)
+        tally, attempts = toes_component_counts_batch(n, reps, RngStream(600))
+        rows, lengths, again = _accepted(n, reps, RngStream(600))
+        assert again == attempts
+        counts = _dense_counts(rows, lengths, reps, n)
+        for key, value in _matrix_tally(counts, "comp").items():
+            assert np.array_equal(tally[key], value), key
+        assert (counts @ np.arange(n + 1) == n).all()
         assert (counts[:, 1] == 0).all()
         observed = _class_counts(counts, n)
         expected = {
@@ -320,6 +362,19 @@ class TestRejectionSampler:
         }
         assert chi_square_pvalue(observed, expected, reps) > 1e-4
         assert attempts > reps  # some proposals must be rejected
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_accepted_spectra_match_component_law(self, n):
+        reps = 50_000
+        rows, lengths, _ = _accepted(n, reps, RngStream(610 + n))
+        counts = _dense_counts(rows, lengths, reps, n)
+        assert (counts @ np.arange(n + 1) == n).all()
+        assert (counts[:, 1] == 0).all()
+        expected = {
+            _class_key_from_sizes(sizes, n): p
+            for sizes, p in laws.component_pmf_table(n, "toes").items()
+        }
+        assert chi_square_pvalue(_class_counts(counts, n), expected, reps) > 1e-4
 
     def test_acceptance_rate_matches_exact(self):
         n, accepted = 10, 100_000
@@ -402,13 +457,36 @@ class TestDerangementSampler:
         assert chi_square_pvalue(observed, expected, reps) > 1e-4
 
     def test_batch_cycle_totals(self):
-        # per row of each size group: sum_j j*c_j = r and no 1-cycles
-        rng = RngStream(802)
-        for r in (2, 5, 9, 3):
-            counts = samplers._permutation_cycle_counts(samplers._derangements_of(r, 200, rng))
-            assert counts.shape == (200, r + 1)
-            assert ((counts * np.arange(r + 1)).sum(axis=1) == r).all()
-            assert (counts[:, 1] == 0).all()
+        # per row, whatever the mix of sizes: sum_j j*c_j = r and no 1-cycles
+        sizes = np.repeat([2, 5, 9, 3], 200)
+        RngStream(802).gen.shuffle(sizes)
+        rows, lengths = samplers._derangement_cycles(sizes, 9, RngStream(803))
+        counts = _dense_counts(rows, lengths, sizes.size, 9)
+        assert (counts @ np.arange(10) == sizes).all()
+        assert (counts[:, 1] == 0).all()
+
+    def test_cycle_type_matches_exact_law(self):
+        # rows of sizes 2..8 drawn together, each size against its exact law
+        reps = 40_000
+        sizes = np.repeat(np.arange(2, 9), reps)
+        RngStream(804).gen.shuffle(sizes)
+        rows, lengths = samplers._derangement_cycles(sizes, 8, RngStream(805))
+        counts = _dense_counts(rows, lengths, sizes.size, 8)
+        assert (counts @ np.arange(9) == sizes).all()
+        for r in range(2, 9):
+            observed = _class_counts(counts[sizes == r, : r + 1], r)
+            expected = {
+                _class_key_from_sizes(parts, r): laws.derangement_cycle_type_pmf(r, parts)
+                for parts in laws.partitions(r, 2)
+            }
+            if len(expected) == 1:  # r = 2, 3: one cycle type only
+                assert observed == {next(iter(expected)): reps}
+            else:
+                assert chi_square_pvalue(observed, expected, reps) > 1e-4, r
+
+    def test_rejects_sizes_below_2(self):
+        with pytest.raises(ValueError):
+            samplers.derangement_cycle_counts_batch(np.array([3, 1]), 3, RngStream(0))
 
 
 class TestCoreJointSampler:
@@ -440,7 +518,8 @@ def _matrix_tally(counts, name):
 
 
 class TestChunkedTallies:
-    """The chunked kernels tally exactly what full per-row matrices give."""
+    """The chunked and sparse kernels tally exactly what full per-row
+    matrices give."""
 
     def test_direct_route_n9(self, monkeypatch):
         n, reps, seed = 9, 1000, 4242
@@ -462,22 +541,23 @@ class TestChunkedTallies:
             assert np.array_equal(got[key], value), key
 
     def test_core_joint_route_n10(self, monkeypatch):
-        n, reps, seed = 10, 3000, 4343
-        # reference: the same draws, cycle counts per row by the scalar walk
+        n, reps, seed, block = 10, 3000, 4343, 700
+        # reference: the same draws, block by block, as a full per-row
+        # cycle-count matrix
         rng = RngStream(seed)
         sizes = samplers.core_sizes_batch(n, reps, rng)
         cyc = np.zeros((reps, n + 1), dtype=np.int64)
-        for r in np.unique(sizes):
-            rows = np.nonzero(sizes == r)[0]
-            for row, perm in zip(rows, samplers._derangements_of(int(r), rows.size, rng)):
-                _, cycle_lens, _ = samplers._decompose_image(perm.tolist())
-                cyc[row] = np.bincount(cycle_lens, minlength=n + 1)
+        for lo in range(0, reps, block):
+            rows, lengths = samplers._derangement_cycles(sizes[lo:lo + block], n, rng)
+            cyc[lo:lo + block] = _dense_counts(rows, lengths, sizes[lo:lo + block].size, n)
+        assert (cyc @ np.arange(n + 1) == sizes).all()
+        assert (cyc[:, 1] == 0).all()
         want = {
             **_matrix_tally(cyc, "cyc"),
             "scream_hist": np.bincount(cyc[:, 2], minlength=n // 2 + 1),
             "core_hist": np.bincount(sizes, minlength=n + 1),
         }
-        monkeypatch.setattr(samplers, "CHUNK_CELLS", 12)  # 1 to 6 rows a chunk
+        monkeypatch.setattr(samplers, "ROW_CHUNK", block)
         got = toes_core_cycle_counts_batch(n, reps, RngStream(seed))
         assert sorted(got) == sorted(want)
         for key, value in want.items():
@@ -496,11 +576,17 @@ def _traced_peak_mb(fn, *args):
 class TestMemoryBound:
     """Peak traced memory of one batch at n = 1000.  Full per-row (B, n+1)
     int64 matrices would need 160 MB (core-joint, 20 000 rows) and about
-    360 MB (direct, 5 000 rows) here."""
+    360 MB (direct, 5 000 rows) here; dense ESF proposals took about
+    1.6 GB for 20 000 accepted components."""
 
     def test_core_joint_batch(self):
         samplers._core_size_cdf(1000)  # the cached exact CDF is set-up, not batch memory
         peak = _traced_peak_mb(toes_core_cycle_counts_batch, 1000, 20_000, RngStream(950))
+        assert peak < 16
+
+    def test_rejection_batch(self):
+        omega_values(1000)  # cached, like the CDF above
+        peak = _traced_peak_mb(toes_component_counts_batch, 1000, 20_000, RngStream(952))
         assert peak < 16
 
     def test_direct_batch(self):
@@ -570,11 +656,12 @@ class TestRouteAgreement:
         rej, _ = toes_component_counts_batch(n, reps, RngStream(1100))
         direct = decompose_batch(sample_mappings_batch(n, reps, RngStream(1101)))
         for j in range(2, n + 1):
-            a, b = rej[:, j], direct.component_counts[:, j]
-            se = math.sqrt(a.var(ddof=1) / reps + b.var(ddof=1) / reps)
+            a_mean, a_se = _mean_and_se(rej, "comp", j, reps)
+            b = direct.component_counts[:, j]
+            se = math.sqrt(a_se**2 + b.var(ddof=1) / reps)
             exact = float(to_mpf(laws.mean_component_count(n, j, "toes")))
-            assert abs(a.mean() - b.mean()) <= 4 * max(se, 1e-9)
-            assert abs(a.mean() - exact) <= 5 * max(math.sqrt(a.var(ddof=1) / reps), 1e-9)
+            assert abs(a_mean - b.mean()) <= 4 * max(se, 1e-9)
+            assert abs(a_mean - exact) <= 5 * max(a_se, 1e-9)
 
     def test_corejoint_and_direct_cycle_means(self):
         n, reps = 8, 120_000
@@ -592,7 +679,9 @@ class TestBatchDeterminism:
         a, att_a = toes_component_counts_batch(7, 5000, RngStream(1200))
         b, att_b = toes_component_counts_batch(7, 5000, RngStream(1200))
         assert att_a == att_b
-        assert (a == b).all()
+        assert sorted(a) == sorted(b) == ["comp_sum", "comp_sumsq"]
+        for key in a:
+            assert np.array_equal(a[key], b[key]), key
 
     def test_scalar_streams_reproduce(self):
         seq_a = [sample_toes_core(6, RngStream(1300)).sizes() for _ in range(1)]
