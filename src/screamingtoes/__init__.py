@@ -61,10 +61,6 @@ from .samplers import (
     RngStream,
     decompose,
     exact_acceptance_probability,
-    sample_core_size,
-    sample_derangement_cycles,
-    sample_esf_crp,
-    sample_esf_feller,
     sample_mapping,
     sample_toes_components,
     sample_toes_core,

@@ -113,10 +113,22 @@ def _setdefaults(args: argparse.Namespace, **defaults) -> None:
             setattr(args, key, value)
 
 
+def _write_stdout(text: str) -> None:
+    """Write and flush stdout.  A reader that has gone away (``| head``) ends the
+    run with exit 1 and one line; stdout is pointed at devnull first, because
+    the interpreter flushes it again at exit and would print a traceback."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise SystemExit("screamingtoes: stdout closed before all output was written") from None
+
+
 def _emit(report, args) -> None:
     text = harness.emit(report, args.format, args.out)
     if not args.out:
-        sys.stdout.write(text)
+        _write_stdout(text)
 
 
 def _config(**fields) -> harness.ExperimentConfig:
@@ -195,7 +207,7 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.out, "w") as fh:
                 fh.write(text)
         else:
-            sys.stdout.write(text)
+            _write_stdout(text)
         return 0 if all(ok for _, ok in checks) else 1
 
     raise AssertionError("unreachable")

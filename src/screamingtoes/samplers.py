@@ -11,10 +11,11 @@
    cycle type of a uniform random derangement of that size.
 
 Every sampler takes an :class:`RngStream` and is bit-reproducible for a
-fixed seed and call sequence.  Scalar functions are the readable reference
-implementations; the ``*_batch`` kernels are vectorised numpy equivalents
-used for million-replicate experiments, and the test suite checks both
-against the exact laws.
+fixed seed and call sequence.  Each route has one implementation, a
+vectorised ``*_batch`` kernel; :func:`sample_mapping`,
+:func:`sample_toes_components` and :func:`sample_toes_core` are one-replicate
+calls of those kernels, and :func:`decompose` is the scalar reference walk
+that the decomposition kernel is tested against.
 
 Routes 2 and 3 share one kernel, :func:`_feller_gaps`: the Feller coupling
 with record skipping (Arratia, Barbour and Tavare 2003), so a replicate
@@ -40,21 +41,16 @@ _SEED_MASK = (1 << 64) - 1
 
 
 class RngStream:
-    """Seedable, splittable random stream (PCG64 behind numpy's Generator).
+    """Seedable random stream (PCG64 behind numpy's Generator).
 
-    Identical seed and call sequence give identical output bits.  Parallel
-    work derives independent streams by the fixed rule "stream k is seeded
-    with master XOR k"; numpy's seed sequence hashing decorrelates the
-    nearby seeds.
+    Identical seed and call sequence give identical output bits.  The seed
+    is taken modulo 2**64; the experiment harness gives each batch its own
+    stream, seeded from the master seed.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed) & _SEED_MASK
         self.gen = np.random.Generator(np.random.PCG64(self.seed))
-
-    def derive(self, k: int) -> "RngStream":
-        """Stream k of this master seed (master XOR k)."""
-        return RngStream(self.seed ^ (int(k) & _SEED_MASK))
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed})"
@@ -161,21 +157,18 @@ def decompose(mapping: Mapping) -> Decomposition:
 
 
 def sample_mapping(n: int, rng: RngStream) -> Mapping:
-    """Uniform mapping with image[i] != i.
-
-    Per coordinate, a uniform draw u from {0, ..., n-2} is shifted past i
-    (u -> u+1 when u >= i), which hits [n] \\ {i} uniformly with no
-    rejection loop.
-    """
+    """One uniform fixed-point-free mapping: row 0 of :func:`sample_mappings_batch`."""
     if n < 2:
         raise ValueError("need n >= 2")
-    u = rng.gen.integers(0, n - 1, size=n)
-    u += u >= np.arange(n)
-    return Mapping(tuple(int(v) for v in u))
+    return Mapping(tuple(sample_mappings_batch(n, 1, rng)[0].tolist()))
 
 
 def sample_mappings_batch(n: int, count: int, rng: RngStream) -> np.ndarray:
     """(count, n) array of independent uniform fixed-point-free mappings.
+
+    Per coordinate, a uniform draw u from {0, ..., n-2} is shifted past i
+    (u -> u+1 when u >= i), which hits [n] \\ {i} uniformly with no
+    rejection loop.
 
     Drawing ``count`` rows in several calls gives the same rows as one call
     (numpy's bounded integers take whole 32-bit draws per value), which is
@@ -332,55 +325,6 @@ def omega_values(n: int) -> np.ndarray:
     return w
 
 
-def sample_esf_feller(n: int, theta: float, rng: RngStream) -> Spectrum:
-    """One cycle-count spectrum from ESF(theta) via the Feller coupling.
-
-    Independent Bernoulli marks xi_i with P(xi_i = 1) = theta/(theta+i-1)
-    for i = 1..n (xi_1 = 1 surely) plus a virtual mark at n+1; the gaps
-    between consecutive marks are the cycle lengths, so the total is
-    always n.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if theta <= 0:
-        raise ValueError("theta must be positive")
-    lens = []
-    last = 1
-    for i in range(2, n + 1):
-        if rng.gen.random() < theta / (theta + i - 1):
-            lens.append(i - last)
-            last = i
-    lens.append(n + 1 - last)
-    return Spectrum.from_sizes(lens)
-
-
-def sample_esf_crp(n: int, theta: float, rng: RngStream) -> Spectrum:
-    """One ESF(theta) spectrum via the Chinese restaurant process.
-
-    Independent implementation kept for cross-validation of the Feller
-    route: customer i starts a new table w.p. theta/(theta+i-1), else joins
-    an existing table proportionally to its size.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if theta <= 0:
-        raise ValueError("theta must be positive")
-    tables: list[int] = []
-    for i in range(n):
-        u = rng.gen.random() * (i + theta)
-        if u < theta:
-            tables.append(1)
-            continue
-        u -= theta
-        acc = 0.0
-        for t, size in enumerate(tables):
-            acc += size
-            if u < acc:
-                tables[t] += 1
-                break
-    return Spectrum.from_sizes(tables)
-
-
 @lru_cache(maxsize=64)
 def _neg_log_g(n: int, theta: float) -> np.ndarray:
     """-log G(k) for k = 0..n+1, where G(k) = prod_{l=2..k} (l-1)/(l-1+theta).
@@ -451,31 +395,6 @@ def esf_cycle_counts_batch(
     return _feller_gaps(np.full(count, n), n, theta, rng)
 
 
-def sample_toes_components(
-    n: int, rng: RngStream, esf_sampler: str = "feller"
-) -> tuple[Spectrum, int]:
-    """One component-size spectrum of the toes mapping, plus attempts used.
-
-    Rejection from ESF(1/2): a proposal with counts (a_1, ..., a_n) is
-    accepted with probability 1{a_1 = 0} * prod_{j>=2} (2 w_j)**a_j.
-    """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    draw = {"feller": sample_esf_feller, "crp": sample_esf_crp}[esf_sampler]
-    w = omega_values(n)
-    attempts = 0
-    while True:
-        attempts += 1
-        spec = draw(n, 0.5, rng)
-        if spec.get(1) > 0:
-            continue
-        accept_prob = 1.0
-        for j, a in spec.counts:
-            accept_prob *= (2.0 * w[j]) ** a
-        if rng.gen.random() < accept_prob:
-            return spec, attempts
-
-
 def _accepted_components(n: int, count: int, rng: RngStream):
     """Rejection from ESF(1/2) until ``count`` proposals are accepted.
 
@@ -520,6 +439,13 @@ def toes_component_counts_batch(
     for rows, lengths, attempts in _accepted_components(n, count, rng):
         _tally_pairs(tally, "comp", rows, lengths)
     return tally, attempts
+
+
+def sample_toes_components(n: int, rng: RngStream) -> tuple[Spectrum, int]:
+    """One component-size spectrum of the toes mapping, plus the proposals
+    it took: one replicate of :func:`toes_component_counts_batch`."""
+    tally, attempts = toes_component_counts_batch(n, 1, rng)
+    return _spectrum(tally["comp_sum"]), attempts
 
 
 def exact_acceptance_probability(n: int) -> float:
@@ -570,45 +496,9 @@ def _core_size_cdf(n: int) -> np.ndarray:
     return cdf
 
 
-def sample_core_size(n: int, rng: RngStream) -> int:
-    """Core size of a toes mapping by inverse CDF over the exact table."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    cdf = _core_size_cdf(n)
-    return 2 + int(np.searchsorted(cdf, rng.gen.random(), side="right"))
-
-
 def core_sizes_batch(n: int, count: int, rng: RngStream) -> np.ndarray:
     cdf = _core_size_cdf(n)
     return 2 + np.searchsorted(cdf, rng.gen.random(count), side="right")
-
-
-def sample_derangement_cycles(r: int, rng: RngStream) -> Spectrum:
-    """Cycle-length spectrum of a uniform random derangement of r elements.
-
-    Rejection from uniform permutations (Fisher-Yates, then retry on any
-    fixed point); the expected number of tries converges to e, which is
-    fine at experiment scale and keeps the draw exactly uniform.
-    """
-    if r < 2:
-        raise ValueError("no derangement of fewer than 2 elements exists")
-    while True:
-        perm = rng.gen.permutation(r)
-        if not np.any(perm == np.arange(r)):
-            break
-    lens = []
-    seen = np.zeros(r, dtype=bool)
-    for start in range(r):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = int(perm[x])
-            length += 1
-        lens.append(length)
-    return Spectrum.from_sizes(lens)
 
 
 def _derangement_cycles(
@@ -656,12 +546,6 @@ def derangement_cycle_counts_batch(
     return tally
 
 
-def sample_toes_core(n: int, rng: RngStream) -> Spectrum:
-    """Cycle-length spectrum of the toes core: core size, then derangement."""
-    r = sample_core_size(n, rng)
-    return sample_derangement_cycles(r, rng)
-
-
 def toes_core_cycle_counts_batch(n: int, count: int, rng: RngStream) -> dict[str, np.ndarray]:
     """Tallies of ``count`` replicates by the core-joint route: the cycle
     tallies of :func:`derangement_cycle_counts_batch` plus ``core_hist``."""
@@ -669,6 +553,17 @@ def toes_core_cycle_counts_batch(n: int, count: int, rng: RngStream) -> dict[str
     tally = derangement_cycle_counts_batch(sizes, n, rng)
     tally["core_hist"] = np.bincount(sizes, minlength=n + 1)
     return tally
+
+
+def sample_toes_core(n: int, rng: RngStream) -> Spectrum:
+    """Cycle-length spectrum of the toes core, core size then derangement:
+    one replicate of :func:`toes_core_cycle_counts_batch`."""
+    return _spectrum(toes_core_cycle_counts_batch(n, 1, rng)["cyc_sum"])
+
+
+def _spectrum(counts: np.ndarray) -> Spectrum:
+    """The spectrum of one replicate's count vector (entry j = groups of size j)."""
+    return Spectrum.from_sizes(np.repeat(np.arange(counts.size), counts).tolist())
 
 
 __all__ = [
@@ -686,10 +581,6 @@ __all__ = [
     "esf_cycle_counts_batch",
     "exact_acceptance_probability",
     "omega_values",
-    "sample_core_size",
-    "sample_derangement_cycles",
-    "sample_esf_crp",
-    "sample_esf_feller",
     "sample_mapping",
     "sample_mappings_batch",
     "sample_toes_components",

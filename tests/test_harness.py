@@ -395,6 +395,27 @@ class TestCli:
         assert "no standard-model cells" in message
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--n", "3"],
+        ["exact", "--table", "core", "--n", "5"],
+    ], ids=["validate", "exact"])
+    def test_closed_stdout_is_a_one_line_error(self, argv):
+        # the read end of stdout's pipe is closed before the run writes to it,
+        # as when ``| head`` has exited
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "screamingtoes.cli", *argv], stdout=write,
+                stderr=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": src},
+            )
+        finally:
+            os.close(write)
+        assert done.returncode == 1
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("screamingtoes:"), done.stderr
+
     @pytest.mark.parametrize("argv, config, env", [
         (["tables", "--tables", ","], None, None),
         (["exact", "--table", "q", "--config", "{missing}"], None, None),

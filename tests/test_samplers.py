@@ -25,10 +25,6 @@ from screamingtoes.samplers import (
     esf_cycle_counts_batch,
     exact_acceptance_probability,
     omega_values,
-    sample_core_size,
-    sample_derangement_cycles,
-    sample_esf_crp,
-    sample_esf_feller,
     sample_mapping,
     sample_mappings_batch,
     sample_toes_components,
@@ -73,11 +69,6 @@ class TestRngStream:
         b = RngStream(12345)
         assert a.gen.random(10).tolist() == b.gen.random(10).tolist()
 
-    def test_derive_rule(self):
-        master = RngStream(0xDEADBEEF)
-        assert master.derive(5).seed == 0xDEADBEEF ^ 5
-        assert master.derive(0).seed == master.seed
-
     def test_seed_masked_to_64_bits(self):
         assert RngStream(2**70 + 3).seed == (2**70 + 3) % 2**64
 
@@ -121,6 +112,12 @@ class TestSampleMapping:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             sample_mapping(1, RngStream(0))
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 25, 1000])
+    def test_is_row_0_of_the_batch(self, n):
+        for seed in range(20):
+            row = sample_mappings_batch(n, 1, RngStream(seed))[0]
+            assert sample_mapping(n, RngStream(seed)).image == tuple(row.tolist())
 
 
 class TestDecompose:
@@ -196,9 +193,6 @@ class TestDecompose:
 
 
 class TestFellerCoupling:
-    def test_n1(self):
-        assert sample_esf_feller(1, 0.5, RngStream(0)).counts == ((1, 1),)
-
     def test_totals_always_n(self):
         # a proposal that runs to the end covers n; one that stops ends at
         # its only 1-gap
@@ -209,9 +203,10 @@ class TestFellerCoupling:
         assert (totals[stopped] <= 11).all()
         assert (counts[:, 1] == stopped).all()
         assert 0 < stopped.sum() < 50_000
-        rng = RngStream(9)
-        for _ in range(200):
-            assert sample_esf_feller(7, 1.7, rng).total == 7
+        rows, lengths, stopped = esf_cycle_counts_batch(7, 1.7, 1000, RngStream(9))
+        counts = _dense_counts(rows, lengths, 1000, 7)
+        assert (counts[~stopped] @ np.arange(8) == 7).all()
+        assert (~stopped).any()
 
     def test_theta_one_matches_uniform_permutation_law(self):
         # at theta = 1 the full proposals are uniform derangement cycle types
@@ -227,14 +222,6 @@ class TestFellerCoupling:
     def test_no_row_is_a_no_op(self):
         rows, lengths, stopped = esf_cycle_counts_batch(5, 0.5, 0, RngStream(0))
         assert rows.size == lengths.size == stopped.size == 0
-
-    def test_scalar_first_moment(self):
-        n, reps, theta = 10, 30_000, 0.5
-        rng = RngStream(303)
-        total = sum(sample_esf_feller(n, theta, rng).get(1) for _ in range(reps))
-        exact = float(to_mpf(laws.esf_mean_cycle_count(n, F(1, 2), 1)))
-        se = math.sqrt(exact / reps)  # crude Poisson-scale bound on the s.e.
-        assert abs(total / reps - exact) < 5 * se
 
 
 def _check_stopped_esf_law(n, theta, reps, rng):
@@ -292,13 +279,36 @@ def _class_counts(count_matrix, n):
     return decoded
 
 
+def _esf_crp(n: int, theta: float, rng: RngStream) -> Spectrum:
+    """One full ESF(theta) spectrum via the Chinese restaurant process.
+
+    A proposal source independent of the Feller kernel: customer i starts a
+    new table w.p. theta/(theta+i-1), else joins an existing table
+    proportionally to its size.
+    """
+    tables: list[int] = []
+    for i in range(n):
+        u = rng.gen.random() * (i + theta)
+        if u < theta:
+            tables.append(1)
+            continue
+        u -= theta
+        acc = 0.0
+        for t, size in enumerate(tables):
+            acc += size
+            if u < acc:
+                tables[t] += 1
+                break
+    return Spectrum.from_sizes(tables)
+
+
 class TestChineseRestaurant:
     def test_matches_esf_law(self):
         n, reps = 5, 30_000
         rng = RngStream(404)
         observed = {}
         for _ in range(reps):
-            key = _class_key_from_sizes(sample_esf_crp(n, 0.5, rng).sizes(), n)
+            key = _class_key_from_sizes(_esf_crp(n, 0.5, rng).sizes(), n)
             observed[key] = observed.get(key, 0) + 1
         expected = {
             _class_key_from_sizes(parts, n): laws.esf_pmf(n, F(1, 2), parts)
@@ -309,7 +319,7 @@ class TestChineseRestaurant:
     def test_total_is_n(self):
         rng = RngStream(11)
         for _ in range(200):
-            assert sample_esf_crp(9, 2.0, rng).total == 9
+            assert _esf_crp(9, 2.0, rng).total == 9
 
 
 class TestOmega:
@@ -337,9 +347,27 @@ class TestRejectionSampler:
             assert spec.total == 6
             assert attempts >= 1
 
-    def test_crp_proposals_also_work(self):
-        spec, _ = sample_toes_components(6, RngStream(501), esf_sampler="crp")
-        assert spec.total == 6 and spec.get(1) == 0
+    def test_acceptance_rule_on_crp_proposals(self):
+        # the rejection rule 1{a_1 = 0} prod_j (2 w_j)**a_j, applied to
+        # ESF(1/2) proposals that do not come from the Feller kernel, gives
+        # the component law
+        n, proposals = 6, 60_000
+        rng = RngStream(501)
+        w = omega_values(n)
+        observed: dict = {}
+        for _ in range(proposals):
+            spec = _esf_crp(n, 0.5, rng)
+            if spec.get(1) > 0:
+                continue
+            if rng.gen.random() < math.prod((2.0 * w[j]) ** a for j, a in spec.counts):
+                key = _class_key_from_sizes(spec.sizes(), n)
+                observed[key] = observed.get(key, 0) + 1
+        accepted = sum(observed.values())
+        expected = {
+            _class_key_from_sizes(sizes, n): p
+            for sizes, p in laws.component_pmf_table(n, "toes").items()
+        }
+        assert chi_square_pvalue(observed, expected, accepted) > 1e-4
 
     def test_batch_matches_component_law(self):
         # the batch tally is the tally of the accepted pairs, which follow
@@ -406,8 +434,7 @@ class TestRejectionSampler:
 
 class TestCoreSizeSampler:
     def test_n2_degenerate(self):
-        rng = RngStream(700)
-        assert all(sample_core_size(2, rng) == 2 for _ in range(20))
+        assert (samplers.core_sizes_batch(2, 20, RngStream(700)) == 2).all()
 
     def test_batch_matches_core_law(self):
         n, reps = 10, 100_000
@@ -434,14 +461,11 @@ class TestCoreSizeSampler:
 
 class TestDerangementSampler:
     def test_forced_small_cases(self):
-        rng = RngStream(800)
-        assert sample_derangement_cycles(2, rng).sizes() == (2,)
-        for _ in range(10):
-            assert sample_derangement_cycles(3, rng).sizes() == (3,)
-
-    def test_rejects_r1(self):
-        with pytest.raises(ValueError):
-            sample_derangement_cycles(1, RngStream(0))
+        # every derangement of 2 or 3 elements is a single cycle
+        sizes = np.array([2] + [3] * 10)
+        rows, lengths = samplers._derangement_cycles(sizes, 3, RngStream(800))
+        assert sorted(rows.tolist()) == list(range(sizes.size))
+        assert (lengths == sizes[rows]).all()
 
     def test_two_cycle_count_law(self):
         # P(k 2-cycles | derangement of 6), exact vs 10^5 batch draws
@@ -485,8 +509,9 @@ class TestDerangementSampler:
                 assert chi_square_pvalue(observed, expected, reps) > 1e-4, r
 
     def test_rejects_sizes_below_2(self):
-        with pytest.raises(ValueError):
-            samplers.derangement_cycle_counts_batch(np.array([3, 1]), 3, RngStream(0))
+        for sizes in ([3, 1], [1]):
+            with pytest.raises(ValueError):
+                samplers.derangement_cycle_counts_batch(np.array(sizes), 3, RngStream(0))
 
 
 class TestCoreJointSampler:
