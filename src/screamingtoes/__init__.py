@@ -71,7 +71,6 @@ from .harness import (
     brute_force_law,
     emit,
     parse_report,
-    repeated_size_stats,
     run_table,
 )
 

@@ -31,8 +31,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from . import laws, samplers
 from .exact import format_fixed, to_mpf
 from .laws import NoRepeatProbs
@@ -66,9 +64,12 @@ def default_workers() -> int:
     env = os.environ.get(ENV_WORKERS)
     if env:
         try:
-            return max(1, int(env))
+            workers = int(env)
         except ValueError:
-            raise ValueError(f"{ENV_WORKERS} must be an integer (got {env!r})") from None
+            workers = 0
+        if workers < 1:
+            raise ValueError(f"{ENV_WORKERS} must be a positive integer (got {env!r})")
+        return workers
     return os.cpu_count() or 1
 
 
@@ -275,41 +276,13 @@ TABLE_ALIASES = {
 # Batch simulation plumbing
 
 
-#: The tally keys that :func:`_tally_mappings` fills.
-_MAPPING_KEYS = (
-    "comp_sum", "comp_sumsq", "cyc_sum", "cyc_sumsq", "scream_hist", "core_hist", "no_repeat",
-)
-
-
-def _tally_mappings(tally: dict, images: np.ndarray) -> samplers.DecompositionBatch:
-    """Decompose a (rows, n) block of mappings and add it to a tally with
-    the keys ``_MAPPING_KEYS``; returns the block's decomposition.  The
-    direct route and the brute-force oracle both fold through here."""
-    dec = samplers.decompose_batch(images)
-    comp, cyc = dec.component_counts, dec.cycle_counts
-    samplers.tally_moments(tally, "comp", comp)
-    samplers.tally_cycles(tally, cyc)
-    tally["core_hist"] += np.bincount(dec.core_sizes, minlength=tally["core_hist"].size)
-    no_comp = (comp <= 1).all(axis=1)
-    no_cyc = (cyc <= 1).all(axis=1)
-    tally["no_repeat"] += [no_comp.sum(), no_cyc.sum(), (no_comp & no_cyc).sum()]
-    return dec
-
-
 def _simulate_batch(task: tuple) -> dict:
     """One batch of one simulation kind; returns integer tallies only
-    (keys as in :func:`samplers.zero_tally`).  The direct route draws and
-    decomposes the batch in chunks of ``samplers.chunk_rows(n)`` rows; the
-    chunks' draws are the batch's draws, so the tallies do not depend on the
-    chunk size."""
+    (keys as in :func:`samplers.zero_tally`)."""
     kind, n, seed, size = task
     rng = RngStream(seed)
     if kind == "direct":
-        tally = samplers.zero_tally(n, *_MAPPING_KEYS)
-        step = samplers.chunk_rows(n)
-        for done in range(0, size, step):
-            _tally_mappings(tally, samplers.sample_mappings_batch(n, min(step, size - done), rng))
-        return {"replicates": size, **tally}
+        return {"replicates": size, **samplers.toes_mapping_counts_batch(n, size, rng)}
     if kind == "rejection":
         tally, attempts = samplers.toes_component_counts_batch(n, size, rng)
         return {"replicates": size, "attempts": attempts, **tally}
@@ -413,7 +386,7 @@ def run_table(config: ExperimentConfig) -> ExperimentReport:
         if method is None or config.replicates == 0 or method in sources:
             continue
         if method == "brute-force":
-            sources[method] = _enumerate_mappings(config.size, "toes")[0]
+            sources[method] = samplers.every_mapping_counts(config.size, "toes")[0]
         else:
             sources[method] = _run_simulation(method, config)
 
@@ -435,31 +408,6 @@ def run_table(config: ExperimentConfig) -> ExperimentReport:
         "seed_splitting": "kind_seed = seed XOR kind_offset<<32; batch k uses kind_seed XOR k",
     }
     return ExperimentReport(records, metadata, wall_time=time.perf_counter() - started)
-
-
-def repeated_size_stats(
-    n: int,
-    replicates: int,
-    seed: int,
-    workers: int | None = None,
-    batch_size: int = 125_000,
-) -> tuple[float, float, float]:
-    """Monte Carlo (no repeated component size, no repeated cycle length,
-    neither) probabilities by direct simulation of `replicates` mappings.
-    No exact column is built, so n is not bounded by REPEATS_MAX_N."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    config = ExperimentConfig(
-        n=n,
-        replicates=replicates,
-        seed=seed,
-        tables=(),
-        workers=workers,
-        batch_size=batch_size,
-    )
-    tally = _run_simulation("direct", config)
-    reps = tally["replicates"]
-    return tuple(float(c / reps) for c in tally["no_repeat"])  # type: ignore[return-value]
 
 
 # ---------------------------------------------------------------------------
@@ -489,45 +437,10 @@ class BruteForceLaw:
     no_repeat: NoRepeatProbs
 
 
-def _enumerate_mappings(n: int, model: str) -> tuple[dict, Counter[int]]:
-    """Every mapping of size n folded by :func:`_tally_mappings` (with
-    ``replicates`` the number of mappings), and the counts of its joint
-    spectrum codes, whose base-(n+1) digits are the component and cycle
-    count vectors.  Mapping m has the base-``choices`` digits of m as images,
-    shifted past their own index in the toes model."""
-    choices = n - 1 if model == "toes" else n
-    total = choices**n
-    tally = samplers.zero_tally(n, *_MAPPING_KEYS)
-    joint: Counter[int] = Counter()
-    place = choices ** np.arange(n, dtype=np.int64)
-    weights = (n + 1) ** np.arange(2 * n, dtype=np.int64)
-    block = 1 << 14  # mappings decomposed at once: about 10 MB at n = 7
-    for start in range(0, total, block):
-        images = np.arange(start, min(start + block, total))[:, None] // place % choices
-        if model == "toes":
-            images += images >= np.arange(n)
-        dec = _tally_mappings(tally, images)
-        spectra = np.hstack([dec.component_counts[:, 1:], dec.cycle_counts[:, 1:]])
-        codes, counts = np.unique(spectra @ weights, return_counts=True)
-        joint.update(dict(zip(codes.tolist(), counts.tolist())))
-    assert sum(joint.values()) == total
-    return {"replicates": total, **tally}, joint
-
-
 def brute_force_law(n: int, model: str = "toes") -> BruteForceLaw:
     """Decompose every mapping (with or without the f(i) != i constraint)."""
-    if model not in ("standard", "toes"):
-        raise ValueError("model must be 'standard' or 'toes'")
-    if not 2 <= n <= 7:
-        raise ValueError("brute-force enumeration is limited to 2 <= n <= 7")
-    tally, joint = _enumerate_mappings(n, model)
+    tally, joint_tally = samplers.every_mapping_counts(n, model)
     total = tally["replicates"]
-
-    def spectrum(code: int) -> tuple[int, ...]:  # sizes from the n low digits
-        digits = [code // (n + 1) ** k % (n + 1) for k in range(n)]
-        return tuple(j for j, times in enumerate(digits, 1) for _ in range(times))
-
-    joint_tally = {(spectrum(c), spectrum(c // (n + 1) ** n)): k for c, k in joint.items()}
     comp_tally, cyc_tally = Counter(), Counter()
     for (comp, cyc), count in joint_tally.items():
         comp_tally[comp] += count
@@ -605,7 +518,7 @@ def validate(n: int, model: str = "toes") -> list[tuple[str, bool]]:
 def _long_int_strings():
     """Allow int<->str conversions of up to INT_STR_DIGITS digits inside the
     block, and restore the interpreter's own limit after it (0 is none)."""
-    old = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    old = sys.get_int_max_str_digits()
     raise_limit = 0 < old < INT_STR_DIGITS
     if raise_limit:
         sys.set_int_max_str_digits(INT_STR_DIGITS)
@@ -749,7 +662,6 @@ __all__ = [
     "default_workers",
     "emit",
     "parse_report",
-    "repeated_size_stats",
     "run_table",
     "validate",
 ]

@@ -128,9 +128,6 @@ class Spectrum:
             itertools.chain.from_iterable([j] * a for j, a in self.counts)
         )
 
-    def has_repeat(self) -> bool:
-        return any(a >= 2 for _, a in self.counts)
-
 
 def _check_sums_to_one(pmf: dict, what: str, n: int) -> None:
     """A pmf table must sum to exactly 1 over its support, so a broken
@@ -793,16 +790,6 @@ def prob_no_repeated_sizes(n: int) -> NoRepeatProbs:
 # Mean tables for the harness
 
 
-def cross_moment_table(n: int) -> dict[tuple[int, int], Fraction]:
-    """E C~_i C~_j for 2 <= i <= j (second factorial moment on the diagonal)."""
-    return {
-        (i, j): component_pair_moment(n, i, j)
-        for i in range(2, n + 1)
-        for j in range(i, n + 1)
-        if i + j <= n
-    }
-
-
 def cycle_mean_table(n: int, model: CycleModel = "toes") -> dict[int, Fraction]:
     """mean_cycle_count for every length j."""
     lo = 1 if model == "standard" else 2
@@ -826,7 +813,6 @@ __all__ = [
     "core_size_pmf",
     "core_size_table",
     "core_size_tail_std",
-    "cross_moment_table",
     "cycle_mean_table",
     "derangement_cycle_type_pmf",
     "derangement_two_cycle_pmf",

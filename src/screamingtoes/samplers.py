@@ -22,11 +22,18 @@ with record skipping (Arratia, Barbour and Tavare 2003), so a replicate
 costs O(its cycles) random numbers and memory, not O(n).  It stops a row at
 its first 1-cycle; route 2 rejects that proposal and route 3 restarts the
 row, which leaves ESF(1) given a_1 = 0, a uniform derangement's cycle type.
+
+There is one tally format and one fold.  Every kernel, the brute-force
+oracle's :func:`every_mapping_counts` too, hands its groups (components or
+cycles) to :func:`_tally_pairs` as (replicate, size) pairs, one pair per
+group, and that fold builds every integer tally of :func:`zero_tally`;
+nothing builds a per-replicate (rows, n+1) count matrix.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -172,7 +179,7 @@ def sample_mappings_batch(n: int, count: int, rng: RngStream) -> np.ndarray:
 
     Drawing ``count`` rows in several calls gives the same rows as one call
     (numpy's bounded integers take whole 32-bit draws per value), which is
-    what lets the harness draw a batch in chunks of :func:`chunk_rows`.
+    what lets the direct route draw a batch in chunks of :func:`chunk_rows`.
     """
     u = rng.gen.integers(0, n - 1, size=(count, n), dtype=np.int64)
     u += u >= np.arange(n, dtype=np.int64)
@@ -181,15 +188,15 @@ def sample_mappings_batch(n: int, count: int, rng: RngStream) -> np.ndarray:
 
 @dataclass
 class DecompositionBatch:
-    """Per-replicate count matrices from a batch decomposition.
+    """(replicate, size) pairs from a batch decomposition, in replicate order.
 
-    ``component_counts[b, j]`` is the number of size-j components of
-    replicate b (column 0 unused); likewise ``cycle_counts`` for cycle
-    lengths.  ``core_sizes[b]`` is the number of cyclic elements.
+    ``components`` is the pair of arrays (replicate, size) with one entry
+    per component; ``cycles`` likewise, one entry per cycle.
+    ``core_sizes[b]`` is the number of cyclic elements of replicate b.
     """
 
-    component_counts: np.ndarray
-    cycle_counts: np.ndarray
+    components: tuple[np.ndarray, np.ndarray]
+    cycles: tuple[np.ndarray, np.ndarray]
     core_sizes: np.ndarray
 
 
@@ -201,21 +208,19 @@ def decompose_batch(images: np.ndarray) -> DecompositionBatch:
     it in the core at f**(2**K), K = ceil(log2 n).  The landed elements are
     the core; the orbit minimum of a core element labels its cycle, and the
     label of the cycle an element lands on labels its component.
-    Everything else is bincounts.  Working memory is a few arrays of B*n
-    entries, so callers bound it by the number of rows they pass.
+    Everything else is bincounts, whose nonzero entries are the groups.
+    Working memory is a few arrays of B*n entries, so callers bound it by
+    the number of rows they pass.
     """
     images = np.asarray(images)
     batch, n = images.shape
     orbit_min, landed = _orbit_min(images)
-
     is_core = np.zeros(batch * n, dtype=bool)
     is_core[landed] = True
-    core_sizes = is_core.reshape(batch, n).sum(axis=1)
-
-    comp_sizes = np.bincount(orbit_min[landed], minlength=batch * n).reshape(batch, n)
-    cycle_sizes = np.bincount(orbit_min[is_core], minlength=batch * n).reshape(batch, n)
     return DecompositionBatch(
-        _sizes_to_counts(comp_sizes), _sizes_to_counts(cycle_sizes), core_sizes
+        _label_pairs(orbit_min[landed], n),
+        _label_pairs(orbit_min[is_core], n),
+        is_core.reshape(batch, n).sum(axis=1),
     )
 
 
@@ -239,22 +244,21 @@ def _orbit_min(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return orbit_min, hop
 
 
-def _sizes_to_counts(sizes: np.ndarray) -> np.ndarray:
-    """Turn a (B, n) matrix of group sizes (0 = no group) into per-row
-    histograms (B, n+1) of how many groups have each size."""
-    batch, n = sizes.shape
-    flat = sizes.ravel()
-    where = np.flatnonzero(flat)
-    return np.bincount(
-        where // n * (n + 1) + flat[where], minlength=batch * (n + 1)
-    ).reshape(batch, n + 1)
+def _label_pairs(labels: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (row, size) pairs of the groups that flat labels name, one label
+    per member: a group's size is the number of its members, and its row is
+    the row of the flat index its label is."""
+    sizes = np.bincount(labels)
+    label = np.flatnonzero(sizes)
+    return label // n, sizes[label]
 
 
 # ---------------------------------------------------------------------------
-# Integer tallies of per-replicate counts
+# Integer tallies of (replicate, size) pairs
 
 #: Cells (rows times row width) a batch kernel works on at once.  A chunk of
-#: this size keeps decompose_batch under about 130 MB whatever the batch.
+#: this size keeps a direct-route batch under about 75 MB (traced) whatever
+#: its size.
 CHUNK_CELLS = 1 << 21
 
 
@@ -266,35 +270,28 @@ def chunk_rows(width: int) -> int:
 def zero_tally(n: int, *keys: str) -> dict[str, np.ndarray]:
     """Zeroed int64 tallies for size-n replicates.
 
-    ``<name>_sum`` and ``<name>_sumsq`` are per-length sums of counts and of
-    squared counts (length n+1), ``core_hist`` is a histogram of core sizes
-    (n+1), ``scream_hist`` one of 2-cycle counts (n//2 + 1), and
-    ``no_repeat`` counts the replicates with no repeated component size, no
-    repeated cycle length, and neither (3).
+    There is one tally format: every route hands its groups to one fold,
+    :func:`_tally_pairs`, as (replicate, size) pairs, and these are the
+    tallies it builds.  ``<name>_sum`` and ``<name>_sumsq`` are per-length
+    sums of counts and of squared counts (length n+1), ``core_hist`` is a
+    histogram of core sizes (n+1), ``scream_hist`` one of 2-cycle counts
+    (n//2 + 1; every cycle tally has one), and ``no_repeat`` counts the
+    replicates with no repeated component size, no repeated cycle length,
+    and neither (3).
     """
     width = {"scream_hist": n // 2 + 1, "no_repeat": 3}
     return {key: np.zeros(width.get(key, n + 1), dtype=np.int64) for key in keys}
 
 
-def tally_moments(tally: dict, name: str, counts: np.ndarray) -> None:
-    """Add a (rows, w) block of per-replicate count vectors, w <= n+1, to
-    ``tally[name + "_sum"]`` and ``tally[name + "_sumsq"]``."""
-    width = counts.shape[1]
-    tally[name + "_sum"][:width] += counts.sum(axis=0)
-    tally[name + "_sumsq"][:width] += (counts * counts).sum(axis=0)
-
-
-def tally_cycles(tally: dict, counts: np.ndarray) -> None:
-    """Add a block of per-replicate cycle counts to the ``cyc`` moments and
-    to the histogram of 2-cycles (screaming pairs)."""
-    tally_moments(tally, "cyc", counts)
-    tally["scream_hist"] += np.bincount(counts[:, 2], minlength=tally["scream_hist"].size)
-
-
-def _tally_pairs(tally: dict, name: str, rows: np.ndarray, lengths: np.ndarray) -> None:
-    """Add (row, group length) pairs, one per group, to ``tally[name + "_sum"]``
-    and ``tally[name + "_sumsq"]``: the per-length sums over rows of the
-    count c of such groups and of c**2 (the tallies of a dense count matrix)."""
+def _tally_pairs(
+    tally: dict, name: str, rows: np.ndarray, lengths: np.ndarray, num_rows: int
+) -> np.ndarray:
+    """Fold a block of (row, group length) pairs, one per group of the rows
+    0..num_rows-1, into a tally: ``tally[name + "_sum"]`` and
+    ``tally[name + "_sumsq"]`` get the per-length sums over rows of the
+    count c of such groups and of c**2, and for cycles (``name == "cyc"``)
+    ``scream_hist`` gets every row's count of 2-cycles.  Returns the rows
+    that have two groups of one length, sorted and once each."""
     width = tally[name + "_sum"].size
     codes, counts = np.unique(rows * width + lengths, return_counts=True)
     length = codes % width
@@ -302,6 +299,92 @@ def _tally_pairs(tally: dict, name: str, rows: np.ndarray, lengths: np.ndarray) 
     tally[name + "_sumsq"] += np.bincount(
         length, weights=counts * counts, minlength=width
     ).astype(np.int64)
+    if name == "cyc":
+        twos = counts[length == 2]
+        hist = tally["scream_hist"]
+        hist += np.bincount(twos, minlength=hist.size)
+        hist[0] += num_rows - twos.size
+    repeated = codes[counts > 1] // width  # sorted, as the codes are
+    return repeated[np.diff(repeated, prepend=-1) > 0]
+
+
+#: The tally keys of whole mappings, which :func:`_tally_mappings` fills.
+_MAPPING_KEYS = (
+    "comp_sum", "comp_sumsq", "cyc_sum", "cyc_sumsq", "scream_hist", "core_hist", "no_repeat",
+)
+
+
+def _tally_mappings(tally: dict, images: np.ndarray) -> DecompositionBatch:
+    """Decompose a (rows, n) block of mappings and fold its component and
+    cycle pairs into a tally with the keys ``_MAPPING_KEYS``; returns the
+    block's decomposition.  The direct route and the brute-force oracle both
+    fold through here."""
+    dec = decompose_batch(images)
+    rows = len(images)
+    comp_repeats = _tally_pairs(tally, "comp", *dec.components, rows)
+    cyc_repeats = _tally_pairs(tally, "cyc", *dec.cycles, rows)
+    tally["core_hist"] += np.bincount(dec.core_sizes, minlength=tally["core_hist"].size)
+    either = np.union1d(comp_repeats, cyc_repeats)
+    tally["no_repeat"] += [rows - comp_repeats.size, rows - cyc_repeats.size, rows - either.size]
+    return dec
+
+
+def toes_mapping_counts_batch(n: int, count: int, rng: RngStream) -> dict[str, np.ndarray]:
+    """Tallies (keys ``_MAPPING_KEYS``) of ``count`` uniform fixed-point-free
+    mappings by the direct route, drawn and decomposed in chunks of
+    :func:`chunk_rows` rows; the chunks' draws are the batch's draws, so the
+    tallies do not depend on the chunk size."""
+    tally = zero_tally(n, *_MAPPING_KEYS)
+    step = chunk_rows(n)
+    for done in range(0, count, step):
+        _tally_mappings(tally, sample_mappings_batch(n, min(step, count - done), rng))
+    return tally
+
+
+def every_mapping_counts(n: int, model: str) -> tuple[dict[str, np.ndarray], dict]:
+    """The brute-force oracle's fold: the tallies (``replicates`` and the
+    keys ``_MAPPING_KEYS``) of every mapping of size n, 2 <= n <= 7, with no
+    fixed point in the "toes" model and any in the "standard" one, and the
+    number of mappings with each joint spectrum (component sizes, cycle
+    lengths), as tuples of sizes.
+
+    Mapping m has the base-``choices`` digits of m as images, shifted past
+    their own index in the toes model.  A block's joint spectra are first
+    base-(n+1) codes, one bincount over its pairs: a size-j component adds
+    (n+1)**(j-1) to its mapping's code and a length-j cycle (n+1)**(n+j-1).
+    """
+    if model not in ("standard", "toes"):
+        raise ValueError("model must be 'standard' or 'toes'")
+    if not 2 <= n <= 7:
+        raise ValueError("brute-force enumeration is limited to 2 <= n <= 7")
+    choices = n - 1 if model == "toes" else n
+    total = choices**n
+    tally = zero_tally(n, *_MAPPING_KEYS)
+    codes: Counter[int] = Counter()
+    place = choices ** np.arange(n, dtype=np.int64)
+    digit = (n + 1) ** np.arange(2 * n, dtype=np.int64)
+    block = 1 << 14  # mappings decomposed at once: about 6 MB at n = 7
+    for start in range(0, total, block):
+        images = np.arange(start, min(start + block, total))[:, None] // place % choices
+        if model == "toes":
+            images += images >= np.arange(n)
+        dec = _tally_mappings(tally, images)
+        (comp_rows, comp_sizes), (cyc_rows, cyc_lengths) = dec.components, dec.cycles
+        # float64 sums are exact: every code is below (n+1)**(2n) <= 2**42
+        code = np.bincount(
+            np.concatenate([comp_rows, cyc_rows]),
+            weights=np.concatenate([digit[comp_sizes - 1], digit[n + cyc_lengths - 1]]),
+        ).astype(np.int64)
+        values, counts = np.unique(code, return_counts=True)
+        codes.update(dict(zip(values.tolist(), counts.tolist())))
+    assert sum(codes.values()) == total
+
+    def sizes(code: int) -> tuple[int, ...]:  # the spectrum in the n low digits
+        digits = [code // (n + 1) ** k % (n + 1) for k in range(n)]
+        return tuple(j for j, times in enumerate(digits, 1) for _ in range(times))
+
+    joint = {(sizes(c), sizes(c // (n + 1) ** n)): k for c, k in codes.items()}
+    return {"replicates": total, **tally}, joint
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +520,7 @@ def toes_component_counts_batch(
     tally = zero_tally(n, "comp_sum", "comp_sumsq")
     attempts = 0
     for rows, lengths, attempts in _accepted_components(n, count, rng):
-        _tally_pairs(tally, "comp", rows, lengths)
+        _tally_pairs(tally, "comp", rows, lengths, count)
     return tally, attempts
 
 
@@ -539,10 +622,7 @@ def derangement_cycle_counts_batch(
     tally = zero_tally(n, "cyc_sum", "cyc_sumsq", "scream_hist")
     for lo in range(0, sizes.size, ROW_CHUNK):
         block = sizes[lo:lo + ROW_CHUNK]
-        rows, lengths = _derangement_cycles(block, n, rng)
-        _tally_pairs(tally, "cyc", rows, lengths)
-        twos = np.bincount(rows[lengths == 2], minlength=block.size)
-        tally["scream_hist"] += np.bincount(twos, minlength=tally["scream_hist"].size)
+        _tally_pairs(tally, "cyc", *_derangement_cycles(block, n, rng), block.size)
     return tally
 
 
@@ -579,15 +659,15 @@ __all__ = [
     "decompose_batch",
     "derangement_cycle_counts_batch",
     "esf_cycle_counts_batch",
+    "every_mapping_counts",
     "exact_acceptance_probability",
     "omega_values",
     "sample_mapping",
     "sample_mappings_batch",
     "sample_toes_components",
     "sample_toes_core",
-    "tally_cycles",
-    "tally_moments",
     "toes_component_counts_batch",
     "toes_core_cycle_counts_batch",
+    "toes_mapping_counts_batch",
     "zero_tally",
 ]

@@ -265,18 +265,27 @@ class TestEmit:
         assert report.records[0].exact.denominator.bit_length() > 4300 * math.log2(10)
 
 
+def _no_repeat_shares(n, reps, seed, **config):
+    """The direct route's (no repeated component size, no repeated cycle
+    length, neither) shares; a config with no table builds no exact column."""
+    config = ExperimentConfig(n=n, replicates=reps, seed=seed, tables=(), **config)
+    tally = harness._run_simulation("direct", config)
+    assert tally["replicates"] == reps
+    return tuple(float(c / reps) for c in tally["no_repeat"])
+
+
 class TestRepeatedSizeStats:
     def test_degenerate_n2(self):
-        assert harness.repeated_size_stats(2, 200, seed=1) == (1.0, 1.0, 1.0)
+        assert _no_repeat_shares(2, 200, seed=1) == (1.0, 1.0, 1.0)
 
     def test_not_bounded_by_the_exact_table(self):
         n = laws.REPEATS_MAX_N + 10
-        probs = harness.repeated_size_stats(n, 50, seed=3, workers=1)
+        probs = _no_repeat_shares(n, 50, seed=3, workers=1)
         assert all(0.0 <= p <= 1.0 for p in probs) and probs[2] <= min(probs[:2])
 
     def test_n4_matches_enumeration(self):
         reps = 40_000
-        sim = harness.repeated_size_stats(4, reps, seed=21, batch_size=10_000)
+        sim = _no_repeat_shares(4, reps, seed=21, batch_size=10_000)
         exact = brute_force_law(4, "toes").no_repeat
         for s, e in zip(sim, exact):
             e = float(to_mpf(e))
@@ -423,6 +432,8 @@ class TestCli:
         (["simulate", "--table", "scream"], '{"n": "ten"}', None),
         (["simulate", "--table", "scream", "--n", "5"], '{"reps": 4000.5}', None),
         (["simulate", "--table", "scream", "--n", "5", "--reps", "100"], None, "abc"),
+        (["simulate", "--table", "scream", "--n", "5", "--reps", "100"], None, "0"),
+        (["simulate", "--table", "scream", "--n", "5", "--reps", "100"], None, "-3"),
         (["exact", "--table", "q", "--n", "5"], '{"format": "xml"}', None),
         (["validate", "--n", "4"], '{"model": "foo"}', None),
         (["exact", "--table", "q", "--n", "5"], '{"model": "foo"}', None),
@@ -436,7 +447,8 @@ class TestCli:
         (["validate", "--n", "3"], '{"workers": 2}', None),
         (["validate", "--n", "3"], '{"batch-size": 100}', None),
     ], ids=["empty-tables", "missing-config", "config-not-json", "config-str-n",
-            "config-float-reps", "workers-env", "config-format-choice",
+            "config-float-reps", "workers-env", "workers-env-0", "workers-env-negative",
+            "config-format-choice",
             "config-model-choice-validate", "config-model-choice-exact", "out-missing-dir",
             "out-is-a-dir", "validate-n8", "validate-format", "validate-workers",
             "validate-batch-size", "validate-config-format", "validate-config-workers",

@@ -25,8 +25,6 @@ class TestSpectrum:
         assert s.n == 7 and s.counts == ((2, 2), (3, 1))
         assert s.sizes() == (2, 2, 3)
         assert s.num_groups == 3
-        assert s.has_repeat()
-        assert not spectrum(2, 3).has_repeat()
 
     def test_complete_must_balance(self):
         with pytest.raises(ValueError):

@@ -155,6 +155,8 @@ class TestDecompose:
         for n in (2, 3, 5, 8, 16):
             imgs = sample_mappings_batch(n, 300, rng)
             batch = decompose_batch(imgs)
+            comps = _dense_counts(*batch.components, imgs.shape[0], n)
+            cycles = _dense_counts(*batch.cycles, imgs.shape[0], n)
             for b in range(imgs.shape[0]):
                 dec = decompose(Mapping(tuple(int(v) for v in imgs[b])))
                 comp = np.zeros(n + 1, dtype=np.int64)
@@ -163,8 +165,8 @@ class TestDecompose:
                 cyc = np.zeros(n + 1, dtype=np.int64)
                 for j, a in dec.cycle_lengths.counts:
                     cyc[j] = a
-                assert (batch.component_counts[b] == comp).all()
-                assert (batch.cycle_counts[b] == cyc).all()
+                assert (comps[b] == comp).all()
+                assert (cycles[b] == cyc).all()
                 assert batch.core_sizes[b] == dec.core_size
 
     @pytest.mark.parametrize("model", ["toes", "standard"])
@@ -178,17 +180,10 @@ class TestDecompose:
             if model == "standard" or all(v != i for i, v in enumerate(image))
         ])
         assert len(images) == (n if model == "standard" else n - 1) ** n
-        comp = np.zeros((len(images), n + 1), dtype=np.int64)
-        cyc = np.zeros_like(comp)
-        core = np.zeros(len(images), dtype=np.int64)
-        for b, image in enumerate(images.tolist()):
-            comp_sizes, cycle_lens, cyclic = samplers._decompose_image(image)
-            np.add.at(comp[b], comp_sizes, 1)
-            np.add.at(cyc[b], cycle_lens, 1)
-            core[b] = sum(cyclic)
+        comp, cyc, core = _scalar_counts(images, n)
         batch = decompose_batch(images)
-        assert (batch.component_counts == comp).all()
-        assert (batch.cycle_counts == cyc).all()
+        assert (_dense_counts(*batch.components, len(images), n) == comp).all()
+        assert (_dense_counts(*batch.cycles, len(images), n) == cyc).all()
         assert (batch.core_sizes == core).all()
 
 
@@ -240,6 +235,21 @@ def _check_stopped_esf_law(n, theta, reps, rng):
     observed = _class_counts(counts, n)
     expected = {_class_key_from_sizes(parts, n): p / p_full for parts, p in no_ones.items()}
     assert chi_square_pvalue(observed, expected, full.size) > 1e-4
+
+
+def _scalar_counts(images, n):
+    """Per-row component and cycle count matrices, (rows, n+1), and core
+    sizes of a block of mappings, decomposed one row at a time by the scalar
+    walk, independently of decompose_batch."""
+    comp = np.zeros((len(images), n + 1), dtype=np.int64)
+    cyc = np.zeros_like(comp)
+    core = np.zeros(len(images), dtype=np.int64)
+    for b, image in enumerate(images.tolist()):
+        comp_sizes, cycle_lens, cyclic = samplers._decompose_image(image)
+        np.add.at(comp[b], comp_sizes, 1)
+        np.add.at(cyc[b], cycle_lens, 1)
+        core[b] = sum(cyclic)
+    return comp, cyc, core
 
 
 def _accepted(n, reps, rng):
@@ -547,18 +557,21 @@ class TestChunkedTallies:
     matrices give."""
 
     def test_direct_route_n9(self, monkeypatch):
+        # reference: the same draws decomposed by the scalar walk, one row at
+        # a time, into full per-row count matrices
         n, reps, seed = 9, 1000, 4242
-        dec = decompose_batch(sample_mappings_batch(n, reps, RngStream(seed)))
-        comp, cyc = dec.component_counts, dec.cycle_counts
+        comp, cyc, core = _scalar_counts(sample_mappings_batch(n, reps, RngStream(seed)), n)
         no_comp, no_cyc = (comp <= 1).all(axis=1), (cyc <= 1).all(axis=1)
         want = {
             "replicates": reps,
             **_matrix_tally(comp, "comp"),
             **_matrix_tally(cyc, "cyc"),
             "scream_hist": np.bincount(cyc[:, 2], minlength=n // 2 + 1),
-            "core_hist": np.bincount(dec.core_sizes, minlength=n + 1),
+            "core_hist": np.bincount(core, minlength=n + 1),
             "no_repeat": [no_comp.sum(), no_cyc.sum(), (no_comp & no_cyc).sum()],
         }
+        assert 0 < no_comp.sum() < reps and 0 < no_cyc.sum() < reps
+        assert 0 < want["scream_hist"][0] < reps
         monkeypatch.setattr(samplers, "CHUNK_CELLS", 40)  # 4 rows a chunk
         got = harness._simulate_batch(("direct", n, seed, reps))
         assert sorted(got) == sorted(want)
@@ -615,12 +628,12 @@ class TestMemoryBound:
         assert peak < 16
 
     def test_direct_batch(self):
-        # one chunk of 2**21 cells needs about 130 MB, whatever the batch size
+        # one chunk of 2**21 cells needs about 74 MB, whatever the batch size
         peak = _traced_peak_mb(harness._simulate_batch, ("direct", 1000, 951, 5_000))
         assert peak < 160
 
     def test_brute_force_oracle(self):
-        # blocks of 2**14 mappings take about 10 MB; all 7**7 at once would
+        # blocks of 2**14 mappings take about 6 MB; all 7**7 at once would
         # take well over 100 MB
         assert _traced_peak_mb(harness.brute_force_law, 7, "standard") < 30
 
@@ -641,9 +654,10 @@ class TestDirectRegression:
         done = 0
         while done < reps:
             size = min(250_000, reps - done)
-            imgs = sample_mappings_batch(n, size, rng)
-            dec = decompose_batch(imgs)
-            stacked = np.hstack([dec.component_counts, dec.cycle_counts])
+            dec = decompose_batch(sample_mappings_batch(n, size, rng))
+            stacked = np.hstack([
+                _dense_counts(*dec.components, size, n), _dense_counts(*dec.cycles, size, n)
+            ])
             for key, c in _class_counts(stacked, n).items():
                 observed[key] = observed.get(key, 0) + c
             done += size
@@ -654,15 +668,11 @@ class TestCrossMoments:
     def test_product_moment_against_direct_simulation(self):
         n, reps = 10, 300_000
         direct = decompose_batch(sample_mappings_batch(n, reps, RngStream(1400)))
-        prod = direct.component_counts[:, 2] * direct.component_counts[:, 3]
+        comp = _dense_counts(*direct.components, reps, n)
+        prod = comp[:, 2] * comp[:, 3]
         exact = float(to_mpf(laws.factorial_moment(n, {2: 1, 3: 1})))
         se = prod.std(ddof=1) / math.sqrt(reps)
         assert abs(prod.mean() - exact) <= 4 * se
-
-    def test_cross_moment_table_matches(self):
-        table = laws.cross_moment_table(10)
-        assert table[(2, 3)] == laws.factorial_moment(10, {2: 1, 3: 1})
-        assert (2, 9) not in table  # vanishing cells are omitted
 
 
 class TestLargeN:
@@ -680,9 +690,10 @@ class TestRouteAgreement:
         n, reps = 8, 120_000
         rej, _ = toes_component_counts_batch(n, reps, RngStream(1100))
         direct = decompose_batch(sample_mappings_batch(n, reps, RngStream(1101)))
+        comp = _dense_counts(*direct.components, reps, n)
         for j in range(2, n + 1):
             a_mean, a_se = _mean_and_se(rej, "comp", j, reps)
-            b = direct.component_counts[:, j]
+            b = comp[:, j]
             se = math.sqrt(a_se**2 + b.var(ddof=1) / reps)
             exact = float(to_mpf(laws.mean_component_count(n, j, "toes")))
             assert abs(a_mean - b.mean()) <= 4 * max(se, 1e-9)
@@ -692,9 +703,10 @@ class TestRouteAgreement:
         n, reps = 8, 120_000
         joint = toes_core_cycle_counts_batch(n, reps, RngStream(1102))
         direct = decompose_batch(sample_mappings_batch(n, reps, RngStream(1103)))
+        cyc = _dense_counts(*direct.cycles, reps, n)
         for j in range(2, n + 1):
             a_mean, a_se = _mean_and_se(joint, "cyc", j, reps)
-            b = direct.cycle_counts[:, j]
+            b = cyc[:, j]
             se = math.sqrt(a_se**2 + b.var(ddof=1) / reps)
             assert abs(a_mean - b.mean()) <= 4 * max(se, 1e-9)
 
