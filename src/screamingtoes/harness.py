@@ -105,8 +105,8 @@ class ExperimentConfig:
                     f"the {self.method!r} method cannot produce the {table!r} table; "
                     f"it supports {supported}"
                 )
-        if self.method == "brute-force" and self.size > 7:
-            raise ValueError("brute-force enumeration is limited to n <= 7")
+        if self.method == "brute-force" and self.size > samplers.ENUMERATION_MAX_N:
+            raise ValueError(f"brute-force enumeration is limited to n <= {samplers.ENUMERATION_MAX_N}")
         if "repeats" in self.tables and self.size > laws.REPEATS_MAX_N:
             raise ValueError(
                 f"the repeats table is limited to n <= {laws.REPEATS_MAX_N} "
@@ -543,7 +543,7 @@ def _exact_fields(value) -> dict:
     return {"exact": repr(float(value)), "exact_rational": None, "exact_float": float(value)}
 
 
-def emit(report: ExperimentReport, format: str = "pretty", out: str | None = None) -> str:
+def emit(report: ExperimentReport, format: str = "pretty") -> str:
     """Serialise a report; deterministic byte-for-byte for a given report.
 
     pretty and csv round decimals to 4 places; json carries full precision
@@ -551,11 +551,7 @@ def emit(report: ExperimentReport, format: str = "pretty", out: str | None = Non
     never serialised, keeping equal-config runs byte-identical.
     """
     with _long_int_strings():
-        text = _serialise(report, format)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    return text
+        return _serialise(report, format)
 
 
 def _serialise(report: ExperimentReport, format: str) -> str:

@@ -616,25 +616,12 @@ def scream_pmf_table(n: int) -> dict[int, Fraction]:
 
 
 def prob_someone_screams(n: int) -> Fraction:
-    """P(at least one screaming pair), q_n.
+    """P(at least one screaming pair), q_n = 1 - P(no screaming pair).
 
-    Computed from its own alternating series
-    sum_{l>=1} (-1)**(l-1) n_[2l] / (2**l l! (n-1)**(2l))
-    and checked exactly against 1 - P(no screaming pair).
+    That is one alternating series,
+    sum_{l>=1} (-1)**(l-1) n_[2l] / (2**l l! (n-1)**(2l)).
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    top = n // 2
-    fal = 1  # n_[2l], starting from l = 0
-    num = 0
-    for l in range(1, top + 1):
-        fal *= (n - 2 * l + 2) * (n - 2 * l + 1)
-        num = num * (2 * l * (n - 1) ** 2) + (-1) ** (l - 1) * fal
-    direct = Fraction(num, 2**top * math.factorial(top) * (n - 1) ** (2 * top))
-    complement = 1 - scream_pmf(n, 0)
-    if direct != complement:
-        raise ConsistencyError(f"q_n routes disagree at n={n}")
-    return direct
+    return 1 - scream_pmf(n, 0)
 
 
 SCREAM_LIMIT = "1 - e**(-1/2)"  # limiting q_n, about 0.393469

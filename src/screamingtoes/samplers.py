@@ -341,12 +341,17 @@ def toes_mapping_counts_batch(n: int, count: int, rng: RngStream) -> dict[str, n
     return tally
 
 
+#: Largest n that the brute-force oracle enumerates: 6**7, about 280 000
+#: toes mappings (7**7, about 820 000, in the standard model).
+ENUMERATION_MAX_N = 7
+
+
 def every_mapping_counts(n: int, model: str) -> tuple[dict[str, np.ndarray], dict]:
     """The brute-force oracle's fold: the tallies (``replicates`` and the
-    keys ``_MAPPING_KEYS``) of every mapping of size n, 2 <= n <= 7, with no
-    fixed point in the "toes" model and any in the "standard" one, and the
-    number of mappings with each joint spectrum (component sizes, cycle
-    lengths), as tuples of sizes.
+    keys ``_MAPPING_KEYS``) of every mapping of size n, 2 <= n <=
+    :data:`ENUMERATION_MAX_N`, with no fixed point in the "toes" model and
+    any in the "standard" one, and the number of mappings with each joint
+    spectrum (component sizes, cycle lengths), as tuples of sizes.
 
     Mapping m has the base-``choices`` digits of m as images, shifted past
     their own index in the toes model.  A block's joint spectra are first
@@ -355,8 +360,8 @@ def every_mapping_counts(n: int, model: str) -> tuple[dict[str, np.ndarray], dic
     """
     if model not in ("standard", "toes"):
         raise ValueError("model must be 'standard' or 'toes'")
-    if not 2 <= n <= 7:
-        raise ValueError("brute-force enumeration is limited to 2 <= n <= 7")
+    if not 2 <= n <= ENUMERATION_MAX_N:
+        raise ValueError(f"brute-force enumeration is limited to 2 <= n <= {ENUMERATION_MAX_N}")
     choices = n - 1 if model == "toes" else n
     total = choices**n
     tally = zero_tally(n, *_MAPPING_KEYS)
@@ -650,6 +655,7 @@ __all__ = [
     "CHUNK_CELLS",
     "Decomposition",
     "DecompositionBatch",
+    "ENUMERATION_MAX_N",
     "Mapping",
     "ROW_CHUNK",
     "RngStream",

@@ -223,11 +223,6 @@ class TestEmit:
         assert "screaming pairs" in text
         assert "scream_pmf[k=0]" in text
 
-    def test_out_writes_file(self, report, tmp_path):
-        path = tmp_path / "report.csv"
-        emit(report, "csv", out=str(path))
-        assert path.read_text().startswith("statistic,")
-
     def test_unknown_format(self, report):
         with pytest.raises(ValueError):
             emit(report, "xml")
@@ -347,6 +342,25 @@ class TestCli:
         # --n 5 overrides the file's n=6: support of k ends at 2
         assert "scream_pmf[k=2]" in text and "scream_pmf[k=3]" not in text
 
+    @pytest.mark.parametrize("key", ["batch_size", "batch-size"])
+    def test_config_file_accepts_batch_size_either_way(self, key, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 7}))
+        rc = cli.main([
+            "simulate", "--table", "scream", "--n", "4", "--reps", "20", "--workers", "1",
+            "--format", "json", "--config", str(cfg),
+        ])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["metadata"]["batch_size"] == 7
+
+    def test_validate_help_lists_only_its_own_flags(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["validate", "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        assert all(flag in text for flag in ("--n", "--model", "--config", "--out", "--seed"))
+        assert not any(flag in text for flag in ("--format", "--workers", "--batch-size"))
+
     def test_config_file_rejects_unknown_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus": 1}))
@@ -446,13 +460,28 @@ class TestCli:
         (["validate", "--n", "3"], '{"format": "csv"}', None),
         (["validate", "--n", "3"], '{"workers": 2}', None),
         (["validate", "--n", "3"], '{"batch-size": 100}', None),
+        (["exact", "--table", "q", "--n", "abc"], None, None),
+        (["simulate", "--table", "q", "--bogus", "1"], None, None),
+        (["exact", "--n", "3"], None, None),
+        ([], None, None),
+        (["exact", "--table", "q", "--n", "5", "--format", "xml"], None, None),
+        (["simulate", "--table", "scream", "--n", "5", "--method", "foo"], None, None),
+        (["validate", "--n", "3", "--model", "both"], None, None),
+        (["exact", "--table", "q"], '{"n": "6"}', None),
+        (["exact", "--table", "q"], '{"n": true}', None),
+        (["exact", "--table", "q"], '{"help": true}', None),
+        (["simulate", "--table", "scream"], '{"rep": 100}', None),
+        (["exact", "--table", "q"], '{"bogus": "a\\nb"}', None),
     ], ids=["empty-tables", "missing-config", "config-not-json", "config-str-n",
             "config-float-reps", "workers-env", "workers-env-0", "workers-env-negative",
             "config-format-choice",
             "config-model-choice-validate", "config-model-choice-exact", "out-missing-dir",
             "out-is-a-dir", "validate-n8", "validate-format", "validate-workers",
             "validate-batch-size", "validate-config-format", "validate-config-workers",
-            "validate-config-batch-size"])
+            "validate-config-batch-size", "n-not-an-integer", "unknown-flag", "exact-without-table",
+            "empty-argv", "format-choice", "method-choice", "validate-model-both",
+            "config-numeric-str-n", "config-bool-n", "config-help", "config-abbreviated-key",
+            "config-unknown-key-with-a-newline"])
     def test_bad_input_is_a_one_line_error(self, argv, config, env, tmp_path, monkeypatch, capsys):
         argv = [arg.format(missing=tmp_path / "missing.json", tmp=tmp_path) for arg in argv]
         if config is not None:

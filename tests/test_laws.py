@@ -403,6 +403,11 @@ class TestScreamLaws:
         assert laws.prob_someone_screams(2) == 1
         assert laws.prob_someone_screams(5) == 1 - laws.scream_pmf(5, 0)
         assert format_fixed(1 - laws.prob_someone_screams(5)) == "0.4336"
+        # the k >= 1 series share no terms with the k = 0 one that q_n is
+        # built from; the table's sum-to-one check ties the two together
+        for n in range(2, 41):
+            table = laws.scream_pmf_table(n)
+            assert laws.prob_someone_screams(n) == sum(p for k, p in table.items() if k >= 1)
 
     def test_q_approaches_limit_from_above(self):
         limit = 1 - math.exp(-0.5)
