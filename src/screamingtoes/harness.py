@@ -112,6 +112,11 @@ class ExperimentConfig:
                 f"the repeats table is limited to n <= {laws.REPEATS_MAX_N} "
                 "(the cost of its exact joint law grows exponentially with n)"
             )
+        if "acceptance" in self.tables and self.size > samplers.ACCEPTANCE_MAX_N:
+            raise ValueError(
+                f"the acceptance table is limited to n <= {samplers.ACCEPTANCE_MAX_N} "
+                "(its exact recurrence is O(n**2))"
+            )
 
     @property
     def size(self) -> int:

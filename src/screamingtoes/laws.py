@@ -27,7 +27,6 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Literal, Mapping, NamedTuple
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .exact import (
     ScaledExp,
@@ -172,6 +171,51 @@ def lambda_toes(j: int) -> ScaledExp:
     if j < 2:
         raise ValueError("components of size < 2 do not exist in the toes model")
     return ScaledExp(poisson_partial_sum(j, j - 2) / j, -j)
+
+
+#: Largest j whose w_j :func:`omega` rounds from the exact law; above it
+#: Ramanujan's expansion is within 1 ulp of a 200-bit evaluation (checked for
+#: j = 101..3000, and exact at j = 10**4, 10**5 and 10**6).
+OMEGA_EXACT_MAX_J = 100
+
+
+@lru_cache(maxsize=1)
+def _omega_exact() -> np.ndarray:
+    """w_j for j = 0..OMEGA_EXACT_MAX_J (zero below 2), each the exact
+    lambda~_j * j rounded once; about 7 ms for the whole table."""
+    w = np.zeros(OMEGA_EXACT_MAX_J + 1)
+    for j in range(2, OMEGA_EXACT_MAX_J + 1):
+        w[j] = float(lambda_toes(j) * j)
+    return w
+
+
+def omega(j: np.ndarray) -> np.ndarray:
+    """w_j = P(Po(j) <= j-2) = j lambda~_j, elementwise over integers j >= 2,
+    as float64.  This is the regularised upper incomplete gamma Q(j-1, j).
+
+    Up to :data:`OMEGA_EXACT_MAX_J` each value is the exact law rounded
+    once.  Above it, Ramanujan's expansion (Flajolet, Grabner, Kirschenhofer
+    and Prodinger 1995, "On Ramanujan's Q-function") gives
+    w_j = 1/2 - (1 + theta_j) t_j, with t_j = P(Po(j) = j) = e**-j j**j / j!
+    from Stirling's series and
+    theta_j = 1/3 + 4/(135j) - 8/(2835j**2) - 16/(8505j**3)
+              + 8992/(12629925j**4) + 334144/(492567075j**5).
+    Cutting theta_j there errs by 1.8e-17 at j = 101, a third of an ulp,
+    and the error falls like j**-6.5.
+    """
+    j = np.asarray(j, dtype=np.int64)
+    if j.size and j.min() < 2:
+        raise ValueError("w_j is defined for j >= 2")
+    w = np.empty(j.shape)
+    small = j <= OMEGA_EXACT_MAX_J
+    w[small] = _omega_exact()[j[small]]
+    large = j[~small].astype(np.float64)
+    x = 1.0 / large
+    theta = 1 / 3 + x * (4 / 135 + x * (-8 / 2835 + x * (
+        -16 / 8505 + x * (8992 / 12629925 + x * (334144 / 492567075)))))
+    t = np.exp(x * (-1 / 12 + x * x * (1 / 360 - x * x / 1260))) / np.sqrt(2 * np.pi * large)
+    w[~small] = 0.5 - (1.0 + theta) * t
+    return w
 
 
 def component_count_with_core(size: int, core: int) -> int:
@@ -635,11 +679,11 @@ def spitzer_partial_sum(limit: int = 10**6, method: str = "gamma") -> float:
     """sum_{j=2}^{limit} (1/j) (1/2 - P(Po(j) <= j-2)).
 
     The series converges to (1 + log 2)/2 with an O(limit**-1/2) tail,
-    hence the large default truncation.  ``method="gamma"``
-    evaluates the Poisson tail through the regularised incomplete gamma
-    function, vectorised; ``method="series"`` uses the term-by-term scaled
-    accumulation of :func:`exact.poisson_cdf` and is quadratic in `limit`,
-    kept as an independent cross-check for moderate limits.
+    hence the large default truncation.  ``method="gamma"`` takes the
+    Poisson tail Q(j-1, j) from :func:`omega`, vectorised;
+    ``method="series"`` uses the term-by-term scaled accumulation of
+    :func:`exact.poisson_cdf` and is quadratic in `limit`, kept as an
+    independent cross-check for moderate limits.
     """
     if limit < 2:
         raise ValueError("limit must be >= 2")
@@ -652,10 +696,8 @@ def spitzer_partial_sum(limit: int = 10**6, method: str = "gamma") -> float:
     total = 0.0
     chunk = 2_000_000
     for start in range(2, limit + 1, chunk):
-        stop = min(limit, start + chunk - 1)
-        j = np.arange(start, stop + 1, dtype=np.float64)
-        # P(Po(j) <= j-2) is the regularised upper incomplete gamma Q(j-1, j)
-        total += float(((0.5 - gammaincc(j - 1, j)) / j).sum())
+        j = np.arange(start, min(limit, start + chunk - 1) + 1)
+        total += float(((0.5 - omega(j)) / j).sum())
     return total
 
 
@@ -788,6 +830,7 @@ __all__ = [
     "CycleModel",
     "Model",
     "NoRepeatProbs",
+    "OMEGA_EXACT_MAX_J",
     "REPEATS_MAX_N",
     "Spectrum",
     "component_count_with_core",
@@ -811,6 +854,7 @@ __all__ = [
     "lambda_toes",
     "mean_component_count",
     "mean_cycle_count",
+    "omega",
     "partitions",
     "prob_no_repeated_sizes",
     "prob_someone_screams",

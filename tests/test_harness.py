@@ -288,6 +288,14 @@ class TestRepeatedSizeStats:
             assert abs(s - e) <= 4 * se
 
 
+def _run_python(script: str, argv: list[str]) -> subprocess.CompletedProcess:
+    """``python -c script argv...`` in a fresh interpreter that imports this
+    package from the source tree."""
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    return subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+
+
 class TestCli:
     def test_exact_q_csv(self, tmp_path, capsys):
         out = tmp_path / "q.csv"
@@ -405,6 +413,34 @@ class TestCli:
         assert time.perf_counter() - started < 2.0
         assert "acceptance_rate,0.2581" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, shows", [
+        (["tables", "--reps", "2000", "--batch-size", "1000", "--workers", "1"],
+         "Mean number of components by size"),
+        (["tables", "--tables", "components,acceptance", "--method", "rejection", "--n", "150",
+          "--reps", "200", "--workers", "1"], "acceptance_rate"),
+    ], ids=["default-tables", "rejection-n150"])
+    def test_cli_runs_with_scipy_blocked(self, argv, shows):
+        # scipy is a test dependency only.  The default tables run the
+        # rejection route at n = 10; n = 150 reaches the w_j above the
+        # exact-law switch, in the sampler and in the acceptance recurrence
+        script = ("import sys\n"
+                  "sys.modules['scipy'] = None  # every scipy import now raises\n"
+                  "from screamingtoes import cli\n"
+                  "sys.exit(cli.main(sys.argv[1:]))\n")
+        done = _run_python(script, argv)
+        assert done.returncode == 0, done.stderr
+        assert shows in done.stdout
+
+    def test_cli_loads_no_scipy(self):
+        script = ("import sys\n"
+                  "from screamingtoes import cli\n"
+                  "loaded = lambda: [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+                  "assert not loaded(), loaded()\n"
+                  "cli.main(sys.argv[1:])\n"
+                  "assert not loaded(), loaded()\n")
+        done = _run_python(script, ["tables", "--reps", "2000", "--batch-size", "1000", "--workers", "1"])
+        assert done.returncode == 0, done.stderr
+
     def test_workers_env_default(self, monkeypatch):
         monkeypatch.setenv(harness.ENV_WORKERS, "3")
         assert harness.default_workers() == 3
@@ -472,6 +508,7 @@ class TestCli:
         (["exact", "--table", "q"], '{"help": true}', None),
         (["simulate", "--table", "scream"], '{"rep": 100}', None),
         (["exact", "--table", "q"], '{"bogus": "a\\nb"}', None),
+        (["exact", "--table", "acceptance", "--n", "3001"], None, None),
     ], ids=["empty-tables", "missing-config", "config-not-json", "config-str-n",
             "config-float-reps", "workers-env", "workers-env-0", "workers-env-negative",
             "config-format-choice",
@@ -481,7 +518,7 @@ class TestCli:
             "validate-config-batch-size", "n-not-an-integer", "unknown-flag", "exact-without-table",
             "empty-argv", "format-choice", "method-choice", "validate-model-both",
             "config-numeric-str-n", "config-bool-n", "config-help", "config-abbreviated-key",
-            "config-unknown-key-with-a-newline"])
+            "config-unknown-key-with-a-newline", "acceptance-above-the-bound"])
     def test_bad_input_is_a_one_line_error(self, argv, config, env, tmp_path, monkeypatch, capsys):
         argv = [arg.format(missing=tmp_path / "missing.json", tmp=tmp_path) for arg in argv]
         if config is not None:
@@ -527,7 +564,7 @@ GOLDEN_SHA256 = {
     ("direct-n5", "json"): "8a852dd758b05de906cea80ad849b341d6b3d5d6b17a07e88dd87ec615c7ab97",
     ("direct-n5", "csv"): "dcaec34839aca968690a33cd96ff33fd7256823a09de9bf3ec7fda8ca88179f3",
     ("direct-n5", "pretty"): "4072473e2a4dad372657a82e9e35e5fb4aff65e6b37da1c1983e67499f853c10",
-    ("rejection-n5", "json"): "5e5223719ddf78ab17cfe30dd50604babeab270aed4e44ce351194bb65bf9f12",
+    ("rejection-n5", "json"): "a34fe174edcf2c7d1cdb4468296b37071917878e97c16130a86b38a4f4b9b86a",
     ("rejection-n5", "csv"): "fad9748818ddac96481fa7847ac4ce11d13486732069ad9e21ee4193131cde4a",
     ("rejection-n5", "pretty"): "6f59784900bc8adcefd75ed3e7a6ad6db88c91d038cb0a98909c6650e44a406c",
     ("core-joint-n5", "json"): "afffdad29c0894d01458df49f13a1919f019d7647e628cbb1ea7e3ea68395d4e",

@@ -7,6 +7,7 @@ import math
 import tracemalloc
 from fractions import Fraction as F
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -346,6 +347,39 @@ class TestOmega:
         w = omega_values(60)
         for j in (2, 5, 17, 60):
             assert w[j] == pytest.approx(poisson_cdf(j, j - 2), rel=1e-10)
+
+    @staticmethod
+    def _reference(j: int) -> float:
+        # Q(j-1, j) at 120 bits through mpmath's own incomplete gamma, which
+        # omega does not use, rounded once to float64
+        with mpmath.workprec(120):
+            return float(mpmath.gammainc(j - 1, j, mpmath.inf, regularized=True))
+
+    @staticmethod
+    def _ulps(a: float, b: float) -> int:
+        return abs(int(np.float64(a).view(np.int64)) - int(np.float64(b).view(np.int64)))
+
+    def test_exact_up_to_the_switch(self):
+        w = omega_values(laws.OMEGA_EXACT_MAX_J)
+        assert laws.OMEGA_EXACT_MAX_J == 100
+        for j in range(2, laws.OMEGA_EXACT_MAX_J + 1):
+            assert w[j] == self._reference(j), j
+
+    def test_within_one_ulp_above_the_switch(self):
+        w = omega_values(400)
+        assert (w <= 0.5).all()
+        for j in range(101, 401):
+            assert self._ulps(w[j], self._reference(j)) <= 1, j
+
+    @pytest.mark.parametrize("j", [10**3, 10**4, 10**5, 10**6])
+    def test_within_one_ulp_at_large_j(self, j):
+        w = laws.omega(np.array([j]))[0]
+        assert w <= 0.5
+        assert self._ulps(w, self._reference(j)) <= 1
+
+    def test_rejects_j_below_two(self):
+        with pytest.raises(ValueError):
+            laws.omega(np.array([5, 1]))
 
 
 class TestRejectionSampler:
