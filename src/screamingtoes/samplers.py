@@ -199,66 +199,81 @@ class DecompositionBatch:
     core_sizes: np.ndarray
 
 
-def decompose_batch(images: np.ndarray) -> DecompositionBatch:
+def decompose_batch(images: np.ndarray, scratch: tuple | None = None) -> DecompositionBatch:
     """Vectorised decomposition of a (B, n) batch of mappings.
 
-    One orbit-min pass over the flattened batch (:func:`_orbit_min`) labels
-    every element with the smallest element of its forward orbit and lands
-    it in the core at f**(2**K), K = ceil(log2 n).  The landed elements are
-    the core; the orbit minimum of a core element labels its cycle, and the
-    label of the cycle an element lands on labels its component.
-    Everything else is bincounts, whose nonzero entries are the groups.
-    Working memory is a few arrays of B*n entries, so callers bound it by
-    the number of rows they pass.
+    Works on flat indices (row b, element i is b*n + i).  Squaring the flat
+    successor map K = ceil(log2 n) times gives f**(2**K), which lands every
+    element on its cycle, as 2**K >= n exceeds every tail height; the landed
+    elements are the core.  The core, about sqrt(pi n / 2) of n elements, is
+    compacted, and only there does pointer doubling find each element's
+    orbit minimum, which labels its cycle; an element's component is the
+    cycle it lands on.  Everything else is bincounts, whose nonzero entries
+    are the groups.
+
+    Working memory is three index arrays and a mask of B*n entries each,
+    plus arrays the size of the core; callers bound it by the number of rows
+    they pass.  ``scratch``, from :func:`_decomposition_scratch` for at least
+    B*n cells, lends those arrays, so that a caller decomposing many blocks
+    allocates them once.
     """
     images = np.asarray(images)
     batch, n = images.shape
-    orbit_min, landed = _orbit_min(images)
-    is_core = np.zeros(batch * n, dtype=bool)
+    cells = batch * n
+    if scratch is None:
+        scratch = _decomposition_scratch(cells)
+    landed, spare, at, is_core = (array[:cells] for array in scratch)
+    np.add(images, np.arange(0, cells, n)[:, None], out=landed.reshape(batch, n))
+    rounds = (n - 1).bit_length()
+    for _ in range(rounds):  # mode="clip" skips take's bounds check, and its copy
+        np.take(landed, landed, out=spare, mode="clip")
+        landed, spare = spare, landed
+    is_core[:] = False
     is_core[landed] = True
+    core = np.flatnonzero(is_core)
+    # the core's successor map on core positions, through a flat-to-core map
+    # whose entries off the core are never read
+    at[core] = np.arange(core.size)
+    hop = at[images.ravel()[core] + (core - core % n)]
+    cycle = np.arange(core.size)
+    for _ in range(rounds):
+        np.minimum(cycle, cycle[hop], out=cycle)
+        hop = hop[hop]
+    at[core] = cycle
+    component = np.take(at, landed, out=spare, mode="clip")
     return DecompositionBatch(
-        _label_pairs(orbit_min[landed], n),
-        _label_pairs(orbit_min[is_core], n),
-        is_core.reshape(batch, n).sum(axis=1),
+        _label_pairs(component, core, n),
+        _label_pairs(cycle, core, n),
+        np.bincount(core // n, minlength=batch),
     )
 
 
-def _orbit_min(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pointer doubling over a (B, n) batch of functions on {0, ..., n-1}.
-
-    Works on flat indices (row b, element i is b*n + i).  Returns, per flat
-    element x, the smallest flat index in {f**k(x) : k < 2**K} and f**(2**K)(x),
-    where K = max(1, ceil(log2 n)).  As 2**K >= n, the first is the minimum
-    of x's whole forward orbit and the second lies on x's cycle.
-    """
-    batch, n = succ.shape
-    index = np.int32 if batch * n < 2**31 else np.int64
-    hop = succ.astype(index)
-    hop += np.arange(0, batch * n, n, dtype=index)[:, None]
-    hop = hop.ravel()
-    orbit_min = np.arange(batch * n, dtype=index)
-    for _ in range(max(1, math.ceil(math.log2(n)))):
-        np.minimum(orbit_min, orbit_min[hop], out=orbit_min)
-        hop = hop[hop]
-    return orbit_min, hop
+def _decomposition_scratch(cells: int) -> tuple[np.ndarray, ...]:
+    """Working arrays that :func:`decompose_batch` borrows for up to
+    ``cells`` cells: two index buffers that the squaring passes between,
+    the flat-to-core map and the core mask."""
+    return (*np.empty((3, cells), dtype=np.intp), np.empty(cells, dtype=bool))
 
 
-def _label_pairs(labels: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (row, size) pairs of the groups that flat labels name, one label
-    per member: a group's size is the number of its members, and its row is
-    the row of the flat index its label is."""
+def _label_pairs(labels: np.ndarray, core: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (row, size) pairs of the groups that labels name, one label per
+    member: a label is the core position of the group's cycle minimum, a
+    group's size is the number of its members, and its row is that of the
+    cycle minimum's flat index ``core[label]``."""
     sizes = np.bincount(labels)
     label = np.flatnonzero(sizes)
-    return label // n, sizes[label]
+    return core[label] // n, sizes[label]
 
 
 # ---------------------------------------------------------------------------
 # Integer tallies of (replicate, size) pairs
 
 #: Cells (rows times row width) a batch kernel works on at once.  A chunk of
-#: this size keeps a direct-route batch under about 75 MB (traced) whatever
-#: its size.
-CHUNK_CELLS = 1 << 21
+#: this size keeps a direct-route batch under about 6 MB (traced) whatever
+#: its size.  In a sweep of 10 000-row batches at n = 1000 (2-vCPU host),
+#: chunks of 2**16 to 2**19 cells took 0.37-0.43 s of CPU a batch, 2**15
+#: cells 0.42-0.44 s and 2**21 cells 0.52 s.
+CHUNK_CELLS = 1 << 17
 
 
 def chunk_rows(width: int) -> int:
@@ -313,12 +328,15 @@ _MAPPING_KEYS = (
 )
 
 
-def _tally_mappings(tally: dict, images: np.ndarray) -> DecompositionBatch:
-    """Decompose a (rows, n) block of mappings and fold its component and
-    cycle pairs into a tally with the keys ``_MAPPING_KEYS``; returns the
-    block's decomposition.  The direct route and the brute-force oracle both
-    fold through here."""
-    dec = decompose_batch(images)
+def _tally_mappings(
+    tally: dict, images: np.ndarray, scratch: tuple | None = None
+) -> DecompositionBatch:
+    """Decompose a (rows, n) block of mappings, in ``scratch`` if given (see
+    :func:`decompose_batch`), and fold its component and cycle pairs into a
+    tally with the keys ``_MAPPING_KEYS``; returns the block's
+    decomposition.  The direct route and the brute-force oracle both fold
+    through here."""
+    dec = decompose_batch(images, scratch)
     rows = len(images)
     comp_repeats = _tally_pairs(tally, "comp", *dec.components, rows)
     cyc_repeats = _tally_pairs(tally, "cyc", *dec.cycles, rows)
@@ -332,11 +350,14 @@ def toes_mapping_counts_batch(n: int, count: int, rng: RngStream) -> dict[str, n
     """Tallies (keys ``_MAPPING_KEYS``) of ``count`` uniform fixed-point-free
     mappings by the direct route, drawn and decomposed in chunks of
     :func:`chunk_rows` rows; the chunks' draws are the batch's draws, so the
-    tallies do not depend on the chunk size."""
+    tallies do not depend on the chunk size.  Every chunk is decomposed in
+    one set of working arrays, allocated once per batch: fresh ones per
+    chunk would be mapped and page-faulted in again each time."""
     tally = zero_tally(n, *_MAPPING_KEYS)
     step = chunk_rows(n)
+    scratch = _decomposition_scratch(min(step, count) * n)
     for done in range(0, count, step):
-        _tally_mappings(tally, sample_mappings_batch(n, min(step, count - done), rng))
+        _tally_mappings(tally, sample_mappings_batch(n, min(step, count - done), rng), scratch)
     return tally
 
 

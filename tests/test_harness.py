@@ -536,12 +536,15 @@ class TestCli:
 
 #: Small CLI runs whose stdout is pinned byte for byte, in every format: they
 #: cover every table through every method that can fill it, the q table with
-#: and without n, the exact model filter and n = 2.  A change to any report
-#: byte must update these digests on purpose.
+#: and without n, the exact model filter, n = 2, and a direct run at
+#: n = 1000 whose batches span several chunks of ``samplers.CHUNK_CELLS``.
+#: A change to any report byte must update these digests on purpose.
 GOLDEN_RUNS = {
     "tables-default": ["tables", "--reps", "20000", "--batch-size", "5000", "--workers", "1"],
     "direct-n5": ["tables", "--tables", "components,scream,cycles,core,repeats",
                   "--method", "direct", "--n", "5", "--reps", "3000", "--batch-size", "1000", "--workers", "1"],
+    "direct-n1000": ["simulate", "--table", "cycles", "--method", "direct", "--n", "1000",
+                     "--reps", "2000", "--batch-size", "1000", "--workers", "1"],
     "rejection-n5": ["tables", "--tables", "components,acceptance",
                      "--method", "rejection", "--n", "5", "--reps", "3000", "--batch-size", "1000", "--workers", "1"],
     "core-joint-n5": ["simulate", "--table", "core", "--method", "core-joint", "--n", "5", "--reps", "3000", "--workers", "1"],
@@ -564,6 +567,9 @@ GOLDEN_SHA256 = {
     ("direct-n5", "json"): "8a852dd758b05de906cea80ad849b341d6b3d5d6b17a07e88dd87ec615c7ab97",
     ("direct-n5", "csv"): "dcaec34839aca968690a33cd96ff33fd7256823a09de9bf3ec7fda8ca88179f3",
     ("direct-n5", "pretty"): "4072473e2a4dad372657a82e9e35e5fb4aff65e6b37da1c1983e67499f853c10",
+    ("direct-n1000", "json"): "7ff20866431823ee70ba784c619f14ff83f83ecc58e8a04d3aa2774a6c582f7e",
+    ("direct-n1000", "csv"): "bcc0f29fc54abad09aeaa021d98efe5fa469ea4e7245097335daabde5f19479d",
+    ("direct-n1000", "pretty"): "032bafcc52d97e4e065e64b4da4b67e093d402bbef0e4685ea72ae7333316917",
     ("rejection-n5", "json"): "a34fe174edcf2c7d1cdb4468296b37071917878e97c16130a86b38a4f4b9b86a",
     ("rejection-n5", "csv"): "fad9748818ddac96481fa7847ac4ce11d13486732069ad9e21ee4193131cde4a",
     ("rejection-n5", "pretty"): "6f59784900bc8adcefd75ed3e7a6ad6db88c91d038cb0a98909c6650e44a406c",

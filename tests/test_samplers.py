@@ -187,6 +187,30 @@ class TestDecompose:
         assert (_dense_counts(*batch.cycles, len(images), n) == cyc).all()
         assert (batch.core_sizes == core).all()
 
+    def test_batch_matches_scalar_across_chunks_at_n1000(self):
+        """decompose_batch against the scalar walk at n = 1000, chunk by
+        chunk in one set of scratch arrays as the direct route runs it: toes
+        rows, rows with fixed points as the standard model and the oracle
+        have, then a shorter last chunk of rows at the extremes of core size
+        and tail height.  Nothing an earlier chunk left in the scratch
+        arrays may leak into a later one."""
+        n, rng = 1000, RngStream(78)
+        step = samplers.chunk_rows(n)
+        images = np.vstack([
+            sample_mappings_batch(n, step + step // 2, rng),
+            rng.gen.integers(0, n, (step, n)),
+            _extreme_rows(n, rng),
+        ])
+        assert len(images) > 2 * step and len(images) % step
+        scratch = samplers._decomposition_scratch(step * n)
+        for lo in range(0, len(images), step):
+            block = images[lo:lo + step]
+            comp, cyc, core = _scalar_counts(block, n)
+            batch = decompose_batch(block, scratch)
+            assert (_dense_counts(*batch.components, len(block), n) == comp).all()
+            assert (_dense_counts(*batch.cycles, len(block), n) == cyc).all()
+            assert (batch.core_sizes == core).all()
+
 
 class TestFellerCoupling:
     def test_totals_always_n(self):
@@ -251,6 +275,19 @@ def _scalar_counts(images, n):
         np.add.at(cyc[b], cycle_lens, 1)
         core[b] = sum(cyclic)
     return comp, cyc, core
+
+
+def _extreme_rows(n, rng):
+    """Functions on n points at the extremes of core size and tail height."""
+    i = np.arange(n)
+    return np.array([
+        (i + 1) % n,  # one n-cycle: the core is every point
+        rng.gen.permutation(n),  # a permutation: again all core
+        np.where(i < 2, 1 - i, i - 1),  # a path of height n-2 into a 2-cycle
+        np.maximum(i - 1, 0),  # a path of height n-1 into a fixed point
+        np.where(i < 2, 1 - i, 0),  # a star into a 2-cycle
+        np.zeros(n, dtype=np.int64),  # a star into a fixed point
+    ])
 
 
 def _accepted(n, reps, rng):
@@ -612,6 +649,17 @@ class TestChunkedTallies:
         for key, value in want.items():
             assert np.array_equal(got[key], value), key
 
+    def test_direct_route_n1000_chunk_size(self, monkeypatch):
+        tallies = []
+        for cells in (samplers.CHUNK_CELLS, 1 << 21):
+            monkeypatch.setattr(samplers, "CHUNK_CELLS", cells)
+            assert samplers.chunk_rows(1000) < 3000  # several chunks either way
+            tallies.append(samplers.toes_mapping_counts_batch(1000, 3000, RngStream(4545)))
+        small, large = tallies
+        assert sorted(small) == sorted(large)
+        for key, value in large.items():
+            assert np.array_equal(small[key], value), key
+
     def test_core_joint_route_n10(self, monkeypatch):
         n, reps, seed, block = 10, 3000, 4343, 700
         # reference: the same draws, block by block, as a full per-row
@@ -662,9 +710,12 @@ class TestMemoryBound:
         assert peak < 16
 
     def test_direct_batch(self):
-        # one chunk of 2**21 cells needs about 74 MB, whatever the batch size
+        # one chunk of 2**17 cells and its scratch arrays trace 4.4-6.2 MB,
+        # whatever the batch size (6.2 MB when the call is the process's
+        # first and also fills caches); the bound is 60 % above that.
+        # Chunks of 2**21 cells took 74 MB.
         peak = _traced_peak_mb(harness._simulate_batch, ("direct", 1000, 951, 5_000))
-        assert peak < 160
+        assert peak < 10
 
     def test_brute_force_oracle(self):
         # blocks of 2**14 mappings take about 6 MB; all 7**7 at once would
