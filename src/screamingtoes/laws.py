@@ -235,46 +235,57 @@ def component_count_with_core(size: int, core: int) -> int:
     )
 
 
+def _connected_count(size: int, model: Model) -> int:
+    """T_j, the number of connected mappings on j = `size` labelled points
+    (j >= 2 in the toes model, j >= 1 in the standard one), counted over
+    the length c of their one cycle.
+
+    Choosing and ordering the cycle and rooting a forest on it gives
+    j_[c] j**(j-1-c) mappings for c < j and (j-1)! for c = j, so
+    T_j = sum_{c=lo}^{j-1} j_[c] j**(j-1-c) + (j-1)!, lo = 2 (toes) or 1
+    (standard), summed by Horner's rule in j.  Integers only: no Poisson
+    partial sum, which the intensity forms use.
+    """
+    lo = 2 if model == "toes" else 1
+    fal = falling_factorial(size, lo)  # size_[c], from c = lo
+    acc = 0
+    for c in range(lo, size):
+        acc = acc * size + fal
+        fal *= size - c
+    return acc + fal // size  # fal is now size!
+
+
 def component_total_count(size: int) -> int:
     """Number of single-component toes mappings on `size` labelled points."""
     if size < 2:
         raise ValueError("size must be >= 2")
-    return sum(component_count_with_core(size, c) for c in range(2, size + 1))
+    return _connected_count(size, "toes")
 
 
 def single_component_prob(n: int, model: Model = "toes") -> Fraction:
-    """Probability that the whole mapping is one component; exactly rational."""
+    """Probability that the whole mapping is one component, T_n / b**n with
+    b**n the model's mappings; exactly rational."""
     _check_model(model, MODELS)
     if model == "standard":
         if n < 1:
             raise ValueError("n must be >= 1")
-        value = lambda_std(n) * Fraction(math.factorial(n), n**n) * ScaledExp(Fraction(1), n)
-    else:
-        if n < 2:
-            raise ValueError("n must be >= 2 in the toes model")
-        value = lambda_toes(n) * Fraction(math.factorial(n), (n - 1) ** n) * ScaledExp(Fraction(1), n)
-    return value.as_fraction()
+    elif n < 2:
+        raise ValueError("n must be >= 2 in the toes model")
+    return fraction_over_power(_connected_count(n, model), _base(n, model), n)
 
 
 # ---------------------------------------------------------------------------
 # Component-size laws
 
 
-def component_pmf(
-    n: int,
-    spectrum: Spectrum,
-    model: Model = "toes",
-    x: ScaledExp | None = None,
-) -> Fraction:
+def component_pmf(n: int, spectrum: Spectrum, model: Model = "toes") -> Fraction:
     """Exact probability that the mapping has the given complete size spectrum.
 
-    Returns 0 off the support (sizes not summing to n).  For the toes model
-    the pmf comes from a free-parameter representation
-    P = x**(-n) n!/(n-1)**n * prod_j (m_j x**j / j!)**a_j / a_j!,
-    where m_j counts single components of size j; the value does not depend
-    on x > 0, and callers may pass any ScaledExp x (default e**-1) -- the
-    independence is checked by the test suite.  All powers of e must cancel
-    on the support; failure to cancel raises instead of rounding.
+    Returns 0 off the support (sizes not summing to n).  Splitting the n
+    points into a_j blocks of each size j and making every block one
+    connected mapping gives P = n!/b**n * prod_j (T_j / j!)**a_j / a_j!,
+    where b**n counts the model's mappings and T_j its connected mappings on
+    j points (:func:`_connected_count`).
     """
     _check_model(model, MODELS)
     if spectrum.n != n:
@@ -286,22 +297,10 @@ def component_pmf(
     if spectrum.total != n:
         return Fraction(0)
 
-    if model == "standard":
-        value = ScaledExp(Fraction(math.factorial(n), n**n), n)
-        for j, a in spectrum.counts:
-            value = value * lambda_std(j) ** a / math.factorial(a)
-    else:
-        if x is None:
-            x = ScaledExp(Fraction(1), -1)
-        if x.coeff <= 0:
-            raise ValueError("the free parameter x must be positive")
-        value = ScaledExp(Fraction(math.factorial(n), (n - 1) ** n), 0) / x**n
-        for j, a in spectrum.counts:
-            factor = x**j * Fraction(component_total_count(j), math.factorial(j))
-            value = value * factor**a / math.factorial(a)
-    if value.epow != 0:
-        raise ConsistencyError("e-powers failed to cancel on the pmf support")
-    return value.as_fraction()
+    value = Fraction(math.factorial(n), _base(n, model) ** n)
+    for j, a in spectrum.counts:
+        value *= Fraction(_connected_count(j, model), math.factorial(j)) ** a / math.factorial(a)
+    return value
 
 
 def component_pmf_table(n: int, model: Model = "toes") -> dict[tuple[int, ...], Fraction]:
@@ -319,43 +318,33 @@ def component_pmf_table(n: int, model: Model = "toes") -> dict[tuple[int, ...], 
 def mean_component_count(n: int, j: int, model: Model = "toes") -> Fraction:
     """Expected number of size-j components, exactly.
 
-    Both closed forms (the intensity form and the single-component binomial
-    form) are evaluated and must agree; disagreement raises
-    ConsistencyError.  Toes-model queries with j = 1 are rejected rather
-    than returning 0, to catch confusion with the standard model.
+    Two independent closed forms are evaluated and must agree; disagreement
+    raises ConsistencyError.  The intensity form is
+    lambda_j n_[j] e**j (b-j)**(n-j) / b**n, with lambda_j from a Poisson
+    partial sum; the count form is C(n,j) T_j (b-j)**(n-j) / b**n, the
+    mappings in which a given j-set is one component, with T_j counted in
+    integers by :func:`_connected_count`.  Here b = n-1 (toes) or n.
+    Toes-model queries with j = 1 are rejected rather than returning 0, to
+    catch confusion with the standard model.
     """
     _check_model(model, MODELS)
     if model == "standard":
         if not 1 <= j <= n:
             raise ValueError("need 1 <= j <= n")
-        direct = (
-            lambda_std(j)
-            * ScaledExp(Fraction(falling_factorial(n, j), n**n), j)
-            * ((n - j) ** (n - j) if j < n else 1)
-        ).as_fraction()
-        via_binom = (
-            single_component_prob(j, "standard")
-            * binomial(n, j)
-            * Fraction(j, n) ** j
-            * (1 - Fraction(j, n)) ** (n - j)
-        )
+        intensity = lambda_std(j)
     else:
         if j == 1:
             raise ValueError("size-1 components cannot occur in the toes model")
         if not 2 <= j <= n:
             raise ValueError("need 2 <= j <= n")
-        direct = (
-            lambda_toes(j)
-            * ScaledExp(Fraction(falling_factorial(n, j), (n - 1) ** n), j)
-            * ((n - j - 1) ** (n - j) if j < n else 1)
-        ).as_fraction()
-        via_binom = (
-            single_component_prob(j, "toes")
-            * binomial(n, j)
-            * Fraction(j - 1, n - 1) ** j
-            * (1 - Fraction(j, n - 1)) ** (n - j)
-        )
-    if direct != via_binom:
+        intensity = lambda_toes(j)
+    base = _base(n, model)
+    rest = (base - j) ** (n - j)  # mappings of the other n-j points among themselves
+    direct = (
+        intensity * ScaledExp(Fraction(falling_factorial(n, j), base**n), j) * rest
+    ).as_fraction()
+    count = binomial(n, j) * _connected_count(j, model) * rest
+    if direct.numerator * base**n != count * direct.denominator:  # direct == count / base**n
         raise ConsistencyError(f"component-mean forms disagree at n={n}, j={j}")
     return direct
 
@@ -675,24 +664,15 @@ SCREAM_LIMIT = "1 - e**(-1/2)"  # limiting q_n, about 0.393469
 # Acceptance-rate exponent (partial sums of the slowly converging series)
 
 
-def spitzer_partial_sum(limit: int = 10**6, method: str = "gamma") -> float:
+def spitzer_partial_sum(limit: int = 10**6) -> float:
     """sum_{j=2}^{limit} (1/j) (1/2 - P(Po(j) <= j-2)).
 
     The series converges to (1 + log 2)/2 with an O(limit**-1/2) tail,
-    hence the large default truncation.  ``method="gamma"`` takes the
-    Poisson tail Q(j-1, j) from :func:`omega`, vectorised;
-    ``method="series"`` uses the term-by-term scaled accumulation of
-    :func:`exact.poisson_cdf` and is quadratic in `limit`, kept as an
-    independent cross-check for moderate limits.
+    hence the large default truncation.  The Poisson tails Q(j-1, j) come
+    from :func:`omega`, vectorised.
     """
     if limit < 2:
         raise ValueError("limit must be >= 2")
-    if method == "series":
-        from .exact import poisson_cdf
-
-        return sum((0.5 - poisson_cdf(j, j - 2)) / j for j in range(2, limit + 1))
-    if method != "gamma":
-        raise ValueError("method must be 'gamma' or 'series'")
     total = 0.0
     chunk = 2_000_000
     for start in range(2, limit + 1, chunk):

@@ -10,12 +10,14 @@
 3. Core-joint: draw the core size from its exact inverse CDF, then the
    cycle type of a uniform random derangement of that size.
 
-Every sampler takes an :class:`RngStream` and is bit-reproducible for a
-fixed seed and call sequence.  Each route has one implementation, a
-vectorised ``*_batch`` kernel; :func:`sample_mapping`,
-:func:`sample_toes_components` and :func:`sample_toes_core` are one-replicate
-calls of those kernels, and :func:`decompose` is the scalar reference walk
-that the decomposition kernel is tested against.
+Every sampler takes a ``numpy.random.Generator`` and is bit-reproducible
+for a fixed seed and call sequence; the harness gives each batch its own
+generator, spawned from the master seed by numpy's ``SeedSequence``.  Each
+route has one implementation, a vectorised ``*_batch`` kernel;
+:func:`sample_mapping`, :func:`sample_toes_components` and
+:func:`sample_toes_core` are one-replicate calls of those kernels, and
+:func:`decompose` is the scalar reference walk that the decomposition kernel
+is tested against.
 
 Routes 2 and 3 share one kernel, :func:`_feller_gaps`: the Feller coupling
 with record skipping (Arratia, Barbour and Tavare 2003), so a replicate
@@ -42,24 +44,6 @@ import numpy as np
 from . import laws
 from .exact import DEFAULT_PRECISION, _rational_to_mpf
 from .laws import Spectrum
-
-_SEED_MASK = (1 << 64) - 1
-
-
-class RngStream:
-    """Seedable random stream (PCG64 behind numpy's Generator).
-
-    Identical seed and call sequence give identical output bits.  The seed
-    is taken modulo 2**64; the experiment harness gives each batch its own
-    stream, seeded from the master seed.
-    """
-
-    def __init__(self, seed: int):
-        self.seed = int(seed) & _SEED_MASK
-        self.gen = np.random.Generator(np.random.PCG64(self.seed))
-
-    def __repr__(self) -> str:
-        return f"RngStream(seed={self.seed})"
 
 
 @dataclass(frozen=True)
@@ -162,14 +146,14 @@ def decompose(mapping: Mapping) -> Decomposition:
 # Direct simulation
 
 
-def sample_mapping(n: int, rng: RngStream) -> Mapping:
+def sample_mapping(n: int, rng: np.random.Generator) -> Mapping:
     """One uniform fixed-point-free mapping: row 0 of :func:`sample_mappings_batch`."""
     if n < 2:
         raise ValueError("need n >= 2")
     return Mapping(tuple(sample_mappings_batch(n, 1, rng)[0].tolist()))
 
 
-def sample_mappings_batch(n: int, count: int, rng: RngStream) -> np.ndarray:
+def sample_mappings_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """(count, n) array of independent uniform fixed-point-free mappings.
 
     Per coordinate, a uniform draw u from {0, ..., n-2} is shifted past i
@@ -180,7 +164,7 @@ def sample_mappings_batch(n: int, count: int, rng: RngStream) -> np.ndarray:
     (numpy's bounded integers take whole 32-bit draws per value), which is
     what lets the direct route draw a batch in chunks of :func:`chunk_rows`.
     """
-    u = rng.gen.integers(0, n - 1, size=(count, n), dtype=np.int64)
+    u = rng.integers(0, n - 1, size=(count, n), dtype=np.int64)
     u += u >= np.arange(n, dtype=np.int64)
     return u
 
@@ -346,7 +330,9 @@ def _tally_mappings(
     return dec
 
 
-def toes_mapping_counts_batch(n: int, count: int, rng: RngStream) -> dict[str, np.ndarray]:
+def toes_mapping_counts_batch(
+    n: int, count: int, rng: np.random.Generator
+) -> dict[str, np.ndarray]:
     """Tallies (keys ``_MAPPING_KEYS``) of ``count`` uniform fixed-point-free
     mappings by the direct route, drawn and decomposed in chunks of
     :func:`chunk_rows` rows; the chunks' draws are the batch's draws, so the
@@ -445,7 +431,7 @@ def _neg_log_g(n: int, theta: float) -> np.ndarray:
 
 
 def _feller_gaps(
-    sizes: np.ndarray, n: int, theta: float, rng: RngStream
+    sizes: np.ndarray, n: int, theta: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One Feller-coupling draw per row of the given sizes (each <= n), by
     record skipping, each row stopped at its first gap of length 1.
@@ -471,7 +457,7 @@ def _feller_gaps(
     end = sizes + 1
     rows, lengths = [row[:0]], [last[:0]]
     while row.size:
-        target = neg_log_g[last] + rng.gen.standard_exponential(row.size)
+        target = neg_log_g[last] + rng.standard_exponential(row.size)
         mark = np.minimum(np.searchsorted(neg_log_g, target, side="right"), end)
         gap = mark - last
         rows.append(row)
@@ -490,7 +476,7 @@ ROW_CHUNK = 1 << 14
 
 
 def esf_cycle_counts_batch(
-    n: int, theta: float, count: int, rng: RngStream
+    n: int, theta: float, count: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``count`` ESF(theta) proposals of size n by the record-skipping Feller
     coupling (:func:`_feller_gaps`), each stopped at its first 1-cycle.
@@ -502,7 +488,7 @@ def esf_cycle_counts_batch(
     return _feller_gaps(np.full(count, n), n, theta, rng)
 
 
-def _accepted_components(n: int, count: int, rng: RngStream):
+def _accepted_components(n: int, count: int, rng: np.random.Generator):
     """Rejection from ESF(1/2) until ``count`` proposals are accepted.
 
     Proposals come in chunks of at most ``ROW_CHUNK`` from
@@ -521,7 +507,7 @@ def _accepted_components(n: int, count: int, rng: RngStream):
         chunk = min(max(4096, int((count - have) / 0.2)), ROW_CHUNK)
         prop, gap, stopped = esf_cycle_counts_batch(n, 0.5, chunk, rng)
         log_acc = np.bincount(prop, weights=log_ratio[gap], minlength=chunk)
-        took = np.flatnonzero(~stopped & (rng.gen.random(chunk) < np.exp(log_acc)))
+        took = np.flatnonzero(~stopped & (rng.random(chunk) < np.exp(log_acc)))
         took = took[: count - have]
         attempts += int(took[-1]) + 1 if have + took.size == count else chunk
         number = np.full(chunk, -1)
@@ -532,7 +518,7 @@ def _accepted_components(n: int, count: int, rng: RngStream):
 
 
 def toes_component_counts_batch(
-    n: int, count: int, rng: RngStream
+    n: int, count: int, rng: np.random.Generator
 ) -> tuple[dict[str, np.ndarray], int]:
     """Tallies (``zero_tally`` keys ``comp_sum`` and ``comp_sumsq``) of
     ``count`` component spectra of the toes mapping by rejection from
@@ -548,7 +534,7 @@ def toes_component_counts_batch(
     return tally, attempts
 
 
-def sample_toes_components(n: int, rng: RngStream) -> tuple[Spectrum, int]:
+def sample_toes_components(n: int, rng: np.random.Generator) -> tuple[Spectrum, int]:
     """One component-size spectrum of the toes mapping, plus the proposals
     it took: one replicate of :func:`toes_component_counts_batch`."""
     tally, attempts = toes_component_counts_batch(n, 1, rng)
@@ -608,13 +594,13 @@ def _core_size_cdf(n: int) -> np.ndarray:
     return cdf
 
 
-def core_sizes_batch(n: int, count: int, rng: RngStream) -> np.ndarray:
+def core_sizes_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     cdf = _core_size_cdf(n)
-    return 2 + np.searchsorted(cdf, rng.gen.random(count), side="right")
+    return 2 + np.searchsorted(cdf, rng.random(count), side="right")
 
 
 def _derangement_cycles(
-    sizes: np.ndarray, n: int, rng: RngStream
+    sizes: np.ndarray, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """The (row, cycle length) pairs of one uniform derangement of each size
     in ``sizes`` (each <= n).
@@ -640,7 +626,7 @@ def _derangement_cycles(
 
 
 def derangement_cycle_counts_batch(
-    sizes: np.ndarray, n: int, rng: RngStream
+    sizes: np.ndarray, n: int, rng: np.random.Generator
 ) -> dict[str, np.ndarray]:
     """Cycle tallies (``zero_tally`` keys ``cyc_sum``, ``cyc_sumsq`` and
     ``scream_hist``) of uniform derangements, one of each size in ``sizes``,
@@ -655,7 +641,9 @@ def derangement_cycle_counts_batch(
     return tally
 
 
-def toes_core_cycle_counts_batch(n: int, count: int, rng: RngStream) -> dict[str, np.ndarray]:
+def toes_core_cycle_counts_batch(
+    n: int, count: int, rng: np.random.Generator
+) -> dict[str, np.ndarray]:
     """Tallies of ``count`` replicates by the core-joint route: the cycle
     tallies of :func:`derangement_cycle_counts_batch` plus ``core_hist``."""
     sizes = core_sizes_batch(n, count, rng)
@@ -664,7 +652,7 @@ def toes_core_cycle_counts_batch(n: int, count: int, rng: RngStream) -> dict[str
     return tally
 
 
-def sample_toes_core(n: int, rng: RngStream) -> Spectrum:
+def sample_toes_core(n: int, rng: np.random.Generator) -> Spectrum:
     """Cycle-length spectrum of the toes core, core size then derangement:
     one replicate of :func:`toes_core_cycle_counts_batch`."""
     return _spectrum(toes_core_cycle_counts_batch(n, 1, rng)["cyc_sum"])
@@ -683,7 +671,6 @@ __all__ = [
     "ENUMERATION_MAX_N",
     "Mapping",
     "ROW_CHUNK",
-    "RngStream",
     "chunk_rows",
     "core_sizes_batch",
     "decompose",

@@ -10,8 +10,10 @@ import sys
 import time
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
+import screamingtoes
 from screamingtoes import cli, harness, laws
 from screamingtoes.exact import to_mpf
 from screamingtoes.harness import ExperimentConfig, brute_force_law, emit, parse_report, run_table
@@ -163,6 +165,10 @@ class TestRunTable:
         assert toes[0].name == "core_size[r=2]" and toes[0].exact == 1
 
 
+#: A run with 16 batches of each of the rejection and core-joint kinds.
+_SEED_RUN = dict(n=10, replicates=16_000, batch_size=1_000, tables=("components", "scream"))
+
+
 class TestDeterminism:
     def test_bytes_identical_across_runs(self):
         cfg = dict(n=8, replicates=30_000, seed=77, tables=("scream", "core"), batch_size=10_000)
@@ -177,11 +183,28 @@ class TestDeterminism:
         assert r1.records == r2.records
 
     def test_json_bytes_identical_across_worker_counts(self):
-        cfg = dict(n=8, replicates=30_000, seed=77, tables=("scream", "repeats"),
-                   method="direct", batch_size=10_000)
+        # the tables' default methods: every simulation kind runs
+        cfg = dict(n=8, replicates=30_000, seed=77, tables=("components", "scream", "repeats"),
+                   batch_size=10_000)
         a = emit(run_table(ExperimentConfig(**cfg, workers=1)), "json")
         b = emit(run_table(ExperimentConfig(**cfg, workers=2)), "json")
         assert a == b
+
+    def test_nearby_seeds_draw_different_streams(self):
+        # 16 batches a kind: seeds that differ below the batch count once
+        # shared their batch streams and gave one report between them
+        reports = {
+            seed: emit(run_table(ExperimentConfig(**_SEED_RUN, seed=seed, workers=1)), "csv")
+            for seed in range(16, 24)
+        }
+        assert len(set(reports.values())) == len(reports)
+
+    def test_seed_is_taken_modulo_2_to_the_64(self):
+        def csv(seed):
+            return emit(run_table(ExperimentConfig(**_SEED_RUN, seed=seed, workers=1)), "csv")
+
+        assert csv(5) == csv(5 + 2**64)
+        assert csv(-1) == csv(2**64 - 1)
 
     def test_acceptance_attempts_deterministic(self):
         cfg = dict(n=10, replicates=20_000, seed=3, tables=("acceptance",), batch_size=5_000)
@@ -217,6 +240,10 @@ class TestEmit:
         payload = json.loads(emit(report, "json"))
         assert payload["schema"] == "screamingtoes-report/1"
         assert "wall_time" not in json.dumps(payload)
+        # provenance, with nothing that depends on the environment
+        bit_generator = type(np.random.default_rng(0).bit_generator).__name__
+        assert payload["metadata"]["bit_generator"] == bit_generator == "PCG64"
+        assert payload["metadata"]["version"] == screamingtoes.__version__
 
     def test_pretty_contains_titles(self, report):
         text = emit(report, "pretty")
@@ -436,6 +463,8 @@ class TestCli:
                   "from screamingtoes import cli\n"
                   "loaded = lambda: [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
                   "assert not loaded(), loaded()\n"
+                  # nor numpy.random: the first simulation loads it, not the import
+                  "assert 'numpy.random' not in sys.modules\n"
                   "cli.main(sys.argv[1:])\n"
                   "assert not loaded(), loaded()\n")
         done = _run_python(script, ["tables", "--reps", "2000", "--batch-size", "1000", "--workers", "1"])
@@ -561,42 +590,42 @@ GOLDEN_RUNS = {
 }
 
 GOLDEN_SHA256 = {
-    ("tables-default", "json"): "4e1610026ef54b1ff9eb23078af74f5a210bc06193ea7b44e80f9bcee98da047",
-    ("tables-default", "csv"): "f9e7e09773dea7c0c733c29ba1e78d71a06f4735eeb60c04c0d6af16e182befa",
-    ("tables-default", "pretty"): "28fc4f014e281df7145b5caf1ff11f089f9bf62648d61a2cac1a7d0f12c9a3f6",
-    ("direct-n5", "json"): "8a852dd758b05de906cea80ad849b341d6b3d5d6b17a07e88dd87ec615c7ab97",
-    ("direct-n5", "csv"): "dcaec34839aca968690a33cd96ff33fd7256823a09de9bf3ec7fda8ca88179f3",
-    ("direct-n5", "pretty"): "4072473e2a4dad372657a82e9e35e5fb4aff65e6b37da1c1983e67499f853c10",
-    ("direct-n1000", "json"): "7ff20866431823ee70ba784c619f14ff83f83ecc58e8a04d3aa2774a6c582f7e",
-    ("direct-n1000", "csv"): "bcc0f29fc54abad09aeaa021d98efe5fa469ea4e7245097335daabde5f19479d",
-    ("direct-n1000", "pretty"): "032bafcc52d97e4e065e64b4da4b67e093d402bbef0e4685ea72ae7333316917",
-    ("rejection-n5", "json"): "a34fe174edcf2c7d1cdb4468296b37071917878e97c16130a86b38a4f4b9b86a",
-    ("rejection-n5", "csv"): "fad9748818ddac96481fa7847ac4ce11d13486732069ad9e21ee4193131cde4a",
-    ("rejection-n5", "pretty"): "6f59784900bc8adcefd75ed3e7a6ad6db88c91d038cb0a98909c6650e44a406c",
-    ("core-joint-n5", "json"): "afffdad29c0894d01458df49f13a1919f019d7647e628cbb1ea7e3ea68395d4e",
-    ("core-joint-n5", "csv"): "ce2566a3b332aa643e5998c8e0b1ea050769d879363021bfcd8a81b29c0aee51",
-    ("core-joint-n5", "pretty"): "05e6de0c8fad2ef9bfe225c15a4a0daa078becdae08128ce1bcdf47e41fe80f4",
-    ("core-joint-n5-all", "json"): "f80febb32a9195e76baad0eb108038049bdd2b650a44c584c9d11fa8a48589da",
-    ("core-joint-n5-all", "csv"): "0d6d56feaed18332a6a295e933c54af68bd67d98871f4a7b7b853a8c8bbf6f6a",
-    ("core-joint-n5-all", "pretty"): "d74f4bfd5148c5f5c9415e100b2abbc86ca4c32c5c0ae57232e1ca59862ffcac",
-    ("brute-force-n5", "json"): "4071c0c0801f6344f64ea10c1bdd1215acf71854920e6bb46cc764e8f54736dd",
+    ("tables-default", "json"): "df63391f7d09e66658a455a1ec5a68849076cb125cbd1e12c47e223dd2000baf",
+    ("tables-default", "csv"): "5132cd18c55a58e4e06284ac4f3a6aef3927cebd616770946f2b41ed79919a0a",
+    ("tables-default", "pretty"): "d95c1c87790df89e4e4e874b52af02904d348e244a124ff508ad619eb21a2a01",
+    ("direct-n5", "json"): "e30cdd0b35b94cb7b879a2cc5f47dc19b79c24c1eebe16aaf2292b542de5b83b",
+    ("direct-n5", "csv"): "8bac575f9d958742b0ebed799f5c4fa8f9ab003e064a02a8f1bc258ad49f8cad",
+    ("direct-n5", "pretty"): "fa7478698f50d9841320c0f9af97b7d6cc559341c65afaf71463c6c353c1f3e5",
+    ("direct-n1000", "json"): "f923fde6fd3d570689dd999e7fd10ec07f495d929adadfc8b3c93e919e7bc276",
+    ("direct-n1000", "csv"): "9beba48fbb4d15087fe3c6443e1394548589a566b28ff7f0119451a173050020",
+    ("direct-n1000", "pretty"): "672c73495cb6d58fe947d3824258fbca84639e9de28d03be79917083d72e0509",
+    ("rejection-n5", "json"): "84494d6706bc166dac665a4d4c74b37939f3c7fba4413745d349d40ceb6ea9a9",
+    ("rejection-n5", "csv"): "c88370904d0728bc5725246f362b8c64429a9274601000039f18dbf2cf2fce0b",
+    ("rejection-n5", "pretty"): "aa26d86e59c2a161b12623a390e2b1fad220ebf3ff50c7ebf1c84aa40f1b0fd2",
+    ("core-joint-n5", "json"): "365f81bc9f9eaf6ab3ce667d34c1f69d6770b5dd00d4c340d82ec231347b463b",
+    ("core-joint-n5", "csv"): "4aa8e25ae2c1fd87021f4045238736d154da609e7fbafa01ea9af6140c8cfc15",
+    ("core-joint-n5", "pretty"): "3b8b9b90eb6de2683957eac0c5cb3dca3db56d39dbacdd1def989c73d009afc0",
+    ("core-joint-n5-all", "json"): "31d7fad479b48549b575a406f0caee8338230ea417dc82df585768a1dc7e2f45",
+    ("core-joint-n5-all", "csv"): "31945133b88d791cde0103f52c3b6040ba9b652c613c62ab5a307b218b9ad6a7",
+    ("core-joint-n5-all", "pretty"): "a4963d960ca62e25dfeca821095af22e06d24a78e7d90176eb339c3c9578eaf0",
+    ("brute-force-n5", "json"): "cd575feea9fdd099428c48f2d02f04c42041ebb7b6f3ca6179361730355cc53f",
     ("brute-force-n5", "csv"): "284d8af1790bf0644d57a95364d801b150c6d181c1f85e914baa95971b9e9ca3",
     ("brute-force-n5", "pretty"): "ec4cd3374c0bb513bb1ea5e6cdf61a8294b9883d5f79b5162e9817ac2fc1cc8d",
-    ("q", "json"): "5f85ebb445a14a3b0afbd9a8cd9fa1d3e052381b6e77ee1c1845edad853d1c9d",
+    ("q", "json"): "a13a32ea8cdaa0f2e9f1f73b852ea0f083c0abef698fdc313a2e2ad3c0aae9a7",
     ("q", "csv"): "178040b6edc27ee4b41e6ea65f802fc7156b841d8651c3c4132ba04dd36185af",
     ("q", "pretty"): "c364082adc80ddad4a6ec4cf4b12742988a98f87c4cb012bc2f5584c2c1153d3",
-    ("q-n7", "json"): "1182156a61ec7bda055cccdb28cd503f6fb1672dffa4482a50b7f4277e540fd5",
+    ("q-n7", "json"): "4dec62312e22f7b2a220b29eb83ef9cd96139fccb6f616d6e713118f862c4876",
     ("q-n7", "csv"): "9641a3b4ab21564aa28589d5b5ff0958b0ebae2dd46b66ec899b63c488bd4ee1",
     ("q-n7", "pretty"): "7a33422bff48e3c904a4fcde4d458ced7812bb6034a6b98243dd0fb33fef9935",
-    ("exact-toes", "json"): "887ea829b8b43c4f1cdb2522996942c856fe46975695e361e1e5c70de2e0f059",
+    ("exact-toes", "json"): "43cfb251ddaf8b83375dbf63f179d97bbad288b93aaaafbbb7d34408477b7a78",
     ("exact-toes", "csv"): "0481b405afe9848a6a10c1de1b4c6cea855fa1becb7f21b5f54bd63a31452ab1",
     ("exact-toes", "pretty"): "408be1c601a9a00e549de253a0e22cf67495d406715764b481bccf1c0d10d25b",
-    ("exact-standard", "json"): "c33e8210118459f915eea7cdd19200ec6d53321df19d370c97543bb12393f783",
+    ("exact-standard", "json"): "20108ce8e4a8fcbb5c62ab24efefda1111635a0fff7d17e6e91c70a9d052d947",
     ("exact-standard", "csv"): "eaf04a4f666a5735800b6a16190455c8366ed94e23de56976b45340f2c297a6e",
     ("exact-standard", "pretty"): "f3fdc46116ff9cf4c4ec21fbe46f779ff548bdb7a14a5dd6facab918b0b421a2",
-    ("n2", "json"): "3b114cf27eacb50f528962e73d713d79bf42b24d8d0869f718227b1731957302",
-    ("n2", "csv"): "2f7cdd951f1908dc1700fb5ea7abcecb767e06a963b30dda03552a88689a2332",
-    ("n2", "pretty"): "107862ee2b3aa9c77ece68ab750d49b5fff2368b2ee9f1a291f2c9c94b9be3b8",
+    ("n2", "json"): "394a7e47e3557f32b07de98efe6caf1e39d4cdf9774ac25c6a615ba1dfcf703b",
+    ("n2", "csv"): "d4bd65541585425f018304d23222daf12c190bd96ee36e4816d37dcc1a19e77d",
+    ("n2", "pretty"): "c84c5ab72ce83365a31ad3eefbc2b3108ed1c7b4bf0d05ce4c05a2ff02a995a6",
 }
 
 

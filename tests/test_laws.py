@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import poisson_cdf
 from screamingtoes import laws, samplers
 from screamingtoes.exact import ScaledExp, derangement_number, falling_factorial, format_fixed, to_mpf
 from screamingtoes.laws import Spectrum
@@ -125,20 +126,6 @@ class TestComponentPmf:
     def test_standard_normalisation(self, n):
         laws.component_pmf_table(n, "standard")
 
-    def test_free_parameter_independence(self):
-        xs = [
-            ScaledExp(F(1), 0),
-            ScaledExp(F(1), -1),
-            ScaledExp(F(1), -2),
-            ScaledExp(F(1, 2), 0),
-            ScaledExp(F(3), -1),
-        ]
-        for n in range(2, 9):
-            for parts in laws.partitions(n, 2):
-                spec = Spectrum.from_sizes(parts)
-                vals = {laws.component_pmf(n, spec, "toes", x=x) for x in xs}
-                assert len(vals) == 1
-
 
 class TestComponentMeans:
     def test_reference_values(self):
@@ -165,6 +152,15 @@ class TestComponentMeans:
             for j in range(1, n + 1):
                 laws.mean_component_count(n, j, "standard")
 
+    @pytest.mark.parametrize("model", ["toes", "standard"])
+    def test_forms_are_independent(self, model, monkeypatch):
+        # a Poisson partial sum off by one term moves the intensity form
+        # only: the count form's T_j never calls it
+        exact_sum = laws.poisson_partial_sum
+        monkeypatch.setattr(laws, "poisson_partial_sum", lambda rate, k: exact_sum(rate, k - 1))
+        with pytest.raises(laws.ConsistencyError):
+            laws.mean_component_count(10, 4, model)
+
 
 class TestFactorialMoments:
     def test_first_moment_is_mean(self):
@@ -179,6 +175,13 @@ class TestFactorialMoments:
                 for j in range(i, n + 1):
                     orders = {i: 2} if i == j else {i: 1, j: 1}
                     assert laws.factorial_moment(n, orders) == laws.component_pair_moment(n, i, j)
+
+    def test_routes_are_independent(self, monkeypatch):
+        # the product form counts components in integers, so a Poisson
+        # partial sum off by one term moves factorial_moment alone
+        exact_sum = laws.poisson_partial_sum
+        monkeypatch.setattr(laws, "poisson_partial_sum", lambda rate, k: exact_sum(rate, k - 1))
+        assert laws.factorial_moment(10, {2: 1, 3: 1}) != laws.component_pair_moment(10, 2, 3)
 
     def test_cross_moment_value(self):
         # frozen from both independent routes
@@ -423,10 +426,11 @@ class TestSpitzer:
         assert laws.spitzer_partial_sum(2) == pytest.approx(0.5 * (0.5 - math.exp(-2)), rel=1e-12)
 
     def test_series_and_gamma_routes_agree(self):
+        # the Poisson tails of the series summed term by term, quadratic in
+        # the limit, against omega's
         for limit in (2, 10, 200, 1500):
-            a = laws.spitzer_partial_sum(limit, method="gamma")
-            b = laws.spitzer_partial_sum(limit, method="series")
-            assert a == pytest.approx(b, rel=1e-9)
+            series = sum((0.5 - poisson_cdf(j, j - 2)) / j for j in range(2, limit + 1))
+            assert laws.spitzer_partial_sum(limit) == pytest.approx(series, rel=1e-9)
 
     def test_terms_positive_and_decreasing_sum(self):
         # partial sums increase toward (1 + log 2)/2 without overshooting

@@ -20,7 +20,6 @@ from screamingtoes.laws import Spectrum
 from screamingtoes.samplers import (
     Decomposition,
     Mapping,
-    RngStream,
     decompose,
     decompose_batch,
     esf_cycle_counts_batch,
@@ -64,16 +63,6 @@ def toes_images(draw):
     return image
 
 
-class TestRngStream:
-    def test_determinism(self):
-        a = RngStream(12345)
-        b = RngStream(12345)
-        assert a.gen.random(10).tolist() == b.gen.random(10).tolist()
-
-    def test_seed_masked_to_64_bits(self):
-        assert RngStream(2**70 + 3).seed == (2**70 + 3) % 2**64
-
-
 class TestMappingType:
     def test_rejects_fixed_points(self):
         with pytest.raises(ValueError):
@@ -86,19 +75,19 @@ class TestMappingType:
 
 class TestSampleMapping:
     def test_n2_is_forced(self):
-        rng = RngStream(1)
+        rng = np.random.default_rng(1)
         for _ in range(20):
             assert sample_mapping(2, rng).image == (1, 0)
 
     def test_never_fixed_point(self):
-        imgs = sample_mappings_batch(9, 5000, RngStream(3))
+        imgs = sample_mappings_batch(9, 5000, np.random.default_rng(3))
         assert (imgs != np.arange(9)).all()
         assert ((imgs >= 0) & (imgs < 9)).all()
 
     def test_coordinate_uniformity(self):
         # empirical law of image[0] over the 9 allowed targets
         n, reps = 10, 200_000
-        imgs = sample_mappings_batch(n, reps, RngStream(42))
+        imgs = sample_mappings_batch(n, reps, np.random.default_rng(42))
         counts = np.bincount(imgs[:, 0], minlength=n)
         assert counts[0] == 0
         observed = {j: int(counts[j]) for j in range(1, n)}
@@ -106,19 +95,19 @@ class TestSampleMapping:
         assert chi_square_pvalue(observed, expected, reps) > 1e-4
 
     def test_seed_reproducibility(self):
-        m1 = sample_mapping(25, RngStream(77))
-        m2 = sample_mapping(25, RngStream(77))
+        m1 = sample_mapping(25, np.random.default_rng(77))
+        m2 = sample_mapping(25, np.random.default_rng(77))
         assert m1 == m2
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
-            sample_mapping(1, RngStream(0))
+            sample_mapping(1, np.random.default_rng(0))
 
     @pytest.mark.parametrize("n", [2, 3, 10, 25, 1000])
     def test_is_row_0_of_the_batch(self, n):
         for seed in range(20):
-            row = sample_mappings_batch(n, 1, RngStream(seed))[0]
-            assert sample_mapping(n, RngStream(seed)).image == tuple(row.tolist())
+            row = sample_mappings_batch(n, 1, np.random.default_rng(seed))[0]
+            assert sample_mapping(n, np.random.default_rng(seed)).image == tuple(row.tolist())
 
 
 class TestDecompose:
@@ -152,7 +141,7 @@ class TestDecompose:
         assert min(dec.cycle_lengths.sizes()) >= 2
 
     def test_batch_matches_scalar(self):
-        rng = RngStream(1234)
+        rng = np.random.default_rng(1234)
         for n in (2, 3, 5, 8, 16):
             imgs = sample_mappings_batch(n, 300, rng)
             batch = decompose_batch(imgs)
@@ -194,11 +183,11 @@ class TestDecompose:
         have, then a shorter last chunk of rows at the extremes of core size
         and tail height.  Nothing an earlier chunk left in the scratch
         arrays may leak into a later one."""
-        n, rng = 1000, RngStream(78)
+        n, rng = 1000, np.random.default_rng(78)
         step = samplers.chunk_rows(n)
         images = np.vstack([
             sample_mappings_batch(n, step + step // 2, rng),
-            rng.gen.integers(0, n, (step, n)),
+            rng.integers(0, n, (step, n)),
             _extreme_rows(n, rng),
         ])
         assert len(images) > 2 * step and len(images) % step
@@ -216,31 +205,31 @@ class TestFellerCoupling:
     def test_totals_always_n(self):
         # a proposal that runs to the end covers n; one that stops ends at
         # its only 1-gap
-        rows, lengths, stopped = esf_cycle_counts_batch(11, 0.5, 50_000, RngStream(8))
+        rows, lengths, stopped = esf_cycle_counts_batch(11, 0.5, 50_000, np.random.default_rng(8))
         counts = _dense_counts(rows, lengths, 50_000, 11)
         totals = counts @ np.arange(12)
         assert (totals[~stopped] == 11).all()
         assert (totals[stopped] <= 11).all()
         assert (counts[:, 1] == stopped).all()
         assert 0 < stopped.sum() < 50_000
-        rows, lengths, stopped = esf_cycle_counts_batch(7, 1.7, 1000, RngStream(9))
+        rows, lengths, stopped = esf_cycle_counts_batch(7, 1.7, 1000, np.random.default_rng(9))
         counts = _dense_counts(rows, lengths, 1000, 7)
         assert (counts[~stopped] @ np.arange(8) == 7).all()
         assert (~stopped).any()
 
     def test_theta_one_matches_uniform_permutation_law(self):
         # at theta = 1 the full proposals are uniform derangement cycle types
-        _check_stopped_esf_law(6, 1, 200_000, RngStream(101))
+        _check_stopped_esf_law(6, 1, 200_000, np.random.default_rng(101))
 
     def test_theta_half_matches_esf_law(self):
-        _check_stopped_esf_law(6, F(1, 2), 200_000, RngStream(202))
+        _check_stopped_esf_law(6, F(1, 2), 200_000, np.random.default_rng(202))
 
     @pytest.mark.parametrize("n", [4, 5, 7, 8])
     def test_theta_half_full_proposals_by_n(self, n):
-        _check_stopped_esf_law(n, F(1, 2), 50_000, RngStream(210 + n))
+        _check_stopped_esf_law(n, F(1, 2), 50_000, np.random.default_rng(210 + n))
 
     def test_no_row_is_a_no_op(self):
-        rows, lengths, stopped = esf_cycle_counts_batch(5, 0.5, 0, RngStream(0))
+        rows, lengths, stopped = esf_cycle_counts_batch(5, 0.5, 0, np.random.default_rng(0))
         assert rows.size == lengths.size == stopped.size == 0
 
 
@@ -282,7 +271,7 @@ def _extreme_rows(n, rng):
     i = np.arange(n)
     return np.array([
         (i + 1) % n,  # one n-cycle: the core is every point
-        rng.gen.permutation(n),  # a permutation: again all core
+        rng.permutation(n),  # a permutation: again all core
         np.where(i < 2, 1 - i, i - 1),  # a path of height n-2 into a 2-cycle
         np.maximum(i - 1, 0),  # a path of height n-1 into a fixed point
         np.where(i < 2, 1 - i, 0),  # a star into a 2-cycle
@@ -327,7 +316,7 @@ def _class_counts(count_matrix, n):
     return decoded
 
 
-def _esf_crp(n: int, theta: float, rng: RngStream) -> Spectrum:
+def _esf_crp(n: int, theta: float, rng: np.random.Generator) -> Spectrum:
     """One full ESF(theta) spectrum via the Chinese restaurant process.
 
     A proposal source independent of the Feller kernel: customer i starts a
@@ -336,7 +325,7 @@ def _esf_crp(n: int, theta: float, rng: RngStream) -> Spectrum:
     """
     tables: list[int] = []
     for i in range(n):
-        u = rng.gen.random() * (i + theta)
+        u = rng.random() * (i + theta)
         if u < theta:
             tables.append(1)
             continue
@@ -353,7 +342,7 @@ def _esf_crp(n: int, theta: float, rng: RngStream) -> Spectrum:
 class TestChineseRestaurant:
     def test_matches_esf_law(self):
         n, reps = 5, 30_000
-        rng = RngStream(404)
+        rng = np.random.default_rng(404)
         observed = {}
         for _ in range(reps):
             key = _class_key_from_sizes(_esf_crp(n, 0.5, rng).sizes(), n)
@@ -365,7 +354,7 @@ class TestChineseRestaurant:
         assert chi_square_pvalue(observed, expected, reps) > 1e-4
 
     def test_total_is_n(self):
-        rng = RngStream(11)
+        rng = np.random.default_rng(11)
         for _ in range(200):
             assert _esf_crp(9, 2.0, rng).total == 9
 
@@ -379,7 +368,7 @@ class TestOmega:
             assert w[j] == pytest.approx(exact, rel=1e-12)
 
     def test_matches_iterative_cdf(self):
-        from screamingtoes.exact import poisson_cdf
+        from oracles import poisson_cdf
 
         w = omega_values(60)
         for j in (2, 5, 17, 60):
@@ -421,7 +410,7 @@ class TestOmega:
 
 class TestRejectionSampler:
     def test_scalar_properties(self):
-        rng = RngStream(500)
+        rng = np.random.default_rng(500)
         for _ in range(300):
             spec, attempts = sample_toes_components(6, rng)
             assert spec.get(1) == 0
@@ -433,14 +422,14 @@ class TestRejectionSampler:
         # ESF(1/2) proposals that do not come from the Feller kernel, gives
         # the component law
         n, proposals = 6, 60_000
-        rng = RngStream(501)
+        rng = np.random.default_rng(501)
         w = omega_values(n)
         observed: dict = {}
         for _ in range(proposals):
             spec = _esf_crp(n, 0.5, rng)
             if spec.get(1) > 0:
                 continue
-            if rng.gen.random() < math.prod((2.0 * w[j]) ** a for j, a in spec.counts):
+            if rng.random() < math.prod((2.0 * w[j]) ** a for j, a in spec.counts):
                 key = _class_key_from_sizes(spec.sizes(), n)
                 observed[key] = observed.get(key, 0) + 1
         accepted = sum(observed.values())
@@ -454,8 +443,8 @@ class TestRejectionSampler:
         # the batch tally is the tally of the accepted pairs, which follow
         # the component law
         n, reps = 6, 100_000
-        tally, attempts = toes_component_counts_batch(n, reps, RngStream(600))
-        rows, lengths, again = _accepted(n, reps, RngStream(600))
+        tally, attempts = toes_component_counts_batch(n, reps, np.random.default_rng(600))
+        rows, lengths, again = _accepted(n, reps, np.random.default_rng(600))
         assert again == attempts
         counts = _dense_counts(rows, lengths, reps, n)
         for key, value in _matrix_tally(counts, "comp").items():
@@ -475,7 +464,7 @@ class TestRejectionSampler:
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_accepted_spectra_match_component_law(self, n):
         reps = 50_000
-        rows, lengths, _ = _accepted(n, reps, RngStream(610 + n))
+        rows, lengths, _ = _accepted(n, reps, np.random.default_rng(610 + n))
         counts = _dense_counts(rows, lengths, reps, n)
         assert (counts @ np.arange(n + 1) == n).all()
         assert (counts[:, 1] == 0).all()
@@ -487,7 +476,7 @@ class TestRejectionSampler:
 
     def test_acceptance_rate_matches_exact(self):
         n, accepted = 10, 100_000
-        _, attempts = toes_component_counts_batch(n, accepted, RngStream(601))
+        _, attempts = toes_component_counts_batch(n, accepted, np.random.default_rng(601))
         rate = accepted / attempts
         exact = exact_acceptance_probability(n)
         se = math.sqrt(exact * (1 - exact) / attempts)
@@ -515,11 +504,11 @@ class TestRejectionSampler:
 
 class TestCoreSizeSampler:
     def test_n2_degenerate(self):
-        assert (samplers.core_sizes_batch(2, 20, RngStream(700)) == 2).all()
+        assert (samplers.core_sizes_batch(2, 20, np.random.default_rng(700)) == 2).all()
 
     def test_batch_matches_core_law(self):
         n, reps = 10, 100_000
-        sizes = samplers.core_sizes_batch(n, reps, RngStream(701))
+        sizes = samplers.core_sizes_batch(n, reps, np.random.default_rng(701))
         observed = {int(r): int(c) for r, c in zip(*np.unique(sizes, return_counts=True))}
         expected = {r: p for r, p in laws.core_size_table(n, "toes").items()}
         assert chi_square_pvalue(observed, expected, reps) > 1e-4
@@ -544,7 +533,7 @@ class TestDerangementSampler:
     def test_forced_small_cases(self):
         # every derangement of 2 or 3 elements is a single cycle
         sizes = np.array([2] + [3] * 10)
-        rows, lengths = samplers._derangement_cycles(sizes, 3, RngStream(800))
+        rows, lengths = samplers._derangement_cycles(sizes, 3, np.random.default_rng(800))
         assert sorted(rows.tolist()) == list(range(sizes.size))
         assert (lengths == sizes[rows]).all()
 
@@ -552,7 +541,8 @@ class TestDerangementSampler:
         # P(k 2-cycles | derangement of 6), exact vs 10^5 batch draws
         reps = 100_000
         sizes = np.full(reps, 6)
-        hist = samplers.derangement_cycle_counts_batch(sizes, 6, RngStream(801))["scream_hist"]
+        rng = np.random.default_rng(801)
+        hist = samplers.derangement_cycle_counts_batch(sizes, 6, rng)["scream_hist"]
         assert hist.sum() == reps
         observed = {k: int(c) for k, c in enumerate(hist) if c}
         norm = F(derangement_number(6), math.factorial(6))
@@ -564,8 +554,8 @@ class TestDerangementSampler:
     def test_batch_cycle_totals(self):
         # per row, whatever the mix of sizes: sum_j j*c_j = r and no 1-cycles
         sizes = np.repeat([2, 5, 9, 3], 200)
-        RngStream(802).gen.shuffle(sizes)
-        rows, lengths = samplers._derangement_cycles(sizes, 9, RngStream(803))
+        np.random.default_rng(802).shuffle(sizes)
+        rows, lengths = samplers._derangement_cycles(sizes, 9, np.random.default_rng(803))
         counts = _dense_counts(rows, lengths, sizes.size, 9)
         assert (counts @ np.arange(10) == sizes).all()
         assert (counts[:, 1] == 0).all()
@@ -574,8 +564,8 @@ class TestDerangementSampler:
         # rows of sizes 2..8 drawn together, each size against its exact law
         reps = 40_000
         sizes = np.repeat(np.arange(2, 9), reps)
-        RngStream(804).gen.shuffle(sizes)
-        rows, lengths = samplers._derangement_cycles(sizes, 8, RngStream(805))
+        np.random.default_rng(804).shuffle(sizes)
+        rows, lengths = samplers._derangement_cycles(sizes, 8, np.random.default_rng(805))
         counts = _dense_counts(rows, lengths, sizes.size, 8)
         assert (counts @ np.arange(9) == sizes).all()
         for r in range(2, 9):
@@ -592,16 +582,16 @@ class TestDerangementSampler:
     def test_rejects_sizes_below_2(self):
         for sizes in ([3, 1], [1]):
             with pytest.raises(ValueError):
-                samplers.derangement_cycle_counts_batch(np.array(sizes), 3, RngStream(0))
+                samplers.derangement_cycle_counts_batch(np.array(sizes), 3, np.random.default_rng(0))
 
 
 class TestCoreJointSampler:
     def test_n2(self):
-        assert sample_toes_core(2, RngStream(900)).sizes() == (2,)
+        assert sample_toes_core(2, np.random.default_rng(900)).sizes() == (2,)
 
     def test_cycle_mean_agreement(self):
         n, reps = 10, 100_000
-        tally = toes_core_cycle_counts_batch(n, reps, RngStream(901))
+        tally = toes_core_cycle_counts_batch(n, reps, np.random.default_rng(901))
         assert tally["core_hist"].sum() == reps
         assert tally["cyc_sum"] @ np.arange(n + 1) == tally["core_hist"] @ np.arange(n + 1)
         for j in (2, 3, 10):
@@ -631,7 +621,7 @@ class TestChunkedTallies:
         # reference: the same draws decomposed by the scalar walk, one row at
         # a time, into full per-row count matrices
         n, reps, seed = 9, 1000, 4242
-        comp, cyc, core = _scalar_counts(sample_mappings_batch(n, reps, RngStream(seed)), n)
+        comp, cyc, core = _scalar_counts(sample_mappings_batch(n, reps, np.random.default_rng(seed)), n)
         no_comp, no_cyc = (comp <= 1).all(axis=1), (cyc <= 1).all(axis=1)
         want = {
             "replicates": reps,
@@ -654,7 +644,7 @@ class TestChunkedTallies:
         for cells in (samplers.CHUNK_CELLS, 1 << 21):
             monkeypatch.setattr(samplers, "CHUNK_CELLS", cells)
             assert samplers.chunk_rows(1000) < 3000  # several chunks either way
-            tallies.append(samplers.toes_mapping_counts_batch(1000, 3000, RngStream(4545)))
+            tallies.append(samplers.toes_mapping_counts_batch(1000, 3000, np.random.default_rng(4545)))
         small, large = tallies
         assert sorted(small) == sorted(large)
         for key, value in large.items():
@@ -664,7 +654,7 @@ class TestChunkedTallies:
         n, reps, seed, block = 10, 3000, 4343, 700
         # reference: the same draws, block by block, as a full per-row
         # cycle-count matrix
-        rng = RngStream(seed)
+        rng = np.random.default_rng(seed)
         sizes = samplers.core_sizes_batch(n, reps, rng)
         cyc = np.zeros((reps, n + 1), dtype=np.int64)
         for lo in range(0, reps, block):
@@ -678,7 +668,7 @@ class TestChunkedTallies:
             "core_hist": np.bincount(sizes, minlength=n + 1),
         }
         monkeypatch.setattr(samplers, "ROW_CHUNK", block)
-        got = toes_core_cycle_counts_batch(n, reps, RngStream(seed))
+        got = toes_core_cycle_counts_batch(n, reps, np.random.default_rng(seed))
         assert sorted(got) == sorted(want)
         for key, value in want.items():
             assert np.array_equal(got[key], value), key
@@ -701,12 +691,12 @@ class TestMemoryBound:
 
     def test_core_joint_batch(self):
         samplers._core_size_cdf(1000)  # the cached exact CDF is set-up, not batch memory
-        peak = _traced_peak_mb(toes_core_cycle_counts_batch, 1000, 20_000, RngStream(950))
+        peak = _traced_peak_mb(toes_core_cycle_counts_batch, 1000, 20_000, np.random.default_rng(950))
         assert peak < 16
 
     def test_rejection_batch(self):
         omega_values(1000)  # cached, like the CDF above
-        peak = _traced_peak_mb(toes_component_counts_batch, 1000, 20_000, RngStream(952))
+        peak = _traced_peak_mb(toes_component_counts_batch, 1000, 20_000, np.random.default_rng(952))
         assert peak < 16
 
     def test_direct_batch(self):
@@ -734,7 +724,7 @@ class TestDirectRegression:
         for (comp_key, cyc_key), prob in brute.joint_pmf.items():
             key = _class_key_from_sizes(comp_key, n) + _class_key_from_sizes(cyc_key, n)
             expected[key] = prob
-        rng = RngStream(1000 + n)
+        rng = np.random.default_rng(1000 + n)
         observed: dict = {}
         done = 0
         while done < reps:
@@ -752,7 +742,7 @@ class TestDirectRegression:
 class TestCrossMoments:
     def test_product_moment_against_direct_simulation(self):
         n, reps = 10, 300_000
-        direct = decompose_batch(sample_mappings_batch(n, reps, RngStream(1400)))
+        direct = decompose_batch(sample_mappings_batch(n, reps, np.random.default_rng(1400)))
         comp = _dense_counts(*direct.components, reps, n)
         prod = comp[:, 2] * comp[:, 3]
         exact = float(to_mpf(laws.factorial_moment(n, {2: 1, 3: 1})))
@@ -764,7 +754,7 @@ class TestLargeN:
     def test_decompose_handles_deep_paths(self):
         # iterative traversal: no recursion limit at n = 10**5
         n = 100_000
-        mapping = sample_mapping(n, RngStream(1500))
+        mapping = sample_mapping(n, np.random.default_rng(1500))
         dec = decompose(mapping)
         assert dec.component_sizes.total == n
         assert dec.core_size >= 2
@@ -773,8 +763,8 @@ class TestLargeN:
 class TestRouteAgreement:
     def test_rejection_and_direct_component_means(self):
         n, reps = 8, 120_000
-        rej, _ = toes_component_counts_batch(n, reps, RngStream(1100))
-        direct = decompose_batch(sample_mappings_batch(n, reps, RngStream(1101)))
+        rej, _ = toes_component_counts_batch(n, reps, np.random.default_rng(1100))
+        direct = decompose_batch(sample_mappings_batch(n, reps, np.random.default_rng(1101)))
         comp = _dense_counts(*direct.components, reps, n)
         for j in range(2, n + 1):
             a_mean, a_se = _mean_and_se(rej, "comp", j, reps)
@@ -786,8 +776,8 @@ class TestRouteAgreement:
 
     def test_corejoint_and_direct_cycle_means(self):
         n, reps = 8, 120_000
-        joint = toes_core_cycle_counts_batch(n, reps, RngStream(1102))
-        direct = decompose_batch(sample_mappings_batch(n, reps, RngStream(1103)))
+        joint = toes_core_cycle_counts_batch(n, reps, np.random.default_rng(1102))
+        direct = decompose_batch(sample_mappings_batch(n, reps, np.random.default_rng(1103)))
         cyc = _dense_counts(*direct.cycles, reps, n)
         for j in range(2, n + 1):
             a_mean, a_se = _mean_and_se(joint, "cyc", j, reps)
@@ -798,14 +788,14 @@ class TestRouteAgreement:
 
 class TestBatchDeterminism:
     def test_same_seed_same_tallies(self):
-        a, att_a = toes_component_counts_batch(7, 5000, RngStream(1200))
-        b, att_b = toes_component_counts_batch(7, 5000, RngStream(1200))
+        a, att_a = toes_component_counts_batch(7, 5000, np.random.default_rng(1200))
+        b, att_b = toes_component_counts_batch(7, 5000, np.random.default_rng(1200))
         assert att_a == att_b
         assert sorted(a) == sorted(b) == ["comp_sum", "comp_sumsq"]
         for key in a:
             assert np.array_equal(a[key], b[key]), key
 
     def test_scalar_streams_reproduce(self):
-        seq_a = [sample_toes_core(6, RngStream(1300)).sizes() for _ in range(1)]
-        seq_b = [sample_toes_core(6, RngStream(1300)).sizes() for _ in range(1)]
+        seq_a = [sample_toes_core(6, np.random.default_rng(1300)).sizes() for _ in range(1)]
+        seq_b = [sample_toes_core(6, np.random.default_rng(1300)).sizes() for _ in range(1)]
         assert seq_a == seq_b
