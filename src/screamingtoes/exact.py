@@ -38,37 +38,6 @@ def falling_factorial(n: int, r: int) -> int:
     return out
 
 
-def rising_factorial(x: RationalLike, r: int) -> RationalLike:
-    """x(x+1)...(x+r-1); accepts integers or Fractions (e.g. x = 1/2)."""
-    if r < 0:
-        raise ValueError("order r must be nonnegative")
-    out: RationalLike = x**0
-    for i in range(r):
-        out = out * (x + i)
-    return out
-
-
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient; 0 for out-of-range arguments instead of an error."""
-    if k < 0 or k > n or n < 0:
-        return 0
-    return math.comb(n, k)
-
-
-def multinomial(n: int, *groups: int) -> int:
-    """n! / (g_1! ... g_k! (n - sum g_i)!); 0 when the groups do not fit in n."""
-    if n < 0 or any(g < 0 for g in groups):
-        return 0
-    rest = n - sum(groups)
-    if rest < 0:
-        return 0
-    out = 1
-    for g in groups:
-        out *= math.comb(n, g)
-        n -= g
-    return out
-
-
 _DERANGEMENTS = [1, 0]  # D_0, D_1; extended on demand
 
 
@@ -115,12 +84,10 @@ def poisson_partial_sum(rate: int, k: int) -> Fraction:
 class ScaledExp:
     """Exact value coeff * e**epow.
 
-    Multiplication and integer powers combine exactly.  Addition is exact
-    only between values with equal e-powers; adding mixed powers raises,
-    because the result would no longer have this form (convert to a float
-    first if an approximate sum is wanted).  A zero coefficient is
-    normalised to e-power 0 so that zero compares equal regardless of how
-    it arose.
+    Products (with another ScaledExp or a rational on the right) and
+    nonnegative integer powers combine exactly; sums of mixed e-powers would
+    leave this form, so there are none.  A zero coefficient is normalised to
+    e-power 0 so that zero compares equal regardless of how it arose.
     """
 
     coeff: Fraction
@@ -137,41 +104,10 @@ class ScaledExp:
             return ScaledExp(self.coeff * other.coeff, self.epow + other.epow)
         return ScaledExp(self.coeff * other, self.epow)
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: ScaledExp | RationalLike) -> ScaledExp:
-        if isinstance(other, ScaledExp):
-            return ScaledExp(self.coeff / other.coeff, self.epow - other.epow)
-        return ScaledExp(self.coeff / other, self.epow)
-
     def __pow__(self, k: int) -> ScaledExp:
         if not isinstance(k, int) or k < 0:
             raise ValueError("only nonnegative integer powers are exact")
         return ScaledExp(self.coeff**k, self.epow * k)
-
-    def __add__(self, other: ScaledExp | RationalLike) -> ScaledExp:
-        if not isinstance(other, ScaledExp):
-            other = ScaledExp(Fraction(other), 0)
-        if self.coeff == 0:
-            return other
-        if other.coeff == 0:
-            return self
-        if self.epow != other.epow:
-            raise ValueError(
-                "cannot add ScaledExp values with different e-powers exactly; "
-                "convert to float first"
-            )
-        return ScaledExp(self.coeff + other.coeff, self.epow)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: ScaledExp | RationalLike) -> ScaledExp:
-        if not isinstance(other, ScaledExp):
-            other = ScaledExp(Fraction(other), 0)
-        return self + ScaledExp(-other.coeff, other.epow)
-
-    def __neg__(self) -> ScaledExp:
-        return ScaledExp(-self.coeff, self.epow)
 
     def as_fraction(self) -> Fraction:
         """The exact rational value; requires the e-power to have cancelled."""

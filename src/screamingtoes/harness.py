@@ -280,8 +280,6 @@ _SPECS = {
     )
 }
 
-TABLES = tuple(_SPECS)
-
 TABLE_ALIASES = {
     alias: spec.name for spec in _SPECS.values() for alias in (spec.name, *spec.aliases)
 }
@@ -675,7 +673,6 @@ __all__ = [
     "ExperimentReport",
     "Q_TABLE_NS",
     "StatRecord",
-    "TABLES",
     "brute_force_law",
     "canonical_table",
     "default_workers",

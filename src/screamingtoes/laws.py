@@ -10,6 +10,17 @@ Two models of a random function f on n points are covered:
   at their own feet the cyclic part (the core) is a fixed-point-free
   permutation.  A 2-cycle in the core is a screaming pair.
 
+The module holds the laws that the CLI tables, the brute-force validation
+and the samplers read: component spectra and means, core size, core cycle
+means, screaming pairs and q_n, and no-repeated-size probabilities.  Beside
+them are two results of the paper that no table reports, the joint
+falling-factorial moments (:func:`factorial_moment`) and the Spitzer-type
+sum behind the rejection sampler's acceptance rate
+(:func:`spitzer_partial_sum`).  The reference laws that only check these
+(the Ewens sampling formula, the derangement cycle laws and the two sides
+of the core/derangement identity) live with the tests, in
+``tests/oracles.py``.
+
 Every probability and moment here is computed as an exact ``Fraction``.
 Powers of e that appear in intermediate factors are tracked symbolically by
 ``ScaledExp`` and must cancel on the support; the code asserts that instead
@@ -30,30 +41,24 @@ import numpy as np
 
 from .exact import (
     ScaledExp,
-    binomial,
-    derangement_number,
     derangement_numbers,
     falling_factorial,
     fraction_over_power,
-    multinomial,
     poisson_partial_sum,
-    rising_factorial,
 )
 
 Model = Literal["standard", "toes"]
-CycleModel = Literal["standard", "toes", "derangement"]
 
 MODELS = ("standard", "toes")
-CYCLE_MODELS = ("standard", "toes", "derangement")
 
 
 class ConsistencyError(RuntimeError):
     """Two formulas for the same quantity disagreed: an internal bug, not bad input."""
 
 
-def _check_model(model: str, allowed: tuple[str, ...]) -> None:
-    if model not in allowed:
-        raise ValueError(f"unknown model {model!r}; expected one of {allowed}")
+def _check_model(model: str) -> None:
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
 
 
 # ---------------------------------------------------------------------------
@@ -65,15 +70,12 @@ class Spectrum:
     """Multiset of sizes encoded as counts: ``counts`` holds (size, multiplicity).
 
     Used both for component sizes (n = number of mapped points) and for
-    cycle lengths (n = number of core elements).  A complete spectrum
-    accounts for everything: sum of size*multiplicity equals n.  Marginal
-    queries (e.g. "two components of size 3, rest unspecified") carry
-    ``complete=False``.
+    cycle lengths (n = number of core elements).  A spectrum accounts for
+    everything: sum of size*multiplicity equals n.
     """
 
     n: int
     counts: tuple[tuple[int, int], ...]
-    complete: bool = True
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -87,25 +89,24 @@ class Spectrum:
             seen.add(size)
         if tuple(sorted(self.counts)) != self.counts:
             raise ValueError("counts must be sorted by size")
-        if self.complete and self.total != self.n:
+        if self.total != self.n:
             raise ValueError(
-                f"complete spectrum must satisfy sum(size*mult) == n; "
+                "a spectrum must satisfy sum(size*mult) == n; "
                 f"got {self.total} != {self.n}"
             )
 
     @classmethod
-    def from_counts(cls, n: int, counts: Mapping[int, int], complete: bool = True) -> Spectrum:
+    def from_counts(cls, n: int, counts: Mapping[int, int]) -> Spectrum:
         items = tuple(sorted((int(j), int(a)) for j, a in counts.items() if a != 0))
-        return cls(n, items, complete)
+        return cls(n, items)
 
     @classmethod
-    def from_sizes(cls, sizes: Iterable[int], n: int | None = None) -> Spectrum:
+    def from_sizes(cls, sizes: Iterable[int]) -> Spectrum:
         sizes = tuple(sizes)
-        total = sum(sizes)
         counts: dict[int, int] = {}
         for s in sizes:
             counts[s] = counts.get(s, 0) + 1
-        return cls.from_counts(total if n is None else n, counts, complete=n is None or n == total)
+        return cls.from_counts(sum(sizes), counts)
 
     @property
     def total(self) -> int:
@@ -228,7 +229,7 @@ def component_count_with_core(size: int, core: int) -> int:
     if core == size:
         return math.factorial(size - 1)
     return (
-        binomial(size, core)
+        math.comb(size, core)
         * math.factorial(core - 1)
         * core
         * size ** (size - core - 1)
@@ -265,7 +266,7 @@ def component_total_count(size: int) -> int:
 def single_component_prob(n: int, model: Model = "toes") -> Fraction:
     """Probability that the whole mapping is one component, T_n / b**n with
     b**n the model's mappings; exactly rational."""
-    _check_model(model, MODELS)
+    _check_model(model)
     if model == "standard":
         if n < 1:
             raise ValueError("n must be >= 1")
@@ -279,24 +280,19 @@ def single_component_prob(n: int, model: Model = "toes") -> Fraction:
 
 
 def component_pmf(n: int, spectrum: Spectrum, model: Model = "toes") -> Fraction:
-    """Exact probability that the mapping has the given complete size spectrum.
+    """Exact probability that the mapping has the given size spectrum.
 
-    Returns 0 off the support (sizes not summing to n).  Splitting the n
-    points into a_j blocks of each size j and making every block one
-    connected mapping gives P = n!/b**n * prod_j (T_j / j!)**a_j / a_j!,
-    where b**n counts the model's mappings and T_j its connected mappings on
-    j points (:func:`_connected_count`).
+    Splitting the n points into a_j blocks of each size j and making every
+    block one connected mapping gives
+    P = n!/b**n * prod_j (T_j / j!)**a_j / a_j!, where b**n counts the
+    model's mappings and T_j its connected mappings on j points
+    (:func:`_connected_count`).
     """
-    _check_model(model, MODELS)
+    _check_model(model)
     if spectrum.n != n:
         raise ValueError("spectrum is for a different n")
-    if not spectrum.complete:
-        raise ValueError("component_pmf needs a complete spectrum")
     if model == "toes" and spectrum.get(1) > 0:
         raise ValueError("size-1 components cannot occur in the toes model")
-    if spectrum.total != n:
-        return Fraction(0)
-
     value = Fraction(math.factorial(n), _base(n, model) ** n)
     for j, a in spectrum.counts:
         value *= Fraction(_connected_count(j, model), math.factorial(j)) ** a / math.factorial(a)
@@ -304,8 +300,8 @@ def component_pmf(n: int, spectrum: Spectrum, model: Model = "toes") -> Fraction
 
 
 def component_pmf_table(n: int, model: Model = "toes") -> dict[tuple[int, ...], Fraction]:
-    """component_pmf over every complete spectrum, keyed by ascending size tuple."""
-    _check_model(model, MODELS)
+    """component_pmf over every spectrum, keyed by ascending size tuple."""
+    _check_model(model)
     table = {}
     min_part = 2 if model == "toes" else 1
     for parts in partitions(n, min_part):
@@ -327,7 +323,7 @@ def mean_component_count(n: int, j: int, model: Model = "toes") -> Fraction:
     Toes-model queries with j = 1 are rejected rather than returning 0, to
     catch confusion with the standard model.
     """
-    _check_model(model, MODELS)
+    _check_model(model)
     if model == "standard":
         if not 1 <= j <= n:
             raise ValueError("need 1 <= j <= n")
@@ -343,7 +339,7 @@ def mean_component_count(n: int, j: int, model: Model = "toes") -> Fraction:
     direct = (
         intensity * ScaledExp(Fraction(falling_factorial(n, j), base**n), j) * rest
     ).as_fraction()
-    count = binomial(n, j) * _connected_count(j, model) * rest
+    count = math.comb(n, j) * _connected_count(j, model) * rest
     if direct.numerator * base**n != count * direct.denominator:  # direct == count / base**n
         raise ConsistencyError(f"component-mean forms disagree at n={n}, j={j}")
     return direct
@@ -374,26 +370,6 @@ def factorial_moment(n: int, orders: Mapping[int, int]) -> Fraction:
     return value.as_fraction()
 
 
-def component_pair_moment(n: int, i: int, j: int) -> Fraction:
-    """E C~_i C~_j for i != j (and E C~_i^[2] for i = j) via the product form.
-
-    Independent of :func:`factorial_moment`'s route; the two are equal and
-    the test suite pins that.  Returns 0 when i + j > n.
-    """
-    if min(i, j) < 2:
-        raise ValueError("sizes must be >= 2 in the toes model")
-    if i + j > n:
-        return Fraction(0)
-    return (
-        single_component_prob(i, "toes")
-        * single_component_prob(j, "toes")
-        * multinomial(n, i, j)
-        * Fraction(i - 1, n - 1) ** i
-        * Fraction(j - 1, n - 1) ** j
-        * (1 - Fraction(i + j, n - 1)) ** (n - i - j)
-    )
-
-
 def expected_num_components(n: int, model: Model = "toes") -> Fraction:
     """Expected total number of components.
 
@@ -402,7 +378,7 @@ def expected_num_components(n: int, model: Model = "toes") -> Fraction:
     means (components and core cycles are in bijection) -- and the two must
     agree exactly.
     """
-    _check_model(model, MODELS)
+    _check_model(model)
     if model == "standard":
         if n < 1:
             raise ValueError("n must be >= 1")
@@ -443,7 +419,7 @@ def core_size_counts(n: int, model: Model = "toes") -> tuple[int, ...]:
     = r! or D_r.  Built by running products from r = n down, and checked to
     sum to the model's number of mappings, (n-1)**n or n**n, in integers.
     """
-    _check_model(model, MODELS)
+    _check_model(model)
     lo = 2 if model == "toes" else 1
     if n < lo:
         raise ValueError(f"need n >= {lo} in the {model} model")
@@ -491,24 +467,17 @@ def _core_size_law(n: int, model: Model) -> tuple[Fraction, ...]:
 
 def core_size_pmf(n: int, r: int, model: Model = "toes") -> Fraction:
     """P(core has exactly r elements), exactly."""
-    _check_model(model, MODELS)
+    _check_model(model)
     lo = 2 if model == "toes" else 1
     if not lo <= r <= n:
         raise ValueError(f"need {lo} <= r <= n in the {model} model")
     return _core_size_law(n, model)[r]
 
 
-def core_size_tail_std(n: int, j: int) -> Fraction:
-    """P(standard-mapping core has >= j elements) = (n-1)_[j-1] / n**(j-1)."""
-    if not 1 <= j <= n:
-        raise ValueError("need 1 <= j <= n")
-    return Fraction(falling_factorial(n - 1, j - 1), n ** (j - 1))
-
-
 def core_size_table(n: int, model: Model = "toes") -> dict[int, Fraction]:
     """Exact core-size pmf for r over the full support.  Its normalisation
     is checked in integers, on the counts it is read from."""
-    _check_model(model, MODELS)
+    _check_model(model)
     law = _core_size_law(n, model)
     return {r: law[r] for r in range(2 if model == "toes" else 1, n + 1)}
 
@@ -531,82 +500,16 @@ def _cycle_means(n: int, model: Model) -> tuple[Fraction, ...]:
     return tuple(means)
 
 
-def mean_cycle_count(n: int, j: int, model: CycleModel = "toes") -> Fraction:
-    """Expected number of length-j cycles.
-
-    * ``standard``: cycles in the core of a standard mapping, j >= 1.
-    * ``toes``: cycles in the core of a toes mapping, j >= 2.
-    * ``derangement``: cycles of a uniform random derangement of n, j >= 2.
-      When n - j = 1 the value is 0 (D_1 = 0: removing the chosen cycles
-      cannot strand exactly one non-fixed point), which is valid output,
-      not an error.
-    """
-    _check_model(model, CYCLE_MODELS)
+def mean_cycle_count(n: int, j: int, model: Model = "toes") -> Fraction:
+    """Expected number of length-j cycles in the core: j >= 1 in the
+    standard model, j >= 2 in the toes model."""
+    _check_model(model)
     if model == "standard":
         if not 1 <= j <= n:
             raise ValueError("need 1 <= j <= n")
     elif not 2 <= j <= n:
-        raise ValueError(f"need 2 <= j <= n in the {model} model")
-    if model == "derangement":
-        return (
-            Fraction(1, j)
-            * Fraction(math.factorial(n), derangement_number(n))
-            * Fraction(derangement_number(n - j), math.factorial(n - j))
-        )
+        raise ValueError("need 2 <= j <= n in the toes model")
     return _cycle_means(n, model)[j]
-
-
-def derangement_two_cycle_pmf(n: int, k: int) -> Fraction:
-    """P(uniform random permutation of n has no fixed point and exactly k 2-cycles)."""
-    if not 0 <= k <= n // 2:
-        raise ValueError("need 0 <= k <= n//2")
-    total = Fraction(0)
-    for l in range(0, n // 2 - k + 1):
-        rest = n - 2 * l - 2 * k
-        total += (
-            Fraction((-1) ** l, 2**l * math.factorial(l))
-            * Fraction(derangement_number(rest), math.factorial(rest))
-        )
-    return total * Fraction(1, 2**k * math.factorial(k))
-
-
-def derangement_cycle_type_pmf(r: int, spectrum: Spectrum | Iterable[int]) -> Fraction:
-    """P(uniform random derangement of r has the given cycle-length multiset)."""
-    sizes = spectrum.sizes() if isinstance(spectrum, Spectrum) else tuple(spectrum)
-    if sum(sizes) != r:
-        return Fraction(0)
-    if any(s < 2 for s in sizes):
-        return Fraction(0)
-    counts: dict[int, int] = {}
-    for s in sizes:
-        counts[s] = counts.get(s, 0) + 1
-    value = Fraction(math.factorial(r), derangement_number(r))
-    for j, a in counts.items():
-        value *= Fraction(1, j**a * math.factorial(a))
-    return value
-
-
-def core_identity_sides(n: int, m: int) -> tuple[Fraction, Fraction]:
-    """Both sides of the core/derangement summation identity, independently.
-
-    Left: (n/(n-1))**n * sum_{r=m}^{n} (r/n)(n_[r]/n**r) D_{r-m}/(r-m)!.
-    Right: n_[m]/(n-1)**m.  They are equal for every n >= 2, 1 <= m <= n;
-    the identity is what collapses core-conditioned sums into closed forms.
-    """
-    if n < 2 or not 1 <= m <= n:
-        raise ValueError("need n >= 2 and 1 <= m <= n")
-    acc = Fraction(0)
-    fal = falling_factorial(n, m - 1)
-    for r in range(m, n + 1):
-        fal *= n - r + 1
-        acc += (
-            Fraction(r, n)
-            * Fraction(fal, n**r)
-            * Fraction(derangement_number(r - m), math.factorial(r - m))
-        )
-    lhs = Fraction(n, n - 1) ** n * acc
-    rhs = Fraction(falling_factorial(n, m), (n - 1) ** m)
-    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -642,12 +545,6 @@ def scream_pmf(n: int, k: int) -> Fraction:
     )
 
 
-def scream_pmf_table(n: int) -> dict[int, Fraction]:
-    table = {k: scream_pmf(n, k) for k in range(0, n // 2 + 1)}
-    _check_sums_to_one(table, "scream-pmf", n)
-    return table
-
-
 def prob_someone_screams(n: int) -> Fraction:
     """P(at least one screaming pair), q_n = 1 - P(no screaming pair).
 
@@ -655,9 +552,6 @@ def prob_someone_screams(n: int) -> Fraction:
     sum_{l>=1} (-1)**(l-1) n_[2l] / (2**l l! (n-1)**(2l)).
     """
     return 1 - scream_pmf(n, 0)
-
-
-SCREAM_LIMIT = "1 - e**(-1/2)"  # limiting q_n, about 0.393469
 
 
 # ---------------------------------------------------------------------------
@@ -679,44 +573,6 @@ def spitzer_partial_sum(limit: int = 10**6) -> float:
         j = np.arange(start, min(limit, start + chunk - 1) + 1)
         total += float(((0.5 - omega(j)) / j).sum())
     return total
-
-
-# ---------------------------------------------------------------------------
-# Ewens sampling formula (exact reference law for the samplers)
-
-
-def esf_pmf(n: int, theta: Fraction | int, spectrum: Spectrum | Iterable[int]) -> Fraction:
-    """Exact cycle-type probability under the Ewens sampling formula.
-
-    P(counts = a) = n!/theta^(n) * prod_j (theta/j)**a_j / a_j!, with
-    theta^(n) the rising factorial.  theta = 1 is the uniform random
-    permutation; theta = 1/2 is the proposal law of the rejection sampler.
-    """
-    sizes = spectrum.sizes() if isinstance(spectrum, Spectrum) else tuple(spectrum)
-    if sum(sizes) != n:
-        return Fraction(0)
-    theta = Fraction(theta)
-    counts: dict[int, int] = {}
-    for s in sizes:
-        counts[s] = counts.get(s, 0) + 1
-    value = Fraction(math.factorial(n)) / rising_factorial(theta, n)
-    for j, a in counts.items():
-        value *= (theta / j) ** a / math.factorial(a)
-    return value
-
-
-def esf_mean_cycle_count(n: int, theta: Fraction | int, j: int) -> Fraction:
-    """E C_j(n) under ESF(theta): (theta/j) n_[j] theta^(n-j) / theta^(n)."""
-    if not 1 <= j <= n:
-        raise ValueError("need 1 <= j <= n")
-    theta = Fraction(theta)
-    return (
-        theta
-        / j
-        * falling_factorial(n, j)
-        * rising_factorial(theta, n - j)
-        / rising_factorial(theta, n)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -799,7 +655,7 @@ def prob_no_repeated_sizes(n: int) -> NoRepeatProbs:
 # Mean tables for the harness
 
 
-def cycle_mean_table(n: int, model: CycleModel = "toes") -> dict[int, Fraction]:
+def cycle_mean_table(n: int, model: Model = "toes") -> dict[int, Fraction]:
     """mean_cycle_count for every length j."""
     lo = 1 if model == "standard" else 2
     return {j: mean_cycle_count(n, j, model) for j in range(lo, n + 1)}
@@ -807,27 +663,19 @@ def cycle_mean_table(n: int, model: CycleModel = "toes") -> dict[int, Fraction]:
 
 __all__ = [
     "ConsistencyError",
-    "CycleModel",
     "Model",
     "NoRepeatProbs",
     "OMEGA_EXACT_MAX_J",
     "REPEATS_MAX_N",
     "Spectrum",
     "component_count_with_core",
-    "component_pair_moment",
     "component_pmf",
     "component_pmf_table",
     "component_total_count",
-    "core_identity_sides",
     "core_size_counts",
     "core_size_pmf",
     "core_size_table",
-    "core_size_tail_std",
     "cycle_mean_table",
-    "derangement_cycle_type_pmf",
-    "derangement_two_cycle_pmf",
-    "esf_mean_cycle_count",
-    "esf_pmf",
     "expected_num_components",
     "factorial_moment",
     "lambda_std",
@@ -839,7 +687,6 @@ __all__ = [
     "prob_no_repeated_sizes",
     "prob_someone_screams",
     "scream_pmf",
-    "scream_pmf_table",
     "single_component_prob",
     "spitzer_partial_sum",
 ]

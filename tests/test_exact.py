@@ -1,4 +1,5 @@
-"""Tests for the integer/rational primitives."""
+"""Tests for the integer/rational primitives, and for the integer and float
+oracles in ``tests/oracles.py`` that other tests lean on."""
 
 import itertools
 import math
@@ -11,20 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaincc
 
-from oracles import poisson_cdf
+from oracles import multinomial, poisson_cdf, rising_factorial
 from screamingtoes import exact
 from screamingtoes.exact import (
     DEFAULT_PRECISION,
     ScaledExp,
-    binomial,
     derangement_number,
     derangement_numbers,
     falling_factorial,
     format_fixed,
     fraction_over_power,
-    multinomial,
     poisson_partial_sum,
-    rising_factorial,
     to_mpf,
 )
 
@@ -99,12 +97,8 @@ class TestPoissonPartialSum:
             assert abs(val - mpmath.exp(5)) < mpmath.mpf(2) ** -80
 
 
-class TestBinomialMultinomial:
+class TestMultinomial:
     def test_examples(self):
-        assert binomial(4, 2) == 6
-        assert binomial(9, 0) == 1
-        assert binomial(3, 5) == 0
-        assert binomial(5, -1) == 0
         assert multinomial(10, 2, 3) == 2520
         assert multinomial(4, 2, 3) == 0  # groups exceed n
         assert multinomial(6, 6) == 1
@@ -137,15 +131,6 @@ class TestScaledExp:
         assert a * b == ScaledExp(F(2), 3)
         assert a**3 == ScaledExp(F(27, 8), -6)
         assert a * 2 == ScaledExp(F(3), -2)
-        assert 2 * a == a * 2
-        assert a / b == ScaledExp(F(9, 8), -7)
-
-    def test_mixed_epow_sum_forbidden(self):
-        with pytest.raises(ValueError):
-            ScaledExp(F(1), 1) + ScaledExp(F(1), 2)
-        # adding zero is fine whatever its nominal power was
-        assert ScaledExp(F(0), 0) + ScaledExp(F(2), 5) == ScaledExp(F(2), 5)
-        assert ScaledExp(F(2), 5) - ScaledExp(F(2), 5) == ScaledExp(F(0), 0)
 
     def test_zero_normalises_epow(self):
         assert ScaledExp(F(0), 7) == ScaledExp(F(0), 0)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import poisson_cdf
 from screamingtoes import laws, samplers
 from screamingtoes.exact import ScaledExp, derangement_number, falling_factorial, format_fixed, to_mpf
@@ -30,8 +31,6 @@ class TestSpectrum:
     def test_complete_must_balance(self):
         with pytest.raises(ValueError):
             Spectrum.from_counts(5, {2: 1})
-        marginal = Spectrum.from_counts(5, {2: 1}, complete=False)
-        assert marginal.total == 2
 
     def test_bad_entries(self):
         with pytest.raises(ValueError):
@@ -107,11 +106,10 @@ class TestComponentPmf:
         assert laws.component_pmf(4, spectrum(4), "toes") == 1 - p22
 
     def test_off_support_is_zero(self):
-        bad = Spectrum.from_counts(6, {2: 1}, complete=False)
+        # a spectrum always sums to its own n, so the only way off the
+        # support is a spectrum for another n, which is an error
         with pytest.raises(ValueError):
-            laws.component_pmf(6, bad, "toes")
-        # complete=True with mismatched total is unconstructible, so pmf == 0
-        # cases only arise via model mismatch checks; nothing to assert here
+            laws.component_pmf(6, spectrum(2, 2), "toes")
 
     def test_toes_rejects_singletons(self):
         with pytest.raises(ValueError):
@@ -174,14 +172,14 @@ class TestFactorialMoments:
             for i in range(2, n + 1):
                 for j in range(i, n + 1):
                     orders = {i: 2} if i == j else {i: 1, j: 1}
-                    assert laws.factorial_moment(n, orders) == laws.component_pair_moment(n, i, j)
+                    assert laws.factorial_moment(n, orders) == oracles.component_pair_moment(n, i, j)
 
     def test_routes_are_independent(self, monkeypatch):
         # the product form counts components in integers, so a Poisson
         # partial sum off by one term moves factorial_moment alone
         exact_sum = laws.poisson_partial_sum
         monkeypatch.setattr(laws, "poisson_partial_sum", lambda rate, k: exact_sum(rate, k - 1))
-        assert laws.factorial_moment(10, {2: 1, 3: 1}) != laws.component_pair_moment(10, 2, 3)
+        assert laws.factorial_moment(10, {2: 1, 3: 1}) != oracles.component_pair_moment(10, 2, 3)
 
     def test_cross_moment_value(self):
         # frozen from both independent routes
@@ -219,15 +217,15 @@ class TestCoreSize:
         laws.core_size_table(n, model)  # builder raises if the sum is off
 
     def test_tail(self):
-        assert laws.core_size_tail_std(7, 1) == 1
-        assert laws.core_size_tail_std(10, 2) == F(9, 10)
-        assert laws.core_size_tail_std(10, 5) == F(3024, 10**4)
+        assert oracles.core_size_tail_std(7, 1) == 1
+        assert oracles.core_size_tail_std(10, 2) == F(9, 10)
+        assert oracles.core_size_tail_std(10, 5) == F(3024, 10**4)
 
     def test_tail_equals_summed_pmf(self):
         for n in (2, 5, 10, 37, 60):
             for j in range(1, n + 1):
                 total = sum(laws.core_size_pmf(n, r, "standard") for r in range(j, n + 1))
-                assert laws.core_size_tail_std(n, j) == total
+                assert oracles.core_size_tail_std(n, j) == total
 
 
 def _core_law_per_r(n, model):
@@ -295,7 +293,7 @@ class TestCycleMeans:
 
     def test_derangement_n_minus_j_one(self):
         # choosing cycles that leave exactly one element is impossible
-        assert laws.mean_cycle_count(5, 4, "derangement") == 0
+        assert oracles.derangement_mean_cycle_count(5, 4) == 0
 
     def test_derangement_against_enumeration(self):
         counts = {}
@@ -309,15 +307,44 @@ class TestCycleMeans:
                 counts[ln] = counts.get(ln, 0) + 1
         assert total == derangement_number(6)
         for j in range(2, 7):
-            assert laws.mean_cycle_count(6, j, "derangement") == F(counts.get(j, 0), total)
+            assert oracles.derangement_mean_cycle_count(6, j) == F(counts.get(j, 0), total)
 
     def test_domains(self):
         with pytest.raises(ValueError):
             laws.mean_cycle_count(10, 1, "toes")
         with pytest.raises(ValueError):
-            laws.mean_cycle_count(10, 1, "derangement")
+            oracles.derangement_mean_cycle_count(10, 1)
         with pytest.raises(ValueError):
             laws.mean_cycle_count(10, 11, "standard")
+
+    def test_toes_means_mix_derangement_means(self):
+        # given a core of r points, the core is a uniform derangement of them
+        for n in range(2, 31):
+            core = laws.core_size_table(n, "toes")
+            for j in range(2, n + 1):
+                mixed = sum(p * oracles.derangement_mean_cycle_count(r, j)
+                            for r, p in core.items() if r >= j)
+                assert laws.mean_cycle_count(n, j, "toes") == mixed, (n, j)
+
+
+class TestWholeTableSumRules:
+    """Every point lies in exactly one component, and every core point on
+    exactly one cycle; so whole mean tables sum to n and to the mean core
+    size."""
+
+    @pytest.mark.parametrize("model", ["standard", "toes"])
+    def test_components_cover_every_point(self, model):
+        lo = 2 if model == "toes" else 1
+        for n in [*range(2, 61), 200]:
+            total = sum(j * laws.mean_component_count(n, j, model) for j in range(lo, n + 1))
+            assert total == n, (n, model)
+
+    @pytest.mark.parametrize("model", ["standard", "toes"])
+    def test_cycles_cover_the_core(self, model):
+        for n in [*range(2, 61), 1000]:
+            cycles = sum(j * mean for j, mean in laws.cycle_mean_table(n, model).items())
+            core = sum(r * p for r, p in laws.core_size_table(n, model).items())
+            assert cycles == core, (n, model)
 
 
 def _cycle_lengths(perm):
@@ -337,8 +364,8 @@ def _cycle_lengths(perm):
 
 class TestDerangementLaws:
     def test_two_cycle_pmf_examples(self):
-        assert laws.derangement_two_cycle_pmf(2, 1) == F(1, 2)
-        assert laws.derangement_two_cycle_pmf(3, 0) == F(1, 3)
+        assert oracles.derangement_two_cycle_pmf(2, 1) == F(1, 2)
+        assert oracles.derangement_two_cycle_pmf(3, 0) == F(1, 3)
 
     def test_two_cycle_pmf_against_enumeration(self):
         tally = {}
@@ -348,17 +375,17 @@ class TestDerangementLaws:
             k = sum(1 for ln in _cycle_lengths(p) if ln == 2)
             tally[k] = tally.get(k, 0) + 1
         for k in range(0, 4):
-            assert laws.derangement_two_cycle_pmf(6, k) == F(tally.get(k, 0), math.factorial(6))
+            assert oracles.derangement_two_cycle_pmf(6, k) == F(tally.get(k, 0), math.factorial(6))
 
     def test_sums_to_derangement_probability(self):
         for n in range(2, 13):
-            total = sum(laws.derangement_two_cycle_pmf(n, k) for k in range(0, n // 2 + 1))
+            total = sum(oracles.derangement_two_cycle_pmf(n, k) for k in range(0, n // 2 + 1))
             assert total == F(derangement_number(n), math.factorial(n))
 
     def test_cycle_type_pmf(self):
         for r in range(2, 11):
             total = sum(
-                laws.derangement_cycle_type_pmf(r, parts) for parts in laws.partitions(r, 2)
+                oracles.derangement_cycle_type_pmf(r, parts) for parts in laws.partitions(r, 2)
             )
             assert total == 1
         tally = {}
@@ -368,20 +395,20 @@ class TestDerangementLaws:
             key = tuple(sorted(_cycle_lengths(p)))
             tally[key] = tally.get(key, 0) + 1
         for key, count in tally.items():
-            assert laws.derangement_cycle_type_pmf(6, key) == F(count, derangement_number(6))
+            assert oracles.derangement_cycle_type_pmf(6, key) == F(count, derangement_number(6))
 
 
 class TestCoreIdentity:
     def test_equal_for_all_small_nm(self):
         for n in range(2, 51):
             for m in range(1, n + 1):
-                lhs, rhs = laws.core_identity_sides(n, m)
+                lhs, rhs = oracles.core_identity_sides(n, m)
                 assert lhs == rhs
 
     def test_hand_values(self):
-        lhs, rhs = laws.core_identity_sides(2, 1)
+        lhs, rhs = oracles.core_identity_sides(2, 1)
         assert lhs == rhs == 2
-        lhs, rhs = laws.core_identity_sides(7, 7)
+        lhs, rhs = oracles.core_identity_sides(7, 7)
         assert lhs == rhs == F(math.factorial(7), 6**7)
 
 
@@ -393,7 +420,7 @@ class TestScreamLaws:
 
     def test_pmf_sums_to_one(self):
         for n in range(2, 41):
-            laws.scream_pmf_table(n)  # builder checks normalisation
+            assert sum(laws.scream_pmf(n, k) for k in range(0, n // 2 + 1)) == 1
 
     def test_mean_matches_cycle_mean(self):
         for n in range(2, 41):
@@ -409,8 +436,8 @@ class TestScreamLaws:
         # the k >= 1 series share no terms with the k = 0 one that q_n is
         # built from; the table's sum-to-one check ties the two together
         for n in range(2, 41):
-            table = laws.scream_pmf_table(n)
-            assert laws.prob_someone_screams(n) == sum(p for k, p in table.items() if k >= 1)
+            assert laws.prob_someone_screams(n) == sum(
+                laws.scream_pmf(n, k) for k in range(1, n // 2 + 1))
 
     def test_q_approaches_limit_from_above(self):
         limit = 1 - math.exp(-0.5)
@@ -446,7 +473,7 @@ class TestEsfLaw:
     def test_normalisation(self):
         for theta in (F(1, 2), F(1), F(2)):
             for n in range(1, 9):
-                total = sum(laws.esf_pmf(n, theta, parts) for parts in laws.partitions(n, 1))
+                total = sum(oracles.esf_pmf(n, theta, parts) for parts in laws.partitions(n, 1))
                 assert total == 1
 
     def test_theta_one_is_uniform_permutation(self):
@@ -458,18 +485,18 @@ class TestEsfLaw:
                 classic = F(1)
                 for j, a in counts.items():
                     classic /= F(j**a * math.factorial(a))
-                assert laws.esf_pmf(n, 1, parts) == classic
+                assert oracles.esf_pmf(n, 1, parts) == classic
 
     def test_mean_cycle_count(self):
         for j in range(1, 8):
-            assert laws.esf_mean_cycle_count(7, 1, j) == F(1, j)
+            assert oracles.esf_mean_cycle_count(7, 1, j) == F(1, j)
         # theta = 1/2, first moment from the pmf directly
         n = 6
         direct = sum(
-            laws.esf_pmf(n, F(1, 2), parts) * sum(1 for s in parts if s == 2)
+            oracles.esf_pmf(n, F(1, 2), parts) * sum(1 for s in parts if s == 2)
             for parts in laws.partitions(n, 1)
         )
-        assert laws.esf_mean_cycle_count(n, F(1, 2), 2) == direct
+        assert oracles.esf_mean_cycle_count(n, F(1, 2), 2) == direct
 
 
 def _distinct_partitions(n, min_part=2, max_part=None):
@@ -493,7 +520,7 @@ def _no_repeat_by_enumeration(n):
         F(0),
     )
     cyc = sum(
-        (pr * sum((laws.derangement_cycle_type_pmf(r, parts) for parts in _distinct_partitions(r)),
+        (pr * sum((oracles.derangement_cycle_type_pmf(r, parts) for parts in _distinct_partitions(r)),
                   F(0))
          for r, pr in laws.core_size_table(n, "toes").items()),
         F(0),

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
+from oracles import derangement_cycle_type_pmf, derangement_two_cycle_pmf, esf_pmf
 from screamingtoes import harness, laws, samplers
 from screamingtoes.exact import derangement_number, to_mpf
 from screamingtoes.laws import Spectrum
@@ -238,7 +239,7 @@ def _check_stopped_esf_law(n, theta, reps, rng):
     P(a_1 > 0), and the proposals that run to the end follow esf_pmf
     conditioned on a_1 = 0."""
     rows, lengths, stopped = esf_cycle_counts_batch(n, float(theta), reps, rng)
-    no_ones = {parts: laws.esf_pmf(n, theta, parts) for parts in laws.partitions(n, 2)}
+    no_ones = {parts: esf_pmf(n, theta, parts) for parts in laws.partitions(n, 2)}
     p_full = sum(no_ones.values())
     share = {True: 1 - p_full, False: p_full}
     observed = {flag: int(c) for flag, c in zip(*np.unique(stopped, return_counts=True))}
@@ -348,7 +349,7 @@ class TestChineseRestaurant:
             key = _class_key_from_sizes(_esf_crp(n, 0.5, rng).sizes(), n)
             observed[key] = observed.get(key, 0) + 1
         expected = {
-            _class_key_from_sizes(parts, n): laws.esf_pmf(n, F(1, 2), parts)
+            _class_key_from_sizes(parts, n): esf_pmf(n, F(1, 2), parts)
             for parts in laws.partitions(n, 1)
         }
         assert chi_square_pvalue(observed, expected, reps) > 1e-4
@@ -487,7 +488,7 @@ class TestRejectionSampler:
             w = omega_values(n)
             enumerated = 0.0
             for parts in laws.partitions(n, 2):
-                prob = float(to_mpf(laws.esf_pmf(n, F(1, 2), parts)))
+                prob = float(to_mpf(esf_pmf(n, F(1, 2), parts)))
                 for j in parts:
                     prob *= 2.0 * w[j]
                 enumerated += prob
@@ -547,7 +548,7 @@ class TestDerangementSampler:
         observed = {k: int(c) for k, c in enumerate(hist) if c}
         norm = F(derangement_number(6), math.factorial(6))
         expected = {
-            k: laws.derangement_two_cycle_pmf(6, k) / norm for k in range(0, 4)
+            k: derangement_two_cycle_pmf(6, k) / norm for k in range(0, 4)
         }
         assert chi_square_pvalue(observed, expected, reps) > 1e-4
 
@@ -571,7 +572,7 @@ class TestDerangementSampler:
         for r in range(2, 9):
             observed = _class_counts(counts[sizes == r, : r + 1], r)
             expected = {
-                _class_key_from_sizes(parts, r): laws.derangement_cycle_type_pmf(r, parts)
+                _class_key_from_sizes(parts, r): derangement_cycle_type_pmf(r, parts)
                 for parts in laws.partitions(r, 2)
             }
             if len(expected) == 1:  # r = 2, 3: one cycle type only
