@@ -1,10 +1,11 @@
 """Exact integer and rational primitives shared by all distribution laws.
 
 Rational values are carried by ``fractions.Fraction`` (arbitrary precision,
-always in lowest terms, positive denominator, exact arithmetic).  Quantities
-of the form (rational) * e**k are carried by :class:`ScaledExp`, which keeps
-the power of e symbolic so that expressions whose e-powers cancel can be
-reduced to a plain Fraction with zero rounding.  Decimal output happens only
+always in lowest terms, positive denominator, exact arithmetic); it is the
+one representation of an exact law.  A Poisson probability such as
+P(Po(j) <= k) is held as its rational part, :func:`poisson_partial_sum`,
+with the factor e**(-j) left out: wherever a law multiplies it, that factor
+cancels against an e**j from the same formula.  Decimal output happens only
 at the very end, either through exact fixed-point rounding
 (:func:`format_fixed`) or through a high-precision float conversion
 (:func:`to_mpf`, default 128 bits).
@@ -13,7 +14,6 @@ at the very end, either through exact fixed-point rounding
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -80,48 +80,6 @@ def poisson_partial_sum(rate: int, k: int) -> Fraction:
     return Fraction(acc, math.factorial(k))
 
 
-@dataclass(frozen=True)
-class ScaledExp:
-    """Exact value coeff * e**epow.
-
-    Products (with another ScaledExp or a rational on the right) and
-    nonnegative integer powers combine exactly; sums of mixed e-powers would
-    leave this form, so there are none.  A zero coefficient is normalised to
-    e-power 0 so that zero compares equal regardless of how it arose.
-    """
-
-    coeff: Fraction
-    epow: int = 0
-
-    def __post_init__(self) -> None:
-        coeff = Fraction(self.coeff)
-        object.__setattr__(self, "coeff", coeff)
-        if coeff == 0:
-            object.__setattr__(self, "epow", 0)
-
-    def __mul__(self, other: ScaledExp | RationalLike) -> ScaledExp:
-        if isinstance(other, ScaledExp):
-            return ScaledExp(self.coeff * other.coeff, self.epow + other.epow)
-        return ScaledExp(self.coeff * other, self.epow)
-
-    def __pow__(self, k: int) -> ScaledExp:
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("only nonnegative integer powers are exact")
-        return ScaledExp(self.coeff**k, self.epow * k)
-
-    def as_fraction(self) -> Fraction:
-        """The exact rational value; requires the e-power to have cancelled."""
-        if self.epow != 0:
-            raise ValueError(f"e-power {self.epow} has not cancelled; value is not rational")
-        return self.coeff
-
-    def to_mpf(self, prec: int = DEFAULT_PRECISION) -> mpmath.mpf:
-        return to_mpf(self, prec)
-
-    def __float__(self) -> float:
-        return float(self.to_mpf())
-
-
 def _rational_to_mpf(num: int, den: int, prec: int) -> mpmath.mpf:
     """num/den (den > 0, not necessarily in lowest terms) rounded to `prec`
     bits, half to even.
@@ -151,14 +109,8 @@ def _rational_to_mpf(num: int, den: int, prec: int) -> mpmath.mpf:
     return mpmath.mp.make_mpf(raw)
 
 
-def to_mpf(value: ScaledExp | RationalLike, prec: int = DEFAULT_PRECISION) -> mpmath.mpf:
-    """Correctly rounded conversion of an exact value to an mpf of `prec` bits."""
-    if isinstance(value, ScaledExp):
-        coeff = _rational_to_mpf(value.coeff.numerator, value.coeff.denominator, prec)
-        if value.epow == 0:
-            return coeff
-        with mpmath.workprec(prec):
-            return coeff * mpmath.exp(value.epow)
+def to_mpf(value: RationalLike, prec: int = DEFAULT_PRECISION) -> mpmath.mpf:
+    """Correctly rounded conversion of an exact rational to an mpf of `prec` bits."""
     value = Fraction(value)
     return _rational_to_mpf(value.numerator, value.denominator, prec)
 

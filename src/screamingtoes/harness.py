@@ -96,7 +96,8 @@ class ExperimentConfig:
     batch_size: int = 125_000
 
     def __post_init__(self) -> None:
-        self.tables = tuple(canonical_table(t) for t in self.tables)
+        # a table named twice, by any of its aliases, runs and reports once
+        self.tables = tuple(dict.fromkeys(canonical_table(t) for t in self.tables))
         if self.n is not None and self.n < 2:
             raise ValueError(f"n must be >= 2 (got {self.n})")
         if self.method is not None and self.method not in METHODS:
@@ -495,7 +496,7 @@ def validate(n: int, model: str = "toes") -> list[tuple[str, bool]]:
     pmf_table = laws.component_pmf_table(n, model)
     checks.append(("component_pmf", pmf_table == brute.component_pmf))
 
-    lo = 2 if model == "toes" else 1
+    lo = laws._shortest_cycle(model)
     core_counts = tuple(brute.core_pmf.get(r, 0) * brute.total for r in range(n + 1))
     core_ok = laws.core_size_counts(n, model) == core_counts and all(
         laws.core_size_pmf(n, r, model) == brute.core_pmf.get(r, Fraction(0))

@@ -22,10 +22,11 @@ of the core/derangement identity) live with the tests, in
 ``tests/oracles.py``.
 
 Every probability and moment here is computed as an exact ``Fraction``.
-Powers of e that appear in intermediate factors are tracked symbolically by
-``ScaledExp`` and must cancel on the support; the code asserts that instead
-of rounding.  Results are bit-reproducible and feed both the CLI tables and
-the samplers' inverse-CDF tables.
+The Poisson intensities of the component laws carry a factor e**(-j) that
+cancels against an e**j of the same formula, so they are held as their
+rational part e**j * lambda_j (:func:`_scaled_intensity`) and no power of e
+is ever formed.  Results are bit-reproducible and feed both the CLI tables
+and the samplers' inverse-CDF tables.
 """
 
 from __future__ import annotations
@@ -37,14 +38,16 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Literal, Mapping, NamedTuple
 
+import mpmath
 import numpy as np
 
 from .exact import (
-    ScaledExp,
+    DEFAULT_PRECISION,
     derangement_numbers,
     falling_factorial,
     fraction_over_power,
     poisson_partial_sum,
+    to_mpf,
 )
 
 Model = Literal["standard", "toes"]
@@ -59,6 +62,19 @@ class ConsistencyError(RuntimeError):
 def _check_model(model: str) -> None:
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
+
+
+def _shortest_cycle(model: str) -> int:
+    """The model's shortest cycle, which is also its smallest component and
+    core: 2 in the toes model, where no point maps to itself, and 1 in the
+    standard one.  Rejects an unknown model."""
+    _check_model(model)
+    return 2 if model == "toes" else 1
+
+
+def _base(n: int, model: Model) -> int:
+    """Admissible images per point: the model has _base(n)**n mappings."""
+    return n - 1 if model == "toes" else n
 
 
 # ---------------------------------------------------------------------------
@@ -153,25 +169,14 @@ def partitions(n: int, min_part: int = 1, max_part: int | None = None) -> Iterat
 # Per-size Poisson intensities and single-component probabilities
 
 
-def lambda_std(j: int) -> ScaledExp:
-    """Limit intensity of size-j components of a standard mapping.
-
-    lambda_j = (1/j) P(Po(j) < j), held exactly as (rational) * e**(-j).
+def _scaled_intensity(j: int, model: Model) -> Fraction:
+    """e**j lambda_j, the rational part of the limit intensity of size-j
+    components: lambda_j = (1/j) P(Po(j) <= j-1) for standard mappings and
+    lambda~_j = (1/j) P(Po(j) <= j-2) when no point maps to itself.  Its
+    callers multiply it by an e**(-j) that cancels, so that factor is never
+    formed.  Callers check j against the model's sizes.
     """
-    if j < 1:
-        raise ValueError("component size must be >= 1")
-    return ScaledExp(poisson_partial_sum(j, j - 1) / j, -j)
-
-
-def lambda_toes(j: int) -> ScaledExp:
-    """Limit intensity of size-j components when no point maps to itself.
-
-    lambda~_j = (1/j) P(Po(j) < j-1) as (rational) * e**(-j).  Sizes below 2
-    are rejected: a component needs a cycle of length at least 2.
-    """
-    if j < 2:
-        raise ValueError("components of size < 2 do not exist in the toes model")
-    return ScaledExp(poisson_partial_sum(j, j - 2) / j, -j)
+    return poisson_partial_sum(j, j - _shortest_cycle(model)) / j
 
 
 #: Largest j whose w_j :func:`omega` rounds from the exact law; above it
@@ -183,10 +188,12 @@ OMEGA_EXACT_MAX_J = 100
 @lru_cache(maxsize=1)
 def _omega_exact() -> np.ndarray:
     """w_j for j = 0..OMEGA_EXACT_MAX_J (zero below 2), each the exact
-    lambda~_j * j rounded once; about 7 ms for the whole table."""
+    Poisson partial sum times e**(-j) at DEFAULT_PRECISION bits, rounded to
+    a float; about 7 ms for the whole table."""
     w = np.zeros(OMEGA_EXACT_MAX_J + 1)
-    for j in range(2, OMEGA_EXACT_MAX_J + 1):
-        w[j] = float(lambda_toes(j) * j)
+    with mpmath.workprec(DEFAULT_PRECISION):
+        for j in range(2, OMEGA_EXACT_MAX_J + 1):
+            w[j] = float(to_mpf(poisson_partial_sum(j, j - 2)) * mpmath.exp(-j))
     return w
 
 
@@ -247,7 +254,7 @@ def _connected_count(size: int, model: Model) -> int:
     (standard), summed by Horner's rule in j.  Integers only: no Poisson
     partial sum, which the intensity forms use.
     """
-    lo = 2 if model == "toes" else 1
+    lo = _shortest_cycle(model)
     fal = falling_factorial(size, lo)  # size_[c], from c = lo
     acc = 0
     for c in range(lo, size):
@@ -266,12 +273,9 @@ def component_total_count(size: int) -> int:
 def single_component_prob(n: int, model: Model = "toes") -> Fraction:
     """Probability that the whole mapping is one component, T_n / b**n with
     b**n the model's mappings; exactly rational."""
-    _check_model(model)
-    if model == "standard":
-        if n < 1:
-            raise ValueError("n must be >= 1")
-    elif n < 2:
-        raise ValueError("n must be >= 2 in the toes model")
+    lo = _shortest_cycle(model)
+    if n < lo:
+        raise ValueError(f"need n >= {lo} in the {model} model")
     return fraction_over_power(_connected_count(n, model), _base(n, model), n)
 
 
@@ -301,10 +305,8 @@ def component_pmf(n: int, spectrum: Spectrum, model: Model = "toes") -> Fraction
 
 def component_pmf_table(n: int, model: Model = "toes") -> dict[tuple[int, ...], Fraction]:
     """component_pmf over every spectrum, keyed by ascending size tuple."""
-    _check_model(model)
     table = {}
-    min_part = 2 if model == "toes" else 1
-    for parts in partitions(n, min_part):
+    for parts in partitions(n, _shortest_cycle(model)):
         spec = Spectrum.from_sizes(parts)
         table[spec.sizes()] = component_pmf(n, spec, model)
     _check_sums_to_one(table, "component-pmf", n)
@@ -316,29 +318,20 @@ def mean_component_count(n: int, j: int, model: Model = "toes") -> Fraction:
 
     Two independent closed forms are evaluated and must agree; disagreement
     raises ConsistencyError.  The intensity form is
-    lambda_j n_[j] e**j (b-j)**(n-j) / b**n, with lambda_j from a Poisson
-    partial sum; the count form is C(n,j) T_j (b-j)**(n-j) / b**n, the
-    mappings in which a given j-set is one component, with T_j counted in
-    integers by :func:`_connected_count`.  Here b = n-1 (toes) or n.
+    (e**j lambda_j) n_[j] (b-j)**(n-j) / b**n, with e**j lambda_j the
+    Poisson partial sum of :func:`_scaled_intensity`; the count form is
+    C(n,j) T_j (b-j)**(n-j) / b**n, the mappings in which a given j-set is
+    one component, with T_j counted in integers by
+    :func:`_connected_count`.  Here b = n-1 (toes) or n.
     Toes-model queries with j = 1 are rejected rather than returning 0, to
     catch confusion with the standard model.
     """
-    _check_model(model)
-    if model == "standard":
-        if not 1 <= j <= n:
-            raise ValueError("need 1 <= j <= n")
-        intensity = lambda_std(j)
-    else:
-        if j == 1:
-            raise ValueError("size-1 components cannot occur in the toes model")
-        if not 2 <= j <= n:
-            raise ValueError("need 2 <= j <= n")
-        intensity = lambda_toes(j)
+    lo = _shortest_cycle(model)
+    if not lo <= j <= n:
+        raise ValueError(f"need {lo} <= j <= n in the {model} model")
     base = _base(n, model)
     rest = (base - j) ** (n - j)  # mappings of the other n-j points among themselves
-    direct = (
-        intensity * ScaledExp(Fraction(falling_factorial(n, j), base**n), j) * rest
-    ).as_fraction()
+    direct = _scaled_intensity(j, model) * Fraction(falling_factorial(n, j), base**n) * rest
     count = math.comb(n, j) * _connected_count(j, model) * rest
     if direct.numerator * base**n != count * direct.denominator:  # direct == count / base**n
         raise ConsistencyError(f"component-mean forms disagree at n={n}, j={j}")
@@ -348,12 +341,13 @@ def mean_component_count(n: int, j: int, model: Model = "toes") -> Fraction:
 def factorial_moment(n: int, orders: Mapping[int, int]) -> Fraction:
     """Joint falling-factorial moment E prod_j C_j^[r_j] of toes component counts.
 
-    `orders` maps size j (>= 2) to r_j.  The moment vanishes when the sizes
-    cannot fit, i.e. m = sum j*r_j > n.
+    `orders` maps size j (>= 2) to r_j.  With m = sum j*r_j it is
+    prod_j (e**j lambda~_j)**r_j n_[m] (n-m-1)**(n-m) / (n-1)**n, the
+    intensities' factors e**(-m) cancelling the e**m of the law; it
+    vanishes when the sizes cannot fit, m > n.
     """
     m = 0
-    unit = Fraction(1)
-    value = ScaledExp(unit, 0)
+    value = Fraction(1)
     for j, r in sorted(orders.items()):
         if r == 0:
             continue
@@ -362,12 +356,11 @@ def factorial_moment(n: int, orders: Mapping[int, int]) -> Fraction:
         if r < 0:
             raise ValueError("orders must be nonnegative")
         m += j * r
-        value = value * lambda_toes(j) ** r
+        value = value * _scaled_intensity(j, "toes") ** r
     if m > n:
         return Fraction(0)
-    value = value * ScaledExp(Fraction(falling_factorial(n, m), (n - 1) ** n), m)
-    value = value * ((n - m - 1) ** (n - m) if m < n else 1)
-    return value.as_fraction()
+    value = value * Fraction(falling_factorial(n, m), (n - 1) ** n)
+    return value * ((n - m - 1) ** (n - m) if m < n else 1)
 
 
 def expected_num_components(n: int, model: Model = "toes") -> Fraction:
@@ -378,19 +371,14 @@ def expected_num_components(n: int, model: Model = "toes") -> Fraction:
     means (components and core cycles are in bijection) -- and the two must
     agree exactly.
     """
-    _check_model(model)
-    if model == "standard":
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        return sum(
-            (mean_component_count(n, j, "standard") for j in range(1, n + 1)),
-            Fraction(0),
-        )
-    if n < 2:
-        raise ValueError("n must be >= 2 in the toes model")
+    lo = _shortest_cycle(model)
+    if n < lo:
+        raise ValueError(f"need n >= {lo} in the {model} model")
     via_components = sum(
-        (mean_component_count(n, j, "toes") for j in range(2, n + 1)), Fraction(0)
+        (mean_component_count(n, j, model) for j in range(lo, n + 1)), Fraction(0)
     )
+    if model == "standard":
+        return via_components
     via_cycles = sum(
         (mean_cycle_count(n, j, "toes") for j in range(2, n + 1)), Fraction(0)
     )
@@ -401,11 +389,6 @@ def expected_num_components(n: int, model: Model = "toes") -> Fraction:
 
 # ---------------------------------------------------------------------------
 # Core-size laws
-
-
-def _base(n: int, model: Model) -> int:
-    """Admissible images per point: the model has _base(n)**n mappings."""
-    return n - 1 if model == "toes" else n
 
 
 @lru_cache(maxsize=4)
@@ -419,8 +402,7 @@ def core_size_counts(n: int, model: Model = "toes") -> tuple[int, ...]:
     = r! or D_r.  Built by running products from r = n down, and checked to
     sum to the model's number of mappings, (n-1)**n or n**n, in integers.
     """
-    _check_model(model)
-    lo = 2 if model == "toes" else 1
+    lo = _shortest_cycle(model)
     if n < lo:
         raise ValueError(f"need n >= {lo} in the {model} model")
     if model == "toes":
@@ -467,8 +449,7 @@ def _core_size_law(n: int, model: Model) -> tuple[Fraction, ...]:
 
 def core_size_pmf(n: int, r: int, model: Model = "toes") -> Fraction:
     """P(core has exactly r elements), exactly."""
-    _check_model(model)
-    lo = 2 if model == "toes" else 1
+    lo = _shortest_cycle(model)
     if not lo <= r <= n:
         raise ValueError(f"need {lo} <= r <= n in the {model} model")
     return _core_size_law(n, model)[r]
@@ -477,9 +458,9 @@ def core_size_pmf(n: int, r: int, model: Model = "toes") -> Fraction:
 def core_size_table(n: int, model: Model = "toes") -> dict[int, Fraction]:
     """Exact core-size pmf for r over the full support.  Its normalisation
     is checked in integers, on the counts it is read from."""
-    _check_model(model)
+    lo = _shortest_cycle(model)
     law = _core_size_law(n, model)
-    return {r: law[r] for r in range(2 if model == "toes" else 1, n + 1)}
+    return {r: law[r] for r in range(lo, n + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -503,12 +484,9 @@ def _cycle_means(n: int, model: Model) -> tuple[Fraction, ...]:
 def mean_cycle_count(n: int, j: int, model: Model = "toes") -> Fraction:
     """Expected number of length-j cycles in the core: j >= 1 in the
     standard model, j >= 2 in the toes model."""
-    _check_model(model)
-    if model == "standard":
-        if not 1 <= j <= n:
-            raise ValueError("need 1 <= j <= n")
-    elif not 2 <= j <= n:
-        raise ValueError("need 2 <= j <= n in the toes model")
+    lo = _shortest_cycle(model)
+    if not lo <= j <= n:
+        raise ValueError(f"need {lo} <= j <= n in the {model} model")
     return _cycle_means(n, model)[j]
 
 
@@ -657,7 +635,7 @@ def prob_no_repeated_sizes(n: int) -> NoRepeatProbs:
 
 def cycle_mean_table(n: int, model: Model = "toes") -> dict[int, Fraction]:
     """mean_cycle_count for every length j."""
-    lo = 1 if model == "standard" else 2
+    lo = _shortest_cycle(model)
     return {j: mean_cycle_count(n, j, model) for j in range(lo, n + 1)}
 
 
@@ -678,8 +656,6 @@ __all__ = [
     "cycle_mean_table",
     "expected_num_components",
     "factorial_moment",
-    "lambda_std",
-    "lambda_toes",
     "mean_component_count",
     "mean_cycle_count",
     "omega",

@@ -364,11 +364,10 @@ def every_mapping_counts(n: int, model: str) -> tuple[dict[str, np.ndarray], dic
     base-(n+1) codes, one bincount over its pairs: a size-j component adds
     (n+1)**(j-1) to its mapping's code and a length-j cycle (n+1)**(n+j-1).
     """
-    if model not in ("standard", "toes"):
-        raise ValueError("model must be 'standard' or 'toes'")
+    laws._check_model(model)
     if not 2 <= n <= ENUMERATION_MAX_N:
         raise ValueError(f"brute-force enumeration is limited to 2 <= n <= {ENUMERATION_MAX_N}")
-    choices = n - 1 if model == "toes" else n
+    choices = laws._base(n, model)
     total = choices**n
     tally = zero_tally(n, *_MAPPING_KEYS)
     codes: Counter[int] = Counter()
@@ -595,6 +594,8 @@ def _core_size_cdf(n: int) -> np.ndarray:
 
 
 def core_sizes_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """`count` independent core sizes of uniform toes mappings of size n,
+    drawn by inverse CDF from the exact core-size law (values 2..n)."""
     cdf = _core_size_cdf(n)
     return 2 + np.searchsorted(cdf, rng.random(count), side="right")
 

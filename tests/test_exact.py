@@ -16,7 +16,6 @@ from oracles import multinomial, poisson_cdf, rising_factorial
 from screamingtoes import exact
 from screamingtoes.exact import (
     DEFAULT_PRECISION,
-    ScaledExp,
     derangement_number,
     derangement_numbers,
     falling_factorial,
@@ -122,27 +121,6 @@ class TestPoissonCdf:
         assert poisson_cdf(3.0, -1) == 0.0
         with pytest.raises(ValueError):
             poisson_cdf(0.0, 2)
-
-
-class TestScaledExp:
-    def test_product_and_power(self):
-        a = ScaledExp(F(3, 2), -2)
-        b = ScaledExp(F(4, 3), 5)
-        assert a * b == ScaledExp(F(2), 3)
-        assert a**3 == ScaledExp(F(27, 8), -6)
-        assert a * 2 == ScaledExp(F(3), -2)
-
-    def test_zero_normalises_epow(self):
-        assert ScaledExp(F(0), 7) == ScaledExp(F(0), 0)
-
-    def test_as_fraction(self):
-        assert ScaledExp(F(5, 9), 0).as_fraction() == F(5, 9)
-        with pytest.raises(ValueError):
-            ScaledExp(F(1), -1).as_fraction()
-
-    def test_to_float(self):
-        val = float(ScaledExp(F(3, 2), -2))
-        assert val == pytest.approx(1.5 * math.exp(-2), rel=1e-15)
 
 
 class TestToMpf:

@@ -88,6 +88,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             harness.canonical_table("nope")
 
+    def test_repeated_table_runs_once(self):
+        # "2" and "1" are aliases of "components" and "q"
+        cfg = ExperimentConfig(n=4, replicates=0, tables=("cycles", "2", "components", "1", "q"))
+        assert cfg.tables == ("cycles", "components", "q")
+        once = run_table(ExperimentConfig(n=4, replicates=0, tables=("components",)))
+        twice = run_table(ExperimentConfig(n=4, replicates=0, tables=("2", "components")))
+        assert twice.records == once.records
+        assert twice.metadata["tables"] == ["components"]
+
     def test_method_compatibility(self):
         with pytest.raises(ValueError):
             ExperimentConfig(n=6, method="rejection", tables=("scream",))

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import poisson_cdf
 from screamingtoes import laws, samplers
-from screamingtoes.exact import ScaledExp, derangement_number, falling_factorial, format_fixed, to_mpf
+from screamingtoes.exact import derangement_number, falling_factorial, format_fixed, to_mpf
 from screamingtoes.laws import Spectrum
 
 
@@ -42,28 +42,23 @@ class TestSpectrum:
 
 
 class TestLambdas:
+    # e**j lambda_j, the rational part of each intensity
     def test_standard(self):
-        assert laws.lambda_std(1) == ScaledExp(F(1), -1)
-        assert laws.lambda_std(2) == ScaledExp(F(3, 2), -2)
-        assert laws.lambda_std(3) == ScaledExp(F(17, 6), -3)
+        assert laws._scaled_intensity(1, "standard") == 1
+        assert laws._scaled_intensity(2, "standard") == F(3, 2)
+        assert laws._scaled_intensity(3, "standard") == F(17, 6)
 
     def test_toes(self):
-        assert laws.lambda_toes(2) == ScaledExp(F(1, 2), -2)
-        assert laws.lambda_toes(3) == ScaledExp(F(4, 3), -3)
+        assert laws._scaled_intensity(2, "toes") == F(1, 2)
+        assert laws._scaled_intensity(3, "toes") == F(4, 3)
         # (1 + 4 + 8)/4, cross-checked against the component count below
-        assert laws.lambda_toes(4) == ScaledExp(F(13, 4), -4)
+        assert laws._scaled_intensity(4, "toes") == F(13, 4)
 
     def test_toes_matches_component_counts(self):
-        # lambda~_j = (count of single components of size j) * e**-j / j!
+        # e**j lambda~_j = (count of single components of size j) / j!
         for j in range(2, 13):
             m = laws.component_total_count(j)
-            assert laws.lambda_toes(j) == ScaledExp(F(m, math.factorial(j)), -j)
-
-    def test_domains(self):
-        with pytest.raises(ValueError):
-            laws.lambda_std(0)
-        with pytest.raises(ValueError):
-            laws.lambda_toes(1)
+            assert laws._scaled_intensity(j, "toes") * math.factorial(j) == m
 
 
 class TestSingleComponent:
