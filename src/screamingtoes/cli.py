@@ -11,7 +11,6 @@ argparse checks every flag.  ``--config file.json`` holds flag values keyed by
 flag name; they are parsed as flags placed before the command line's own, so
 explicit flags win.  Any bad input, argparse's own errors included, exits
 with status 1 and one ``screamingtoes:`` line on stderr.
-``SCREAMINGTOES_WORKERS`` sets the default worker count.
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("pretty", "csv", "json"), default="pretty")
         p.add_argument("--seed", type=int, default=_RUN.seed, help="master seed (default %(default)s)")
         p.add_argument("--workers", type=int,
-                       help="parallel workers (default: SCREAMINGTOES_WORKERS or cpu count)")
+                       help="parallel workers (default: cpu count)")
         p.add_argument("--batch-size", type=int, default=_RUN.batch_size,
                        help="replicates per batch/stream (default %(default)s)")
     for p in (p_exact, p_sim, p_tab, p_val):
@@ -141,7 +140,6 @@ def _report(args: argparse.Namespace) -> harness.ExperimentReport:
     try:
         config = _RUN(n=args.n, replicates=args.reps, seed=args.seed, method=args.method,
                       tables=tables, workers=args.workers, batch_size=args.batch_size)
-        config.resolved_workers()
     except ValueError as exc:
         raise SystemExit(f"screamingtoes: {exc}") from None
     report = harness.run_table(config)

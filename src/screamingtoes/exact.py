@@ -5,10 +5,11 @@ always in lowest terms, positive denominator, exact arithmetic); it is the
 one representation of an exact law.  A Poisson probability such as
 P(Po(j) <= k) is held as its rational part, :func:`poisson_partial_sum`,
 with the factor e**(-j) left out: wherever a law multiplies it, that factor
-cancels against an e**j from the same formula.  Decimal output happens only
-at the very end, either through exact fixed-point rounding
-(:func:`format_fixed`) or through a high-precision float conversion
-(:func:`to_mpf`, default 128 bits).
+cancels against an e**j from the same formula.  An exact value leaves this
+representation only at the very end, rounded once from the rational itself:
+to a float by ``float(value)`` (CPython's correctly rounded integer
+division), or to decimals by :func:`format_fixed` (fixed places) and
+:func:`format_significant` (significant digits).
 """
 
 from __future__ import annotations
@@ -16,12 +17,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Union
-
-import mpmath
-from mpmath import libmp
-
-#: Working precision, in bits, for conversions of exact values to floats.
-DEFAULT_PRECISION = 128
 
 RationalLike = Union[int, Fraction]
 
@@ -80,41 +75,6 @@ def poisson_partial_sum(rate: int, k: int) -> Fraction:
     return Fraction(acc, math.factorial(k))
 
 
-def _rational_to_mpf(num: int, den: int, prec: int) -> mpmath.mpf:
-    """num/den (den > 0, not necessarily in lowest terms) rounded to `prec`
-    bits, half to even.
-
-    One integer divmod gives the quotient to prec + 2 or prec + 3 bits; the
-    bits below `prec` and a sticky bit for a nonzero remainder decide the
-    rounding.  This is the value ``libmp.mpf_div`` returns for the same
-    operands, without building mpfs of the operands first: that strips their
-    trailing zero bits eight at a time, which is quadratic for the
-    ten-thousand-bit integers of the n = 1000 laws.
-    """
-    if num == 0:
-        return mpmath.mp.make_mpf(libmp.fzero)
-    mag = abs(num)
-    shift = prec + 2 - (mag.bit_length() - den.bit_length())
-    if shift >= 0:
-        quot, rem = divmod(mag << shift, den)
-    else:
-        quot, rem = divmod(mag, den << -shift)
-    extra = quot.bit_length() - prec
-    man = quot >> extra
-    low = quot & ((1 << extra) - 1)
-    half = 1 << (extra - 1)
-    if low > half or (low == half and (rem or man & 1)):
-        man += 1
-    raw = libmp.from_man_exp(-man if num < 0 else man, extra - shift)
-    return mpmath.mp.make_mpf(raw)
-
-
-def to_mpf(value: RationalLike, prec: int = DEFAULT_PRECISION) -> mpmath.mpf:
-    """Correctly rounded conversion of an exact rational to an mpf of `prec` bits."""
-    value = Fraction(value)
-    return _rational_to_mpf(value.numerator, value.denominator, prec)
-
-
 def _coprime_fraction(num: int, den: int) -> Fraction:
     """Fraction(num, den) for coprime num and den > 0, without the full-width
     gcd the constructor would redo.  Uses CPython's private fast path where
@@ -164,3 +124,38 @@ def format_fixed(value: RationalLike, places: int = 4) -> str:
     if places == 0:
         return f"{sign}{mag}"
     return f"{sign}{mag // scale}.{mag % scale:0{places}d}"
+
+
+def format_significant(value: RationalLike, digits: int = 20) -> str:
+    """Decimal string of an exact rational to `digits` significant digits,
+    rounding half up (away from zero).
+
+    The layout is fixed-point while the leading digit's decimal exponent e
+    has -6 < e < digits, and ``d.ddde-N`` / ``d.ddde+N`` otherwise; trailing
+    zeros are stripped down to one digit after the point (``0.0``, ``1.0``).
+    This is the layout of a report's ``exact`` field.  One integer division
+    gives the leading digits plus one to three guard digits, so the rational
+    is never reduced and its numerator is never written out in decimal.
+    """
+    if digits < 1:
+        raise ValueError("digits must be positive")
+    num, den = value.numerator, value.denominator
+    if num == 0:
+        return "0.0"
+    sign = "-" if num < 0 else ""
+    num = abs(num)
+    # the bit lengths put |value| within a factor of 10 either side of 10**guess
+    guess = math.floor((num.bit_length() - den.bit_length()) * math.log10(2))
+    shift = digits + 1 - guess
+    lead = str(num * 10**shift // den if shift >= 0 else num // (den * 10**-shift))
+    exp = len(lead) - 1 - shift
+    mant = int(lead[:digits]) + (lead[digits] >= "5")  # the guard digits floor the value
+    if mant == 10**digits:  # 9.99...95 and up round to the next power of ten
+        mant //= 10
+        exp += 1
+    text = str(mant).rstrip("0")
+    if not -6 < exp < digits:
+        return f"{sign}{text[0]}.{text[1:] or '0'}e{exp:+d}"
+    if exp < 0:
+        return f"{sign}0.{'0' * (-exp - 1)}{text}"
+    return f"{sign}{text[:exp + 1].ljust(exp + 1, '0')}.{text[exp + 1:] or '0'}"

@@ -29,7 +29,7 @@ import os
 import sys
 import time
 from collections import Counter
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -37,7 +37,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__, laws, samplers
-from .exact import format_fixed, to_mpf
+from .exact import format_fixed, format_significant
 from .laws import NoRepeatProbs
 
 REPORT_SCHEMA = "screamingtoes-report/1"
@@ -60,8 +60,6 @@ _KIND_KEY = {"direct": 1, "rejection": 2, "core-joint": 3}
 #: it with the package, a visible share of the CLI's start-up.)
 _BIT_GENERATOR = "PCG64"
 
-ENV_WORKERS = "SCREAMINGTOES_WORKERS"
-
 
 def canonical_table(name: str) -> str:
     key = str(name).strip().lower()
@@ -71,15 +69,6 @@ def canonical_table(name: str) -> str:
 
 
 def default_workers() -> int:
-    env = os.environ.get(ENV_WORKERS)
-    if env:
-        try:
-            workers = int(env)
-        except ValueError:
-            workers = 0
-        if workers < 1:
-            raise ValueError(f"{ENV_WORKERS} must be a positive integer (got {env!r})")
-        return workers
     return os.cpu_count() or 1
 
 
@@ -306,7 +295,9 @@ def _simulate_batch(task: tuple) -> dict:
     raise ValueError(f"unknown simulation kind {kind!r}")
 
 
-def _merge_tallies(parts: list[dict]) -> dict:
+def _merge_tallies(parts: Iterable[dict]) -> dict:
+    """Sum the tallies as they arrive, so that only the running total and
+    one batch's tally are held at a time."""
     merged: dict = {}
     for part in parts:
         for key, value in part.items():
@@ -336,10 +327,8 @@ def _run_simulation(kind: str, config: ExperimentConfig) -> dict:
     workers = config.resolved_workers()
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            parts = list(pool.map(_simulate_batch, tasks))
-    else:
-        parts = [_simulate_batch(t) for t in tasks]
-    return _merge_tallies(parts)
+            return _merge_tallies(pool.map(_simulate_batch, tasks))
+    return _merge_tallies(map(_simulate_batch, tasks))
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +337,7 @@ def _run_simulation(kind: str, config: ExperimentConfig) -> dict:
 def _simulated_cell(tally: dict, kind: str, key: str, idx, exact) -> tuple[float, float, float]:
     """Estimate, standard error and z-score of one cell from merged tallies.
     The exact value is rounded to a float once."""
-    exact_f = float(to_mpf(exact)) if isinstance(exact, Fraction) else float(exact)
+    exact_f = float(exact)
     reps = tally["replicates"]
     if kind == "mean":
         total, total_sq = tally[f"{key}_sum"][idx], tally[f"{key}_sumsq"][idx]
@@ -555,10 +544,8 @@ def _exact_fields(value) -> dict:
     if value is None:
         return {"exact": None, "exact_rational": None, "exact_float": None}
     if isinstance(value, Fraction):
-        import mpmath
-
         return {
-            "exact": mpmath.nstr(to_mpf(value), 20),
+            "exact": format_significant(value),
             "exact_rational": f"{value.numerator}/{value.denominator}",
             "exact_float": None,
         }

@@ -25,8 +25,10 @@ Every probability and moment here is computed as an exact ``Fraction``.
 The Poisson intensities of the component laws carry a factor e**(-j) that
 cancels against an e**j of the same formula, so they are held as their
 rational part e**j * lambda_j (:func:`_scaled_intensity`) and no power of e
-is ever formed.  Results are bit-reproducible and feed both the CLI tables
-and the samplers' inverse-CDF tables.
+is ever formed.  The one float table here, the w_j of :func:`omega`, is
+also rounded once from exact integers, with e**j summed far past a float's
+precision.  Results are bit-reproducible and feed both the CLI tables and
+the samplers' inverse-CDF tables.
 """
 
 from __future__ import annotations
@@ -38,16 +40,13 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Literal, Mapping, NamedTuple
 
-import mpmath
 import numpy as np
 
 from .exact import (
-    DEFAULT_PRECISION,
     derangement_numbers,
     falling_factorial,
     fraction_over_power,
     poisson_partial_sum,
-    to_mpf,
 )
 
 Model = Literal["standard", "toes"]
@@ -187,13 +186,22 @@ OMEGA_EXACT_MAX_J = 100
 
 @lru_cache(maxsize=1)
 def _omega_exact() -> np.ndarray:
-    """w_j for j = 0..OMEGA_EXACT_MAX_J (zero below 2), each the exact
-    Poisson partial sum times e**(-j) at DEFAULT_PRECISION bits, rounded to
-    a float; about 7 ms for the whole table."""
+    """w_j for j = 0..OMEGA_EXACT_MAX_J (zero below 2), each one correctly
+    rounded integer ratio: the Poisson partial sum up to j-2 over the sum up
+    to K = 2j + 200, which is e**j to far more bits than a float holds.
+    Both come from one running sum over the common denominator K!; about
+    10 ms for the whole table."""
     w = np.zeros(OMEGA_EXACT_MAX_J + 1)
-    with mpmath.workprec(DEFAULT_PRECISION):
-        for j in range(2, OMEGA_EXACT_MAX_J + 1):
-            w[j] = float(to_mpf(poisson_partial_sum(j, j - 2)) * mpmath.exp(-j))
+    for j in range(2, OMEGA_EXACT_MAX_J + 1):
+        last = 2 * j + 200  # the terms past it are below 2**-250 of e**j for j <= 100
+        acc = power = head = 1  # acc = l! sum_{i<=l} j**i / i!, as in poisson_partial_sum
+        for l in range(1, last + 1):
+            power *= j
+            acc = acc * l + power
+            if l == j - 2:
+                head = acc
+        # (head / (j-2)!) / (acc / K!), rounded by one integer true division
+        w[j] = head * math.prod(range(j - 1, last + 1)) / acc
     return w
 
 
@@ -201,9 +209,10 @@ def omega(j: np.ndarray) -> np.ndarray:
     """w_j = P(Po(j) <= j-2) = j lambda~_j, elementwise over integers j >= 2,
     as float64.  This is the regularised upper incomplete gamma Q(j-1, j).
 
-    Up to :data:`OMEGA_EXACT_MAX_J` each value is the exact law rounded
-    once.  Above it, Ramanujan's expansion (Flajolet, Grabner, Kirschenhofer
-    and Prodinger 1995, "On Ramanujan's Q-function") gives
+    Up to :data:`OMEGA_EXACT_MAX_J` each value is one correctly rounded
+    ratio of exact integers (:func:`_omega_exact`).  Above it, Ramanujan's
+    expansion (Flajolet, Grabner, Kirschenhofer and Prodinger 1995, "On
+    Ramanujan's Q-function") gives
     w_j = 1/2 - (1 + theta_j) t_j, with t_j = P(Po(j) = j) = e**-j j**j / j!
     from Stirling's series and
     theta_j = 1/3 + 4/(135j) - 8/(2835j**2) - 16/(8505j**3)

@@ -42,7 +42,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import laws
-from .exact import DEFAULT_PRECISION, _rational_to_mpf
 from .laws import Spectrum
 
 
@@ -575,9 +574,8 @@ def _core_size_cdf(n: int) -> np.ndarray:
     """Cumulative core-size law for r = 2..n as float64, from the exact counts.
 
     Running integer sums of :func:`laws.core_size_counts` over (n-1)**n,
-    each rounded to 128 bits and then to float64 (the rounding of the exact
-    rational that the sampler has always used); the sums must reach
-    (n-1)**n exactly.  The last cumulative float is forced to 1.0 so a
+    each rounded once to float64 by integer true division; the sums must
+    reach (n-1)**n exactly.  The last cumulative float is forced to 1.0 so a
     uniform draw can never fall off the end.
     """
     counts = laws.core_size_counts(n, "toes")
@@ -586,7 +584,7 @@ def _core_size_cdf(n: int) -> np.ndarray:
     cdf = np.empty(n - 1)
     for idx, r in enumerate(range(2, n + 1)):
         acc += counts[r]
-        cdf[idx] = float(_rational_to_mpf(acc, total, DEFAULT_PRECISION))
+        cdf[idx] = acc / total
     if acc != total:
         raise laws.ConsistencyError(f"core-size counts for n={n} do not sum to (n-1)**n")
     cdf[-1] = 1.0

@@ -20,7 +20,7 @@ import pytest
 
 from oracles import core_identity_sides
 from screamingtoes import harness, laws
-from screamingtoes.exact import format_fixed, to_mpf
+from screamingtoes.exact import format_fixed
 from screamingtoes.harness import ExperimentConfig, run_table
 
 SEED = 20260808
@@ -66,7 +66,7 @@ def _passed(cid: str, detail: str) -> None:
 
 
 def _within_one_ulp4(exact, printed: str) -> bool:
-    return abs(float(to_mpf(exact)) - float(printed)) <= 1e-4 + 1e-12
+    return abs(float(exact) - float(printed)) <= 1e-4 + 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -209,7 +209,7 @@ def test_c6d_repeated_size_probabilities(direct_report):
         assert abs(rec.simulated - ref) <= 4 * rec.std_error, name
         assert abs(rec.z) <= 4, name  # also within 4 s.e. of the exact value
         # the exact joint law rounds to the published 3 d.p. values
-        assert abs(float(to_mpf(rec.exact)) - ref) <= 5.1e-4, name
+        assert abs(float(rec.exact) - ref) <= 5.1e-4, name
     assert direct_report.wall_time < 60.0
     _passed("C6d", f"no-repeat probabilities within 4 s.e. of (0.959, 0.898, 0.879), "
                    f"{direct_report.wall_time:.1f}s")
@@ -240,7 +240,7 @@ def test_c7_limit_checks():
     q_limit = 1 - math.exp(-0.5)
     prev = 1.0
     for n in harness.Q_TABLE_NS:
-        q = float(to_mpf(laws.prob_someone_screams(n)))
+        q = float(laws.prob_someone_screams(n))
         assert q_limit < q < prev, n
         prev = q
     assert abs(prev - q_limit) < 1e-4

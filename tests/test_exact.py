@@ -3,11 +3,11 @@ oracles in ``tests/oracles.py`` that other tests lean on."""
 
 import itertools
 import math
+from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction as F
 
 import mpmath
 import pytest
-from mpmath import libmp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaincc
@@ -15,14 +15,13 @@ from scipy.special import gammaincc
 from oracles import multinomial, poisson_cdf, rising_factorial
 from screamingtoes import exact
 from screamingtoes.exact import (
-    DEFAULT_PRECISION,
     derangement_number,
     derangement_numbers,
     falling_factorial,
     format_fixed,
+    format_significant,
     fraction_over_power,
     poisson_partial_sum,
-    to_mpf,
 )
 
 
@@ -91,9 +90,10 @@ class TestPoissonPartialSum:
 
     def test_full_sum_close_to_exp(self):
         # with k far beyond 3*rate the sum is essentially e**rate
-        val = to_mpf(poisson_partial_sum(5, 60))
+        val = poisson_partial_sum(5, 60)
         with mpmath.workprec(128):
-            assert abs(val - mpmath.exp(5)) < mpmath.mpf(2) ** -80
+            err = mpmath.mpf(val.numerator) / val.denominator - mpmath.exp(5)
+            assert abs(err) < mpmath.mpf(2) ** -80
 
 
 class TestMultinomial:
@@ -107,7 +107,7 @@ class TestPoissonCdf:
     def test_matches_exact_rational(self):
         for j in (1, 2, 3, 10, 25):
             for k in (-1, 0, 1, j - 2, j, 2 * j):
-                exact_val = float(to_mpf(poisson_partial_sum(j, k) if k >= 0 else F(0))) * math.exp(-j)
+                exact_val = float(poisson_partial_sum(j, k)) * math.exp(-j)
                 assert poisson_cdf(j, k) == pytest.approx(exact_val, rel=1e-12, abs=1e-300)
 
     def test_matches_incomplete_gamma(self):
@@ -123,26 +123,6 @@ class TestPoissonCdf:
             poisson_cdf(0.0, 2)
 
 
-class TestToMpf:
-    def test_correctly_rounded_rational(self):
-        x = to_mpf(F(1, 3), prec=100)
-        with mpmath.workprec(200):
-            err = abs(x - mpmath.fraction(1, 3))
-            assert err <= mpmath.mpf(2) ** -101
-
-    def test_big_integers(self):
-        x = to_mpf(F(10**40 + 1, 7), prec=120)
-        with mpmath.workprec(240):
-            err = abs(x - mpmath.fraction(10**40 + 1, 7)) / mpmath.fraction(10**40, 7)
-            assert err <= mpmath.mpf(2) ** -119
-
-
-def _mpf_div_route(value: F, prec: int) -> tuple:
-    """The conversion by one mpmath division of the exact operands."""
-    num, den = libmp.from_int(value.numerator), libmp.from_int(value.denominator)
-    return libmp.mpf_div(num, den, prec, libmp.round_nearest)
-
-
 # integers of up to 10**4 digits, with and without long runs of trailing zero bits
 _wide_ints = st.builds(
     lambda head, digits, tail, shift: (head * 10**digits + tail) << shift,
@@ -151,36 +131,6 @@ _wide_ints = st.builds(
     st.integers(0, 10**20),
     st.sampled_from([0, 1, 64, 1000]),
 )
-
-
-class TestToMpfDivision:
-    @given(_wide_ints, _wide_ints, st.sampled_from([53, DEFAULT_PRECISION, 200]))
-    @settings(max_examples=300, deadline=None)
-    def test_equals_mpf_div(self, num, den, prec):
-        if den == 0:
-            den = 1
-        value = F(num, den)
-        assert to_mpf(value, prec)._mpf_ == _mpf_div_route(value, prec)
-
-    @given(st.integers(-(10**9), 10**9), st.integers(1, 10**9))
-    @settings(max_examples=100, deadline=None)
-    def test_small_and_zero(self, num, den):
-        value = F(num, den)
-        assert to_mpf(value)._mpf_ == _mpf_div_route(value, DEFAULT_PRECISION)
-        assert to_mpf(F(0))._mpf_ == libmp.fzero
-
-    @given(st.integers(2 ** (DEFAULT_PRECISION - 1), 2**DEFAULT_PRECISION - 1),
-           st.integers(-400, 400), st.booleans())
-    @settings(max_examples=200, deadline=None)
-    def test_exact_ties_round_to_even(self, mantissa, exp2, negative):
-        # (2m+1) 2**e has one bit more than the working precision and lies
-        # exactly halfway between m 2**(e+1) and (m+1) 2**(e+1)
-        sign = -1 if negative else 1
-        value = F(sign * (2 * mantissa + 1)) * F(2) ** exp2
-        even = mantissa if mantissa % 2 == 0 else mantissa + 1
-        got = to_mpf(value)._mpf_
-        assert got == libmp.from_man_exp(sign * even, exp2 + 1)
-        assert got == _mpf_div_route(value, DEFAULT_PRECISION)
 
 
 class TestFractionOverPower:
@@ -212,6 +162,48 @@ class TestFormatFixed:
 
     def test_places_zero(self):
         assert format_fixed(F(7, 2), places=0) == "4"  # ties to even
+
+
+def _decimal_oracle(value: F, digits: int) -> Decimal:
+    """value to `digits` significant digits, half up, by decimal's own division."""
+    context = Context(prec=digits, rounding=ROUND_HALF_UP, Emin=-(10**6), Emax=10**6)
+    return context.divide(Decimal(value.numerator), Decimal(value.denominator))
+
+
+class TestFormatSignificant:
+    @given(_wide_ints, _wide_ints, st.sampled_from([1, 2, 7, 20]))
+    @settings(max_examples=300, deadline=None)
+    def test_digits_match_decimal(self, num, den, digits):
+        value = F(num, den or 1)
+        text = format_significant(value, digits)
+        assert Decimal(text) == _decimal_oracle(value, digits), text
+
+    @given(st.integers(10**19, 10**20 - 1), st.integers(-400, 400), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_exact_ties_round_half_up(self, lead, exp10, negative):
+        # (10 lead + 5) 10**e has 21 digits and lies exactly halfway between
+        # two 20-digit values; half up takes the one farther from zero
+        sign = -1 if negative else 1
+        value = sign * (10 * lead + 5) * F(10) ** exp10
+        text = format_significant(value)
+        assert Decimal(text) == sign * (lead + 1) * Decimal(10) ** (exp10 + 1)
+        assert Decimal(text) == _decimal_oracle(value, 20)
+
+    def test_zero(self):
+        assert format_significant(F(0)) == format_significant(0) == "0.0"
+        with pytest.raises(ValueError):
+            format_significant(F(1, 3), 0)
+
+    @pytest.mark.parametrize("value", [
+        F(0), F(1), F(1, 2), F(1, 10**5), F(1, 10**6), F(7, 3 * 10**305), F(-2, 3),
+        F(3 * 10**4 + 1, 3), F(10**19) + F(1, 7), F(10**20), F(123456789, 7 * 10**12),
+        F(2**64 + 1, 2**64),
+    ], ids=str)
+    def test_layout_matches_mpmath_nstr(self, value):
+        # the 20-digit layout the report's ``exact`` field has always had
+        with mpmath.workprec(300):
+            expected = mpmath.nstr(mpmath.mpf(value.numerator) / value.denominator, 20)
+        assert format_significant(value) == expected
 
 
 @given(

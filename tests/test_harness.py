@@ -8,14 +8,14 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
 import screamingtoes
-from screamingtoes import cli, harness, laws
-from screamingtoes.exact import to_mpf
+from screamingtoes import cli, harness, laws, samplers
 from screamingtoes.harness import ExperimentConfig, brute_force_law, emit, parse_report, run_table
 
 
@@ -157,7 +157,7 @@ class TestRunTable:
             ExperimentConfig(n=5, replicates=1, method="brute-force", tables=("scream",))
         )
         for rec in report.records:
-            assert rec.simulated == pytest.approx(float(to_mpf(rec.exact)), abs=1e-15)
+            assert rec.simulated == pytest.approx(float(rec.exact), abs=1e-15)
             assert rec.z is None
 
     def test_degenerate_n2(self):
@@ -172,6 +172,21 @@ class TestRunTable:
         toes = [r for r in report.records if not r.name.startswith("core_size_std")]
         assert len(toes) == 1
         assert toes[0].name == "core_size[r=2]" and toes[0].exact == 1
+
+    def test_many_batches_hold_one_tally_at_a_time(self):
+        # 2000 one-replicate batches at n = 1000, each tally about 27 KB: kept
+        # until the end they would trace over 50 MB, merged on arrival under 1 MB
+        config = ExperimentConfig(n=1000, replicates=2000, batch_size=1, tables=("cycles",),
+                                  workers=1)
+        samplers._core_size_cdf(1000)  # the cached exact CDF is set-up, not tally memory
+        tracemalloc.start()
+        try:
+            tally = harness._run_simulation("core-joint", config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tally["replicates"] == 2000 and tally["core_hist"].sum() == 2000
+        assert peak < 8 * 2**20, f"{peak / 2**20:.1f} MiB traced"
 
 
 #: A run with 16 batches of each of the rejection and core-joint kinds.
@@ -319,7 +334,7 @@ class TestRepeatedSizeStats:
         sim = _no_repeat_shares(4, reps, seed=21, batch_size=10_000)
         exact = brute_force_law(4, "toes").no_repeat
         for s, e in zip(sim, exact):
-            e = float(to_mpf(e))
+            e = float(e)
             se = math.sqrt(e * (1 - e) / reps)
             assert abs(s - e) <= 4 * se
 
@@ -479,9 +494,20 @@ class TestCli:
         done = _run_python(script, ["tables", "--reps", "2000", "--batch-size", "1000", "--workers", "1"])
         assert done.returncode == 0, done.stderr
 
-    def test_workers_env_default(self, monkeypatch):
-        monkeypatch.setenv(harness.ENV_WORKERS, "3")
-        assert harness.default_workers() == 3
+    def test_cli_runs_without_mpmath(self, tmp_path):
+        # mpmath is a test oracle only: with its import blocked, the exact,
+        # rejection-route and enumeration paths still run
+        script = ("import sys\n"
+                  "sys.modules['mpmath'] = None\n"
+                  "from screamingtoes import cli\n"
+                  "out = sys.argv[1]\n"
+                  "assert cli.main(['exact', '--table', 'q', '--format', 'json', '--out', out]) == 0\n"
+                  "assert cli.main(['simulate', '--table', 'components', '--n', '6', '--reps', '2000',\n"
+                  "                 '--workers', '1', '--format', 'json', '--out', out]) == 0\n"
+                  "assert cli.main(['validate', '--n', '5']) == 0\n")
+        done = _run_python(script, [str(tmp_path / "report.json")])
+        assert done.returncode == 0, done.stderr
+        assert "mean_components[j=2]" in (tmp_path / "report.json").read_text()
 
     @pytest.mark.parametrize("table", ["q", "scream", "repeats", "acceptance"])
     def test_standard_model_on_a_toes_only_table_is_a_one_line_error(self, table, capsys):
@@ -513,42 +539,42 @@ class TestCli:
         lines = done.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("screamingtoes:"), done.stderr
 
-    @pytest.mark.parametrize("argv, config, env", [
-        (["tables", "--tables", ","], None, None),
-        (["exact", "--table", "q", "--config", "{missing}"], None, None),
-        (["exact", "--table", "q"], "{not json", None),
-        (["simulate", "--table", "scream"], '{"n": "ten"}', None),
-        (["simulate", "--table", "scream", "--n", "5"], '{"reps": 4000.5}', None),
-        (["simulate", "--table", "scream", "--n", "5", "--reps", "100"], None, "abc"),
-        (["simulate", "--table", "scream", "--n", "5", "--reps", "100"], None, "0"),
-        (["simulate", "--table", "scream", "--n", "5", "--reps", "100"], None, "-3"),
-        (["exact", "--table", "q", "--n", "5"], '{"format": "xml"}', None),
-        (["validate", "--n", "4"], '{"model": "foo"}', None),
-        (["exact", "--table", "q", "--n", "5"], '{"model": "foo"}', None),
-        (["exact", "--table", "core", "--n", "4", "--out", "{tmp}/no-such-dir/x.csv"], None, None),
-        (["exact", "--table", "core", "--n", "4", "--out", "{tmp}"], None, None),
-        (["validate", "--n", "8"], None, None),
-        (["validate", "--n", "3", "--format", "json"], None, None),
-        (["validate", "--n", "3", "--workers", "2"], None, None),
-        (["validate", "--n", "3", "--batch-size", "100"], None, None),
-        (["validate", "--n", "3"], '{"format": "csv"}', None),
-        (["validate", "--n", "3"], '{"workers": 2}', None),
-        (["validate", "--n", "3"], '{"batch-size": 100}', None),
-        (["exact", "--table", "q", "--n", "abc"], None, None),
-        (["simulate", "--table", "q", "--bogus", "1"], None, None),
-        (["exact", "--n", "3"], None, None),
-        ([], None, None),
-        (["exact", "--table", "q", "--n", "5", "--format", "xml"], None, None),
-        (["simulate", "--table", "scream", "--n", "5", "--method", "foo"], None, None),
-        (["validate", "--n", "3", "--model", "both"], None, None),
-        (["exact", "--table", "q"], '{"n": "6"}', None),
-        (["exact", "--table", "q"], '{"n": true}', None),
-        (["exact", "--table", "q"], '{"help": true}', None),
-        (["simulate", "--table", "scream"], '{"rep": 100}', None),
-        (["exact", "--table", "q"], '{"bogus": "a\\nb"}', None),
-        (["exact", "--table", "acceptance", "--n", "3001"], None, None),
+    @pytest.mark.parametrize("argv, config", [
+        (["tables", "--tables", ","], None),
+        (["exact", "--table", "q", "--config", "{missing}"], None),
+        (["exact", "--table", "q"], "{not json"),
+        (["simulate", "--table", "scream"], '{"n": "ten"}'),
+        (["simulate", "--table", "scream", "--n", "5"], '{"reps": 4000.5}'),
+        (["simulate", "--table", "scream", "--n", "5", "--reps", "100", "--workers", "abc"], None),
+        (["simulate", "--table", "scream", "--n", "5", "--reps", "100", "--workers", "0"], None),
+        (["simulate", "--table", "scream", "--n", "5", "--reps", "100", "--workers", "-3"], None),
+        (["exact", "--table", "q", "--n", "5"], '{"format": "xml"}'),
+        (["validate", "--n", "4"], '{"model": "foo"}'),
+        (["exact", "--table", "q", "--n", "5"], '{"model": "foo"}'),
+        (["exact", "--table", "core", "--n", "4", "--out", "{tmp}/no-such-dir/x.csv"], None),
+        (["exact", "--table", "core", "--n", "4", "--out", "{tmp}"], None),
+        (["validate", "--n", "8"], None),
+        (["validate", "--n", "3", "--format", "json"], None),
+        (["validate", "--n", "3", "--workers", "2"], None),
+        (["validate", "--n", "3", "--batch-size", "100"], None),
+        (["validate", "--n", "3"], '{"format": "csv"}'),
+        (["validate", "--n", "3"], '{"workers": 2}'),
+        (["validate", "--n", "3"], '{"batch-size": 100}'),
+        (["exact", "--table", "q", "--n", "abc"], None),
+        (["simulate", "--table", "q", "--bogus", "1"], None),
+        (["exact", "--n", "3"], None),
+        ([], None),
+        (["exact", "--table", "q", "--n", "5", "--format", "xml"], None),
+        (["simulate", "--table", "scream", "--n", "5", "--method", "foo"], None),
+        (["validate", "--n", "3", "--model", "both"], None),
+        (["exact", "--table", "q"], '{"n": "6"}'),
+        (["exact", "--table", "q"], '{"n": true}'),
+        (["exact", "--table", "q"], '{"help": true}'),
+        (["simulate", "--table", "scream"], '{"rep": 100}'),
+        (["exact", "--table", "q"], '{"bogus": "a\\nb"}'),
+        (["exact", "--table", "acceptance", "--n", "3001"], None),
     ], ids=["empty-tables", "missing-config", "config-not-json", "config-str-n",
-            "config-float-reps", "workers-env", "workers-env-0", "workers-env-negative",
+            "config-float-reps", "workers-not-an-integer", "workers-0", "workers-negative",
             "config-format-choice",
             "config-model-choice-validate", "config-model-choice-exact", "out-missing-dir",
             "out-is-a-dir", "validate-n8", "validate-format", "validate-workers",
@@ -557,14 +583,12 @@ class TestCli:
             "empty-argv", "format-choice", "method-choice", "validate-model-both",
             "config-numeric-str-n", "config-bool-n", "config-help", "config-abbreviated-key",
             "config-unknown-key-with-a-newline", "acceptance-above-the-bound"])
-    def test_bad_input_is_a_one_line_error(self, argv, config, env, tmp_path, monkeypatch, capsys):
+    def test_bad_input_is_a_one_line_error(self, argv, config, tmp_path, capsys):
         argv = [arg.format(missing=tmp_path / "missing.json", tmp=tmp_path) for arg in argv]
         if config is not None:
             path = tmp_path / "cfg.json"
             path.write_text(config)
             argv += ["--config", str(path)]
-        if env is not None:
-            monkeypatch.setenv(harness.ENV_WORKERS, env)
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         message = exc.value.code

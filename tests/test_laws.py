@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import poisson_cdf
 from screamingtoes import laws, samplers
-from screamingtoes.exact import derangement_number, falling_factorial, format_fixed, to_mpf
+from screamingtoes.exact import derangement_number, falling_factorial, format_fixed
 from screamingtoes.laws import Spectrum
 
 
@@ -74,8 +74,8 @@ class TestSingleComponent:
         # sqrt(n) * s~_n approaches e*sqrt(pi/2) = 3.4069... from below;
         # the first-order deficit is (8/3)/sqrt(2*pi*n), ~3.3% at n=1000
         limit = float(mpmath.e * mpmath.sqrt(mpmath.pi / 2))
-        at_1000 = float(to_mpf(laws.single_component_prob(1000, "toes"))) * math.sqrt(1000)
-        at_4000 = float(to_mpf(laws.single_component_prob(4000, "toes"))) * math.sqrt(4000)
+        at_1000 = float(laws.single_component_prob(1000, "toes")) * math.sqrt(1000)
+        at_4000 = float(laws.single_component_prob(4000, "toes")) * math.sqrt(4000)
         assert at_1000 < at_4000 < limit
         assert abs(at_1000 - limit) / limit < 0.04
         assert abs(at_4000 - limit) / limit < 0.02
@@ -438,7 +438,7 @@ class TestScreamLaws:
         limit = 1 - math.exp(-0.5)
         prev = 1.0
         for n in (5, 10, 50, 200, 1000):
-            q = float(to_mpf(laws.prob_someone_screams(n)))
+            q = float(laws.prob_someone_screams(n))
             assert limit < q < prev
             prev = q
 
@@ -555,9 +555,9 @@ class TestNoRepeatProbs:
 
     def test_reference_n10(self):
         comp, cyc, either = laws.prob_no_repeated_sizes(10)
-        assert float(to_mpf(comp)) == pytest.approx(0.959363, abs=1e-6)
-        assert float(to_mpf(cyc)) == pytest.approx(0.898483, abs=1e-6)
-        assert float(to_mpf(either)) == pytest.approx(0.878891, abs=1e-6)
+        assert float(comp) == pytest.approx(0.959363, abs=1e-6)
+        assert float(cyc) == pytest.approx(0.898483, abs=1e-6)
+        assert float(either) == pytest.approx(0.878891, abs=1e-6)
         # "either" is the most restrictive event
         assert either < min(comp, cyc)
 

@@ -16,7 +16,7 @@ from scipy.stats import chi2
 
 from oracles import derangement_cycle_type_pmf, derangement_two_cycle_pmf, esf_pmf
 from screamingtoes import harness, laws, samplers
-from screamingtoes.exact import derangement_number, poisson_partial_sum, to_mpf
+from screamingtoes.exact import derangement_number, poisson_partial_sum
 from screamingtoes.laws import Spectrum
 from screamingtoes.samplers import (
     Decomposition,
@@ -45,7 +45,7 @@ def chi_square_pvalue(observed: dict, expected: dict, total: int) -> float:
     stat = 0.0
     dof = -1
     for key, prob in expected.items():
-        e = float(to_mpf(prob)) * total if isinstance(prob, F) else prob * total
+        e = float(prob) * total
         o = observed.get(key, 0)
         if e == 0.0:
             assert o == 0, f"impossible class {key} was observed"
@@ -365,7 +365,7 @@ class TestOmega:
         w = omega_values(40)
         assert (w <= 0.5).all()
         for j in range(2, 41):
-            exact = float(to_mpf(poisson_partial_sum(j, j - 2)) * mpmath.exp(-j))
+            exact = float(poisson_partial_sum(j, j - 2)) * math.exp(-j)
             assert w[j] == pytest.approx(exact, rel=1e-12)
 
     def test_matches_iterative_cdf(self):
@@ -391,6 +391,13 @@ class TestOmega:
         assert laws.OMEGA_EXACT_MAX_J == 100
         for j in range(2, laws.OMEGA_EXACT_MAX_J + 1):
             assert w[j] == self._reference(j), j
+
+    def test_exact_table_bits_are_pinned(self):
+        # the rejection sampler's acceptance weights depend on these bits
+        w = laws._omega_exact()
+        assert w.shape == (laws.OMEGA_EXACT_MAX_J + 1,)
+        digest = hashlib.sha256(w.astype("<f8").tobytes()).hexdigest()
+        assert digest == "5b7c8ded473785c65db89164d6d9692de2b4f1f01ce96827ae9dda5463e7f3b1"
 
     def test_within_one_ulp_above_the_switch(self):
         w = omega_values(400)
@@ -488,7 +495,7 @@ class TestRejectionSampler:
             w = omega_values(n)
             enumerated = 0.0
             for parts in laws.partitions(n, 2):
-                prob = float(to_mpf(esf_pmf(n, F(1, 2), parts)))
+                prob = float(esf_pmf(n, F(1, 2), parts))
                 for j in parts:
                     prob *= 2.0 * w[j]
                 enumerated += prob
@@ -521,7 +528,7 @@ class TestCoreSizeSampler:
     ])
     def test_cdf_bits_are_pinned(self, n, digest):
         # the sampler's draws depend on these bits: the exact cumulative
-        # law rounded to 128 bits and then to float64
+        # law rounded once to float64
         assert hashlib.sha256(samplers._core_size_cdf(n).tobytes()).hexdigest() == digest
 
     def test_cdf_cache_is_exactly_normalised(self):
@@ -596,7 +603,7 @@ class TestCoreJointSampler:
         assert tally["core_hist"].sum() == reps
         assert tally["cyc_sum"] @ np.arange(n + 1) == tally["core_hist"] @ np.arange(n + 1)
         for j in (2, 3, 10):
-            exact = float(to_mpf(laws.mean_cycle_count(n, j, "toes")))
+            exact = float(laws.mean_cycle_count(n, j, "toes"))
             mean, se = _mean_and_se(tally, "cyc", j, reps)
             assert abs(mean - exact) <= 5 * max(se, 1e-9)
 
@@ -746,7 +753,7 @@ class TestCrossMoments:
         direct = decompose_batch(sample_mappings_batch(n, reps, np.random.default_rng(1400)))
         comp = _dense_counts(*direct.components, reps, n)
         prod = comp[:, 2] * comp[:, 3]
-        exact = float(to_mpf(laws.factorial_moment(n, {2: 1, 3: 1})))
+        exact = float(laws.factorial_moment(n, {2: 1, 3: 1}))
         se = prod.std(ddof=1) / math.sqrt(reps)
         assert abs(prod.mean() - exact) <= 4 * se
 
@@ -771,7 +778,7 @@ class TestRouteAgreement:
             a_mean, a_se = _mean_and_se(rej, "comp", j, reps)
             b = comp[:, j]
             se = math.sqrt(a_se**2 + b.var(ddof=1) / reps)
-            exact = float(to_mpf(laws.mean_component_count(n, j, "toes")))
+            exact = float(laws.mean_component_count(n, j, "toes"))
             assert abs(a_mean - b.mean()) <= 4 * max(se, 1e-9)
             assert abs(a_mean - exact) <= 5 * max(a_se, 1e-9)
 
