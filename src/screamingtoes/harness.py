@@ -316,14 +316,9 @@ def _run_simulation(kind: str, config: ExperimentConfig) -> dict:
     total = config.replicates
     root = config.seed % 2**64
     tasks = []
-    done = 0
-    k = 0
-    while done < total:
-        size = min(config.batch_size, total - done)
+    for k, done in enumerate(range(0, total, config.batch_size)):
         seed = np.random.SeedSequence(root, spawn_key=(_KIND_KEY[kind], k))
-        tasks.append((kind, config.size, seed, size))
-        done += size
-        k += 1
+        tasks.append((kind, config.size, seed, min(config.batch_size, total - done)))
     workers = config.resolved_workers()
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:

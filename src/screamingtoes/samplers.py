@@ -16,8 +16,8 @@ generator, spawned from the master seed by numpy's ``SeedSequence``.  Each
 route has one implementation, a vectorised ``*_batch`` kernel;
 :func:`sample_mapping`, :func:`sample_toes_components` and
 :func:`sample_toes_core` are one-replicate calls of those kernels, and
-:func:`decompose` is the scalar reference walk that the decomposition kernel
-is tested against.
+:func:`decompose` is one row of the decomposition kernel
+:func:`decompose_batch`.
 
 Routes 2 and 3 share one kernel, :func:`_feller_gaps`: the Feller coupling
 with record skipping (Arratia, Barbour and Tavare 2003), so a replicate
@@ -89,55 +89,16 @@ class Decomposition:
             raise ValueError("cyclic flags disagree with the core size")
 
 
-def _decompose_image(image) -> tuple[list[int], list[int], list[bool]]:
-    """Component sizes, cycle lengths and cyclic flags for any function on [n].
-
-    Iterative three-state walk (unvisited / on current path / resolved), so
-    each element is visited O(1) times and nothing recurses.
-    """
-    n = len(image)
-    state = [0] * n  # 0 unvisited, 1 on current path, 2 resolved
-    comp_of = [-1] * n
-    cyclic = [False] * n
-    comp_sizes: list[int] = []
-    cycle_lens: list[int] = []
-    for start in range(n):
-        if state[start]:
-            continue
-        path: list[int] = []
-        pos: dict[int, int] = {}
-        x = start
-        while state[x] == 0:
-            state[x] = 1
-            pos[x] = len(path)
-            path.append(x)
-            x = image[x]
-        if state[x] == 1:
-            # closed a new cycle at x; everything from x onward is cyclic
-            cid = len(comp_sizes)
-            comp_sizes.append(0)
-            cycle = path[pos[x]:]
-            cycle_lens.append(len(cycle))
-            for y in cycle:
-                cyclic[y] = True
-        else:
-            cid = comp_of[x]
-        for y in path:
-            comp_of[y] = cid
-            state[y] = 2
-        comp_sizes[cid] += len(path)
-    return comp_sizes, cycle_lens, cyclic
-
-
 def decompose(mapping: Mapping) -> Decomposition:
-    """Components, core and cycles of the mapping, in O(n)."""
-    comp_sizes, cycle_lens, cyclic = _decompose_image(mapping.image)
-    core = sum(cycle_lens)
+    """Components, core and cycles of the mapping: one row of :func:`decompose_batch`."""
+    dec = decompose_batch(np.array([mapping.image]))
+    cyclic = np.zeros(mapping.n, dtype=bool)
+    cyclic[dec.core] = True
     return Decomposition(
-        component_sizes=Spectrum.from_sizes(comp_sizes),
-        cycle_lengths=Spectrum.from_sizes(cycle_lens),
-        core_size=core,
-        cyclic=tuple(cyclic),
+        component_sizes=Spectrum.from_sizes(dec.components[1].tolist()),
+        cycle_lengths=Spectrum.from_sizes(dec.cycles[1].tolist()),
+        core_size=dec.core.size,
+        cyclic=tuple(cyclic.tolist()),
     )
 
 
@@ -173,13 +134,14 @@ class DecompositionBatch:
     """(replicate, size) pairs from a batch decomposition, in replicate order.
 
     ``components`` is the pair of arrays (replicate, size) with one entry
-    per component; ``cycles`` likewise, one entry per cycle.
-    ``core_sizes[b]`` is the number of cyclic elements of replicate b.
+    per component; ``cycles`` likewise, one entry per cycle.  ``core``
+    holds the flat indices (row b, element i is b*n + i) of the cyclic
+    elements, ascending.
     """
 
     components: tuple[np.ndarray, np.ndarray]
     cycles: tuple[np.ndarray, np.ndarray]
-    core_sizes: np.ndarray
+    core: np.ndarray
 
 
 def decompose_batch(images: np.ndarray, scratch: tuple | None = None) -> DecompositionBatch:
@@ -227,7 +189,7 @@ def decompose_batch(images: np.ndarray, scratch: tuple | None = None) -> Decompo
     return DecompositionBatch(
         _label_pairs(component, core, n),
         _label_pairs(cycle, core, n),
-        np.bincount(core // n, minlength=batch),
+        core,
     )
 
 
@@ -320,10 +282,11 @@ def _tally_mappings(
     decomposition.  The direct route and the brute-force oracle both fold
     through here."""
     dec = decompose_batch(images, scratch)
-    rows = len(images)
+    rows, n = images.shape
     comp_repeats = _tally_pairs(tally, "comp", *dec.components, rows)
     cyc_repeats = _tally_pairs(tally, "cyc", *dec.cycles, rows)
-    tally["core_hist"] += np.bincount(dec.core_sizes, minlength=tally["core_hist"].size)
+    core_sizes = np.bincount(dec.core // n, minlength=rows)
+    tally["core_hist"] += np.bincount(core_sizes, minlength=tally["core_hist"].size)
     either = np.union1d(comp_repeats, cyc_repeats)
     tally["no_repeat"] += [rows - comp_repeats.size, rows - cyc_repeats.size, rows - either.size]
     return dec

@@ -21,6 +21,10 @@ that does not go through the code it is used to check:
 * :func:`rising_factorial`, :func:`esf_pmf` and :func:`esf_mean_cycle_count`:
   the Ewens sampling formula, against the rejection sampler's ESF(1/2)
   proposals.
+* :func:`decompose_image`: a scalar walk of a function's graph, one element
+  at a time, against ``samplers.decompose_batch``, which squares the
+  successor map and doubles pointers on the core; it also decomposes the
+  mappings whose enumeration the brute-force golden digests were pinned on.
 """
 
 import math
@@ -216,3 +220,43 @@ def esf_mean_cycle_count(n: int, theta: Fraction | int, j: int) -> Fraction:
         * rising_factorial(theta, n - j)
         / rising_factorial(theta, n)
     )
+
+
+def decompose_image(image) -> tuple[list[int], list[int], list[bool]]:
+    """Component sizes, cycle lengths and cyclic flags for any function on [n].
+
+    Iterative three-state walk (unvisited / on current path / resolved), so
+    each element is visited O(1) times and nothing recurses.
+    """
+    n = len(image)
+    state = [0] * n  # 0 unvisited, 1 on current path, 2 resolved
+    comp_of = [-1] * n
+    cyclic = [False] * n
+    comp_sizes: list[int] = []
+    cycle_lens: list[int] = []
+    for start in range(n):
+        if state[start]:
+            continue
+        path: list[int] = []
+        pos: dict[int, int] = {}
+        x = start
+        while state[x] == 0:
+            state[x] = 1
+            pos[x] = len(path)
+            path.append(x)
+            x = image[x]
+        if state[x] == 1:
+            # closed a new cycle at x; everything from x onward is cyclic
+            cid = len(comp_sizes)
+            comp_sizes.append(0)
+            cycle = path[pos[x]:]
+            cycle_lens.append(len(cycle))
+            for y in cycle:
+                cyclic[y] = True
+        else:
+            cid = comp_of[x]
+        for y in path:
+            comp_of[y] = cid
+            state[y] = 2
+        comp_sizes[cid] += len(path)
+    return comp_sizes, cycle_lens, cyclic

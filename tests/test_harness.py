@@ -21,7 +21,7 @@ from screamingtoes.harness import ExperimentConfig, brute_force_law, emit, parse
 
 #: sha256 of repr(brute_force_law(n, model)) for n = 2..7, computed by an
 #: enumeration that decomposed each mapping with the scalar walk
-#: samplers._decompose_image, independently of decompose_batch.
+#: oracles.decompose_image, independently of decompose_batch.
 BRUTE_FORCE_SHA256 = {
     "toes": (
         "300166c581cfd9815d0164c064a10ab9b6501996a91aaed50fe6f89a0619d5a4",

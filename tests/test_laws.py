@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import poisson_cdf
-from screamingtoes import laws, samplers
+from screamingtoes import laws
 from screamingtoes.exact import derangement_number, falling_factorial, format_fixed
 from screamingtoes.laws import Spectrum
 
@@ -275,7 +275,7 @@ class TestIntegerCounts:
                 choices = [[j for j in range(n) if model == "standard" or j != i] for i in range(n)]
                 tally = [0] * (n + 1)
                 for image in itertools.product(*choices):
-                    _, cycles, _ = samplers._decompose_image(image)
+                    _, cycles, _ = oracles.decompose_image(image)
                     tally[sum(cycles)] += 1
                 assert laws.core_size_counts(n, model) == tuple(tally)
 

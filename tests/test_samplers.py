@@ -14,7 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from oracles import derangement_cycle_type_pmf, derangement_two_cycle_pmf, esf_pmf
+from oracles import (
+    decompose_image,
+    derangement_cycle_type_pmf,
+    derangement_two_cycle_pmf,
+    esf_pmf,
+)
 from screamingtoes import harness, laws, samplers
 from screamingtoes.exact import derangement_number, poisson_partial_sum
 from screamingtoes.laws import Spectrum
@@ -144,21 +149,20 @@ class TestDecompose:
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(1234)
         for n in (2, 3, 5, 8, 16):
-            imgs = sample_mappings_batch(n, 300, rng)
-            batch = decompose_batch(imgs)
-            comps = _dense_counts(*batch.components, imgs.shape[0], n)
-            cycles = _dense_counts(*batch.cycles, imgs.shape[0], n)
-            for b in range(imgs.shape[0]):
-                dec = decompose(Mapping(tuple(int(v) for v in imgs[b])))
-                comp = np.zeros(n + 1, dtype=np.int64)
-                for j, a in dec.component_sizes.counts:
-                    comp[j] = a
-                cyc = np.zeros(n + 1, dtype=np.int64)
-                for j, a in dec.cycle_lengths.counts:
-                    cyc[j] = a
-                assert (comps[b] == comp).all()
-                assert (cycles[b] == cyc).all()
-                assert batch.core_sizes[b] == dec.core_size
+            _assert_batch_matches_walk(sample_mappings_batch(n, 300, rng), n)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_decompose_matches_walk_on_every_toes_mapping(self, n):
+        """decompose, one row of decompose_batch, against the scalar walk on
+        every toes mapping below n = 7, cyclic flags included."""
+        choices = [[v for v in range(n) if v != i] for i in range(n)]
+        for image in itertools.product(*choices):
+            comp_sizes, cycle_lens, cyclic = decompose_image(image)
+            dec = decompose(Mapping(image))
+            assert dec.component_sizes == Spectrum.from_sizes(comp_sizes)
+            assert dec.cycle_lengths == Spectrum.from_sizes(cycle_lens)
+            assert dec.core_size == sum(cycle_lens)
+            assert dec.cyclic == tuple(cyclic)
 
     @pytest.mark.parametrize("model", ["toes", "standard"])
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -171,11 +175,7 @@ class TestDecompose:
             if model == "standard" or all(v != i for i, v in enumerate(image))
         ])
         assert len(images) == (n if model == "standard" else n - 1) ** n
-        comp, cyc, core = _scalar_counts(images, n)
-        batch = decompose_batch(images)
-        assert (_dense_counts(*batch.components, len(images), n) == comp).all()
-        assert (_dense_counts(*batch.cycles, len(images), n) == cyc).all()
-        assert (batch.core_sizes == core).all()
+        _assert_batch_matches_walk(images, n)
 
     def test_batch_matches_scalar_across_chunks_at_n1000(self):
         """decompose_batch against the scalar walk at n = 1000, chunk by
@@ -194,12 +194,7 @@ class TestDecompose:
         assert len(images) > 2 * step and len(images) % step
         scratch = samplers._decomposition_scratch(step * n)
         for lo in range(0, len(images), step):
-            block = images[lo:lo + step]
-            comp, cyc, core = _scalar_counts(block, n)
-            batch = decompose_batch(block, scratch)
-            assert (_dense_counts(*batch.components, len(block), n) == comp).all()
-            assert (_dense_counts(*batch.cycles, len(block), n) == cyc).all()
-            assert (batch.core_sizes == core).all()
+            _assert_batch_matches_walk(images[lo:lo + step], n, scratch)
 
 
 class TestFellerCoupling:
@@ -252,19 +247,29 @@ def _check_stopped_esf_law(n, theta, reps, rng):
     assert chi_square_pvalue(observed, expected, full.size) > 1e-4
 
 
+def _assert_batch_matches_walk(images, n, scratch=None):
+    """decompose_batch of a block of mappings, in ``scratch`` if given,
+    against the scalar walk: each row's component and cycle counts, and
+    which cells are on the core."""
+    comp, cyc, cyclic = _scalar_counts(images, n)
+    batch = decompose_batch(images, scratch)
+    assert (_dense_counts(*batch.components, len(images), n) == comp).all()
+    assert (_dense_counts(*batch.cycles, len(images), n) == cyc).all()
+    assert np.array_equal(batch.core, np.flatnonzero(cyclic))
+
+
 def _scalar_counts(images, n):
-    """Per-row component and cycle count matrices, (rows, n+1), and core
-    sizes of a block of mappings, decomposed one row at a time by the scalar
-    walk, independently of decompose_batch."""
+    """Per-row component and cycle count matrices, (rows, n+1), and cyclic
+    flags, (rows, n), of a block of mappings, decomposed one row at a time
+    by the scalar walk of the oracles, independently of decompose_batch."""
     comp = np.zeros((len(images), n + 1), dtype=np.int64)
     cyc = np.zeros_like(comp)
-    core = np.zeros(len(images), dtype=np.int64)
+    flags = np.zeros((len(images), n), dtype=bool)
     for b, image in enumerate(images.tolist()):
-        comp_sizes, cycle_lens, cyclic = samplers._decompose_image(image)
+        comp_sizes, cycle_lens, flags[b] = decompose_image(image)
         np.add.at(comp[b], comp_sizes, 1)
         np.add.at(cyc[b], cycle_lens, 1)
-        core[b] = sum(cyclic)
-    return comp, cyc, core
+    return comp, cyc, flags
 
 
 def _extreme_rows(n, rng):
@@ -629,7 +634,10 @@ class TestChunkedTallies:
         # reference: the same draws decomposed by the scalar walk, one row at
         # a time, into full per-row count matrices
         n, reps, seed = 9, 1000, 4242
-        comp, cyc, core = _scalar_counts(sample_mappings_batch(n, reps, np.random.default_rng(seed)), n)
+        comp, cyc, cyclic = _scalar_counts(
+            sample_mappings_batch(n, reps, np.random.default_rng(seed)), n
+        )
+        core = cyclic.sum(axis=1)
         no_comp, no_cyc = (comp <= 1).all(axis=1), (cyc <= 1).all(axis=1)
         want = {
             "replicates": reps,
@@ -760,7 +768,7 @@ class TestCrossMoments:
 
 class TestLargeN:
     def test_decompose_handles_deep_paths(self):
-        # iterative traversal: no recursion limit at n = 10**5
+        # one row of the batch kernel at n = 10**5
         n = 100_000
         mapping = sample_mapping(n, np.random.default_rng(1500))
         dec = decompose(mapping)
