@@ -3,10 +3,10 @@
 1. Direct: draw each image uniformly from the other n-1 points and
    decompose the functional graph (components, core, cycles).
 2. Rejection: draw a cycle-count vector from the Ewens sampling formula
-   with theta = 1/2 (via the Feller coupling) and accept it with
-   probability 1{no 1-cycles} * prod_j (2 w_j)**a_j, where
-   w_j = P(Po(j) <= j-2).  Accepted vectors are distributed as the
-   component-size spectrum of the mapping.
+   with theta = 1/2 and accept it with probability
+   1{no 1-cycles} * prod_j (2 w_j)**a_j, where w_j = P(Po(j) <= j-2).
+   Accepted vectors are distributed as the component-size spectrum of the
+   mapping.
 3. Core-joint: draw the core size from its exact inverse CDF, then the
    cycle type of a uniform random derangement of that size.
 
@@ -19,11 +19,12 @@ route has one implementation, a vectorised ``*_batch`` kernel;
 :func:`decompose` is one row of the decomposition kernel
 :func:`decompose_batch`.
 
-Routes 2 and 3 share one kernel, :func:`_feller_gaps`: the Feller coupling
-with record skipping (Arratia, Barbour and Tavare 2003), so a replicate
-costs O(its cycles) random numbers and memory, not O(n).  It stops a row at
-its first 1-cycle; route 2 rejects that proposal and route 3 restarts the
-row, which leaves ESF(1) given a_1 = 0, a uniform derangement's cycle type.
+Routes 2 and 3 share one kernel, :func:`_cycles_without_fixed_points`: it
+draws ESF(theta) conditioned on having no 1-cycle, one cycle at a time from
+one exact cumulative table, so a replicate costs O(its cycles) random
+numbers and memory, not O(n).  At theta = 1 that is a uniform derangement's
+cycle type; at theta = 1/2 it is a rejection proposal that has already
+passed the no-1-cycle test, which one uniform against P(a_1 = 0) decides.
 
 There is one tally format and one fold.  Every kernel, the brute-force
 oracle's :func:`every_mapping_counts` too, hands its groups (components or
@@ -37,6 +38,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -380,102 +382,112 @@ def omega_values(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _neg_log_g(n: int, theta: float) -> np.ndarray:
-    """-log G(k) for k = 0..n+1, where G(k) = prod_{l=2..k} (l-1)/(l-1+theta).
-
-    Running sums of log1p(theta/(l-1)), so the table rises strictly and
-    :func:`_feller_gaps` can search it; entries 0 and 1 are 0.
+def _no_fixed_point_table(n: int, theta: Fraction) -> tuple[np.ndarray, float]:
+    """The cumulative table c_k = f_0 + ... + f_k, k = 0..n-2, of
+    :func:`_cycles_without_fixed_points`, and P(a_1 = 0) under ESF(theta) at
+    size n, each rounded once to float64 from the integers of
+    :func:`_no_fixed_point_sums`.  f_k = [z**k] exp(-theta z) (1-z)**-theta
+    weighs the size-k cycle types with no 1-cycle (f_1 = 0; at theta = 1,
+    f_k = D_k/k!).  As n f_n = theta c_{n-2}, P(a_1 = 0) = n! f_n / theta^(n)
+    is p q (n-1) C_{n-2} / prod_{i<n} (p + q i) for theta = p/q.
     """
-    out = np.zeros(n + 2)
-    out[2:] = np.cumsum(np.log1p(theta / np.arange(1, n + 1, dtype=np.float64)))
-    return out
+    cdf = np.empty(n - 1)
+    for k, (acc, scale) in enumerate(_no_fixed_point_sums(n, theta)):
+        cdf[k] = acc / scale
+    p, q = theta.numerator, theta.denominator
+    return cdf, p * q * (n - 1) * acc / math.prod(p + q * i for i in range(n))
 
 
-def _feller_gaps(
-    sizes: np.ndarray, n: int, theta: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One Feller-coupling draw per row of the given sizes (each <= n), by
-    record skipping, each row stopped at its first gap of length 1.
+def _no_fixed_point_sums(n: int, theta: Fraction):
+    """Yields (C_k, q**k k!) for k = 0..n-2, whose ratio is c_k of
+    :func:`_no_fixed_point_table`, theta = p/q.  From
+    (1-z) G' = (1 + theta z) G for G = sum_k c_k z**k, the integers follow
+    C_0 = 1, C_1 = q and C_k = q k C_{k-1} + p q (k-1) C_{k-2}."""
+    p, q = theta.numerator, theta.denominator
+    before, acc, scale = 0, 1, 1
+    for k in range(n - 1):
+        if k:
+            before, acc, scale = acc, q * k * acc + p * q * (k - 1) * before, q * k * scale
+        yield acc, scale
 
-    The marks of a size-r row sit at 1, then at each i = 2..r independently
-    with probability theta/(theta+i-1), then at r+1; the gaps between
-    consecutive marks are the cycle lengths of an ESF(theta) draw.  A row
-    draws only its marks: after a mark at i the next one, K, has
-    P(K > k) = G(k)/G(i), so K is the first k with
-    -log G(k) > -log G(i) + E for a standard exponential E (E = -log U),
-    one search of the cached table.  A mark past r closes the row with gap
-    r+1-i.  All rows advance together, one mark each per step.
 
-    Returns the (row, gap length) pairs, up to and including a stopped
-    row's 1-gap, and the per-row flag that the row stopped.  A row that did
-    not stop is an ESF(theta) draw conditioned on having no 1-cycle.
+def _cycles_without_fixed_points(
+    sizes: np.ndarray, n: int, theta: Fraction, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (row, cycle length) pairs of one ESF(theta) cycle type conditioned
+    on a_1 = 0 for each size in ``sizes`` (each 2..n), one cycle at a time.
+
+    Of m points left, the cycle through the smallest leaves k = m - L, with
+    P(k | m) = theta f_k / (m f_m) for k = 0..m-2 (Arratia, Barbour and
+    Tavare 2003), and these sum to one because m f_m = theta c_{m-2}; so
+    k is the first index whose c_k exceeds U c_{m-2}, one search of the
+    cached table of :func:`_no_fixed_point_table` for every m.  As f_1 = 0,
+    k = 1 never comes up: no 1-cycle is drawn and nothing restarts, so a
+    row costs O(its cycles).  All rows advance together, one cycle each per
+    step.  theta = 1 gives a uniform derangement's cycle type.
     """
-    sizes = np.asarray(sizes, dtype=np.int64)
-    neg_log_g = _neg_log_g(n, theta)
-    stopped = np.zeros(sizes.size, dtype=bool)
-    row = np.arange(sizes.size)
-    last = np.ones(sizes.size, dtype=np.int64)
-    end = sizes + 1
-    rows, lengths = [row[:0]], [last[:0]]
+    cdf = _no_fixed_point_table(n, theta)[0]
+    left = np.asarray(sizes, dtype=np.int64)
+    row = np.arange(left.size)
+    rows, lengths = [row[:0]], [left[:0]]
     while row.size:
-        target = neg_log_g[last] + rng.standard_exponential(row.size)
-        mark = np.minimum(np.searchsorted(neg_log_g, target, side="right"), end)
-        gap = mark - last
+        # U c_{m-2} can round up to c_{m-2}; the clamp keeps k <= m-2
+        rest = np.minimum(
+            np.searchsorted(cdf, rng.random(row.size) * cdf[left - 2], side="right"), left - 2
+        )
         rows.append(row)
-        lengths.append(gap)
-        one = gap == 1
-        stopped[row[one]] = True
-        going = ~one & (mark < end)
-        row, last, end = row[going], mark[going], end[going]
-    return np.concatenate(rows), np.concatenate(lengths), stopped
+        lengths.append(left - rest)
+        going = rest > 0
+        row, left = row[going], rest[going]
+    return np.concatenate(rows), np.concatenate(lengths)
 
 
 #: Rows (ESF proposals or derangements) that the rejection and core-joint
-#: routes pass to the record-skipping kernel and tally at once; their pairs
-#: take a few MB, whatever the batch size.
+#: routes pass to :func:`_cycles_without_fixed_points` and tally at once;
+#: their pairs take a few MB, whatever the batch size.
 ROW_CHUNK = 1 << 14
 
 
 def esf_cycle_counts_batch(
-    n: int, theta: float, count: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``count`` ESF(theta) proposals of size n by the record-skipping Feller
-    coupling (:func:`_feller_gaps`), each stopped at its first 1-cycle.
-
-    Returns the (proposal, cycle length) pairs and the per-proposal flag
-    that it stopped at a 1-cycle; a proposal that ran to the end is an
-    ESF(theta) draw conditioned on a_1 = 0.
-    """
-    return _feller_gaps(np.full(count, n), n, theta, rng)
+    n: int, count: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (proposal, cycle length) pairs of ``count`` ESF(1/2) proposals of
+    size n conditioned on a_1 = 0, by :func:`_cycles_without_fixed_points`."""
+    return _cycles_without_fixed_points(np.full(count, n), n, Fraction(1, 2), rng)
 
 
 def _accepted_components(n: int, count: int, rng: np.random.Generator):
     """Rejection from ESF(1/2) until ``count`` proposals are accepted.
 
-    Proposals come in chunks of at most ``ROW_CHUNK`` from
-    :func:`esf_cycle_counts_batch`.  One that stopped at a 1-cycle is
-    rejected; any other is accepted with probability prod_j (2 w_j)**a_j,
-    the exp of log(2 w_len) summed along its gaps, and acceptances are taken
-    in proposal order.  Yields, chunk by chunk, the (replicate, component
-    size) pairs of the accepted proposals, replicates numbered 0..count-1
-    across chunks, and the number of proposals consumed so far through the
-    last acceptance.
+    Proposals come in chunks of at most ``ROW_CHUNK``, each one a uniform U.
+    One with U >= P(a_1 = 0) has a 1-cycle and is rejected undrawn; the
+    others are drawn from ESF(1/2) given a_1 = 0 by
+    :func:`esf_cycle_counts_batch` and accepted iff
+    U < P(a_1 = 0) prod_j (2 w_j)**a_j, the product the exp of log(2 w_len)
+    summed along the cycles.  So a proposal is accepted with probability
+    1{a_1 = 0} prod_j (2 w_j)**a_j, and acceptances are taken in proposal
+    order.  Yields, chunk by chunk, the (replicate, component size) pairs of
+    the accepted proposals, replicates numbered 0..count-1 across chunks,
+    and the number of proposals consumed so far through the last
+    acceptance.
     """
+    p_none = _no_fixed_point_table(n, Fraction(1, 2))[1]
     log_ratio = np.zeros(n + 1)
     log_ratio[2:] = np.log(2.0 * omega_values(n)[2:])
     have = attempts = 0
     while have < count:
         chunk = min(max(4096, int((count - have) / 0.2)), ROW_CHUNK)
-        prop, gap, stopped = esf_cycle_counts_batch(n, 0.5, chunk, rng)
-        log_acc = np.bincount(prop, weights=log_ratio[gap], minlength=chunk)
-        took = np.flatnonzero(~stopped & (rng.random(chunk) < np.exp(log_acc)))
-        took = took[: count - have]
-        attempts += int(took[-1]) + 1 if have + took.size == count else chunk
-        number = np.full(chunk, -1)
+        u = rng.random(chunk)
+        drawn = np.flatnonzero(u < p_none)
+        prop, size = esf_cycle_counts_batch(n, drawn.size, rng)
+        log_acc = np.bincount(prop, weights=log_ratio[size], minlength=drawn.size)
+        took = np.flatnonzero(u[drawn] < p_none * np.exp(log_acc))[: count - have]
+        attempts += int(drawn[took[-1]]) + 1 if have + took.size == count else chunk
+        number = np.full(drawn.size, -1)
         number[took] = np.arange(have, have + took.size)
         keep = number[prop] >= 0
         have += took.size
-        yield number[prop[keep]], gap[keep], attempts
+        yield number[prop[keep]], size[keep], attempts
 
 
 def toes_component_counts_batch(
@@ -565,26 +577,12 @@ def _derangement_cycles(
     sizes: np.ndarray, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """The (row, cycle length) pairs of one uniform derangement of each size
-    in ``sizes`` (each <= n).
-
-    A uniform derangement's cycle type is ESF(1) conditioned on a_1 = 0, so
-    every row runs through :func:`_feller_gaps` at theta = 1 and a row that
-    stops at a 1-cycle starts again with fresh draws, its earlier pairs
-    discarded; about e tries a row, each O(its cycles).  The rows still
-    pending go through the kernel together, round after round.
-    """
+    in ``sizes`` (each 2..n): its cycle type is ESF(1) conditioned on
+    a_1 = 0, drawn by :func:`_cycles_without_fixed_points`."""
     sizes = np.asarray(sizes, dtype=np.int64)
     if sizes.size and sizes.min() < 2:
         raise ValueError("no derangement of fewer than 2 elements exists")
-    pending = np.arange(sizes.size)
-    rows, lengths = [pending[:0]], [sizes[:0]]
-    while pending.size:
-        row, gap, stopped = _feller_gaps(sizes[pending], n, 1.0, rng)
-        keep = ~stopped[row]
-        rows.append(pending[row[keep]])
-        lengths.append(gap[keep])
-        pending = pending[stopped]
-    return np.concatenate(rows), np.concatenate(lengths)
+    return _cycles_without_fixed_points(sizes, n, Fraction(1), rng)
 
 
 def derangement_cycle_counts_batch(
@@ -592,9 +590,8 @@ def derangement_cycle_counts_batch(
 ) -> dict[str, np.ndarray]:
     """Cycle tallies (``zero_tally`` keys ``cyc_sum``, ``cyc_sumsq`` and
     ``scream_hist``) of uniform derangements, one of each size in ``sizes``,
-    drawn by record skipping with a restart on any 1-cycle
-    (:func:`_derangement_cycles`) and tallied in blocks of ``ROW_CHUNK``
-    rows; nothing n+1 wide is held per row."""
+    drawn one cycle at a time (:func:`_derangement_cycles`) and tallied in
+    blocks of ``ROW_CHUNK`` rows; nothing n+1 wide is held per row."""
     sizes = np.asarray(sizes)
     tally = zero_tally(n, "cyc_sum", "cyc_sumsq", "scream_hist")
     for lo in range(0, sizes.size, ROW_CHUNK):

@@ -623,24 +623,24 @@ GOLDEN_RUNS = {
 }
 
 GOLDEN_SHA256 = {
-    ("tables-default", "json"): "df63391f7d09e66658a455a1ec5a68849076cb125cbd1e12c47e223dd2000baf",
-    ("tables-default", "csv"): "5132cd18c55a58e4e06284ac4f3a6aef3927cebd616770946f2b41ed79919a0a",
-    ("tables-default", "pretty"): "d95c1c87790df89e4e4e874b52af02904d348e244a124ff508ad619eb21a2a01",
+    ("tables-default", "json"): "c94d9b39aa1cb6c4273fde7b473f39432a278dcf4448e27986b1f7db7d8e0493",
+    ("tables-default", "csv"): "e0b94c3eb03ac7af22a3f0a6c7cb3e15469c5fe342c540ff6999c5151bfbc94d",
+    ("tables-default", "pretty"): "e725fd9b0b3c0cd4809abe3830ad0f50b3872b31b429a241a00cc0cd821a2aa8",
     ("direct-n5", "json"): "e30cdd0b35b94cb7b879a2cc5f47dc19b79c24c1eebe16aaf2292b542de5b83b",
     ("direct-n5", "csv"): "8bac575f9d958742b0ebed799f5c4fa8f9ab003e064a02a8f1bc258ad49f8cad",
     ("direct-n5", "pretty"): "fa7478698f50d9841320c0f9af97b7d6cc559341c65afaf71463c6c353c1f3e5",
     ("direct-n1000", "json"): "f923fde6fd3d570689dd999e7fd10ec07f495d929adadfc8b3c93e919e7bc276",
     ("direct-n1000", "csv"): "9beba48fbb4d15087fe3c6443e1394548589a566b28ff7f0119451a173050020",
     ("direct-n1000", "pretty"): "672c73495cb6d58fe947d3824258fbca84639e9de28d03be79917083d72e0509",
-    ("rejection-n5", "json"): "84494d6706bc166dac665a4d4c74b37939f3c7fba4413745d349d40ceb6ea9a9",
-    ("rejection-n5", "csv"): "c88370904d0728bc5725246f362b8c64429a9274601000039f18dbf2cf2fce0b",
-    ("rejection-n5", "pretty"): "aa26d86e59c2a161b12623a390e2b1fad220ebf3ff50c7ebf1c84aa40f1b0fd2",
+    ("rejection-n5", "json"): "0f18b97f580f2a9ce826567b997ebe143ba128c96ea3e0c0929b30797ec5c314",
+    ("rejection-n5", "csv"): "0aad1c15b17d3e9864e172a57e6c533669efb4dbe677653e0e66b4382766a08f",
+    ("rejection-n5", "pretty"): "91b86778fc330a8466e0bcd03391faa6dcf9fdc3012724f0db15e0efe9cf0846",
     ("core-joint-n5", "json"): "365f81bc9f9eaf6ab3ce667d34c1f69d6770b5dd00d4c340d82ec231347b463b",
     ("core-joint-n5", "csv"): "4aa8e25ae2c1fd87021f4045238736d154da609e7fbafa01ea9af6140c8cfc15",
     ("core-joint-n5", "pretty"): "3b8b9b90eb6de2683957eac0c5cb3dca3db56d39dbacdd1def989c73d009afc0",
-    ("core-joint-n5-all", "json"): "31d7fad479b48549b575a406f0caee8338230ea417dc82df585768a1dc7e2f45",
-    ("core-joint-n5-all", "csv"): "31945133b88d791cde0103f52c3b6040ba9b652c613c62ab5a307b218b9ad6a7",
-    ("core-joint-n5-all", "pretty"): "a4963d960ca62e25dfeca821095af22e06d24a78e7d90176eb339c3c9578eaf0",
+    ("core-joint-n5-all", "json"): "895e328d8341fa80c1a96d023a47325f7dba3e070cda7f07cd0e74d6e443db8b",
+    ("core-joint-n5-all", "csv"): "7d59a1c4813a4559e1977af0e17f65b5bb441e3367d09e04f9e566cab7c4ee49",
+    ("core-joint-n5-all", "pretty"): "337fc22a0c36df6749f79cdecfd88c691e2f3600b42082e9aeee1e238c08f8c6",
     ("brute-force-n5", "json"): "cd575feea9fdd099428c48f2d02f04c42041ebb7b6f3ca6179361730355cc53f",
     ("brute-force-n5", "csv"): "284d8af1790bf0644d57a95364d801b150c6d181c1f85e914baa95971b9e9ca3",
     ("brute-force-n5", "pretty"): "ec4cd3374c0bb513bb1ea5e6cdf61a8294b9883d5f79b5162e9817ac2fc1cc8d",
@@ -656,9 +656,9 @@ GOLDEN_SHA256 = {
     ("exact-standard", "json"): "20108ce8e4a8fcbb5c62ab24efefda1111635a0fff7d17e6e91c70a9d052d947",
     ("exact-standard", "csv"): "eaf04a4f666a5735800b6a16190455c8366ed94e23de56976b45340f2c297a6e",
     ("exact-standard", "pretty"): "f3fdc46116ff9cf4c4ec21fbe46f779ff548bdb7a14a5dd6facab918b0b421a2",
-    ("n2", "json"): "394a7e47e3557f32b07de98efe6caf1e39d4cdf9774ac25c6a615ba1dfcf703b",
-    ("n2", "csv"): "d4bd65541585425f018304d23222daf12c190bd96ee36e4816d37dcc1a19e77d",
-    ("n2", "pretty"): "c84c5ab72ce83365a31ad3eefbc2b3108ed1c7b4bf0d05ce4c05a2ff02a995a6",
+    ("n2", "json"): "664dddf771f7e5487de8936ca634c1a5c075366a731ac9b9b935e686b8b66cc6",
+    ("n2", "csv"): "bd79f138e4b873446c3d2597b65622bf94943e4c28e104521355b0aca95f245a",
+    ("n2", "pretty"): "f07d3c72d10a7853a01e680c0e6edc7f7f70fc8f9dce687a574858b0b936602f",
 }
 
 

@@ -17,8 +17,10 @@ from scipy.stats import chi2
 from oracles import (
     decompose_image,
     derangement_cycle_type_pmf,
+    derangement_mean_cycle_count,
     derangement_two_cycle_pmf,
     esf_pmf,
+    rising_factorial,
 )
 from screamingtoes import harness, laws, samplers
 from screamingtoes.exact import derangement_number, poisson_partial_sum
@@ -197,54 +199,83 @@ class TestDecompose:
             _assert_batch_matches_walk(images[lo:lo + step], n, scratch)
 
 
-class TestFellerCoupling:
+class TestEsfProposals:
+    """ESF(1/2) proposals of the rejection route, drawn given a_1 = 0."""
+
     def test_totals_always_n(self):
-        # a proposal that runs to the end covers n; one that stops ends at
-        # its only 1-gap
-        rows, lengths, stopped = esf_cycle_counts_batch(11, 0.5, 50_000, np.random.default_rng(8))
+        rows, lengths = esf_cycle_counts_batch(11, 50_000, np.random.default_rng(8))
         counts = _dense_counts(rows, lengths, 50_000, 11)
-        totals = counts @ np.arange(12)
-        assert (totals[~stopped] == 11).all()
-        assert (totals[stopped] <= 11).all()
-        assert (counts[:, 1] == stopped).all()
-        assert 0 < stopped.sum() < 50_000
-        rows, lengths, stopped = esf_cycle_counts_batch(7, 1.7, 1000, np.random.default_rng(9))
-        counts = _dense_counts(rows, lengths, 1000, 7)
-        assert (counts[~stopped] @ np.arange(8) == 7).all()
-        assert (~stopped).any()
+        assert (counts @ np.arange(12) == 11).all()
+        assert (counts[:, 1] == 0).all()
 
-    def test_theta_one_matches_uniform_permutation_law(self):
-        # at theta = 1 the full proposals are uniform derangement cycle types
-        _check_stopped_esf_law(6, 1, 200_000, np.random.default_rng(101))
-
-    def test_theta_half_matches_esf_law(self):
-        _check_stopped_esf_law(6, F(1, 2), 200_000, np.random.default_rng(202))
-
-    @pytest.mark.parametrize("n", [4, 5, 7, 8])
-    def test_theta_half_full_proposals_by_n(self, n):
-        _check_stopped_esf_law(n, F(1, 2), 50_000, np.random.default_rng(210 + n))
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_matches_conditioned_law(self, n):
+        reps = 50_000
+        rows, lengths = esf_cycle_counts_batch(n, reps, np.random.default_rng(210 + n))
+        no_ones = {parts: esf_pmf(n, F(1, 2), parts) for parts in laws.partitions(n, 2)}
+        p_none = sum(no_ones.values())
+        expected = {_class_key_from_sizes(parts, n): p / p_none for parts, p in no_ones.items()}
+        observed = _class_counts(_dense_counts(rows, lengths, reps, n), n)
+        assert chi_square_pvalue(observed, expected, reps) > 1e-4
 
     def test_no_row_is_a_no_op(self):
-        rows, lengths, stopped = esf_cycle_counts_batch(5, 0.5, 0, np.random.default_rng(0))
-        assert rows.size == lengths.size == stopped.size == 0
+        rows, lengths = esf_cycle_counts_batch(5, 0, np.random.default_rng(0))
+        assert rows.size == lengths.size == 0
 
 
-def _check_stopped_esf_law(n, theta, reps, rng):
-    """ESF(theta) proposals stopped at a 1-cycle: the stopped share is
-    P(a_1 > 0), and the proposals that run to the end follow esf_pmf
-    conditioned on a_1 = 0."""
-    rows, lengths, stopped = esf_cycle_counts_batch(n, float(theta), reps, rng)
-    no_ones = {parts: esf_pmf(n, theta, parts) for parts in laws.partitions(n, 2)}
-    p_full = sum(no_ones.values())
-    share = {True: 1 - p_full, False: p_full}
-    observed = {flag: int(c) for flag, c in zip(*np.unique(stopped, return_counts=True))}
-    assert chi_square_pvalue(observed, share, reps) > 1e-4
-    full = np.flatnonzero(~stopped)
-    keep = ~stopped[rows]
-    counts = _dense_counts(rows[keep], lengths[keep], reps, n)[full]
-    observed = _class_counts(counts, n)
-    expected = {_class_key_from_sizes(parts, n): p / p_full for parts, p in no_ones.items()}
-    assert chi_square_pvalue(observed, expected, full.size) > 1e-4
+def _f_series(k, theta):
+    """[z**k] exp(-theta z) (1-z)**-theta as the Cauchy product of the two
+    series, independently of the package's integer recurrence."""
+    return sum(
+        F((-theta) ** j, math.factorial(j)) * rising_factorial(theta, k - j) / math.factorial(k - j)
+        for j in range(k + 1)
+    )
+
+
+class TestCyclesWithoutFixedPoints:
+    """The exact table behind the one kernel of the rejection and core-joint
+    routes, ESF(theta) given a_1 = 0, one cycle at a time."""
+
+    @pytest.mark.parametrize("theta", [F(1, 2), F(1)], ids=str)
+    def test_induced_law_is_conditioned_esf(self, theta):
+        # the step law P(k | m) = (c_k - c_{k-1}) / c_{m-2}, from the
+        # package's integers, induces ESF(theta) given a_1 = 0 at every m
+        c = [F(acc, scale) for acc, scale in samplers._no_fixed_point_sums(10, theta)]
+        law = {0: {(): F(1)}}
+        for m in range(2, 11):
+            law[m] = {}
+            for k in range(m - 1):
+                step = (c[k] - (c[k - 1] if k else 0)) / c[m - 2]
+                for parts, p in law.get(k, {}).items():
+                    key = tuple(sorted(parts + (m - k,)))
+                    law[m][key] = law[m].get(key, 0) + step * p
+            no_ones = {parts: esf_pmf(m, theta, parts) for parts in laws.partitions(m, 2)}
+            p_none = sum(no_ones.values())
+            want = {tuple(sorted(parts)): p / p_none for parts, p in no_ones.items()}
+            assert {key: p for key, p in law[m].items() if p} == want, m
+
+    @pytest.mark.parametrize("theta", [F(1, 2), F(1)], ids=str)
+    def test_table_is_the_rounded_series(self, theta):
+        # every entry and P(a_1 = 0), rounded once from the exact rational
+        for m in range(2, 13):
+            cdf, p_none = samplers._no_fixed_point_table(m, theta)
+            f = [_f_series(k, theta) for k in range(m + 1)]
+            assert cdf.tolist() == [float(sum(f[: k + 1])) for k in range(m - 1)], m
+            assert p_none == float(math.factorial(m) * f[m] / rising_factorial(theta, m)), m
+
+    @pytest.mark.parametrize("theta, n, digest", [
+        (F(1, 2), 10, "ec7717d5f8f8aa9bc2c2748096638970a3fd128b8a228048daa3615aa3cfc697"),
+        (F(1, 2), 57, "40a3d6f92d0d5a69fae53464b4ce90e11c5ae408472886755f8bd3b1363cf59a"),
+        (F(1, 2), 1000, "bc5d9cdfec66a3fa31c00602a4cc121bc338544e271b1c0b33d8c0c7a20c6594"),
+        (F(1), 10, "cb642848a8d30b5a9467b020d9bbfc2f767f24112a070fafe5b411a417cfac36"),
+        (F(1), 57, "8046198cc34eecc9f29f8fd691f6f6386bff29eca1cbafc4d4c9e4f4b6f1c99e"),
+        (F(1), 1000, "c6cb5f28ce37202df0abfcdc545489327aed83597f06be35c44571e35fa5f860"),
+    ], ids=str)
+    def test_table_bits_are_pinned(self, theta, n, digest):
+        # the draws of both routes depend on these bits: the table and
+        # P(a_1 = 0), each rounded once to float64
+        cdf, p_none = samplers._no_fixed_point_table(n, theta)
+        assert hashlib.sha256(np.append(cdf, p_none).tobytes()).hexdigest() == digest
 
 
 def _assert_batch_matches_walk(images, n, scratch=None):
@@ -325,8 +356,8 @@ def _class_counts(count_matrix, n):
 def _esf_crp(n: int, theta: float, rng: np.random.Generator) -> Spectrum:
     """One full ESF(theta) spectrum via the Chinese restaurant process.
 
-    A proposal source independent of the Feller kernel: customer i starts a
-    new table w.p. theta/(theta+i-1), else joins an existing table
+    A proposal source independent of the package's kernel: customer i
+    starts a new table w.p. theta/(theta+i-1), else joins an existing table
     proportionally to its size.
     """
     tables: list[int] = []
@@ -432,8 +463,8 @@ class TestRejectionSampler:
 
     def test_acceptance_rule_on_crp_proposals(self):
         # the rejection rule 1{a_1 = 0} prod_j (2 w_j)**a_j, applied to
-        # ESF(1/2) proposals that do not come from the Feller kernel, gives
-        # the component law
+        # ESF(1/2) proposals that do not come from the package's kernel,
+        # gives the component law
         n, proposals = 6, 60_000
         rng = np.random.default_rng(501)
         w = omega_values(n)
@@ -494,6 +525,14 @@ class TestRejectionSampler:
         exact = exact_acceptance_probability(n)
         se = math.sqrt(exact * (1 - exact) / attempts)
         assert abs(rate - exact) < 5 * se
+
+    def test_acceptance_rate_matches_exact_at_n1000(self):
+        # one default-size batch of wide proposals
+        n, accepted = 1000, 125_000
+        _, attempts = toes_component_counts_batch(n, accepted, np.random.default_rng(602))
+        exact = exact_acceptance_probability(n)
+        se = math.sqrt(exact * (1 - exact) / attempts)
+        assert abs(accepted / attempts - exact) < 4 * se
 
     def test_recurrence_equals_the_partition_enumeration(self):
         for n in range(2, 31):
@@ -591,6 +630,18 @@ class TestDerangementSampler:
                 assert observed == {next(iter(expected)): reps}
             else:
                 assert chi_square_pvalue(observed, expected, reps) > 1e-4, r
+
+    def test_cycle_means_of_wide_rows(self):
+        # 10**5 derangements of 1000 points: short, middle and longest cycles
+        n, reps = 1000, 100_000
+        sizes = np.full(reps, n)
+        tally = samplers.derangement_cycle_counts_batch(sizes, n, np.random.default_rng(806))
+        assert tally["cyc_sum"] @ np.arange(n + 1) == n * reps
+        assert tally["cyc_sum"][1] == tally["cyc_sum"][n - 1] == 0
+        for j in [*range(2, 12), 500, 998, 1000]:
+            exact = float(derangement_mean_cycle_count(n, j))
+            mean, se = _mean_and_se(tally, "cyc", j, reps)
+            assert abs(mean - exact) <= 5 * max(se, 1e-9), j
 
     def test_rejects_sizes_below_2(self):
         for sizes in ([3, 1], [1]):
