@@ -11,6 +11,14 @@ exact integer counts, so merged results are identical for any worker count
 and reports are bit-for-bit reproducible for a given seed and
 configuration.
 
+A run draws every batch of every simulation kind in one process pool,
+submitted up front.  While the workers draw, the main thread builds the
+exact columns of every table, and one helper thread, started after the last
+submission (so no worker is forked from a process made multi-threaded
+here), merges the tallies as they arrive.  The simulated columns are filled
+once both are done.  With one worker or one batch the same function draws
+the batches in turn with a plain ``map``, then builds the exact columns.
+
 Standard errors: probability cells use the binomial error sqrt(p(1-p)/R)
 evaluated at the exact p (stable even for cells the simulation never
 hits); mean cells use the empirical replicate variance.
@@ -28,11 +36,13 @@ import math
 import os
 import sys
 import time
-from collections import Counter
+from collections import Counter, deque
 from collections.abc import Callable, Iterable, Iterator
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from typing import TypeVar
 
 import numpy as np
 
@@ -41,6 +51,8 @@ from .exact import format_fixed, format_significant
 from .laws import NoRepeatProbs
 
 REPORT_SCHEMA = "screamingtoes-report/1"
+
+_T = TypeVar("_T")
 
 #: Digits of the int<->str conversions that emit and parse_report allow
 #: themselves: exact rationals at n = 10**4 have tens of thousands of
@@ -111,6 +123,11 @@ class ExperimentConfig:
             raise ValueError(
                 f"the repeats table is limited to n <= {laws.REPEATS_MAX_N} "
                 "(the cost of its exact joint law grows exponentially with n)"
+            )
+        if "scream" in self.tables and self.size > laws.SCREAM_MAX_N:
+            raise ValueError(
+                f"the scream table is limited to n <= {laws.SCREAM_MAX_N} "
+                "(each of its exact cells is reduced by a full-width gcd)"
             )
         if "acceptance" in self.tables and self.size > samplers.ACCEPTANCE_MAX_N:
             raise ValueError(
@@ -295,35 +312,67 @@ def _simulate_batch(task: tuple) -> dict:
     raise ValueError(f"unknown simulation kind {kind!r}")
 
 
-def _merge_tallies(parts: Iterable[dict]) -> dict:
-    """Sum the tallies as they arrive, so that only the running total and
-    one batch's tally are held at a time."""
-    merged: dict = {}
-    for part in parts:
+def _merge_tallies(parts: Iterable[tuple[str, dict]]) -> dict[str, dict]:
+    """Sum each kind's (kind, tally) pairs as they arrive, so that only the
+    running totals and one batch's tally are held at a time."""
+    merged: dict[str, dict] = {}
+    for kind, part in parts:
+        total = merged.setdefault(kind, {})
         for key, value in part.items():
-            if key in merged:
-                merged[key] = merged[key] + value
-            else:
-                merged[key] = value
+            total[key] = total[key] + value if key in total else value
     return merged
 
 
-def _run_simulation(kind: str, config: ExperimentConfig) -> dict:
-    """All batches of one simulation kind at ``config.size``, merged.  Batch
-    k of this kind is seeded with ``SeedSequence(seed % 2**64,
+def _batch_tasks(config: ExperimentConfig, kinds: Iterable[str]) -> list[tuple]:
+    """Every batch of each simulation kind at ``config.size``, kind by kind.
+    Batch k of a kind is seeded with ``SeedSequence(seed % 2**64,
     spawn_key=(kind key, k))``, independent of worker count and of which
     other kinds run."""
     total = config.replicates
     root = config.seed % 2**64
     tasks = []
-    for k, done in enumerate(range(0, total, config.batch_size)):
-        seed = np.random.SeedSequence(root, spawn_key=(_KIND_KEY[kind], k))
-        tasks.append((kind, config.size, seed, min(config.batch_size, total - done)))
-    workers = config.resolved_workers()
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            return _merge_tallies(pool.map(_simulate_batch, tasks))
-    return _merge_tallies(map(_simulate_batch, tasks))
+    for kind in kinds:
+        for k, done in enumerate(range(0, total, config.batch_size)):
+            seed = np.random.SeedSequence(root, spawn_key=(_KIND_KEY[kind], k))
+            tasks.append((kind, config.size, seed, min(config.batch_size, total - done)))
+    return tasks
+
+
+def _arrivals(futures: deque) -> Iterator[dict]:
+    """The futures' results in submission order, each future dropped as
+    soon as its result is handed on."""
+    while futures:
+        yield futures.popleft().result()
+
+
+def _simulate(
+    tasks: list[tuple], workers: int, build: Callable[[], _T]
+) -> tuple[dict[str, dict], _T]:
+    """Every batch of ``tasks`` drawn and merged by kind, and ``build()``,
+    which this thread calls while the batches are drawn.
+
+    With more than one worker and batch, one process pool takes every batch
+    up front; its workers are all forked at the first submission.  Only
+    after the last submission does one helper thread start, to merge the
+    tallies in submission order as they arrive, so no worker is forked from
+    a process this function made multi-threaded, and no tally waits for
+    ``build`` to finish.  Otherwise the batches are drawn one by one here,
+    then ``build`` runs.
+    """
+    kinds = [task[0] for task in tasks]
+    workers = min(workers, len(tasks))
+    if workers <= 1:
+        return _merge_tallies(zip(kinds, map(_simulate_batch, tasks))), build()
+    with ProcessPoolExecutor(max_workers=workers) as pool, ThreadPoolExecutor(1) as helper:
+        futures = deque(pool.submit(_simulate_batch, task) for task in tasks)
+        merged = helper.submit(_merge_tallies, zip(kinds, _arrivals(futures)))
+        try:
+            built = build()
+            return merged.result(), built
+        except BaseException:
+            # a failed build or batch leaves no batch queued to run
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise
 
 
 # ---------------------------------------------------------------------------
@@ -355,19 +404,19 @@ def _simulated_cell(tally: dict, kind: str, key: str, idx, exact) -> tuple[float
 
 
 def _table_records(
-    spec: TableSpec, config: ExperimentConfig, source: dict | None, exhaustive: bool
+    table: str, cells: list[Cell], source: dict | None, exhaustive: bool
 ) -> list[StatRecord]:
     """The table's cells with their simulated columns filled from ``source``,
     a merged tally or None.  An exhaustive tally (the brute-force oracle's)
     gives exact frequencies, so its cells have no standard error or z."""
     records = []
-    for name, exact, kind, key, idx in spec.cells(config):
+    for name, exact, kind, key, idx in cells:
         simulated = se = z = None
         if kind is not None and exact is not None and source is not None:
             simulated, se, z = _simulated_cell(source, kind, key, idx, exact)
             if exhaustive:
                 se = z = None
-        records.append(StatRecord(spec.name, name, exact, simulated, se, z))
+        records.append(StatRecord(table, name, exact, simulated, se, z))
     return records
 
 
@@ -378,24 +427,26 @@ def run_table(config: ExperimentConfig) -> ExperimentReport:
     ``config.replicates > 0``, produced by the table's method (or
     ``config.method`` if forced).  The same simulation kind is shared by
     all tables that need it, so e.g. the scream and core tables of one run
-    come from the same core-joint replicates.
+    come from the same core-joint replicates.  Every batch of every kind
+    goes to one worker pool, and the exact columns are built while it
+    draws (:func:`_simulate`).
     """
     started = time.perf_counter()
-    sources: dict[str, dict] = {}
-    for table in config.tables:
-        method = config.method_for(table)
-        if method is None or config.replicates == 0 or method in sources:
-            continue
-        if method == "brute-force":
-            sources[method] = samplers.every_mapping_counts(config.size, "toes")[0]
-        else:
-            sources[method] = _run_simulation(method, config)
+    methods = [config.method_for(t) for t in config.tables] if config.replicates else []
+    kinds = [m for m in dict.fromkeys(methods) if m in _KIND_KEY]
+    sources, cells = _simulate(
+        _batch_tasks(config, kinds),
+        config.resolved_workers(),
+        lambda: {table: list(_SPECS[table].cells(config)) for table in config.tables},
+    )
+    if "brute-force" in methods:
+        sources["brute-force"] = samplers.every_mapping_counts(config.size, "toes")[0]
 
     records: list[StatRecord] = []
     for table in config.tables:
         method = config.method_for(table)
         records.extend(
-            _table_records(_SPECS[table], config, sources.get(method), method == "brute-force")
+            _table_records(table, cells[table], sources.get(method), method == "brute-force")
         )
 
     metadata = {
@@ -535,13 +586,19 @@ def _long_int_strings():
             sys.set_int_max_str_digits(old)
 
 
-def _exact_fields(value) -> dict:
+#: Denominator strings that one ``emit`` call keeps.  A table's cells share
+#: a few denominators (10 over the 501 scream cells at n = 1000, 19 over the
+#: 999 toes core cells), and CPython's int-to-str is quadratic in the digits.
+_DENOMINATOR_TEXTS = 16
+
+
+def _exact_fields(value, denominator_text: Callable[[int], str]) -> dict:
     if value is None:
         return {"exact": None, "exact_rational": None, "exact_float": None}
     if isinstance(value, Fraction):
         return {
             "exact": format_significant(value),
-            "exact_rational": f"{value.numerator}/{value.denominator}",
+            "exact_rational": f"{value.numerator}/{denominator_text(value.denominator)}",
             "exact_float": None,
         }
     return {"exact": repr(float(value)), "exact_rational": None, "exact_float": float(value)}
@@ -560,6 +617,7 @@ def emit(report: ExperimentReport, format: str = "pretty") -> str:
 
 def _serialise(report: ExperimentReport, format: str) -> str:
     if format == "json":
+        denominator_text = lru_cache(maxsize=_DENOMINATOR_TEXTS)(str)
         payload = {
             "schema": REPORT_SCHEMA,
             "metadata": report.metadata,
@@ -567,7 +625,7 @@ def _serialise(report: ExperimentReport, format: str) -> str:
                 {
                     "table": r.table,
                     "name": r.name,
-                    **_exact_fields(r.exact),
+                    **_exact_fields(r.exact, denominator_text),
                     "simulated": r.simulated,
                     "std_error": r.std_error,
                     "z": None if r.z is None else (r.z if math.isfinite(r.z) else repr(r.z)),

@@ -13,6 +13,9 @@ that does not go through the code it is used to check:
   falling factorial, against sums of ``laws.core_size_pmf``.
 * :func:`core_identity_sides`: both sides of the core/derangement identity
   that collapses core-conditioned sums into the closed cycle means.
+* :func:`scream_pmf_alternating`: the scream law as one alternating sum
+  per k, against ``laws.scream_pmf``, which runs a three-term recurrence
+  over k.
 * :func:`derangement_two_cycle_pmf`, :func:`derangement_cycle_type_pmf` and
   :func:`derangement_mean_cycle_count`: the laws of a uniform random
   derangement, against enumeration and the core-joint route's derangement
@@ -147,6 +150,24 @@ def derangement_two_cycle_pmf(n: int, k: int) -> Fraction:
             * Fraction(derangement_number(rest), math.factorial(rest))
         )
     return total * Fraction(1, 2**k * math.factorial(k))
+
+
+def scream_pmf_alternating(n: int, k: int) -> Fraction:
+    """P(exactly k screaming pairs in a toes mapping of size n), as its own
+    alternating sum over the factorial moments n_[2m] / (2 (n-1)**2)**m of
+    the number of 2-cycles:
+    (1 / (2**k k!)) sum_{l=0}^{n//2-k} (-1)**l n_[2l+2k] / (2**l l! (n-1)**(2l+2k)),
+    one O(n) sum for each k."""
+    if not 0 <= k <= n // 2:
+        raise ValueError("need 0 <= k <= n//2")
+    top = n // 2 - k
+    fal = falling_factorial(n, 2 * k)
+    num = fal
+    for l in range(1, top + 1):
+        fal *= (n - 2 * l - 2 * k + 2) * (n - 2 * l - 2 * k + 1)
+        num = num * (2 * l * (n - 1) ** 2) + (-1) ** l * fal
+    denom = 2**top * math.factorial(top) * (n - 1) ** (2 * top)
+    return Fraction(num, denom * 2**k * math.factorial(k) * (n - 1) ** (2 * k))
 
 
 def derangement_cycle_type_pmf(r: int, sizes: Iterable[int]) -> Fraction:

@@ -4,11 +4,13 @@ determinism, and the CLI."""
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
 import time
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction as F
 
 import numpy as np
@@ -109,6 +111,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(n=8, method="brute-force", tables=("scream",))
 
+    def test_scream_bound(self):
+        ExperimentConfig(n=laws.SCREAM_MAX_N, tables=("scream",))
+        with pytest.raises(ValueError, match=f"n <= {laws.SCREAM_MAX_N}"):
+            ExperimentConfig(n=laws.SCREAM_MAX_N + 1, tables=("q", "scream-pmf"))
+        ExperimentConfig(n=laws.SCREAM_MAX_N + 1, tables=("q", "cycles"))
+
     def test_bad_values(self):
         with pytest.raises(ValueError):
             ExperimentConfig(replicates=-1)
@@ -174,19 +182,39 @@ class TestRunTable:
         assert toes[0].name == "core_size[r=2]" and toes[0].exact == 1
 
     def test_many_batches_hold_one_tally_at_a_time(self):
-        # 2000 one-replicate batches at n = 1000, each tally about 27 KB: kept
-        # until the end they would trace over 50 MB, merged on arrival under 1 MB
-        config = ExperimentConfig(n=1000, replicates=2000, batch_size=1, tables=("cycles",),
-                                  workers=1)
-        samplers._core_size_cdf(1000)  # the cached exact CDF is set-up, not tally memory
-        tracemalloc.start()
-        try:
-            tally = harness._run_simulation("core-joint", config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert tally["replicates"] == 2000 and tally["core_hist"].sum() == 2000
-        assert peak < 8 * 2**20, f"{peak / 2**20:.1f} MiB traced"
+        _assert_tallies_merged_on_arrival(workers=1)
+
+    def test_many_batches_hold_one_tally_at_a_time_in_a_pool(self):
+        _assert_tallies_merged_on_arrival(workers=2)
+
+
+def _assert_tallies_merged_on_arrival(workers):
+    """2000 one-replicate core-joint batches at n = 1000, each tally about
+    27 KB: kept until the end they would trace over 50 MB, merged on arrival
+    a few MB.  The batches are drawn through the path that ``run_table``
+    takes, while this process spins through a second of CPU-bound work in
+    place of the exact columns; with a pool, the tallies that arrive meanwhile
+    must be merged, not queued behind it."""
+    config = ExperimentConfig(n=1000, replicates=2000, batch_size=1, tables=(), workers=workers)
+    tasks = harness._batch_tasks(config, ["core-joint"])
+    samplers._core_size_cdf(1000)  # the cached exact CDF is set-up, not tally memory
+
+    def build():
+        spins = 0
+        deadline = time.perf_counter() + 1.0
+        while time.perf_counter() < deadline:
+            spins += 1
+        return spins
+
+    tracemalloc.start()
+    try:
+        tallies, spins = harness._simulate(tasks, workers, build)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tally = tallies["core-joint"]
+    assert spins > 0 and tally["replicates"] == 2000 and tally["core_hist"].sum() == 2000
+    assert peak < 8 * 2**20, f"{peak / 2**20:.1f} MiB traced"
 
 
 #: A run with 16 batches of each of the rejection and core-joint kinds.
@@ -229,6 +257,20 @@ class TestDeterminism:
 
         assert csv(5) == csv(5 + 2**64)
         assert csv(-1) == csv(2**64 - 1)
+
+    @pytest.mark.parametrize("start_method", ["fork", "forkserver", "spawn"])
+    def test_json_bytes_identical_across_start_methods(self, start_method, monkeypatch):
+        context = multiprocessing.get_context(start_method)
+        pools = []
+
+        def pool(*args, **kwargs):
+            pools.append(ProcessPoolExecutor(*args, mp_context=context, **kwargs))
+            return pools[-1]
+
+        serial = emit(run_table(ExperimentConfig(**_SEED_RUN, workers=1)), "json")
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", pool)
+        pooled = emit(run_table(ExperimentConfig(**_SEED_RUN, workers=2)), "json")
+        assert len(pools) == 1 and pooled == serial
 
     def test_acceptance_attempts_deterministic(self):
         cfg = dict(n=10, replicates=20_000, seed=3, tables=("acceptance",), batch_size=5_000)
@@ -315,7 +357,8 @@ def _no_repeat_shares(n, reps, seed, **config):
     """The direct route's (no repeated component size, no repeated cycle
     length, neither) shares; a config with no table builds no exact column."""
     config = ExperimentConfig(n=n, replicates=reps, seed=seed, tables=(), **config)
-    tally = harness._run_simulation("direct", config)
+    tasks = harness._batch_tasks(config, ["direct"])
+    tally = harness._simulate(tasks, config.resolved_workers(), lambda: None)[0]["direct"]
     assert tally["replicates"] == reps
     return tuple(float(c / reps) for c in tally["no_repeat"])
 
@@ -458,6 +501,17 @@ class TestCli:
         assert f"n <= {laws.REPEATS_MAX_N}" in message
         assert capsys.readouterr().out == ""
 
+    def test_exact_scream_at_its_bound_is_within_budget(self, capsys):
+        # about 2.3 s on a 2-vCPU host (Python 3.11), nearly all of it the
+        # table's reductions; the budget allows a slower one
+        laws._scream_law.cache_clear()
+        started = time.perf_counter()
+        argv = ["exact", "--table", "scream", "--n", str(laws.SCREAM_MAX_N), "--format", "csv"]
+        assert cli.main(argv) == 0
+        assert time.perf_counter() - started < 10.0
+        rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 2 + laws.SCREAM_MAX_N // 2
+
     def test_exact_acceptance_at_n60_is_quick(self, capsys):
         started = time.perf_counter()
         assert cli.main(["exact", "--table", "acceptance", "--n", "60", "--format", "csv"]) == 0
@@ -573,6 +627,7 @@ class TestCli:
         (["simulate", "--table", "scream"], '{"rep": 100}'),
         (["exact", "--table", "q"], '{"bogus": "a\\nb"}'),
         (["exact", "--table", "acceptance", "--n", "3001"], None),
+        (["tables", "--tables", "q,scream", "--n", "2001", "--reps", "0"], None),
     ], ids=["empty-tables", "missing-config", "config-not-json", "config-str-n",
             "config-float-reps", "workers-not-an-integer", "workers-0", "workers-negative",
             "config-format-choice",
@@ -582,7 +637,8 @@ class TestCli:
             "validate-config-batch-size", "n-not-an-integer", "unknown-flag", "exact-without-table",
             "empty-argv", "format-choice", "method-choice", "validate-model-both",
             "config-numeric-str-n", "config-bool-n", "config-help", "config-abbreviated-key",
-            "config-unknown-key-with-a-newline", "acceptance-above-the-bound"])
+            "config-unknown-key-with-a-newline", "acceptance-above-the-bound",
+            "scream-above-the-bound"])
     def test_bad_input_is_a_one_line_error(self, argv, config, tmp_path, capsys):
         argv = [arg.format(missing=tmp_path / "missing.json", tmp=tmp_path) for arg in argv]
         if config is not None:

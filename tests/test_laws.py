@@ -1,6 +1,7 @@
 """Tests of the closed-form laws: fixed small values, identities between
 independent formulas, normalisation, and enumeration-derived oracles."""
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction as F
@@ -433,6 +434,39 @@ class TestScreamLaws:
         for n in range(2, 41):
             assert laws.prob_someone_screams(n) == sum(
                 laws.scream_pmf(n, k) for k in range(1, n // 2 + 1))
+
+    def test_table_equals_the_alternating_sums(self):
+        for n in [*range(2, 61), 200]:
+            for k in range(n // 2 + 1):
+                assert laws.scream_pmf(n, k) == oracles.scream_pmf_alternating(n, k), (n, k)
+
+    def test_table_is_the_core_mixture_of_derangement_laws(self):
+        # the oracle is P(no fixed point and k 2-cycles) over all r!
+        # permutations of the core; r!/D_r conditions it on the derangements
+        for n in range(2, 21):
+            for k in range(n // 2 + 1):
+                mixture = sum(
+                    laws.core_size_pmf(n, r) * oracles.derangement_two_cycle_pmf(r, k)
+                    * F(math.factorial(r), derangement_number(r))
+                    for r in range(max(2, 2 * k), n + 1)
+                )
+                assert laws.scream_pmf(n, k) == mixture, (n, k)
+
+    def test_n1000_table_digest(self):
+        # pinned on the alternating sum per k that the recurrence replaced;
+        # hex, which no int-to-str digit limit applies to
+        n = 1000
+        text = "\n".join(f"{p.numerator:x}/{p.denominator:x}"
+                         for p in (laws.scream_pmf(n, k) for k in range(n // 2 + 1)))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "fc678e32249b5cc568a418bb7e4ea8500b7526afdf5ee95eb77d0d33161cf5d9"
+
+    def test_bounded(self):
+        for n in (1, laws.SCREAM_MAX_N + 1):
+            with pytest.raises(ValueError):
+                laws.scream_pmf(n, 0)
+        # q_n needs no table, so it has no bound
+        assert 0 < laws.prob_someone_screams(laws.SCREAM_MAX_N + 1) < 1
 
     def test_q_approaches_limit_from_above(self):
         limit = 1 - math.exp(-0.5)
