@@ -130,7 +130,9 @@ def _write(text: str, out: str | None) -> None:
 
 def _report(args: argparse.Namespace) -> harness.ExperimentReport:
     """Run the configuration of ``exact``, ``simulate`` or ``tables``; an
-    invalid one (say, a method that cannot fill a table) exits with one line."""
+    invalid one (say, a method that cannot fill a table, or ``exact --model
+    standard`` on a toes-only table) exits with one line before any law is
+    built."""
     if "table" in args:
         tables = (args.table,)
     else:
@@ -142,14 +144,14 @@ def _report(args: argparse.Namespace) -> harness.ExperimentReport:
                       tables=tables, workers=args.workers, batch_size=args.batch_size)
     except ValueError as exc:
         raise SystemExit(f"screamingtoes: {exc}") from None
-    report = harness.run_table(config)
     model = getattr(args, "model", "both")
+    if model == "standard" and not harness._SPECS[config.tables[0]].standard:
+        raise SystemExit(f"screamingtoes: the {config.tables[0]!r} table has no "
+                         "standard-model cells")
+    report = harness.run_table(config)
     if model != "both":
         keep_std = model == "standard"
         report.records = [r for r in report.records if ("_std[" in r.name) == keep_std]
-        if not report.records:
-            raise SystemExit(f"screamingtoes: the {config.tables[0]!r} table has no "
-                             "standard-model cells")
     return report
 
 

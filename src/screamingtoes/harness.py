@@ -36,7 +36,7 @@ import math
 import os
 import sys
 import time
-from collections import Counter, deque
+from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -110,30 +110,20 @@ class ExperimentConfig:
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be positive")
         for table in self.tables:
-            methods = _SPECS[table].methods
-            if self.method is not None and methods and self.method not in methods:
+            spec = _SPECS[table]
+            if self.method is not None and spec.methods and self.method not in spec.methods:
                 supported = sorted(s.name for s in _SPECS.values() if self.method in s.methods)
                 raise ValueError(
                     f"the {self.method!r} method cannot produce the {table!r} table; "
                     f"it supports {supported}"
                 )
+            if self.size > spec.max_n:
+                raise ValueError(
+                    f"the {table} table is limited to n <= {spec.max_n} "
+                    "(the cost of its exact column grows fast with n)"
+                )
         if self.method == "brute-force" and self.size > samplers.ENUMERATION_MAX_N:
             raise ValueError(f"brute-force enumeration is limited to n <= {samplers.ENUMERATION_MAX_N}")
-        if "repeats" in self.tables and self.size > laws.REPEATS_MAX_N:
-            raise ValueError(
-                f"the repeats table is limited to n <= {laws.REPEATS_MAX_N} "
-                "(the cost of its exact joint law grows exponentially with n)"
-            )
-        if "scream" in self.tables and self.size > laws.SCREAM_MAX_N:
-            raise ValueError(
-                f"the scream table is limited to n <= {laws.SCREAM_MAX_N} "
-                "(each of its exact cells is reduced by a full-width gcd)"
-            )
-        if "acceptance" in self.tables and self.size > samplers.ACCEPTANCE_MAX_N:
-            raise ValueError(
-                f"the acceptance table is limited to n <= {samplers.ACCEPTANCE_MAX_N} "
-                "(its exact recurrence is O(n**2))"
-            )
 
     @property
     def size(self) -> int:
@@ -191,13 +181,17 @@ Cell = tuple[str, Fraction | float | None, str | None, str | None, int | None]
 @dataclass(frozen=True)
 class TableSpec:
     """One report table.  The first of ``methods`` fills it when no method
-    is forced; an exact-only table has none."""
+    is forced; an exact-only table has none.  ``max_n`` bounds the n of a
+    run that asks for it; ``standard`` says whether it has standard-model
+    cells beside the toes ones."""
 
     name: str
     aliases: tuple[str, ...]
     title: str
     methods: tuple[str, ...]
     cells: Callable[[ExperimentConfig], Iterator[Cell]]
+    max_n: int
+    standard: bool = False
 
 
 def _q_cells(config: ExperimentConfig) -> Iterator[Cell]:
@@ -255,34 +249,43 @@ def _acceptance_cells(config: ExperimentConfig) -> Iterator[Cell]:
     yield "acceptance_rate", exact, "ratio", "attempts", None
 
 
-#: Every report table, by canonical name.
+#: Every report table, by canonical name.  Each ``max_n`` is chosen from the
+#: time ``exact --format json`` takes there (single runs, 2-vCPU host, Python
+#: 3.11, every model of the table): q 1.8 s at n = 20 000 and 5.9 s at
+#: 40 000; components 3.9 s at n = 1000 and 12.5 s at 1500, nearly all of it
+#: the two mean tables; cycles 2.5 s at n = 2000 and 7.4 s at 3000, and core
+#: 2.0 s at n = 1500 and 4.3 s at 2000, most of both the emit of their
+#: rationals.  The other three bounds are those of their laws.
 _SPECS = {
     spec.name: spec
     for spec in (
-        TableSpec("q", ("1",), "Probability that at least one pair screams", (), _q_cells),
+        TableSpec(
+            "q", ("1",), "Probability that at least one pair screams", (), _q_cells, max_n=20_000,
+        ),
         TableSpec(
             "components", ("2", "component-means"), "Mean number of components by size",
             ("rejection", "direct", "brute-force"), _component_cells,
+            max_n=1000, standard=True,
         ),
         TableSpec(
             "scream", ("3", "scream-pmf"), "Distribution of the number of screaming pairs",
-            ("core-joint", "direct", "brute-force"), _scream_cells,
+            ("core-joint", "direct", "brute-force"), _scream_cells, max_n=laws.SCREAM_MAX_N,
         ),
         TableSpec(
             "cycles", ("cycle-means",), "Mean number of core cycles by length",
-            ("core-joint", "direct", "brute-force"), _cycle_cells,
+            ("core-joint", "direct", "brute-force"), _cycle_cells, max_n=2000, standard=True,
         ),
         TableSpec(
             "core", ("core-size",), "Distribution of the core size",
-            ("core-joint", "direct", "brute-force"), _core_cells,
+            ("core-joint", "direct", "brute-force"), _core_cells, max_n=1500, standard=True,
         ),
         TableSpec(
             "repeats", ("repeated-sizes",), "Probability of no repeated sizes",
-            ("direct", "brute-force"), _repeat_cells,
+            ("direct", "brute-force"), _repeat_cells, max_n=laws.REPEATS_MAX_N,
         ),
         TableSpec(
             "acceptance", ("acceptance-rate",), "Rejection-sampler acceptance rate",
-            ("rejection",), _acceptance_cells,
+            ("rejection",), _acceptance_cells, max_n=samplers.ACCEPTANCE_MAX_N,
         ),
     )
 }
@@ -338,13 +341,6 @@ def _batch_tasks(config: ExperimentConfig, kinds: Iterable[str]) -> list[tuple]:
     return tasks
 
 
-def _arrivals(futures: deque) -> Iterator[dict]:
-    """The futures' results in submission order, each future dropped as
-    soon as its result is handed on."""
-    while futures:
-        yield futures.popleft().result()
-
-
 def _simulate(
     tasks: list[tuple], workers: int, build: Callable[[], _T]
 ) -> tuple[dict[str, dict], _T]:
@@ -352,20 +348,21 @@ def _simulate(
     which this thread calls while the batches are drawn.
 
     With more than one worker and batch, one process pool takes every batch
-    up front; its workers are all forked at the first submission.  Only
-    after the last submission does one helper thread start, to merge the
-    tallies in submission order as they arrive, so no worker is forked from
-    a process this function made multi-threaded, and no tally waits for
-    ``build`` to finish.  Otherwise the batches are drawn one by one here,
-    then ``build`` runs.
+    up front: ``pool.map`` submits them all before it returns (its workers
+    are all forked at the first submission), then yields the results in
+    submission order, dropping each future as it goes.  Only after that
+    does one helper thread start, to merge the tallies as they arrive, so
+    no worker is forked from a process this function made multi-threaded,
+    and no tally waits for ``build`` to finish.  Otherwise the batches are
+    drawn one by one here, then ``build`` runs.
     """
     kinds = [task[0] for task in tasks]
     workers = min(workers, len(tasks))
     if workers <= 1:
         return _merge_tallies(zip(kinds, map(_simulate_batch, tasks))), build()
     with ProcessPoolExecutor(max_workers=workers) as pool, ThreadPoolExecutor(1) as helper:
-        futures = deque(pool.submit(_simulate_batch, task) for task in tasks)
-        merged = helper.submit(_merge_tallies, zip(kinds, _arrivals(futures)))
+        results = pool.map(_simulate_batch, tasks)
+        merged = helper.submit(_merge_tallies, zip(kinds, results))
         try:
             built = build()
             return merged.result(), built

@@ -322,29 +322,60 @@ def component_pmf_table(n: int, model: Model = "toes") -> dict[tuple[int, ...], 
     return table
 
 
-def mean_component_count(n: int, j: int, model: Model = "toes") -> Fraction:
-    """Expected number of size-j components, exactly.
+def _mappings_outside(n: int, m: int, model: Model) -> int:
+    """(b-m)**(n-m), b = n-1 (toes) or n: the mappings of the n-m points
+    outside a given m-set among themselves, 1 when m = n."""
+    return (_base(n, model) - m) ** (n - m)
 
-    Two independent closed forms are evaluated and must agree; disagreement
-    raises ConsistencyError.  The intensity form is
-    (e**j lambda_j) n_[j] (b-j)**(n-j) / b**n, with e**j lambda_j the
-    Poisson partial sum of :func:`_scaled_intensity`; the count form is
-    C(n,j) T_j (b-j)**(n-j) / b**n, the mappings in which a given j-set is
-    one component, with T_j counted in integers by
-    :func:`_connected_count`.  Here b = n-1 (toes) or n.
-    Toes-model queries with j = 1 are rejected rather than returning 0, to
-    catch confusion with the standard model.
+
+@lru_cache(maxsize=4)
+def _component_means(n: int, model: Model) -> tuple[Fraction, ...]:
+    """E C_j, the expected number of size-j components, for j = 0..n (zero
+    below the model's smallest component), in one pass over j that keeps
+    n_[j] and C(n,j) running.
+
+    Two independent closed forms are evaluated for every j and must agree.
+    The intensity form is (e**j lambda_j) n_[j] (b-j)**(n-j) / b**n, with
+    e**j lambda_j the Poisson partial sum of :func:`_scaled_intensity`; the
+    count form is C(n,j) T_j (b-j)**(n-j) / b**n, the mappings in which a
+    given j-set is one component, with T_j counted in integers by
+    :func:`_connected_count`.  Here b = n-1 (toes) or n.  The forms share
+    the factor (b-j)**(n-j), so the counts are also checked to cover every
+    point once, sum_j j C(n,j) T_j (b-j)**(n-j) = n b**n, in integers.
+    Either check failing raises ConsistencyError.
+    """
+    lo = _shortest_cycle(model)
+    total = _base(n, model) ** n
+    means = [Fraction(0)] * (n + 1)
+    fal = binom = 1  # n_[j] and C(n,j), from j = 0
+    covered = 0
+    for j in range(1, n + 1):
+        fal *= n - j + 1
+        binom = binom * (n - j + 1) // j
+        if j < lo:
+            continue
+        rest = _mappings_outside(n, j, model)
+        direct = _scaled_intensity(j, model) * Fraction(fal, total) * rest
+        count = binom * _connected_count(j, model) * rest
+        if direct.numerator * total != count * direct.denominator:  # direct == count / total
+            raise ConsistencyError(f"component-mean forms disagree at n={n}, j={j}")
+        covered += j * count
+        means[j] = direct
+    if covered != n * total:
+        raise ConsistencyError(f"{model} component counts for n={n} do not cover every point")
+    return tuple(means)
+
+
+def mean_component_count(n: int, j: int, model: Model = "toes") -> Fraction:
+    """Expected number of size-j components, exactly; the first call for an
+    (n, model) builds (and caches) the whole checked table,
+    :func:`_component_means`.  Toes-model queries with j = 1 are rejected
+    rather than returning 0, to catch confusion with the standard model.
     """
     lo = _shortest_cycle(model)
     if not lo <= j <= n:
         raise ValueError(f"need {lo} <= j <= n in the {model} model")
-    base = _base(n, model)
-    rest = (base - j) ** (n - j)  # mappings of the other n-j points among themselves
-    direct = _scaled_intensity(j, model) * Fraction(falling_factorial(n, j), base**n) * rest
-    count = math.comb(n, j) * _connected_count(j, model) * rest
-    if direct.numerator * base**n != count * direct.denominator:  # direct == count / base**n
-        raise ConsistencyError(f"component-mean forms disagree at n={n}, j={j}")
-    return direct
+    return _component_means(n, model)[j]
 
 
 def factorial_moment(n: int, orders: Mapping[int, int]) -> Fraction:
@@ -368,8 +399,7 @@ def factorial_moment(n: int, orders: Mapping[int, int]) -> Fraction:
         value = value * _scaled_intensity(j, "toes") ** r
     if m > n:
         return Fraction(0)
-    value = value * Fraction(falling_factorial(n, m), (n - 1) ** n)
-    return value * ((n - m - 1) ** (n - m) if m < n else 1)
+    return value * Fraction(falling_factorial(n, m), (n - 1) ** n) * _mappings_outside(n, m, "toes")
 
 
 def expected_num_components(n: int, model: Model = "toes") -> Fraction:

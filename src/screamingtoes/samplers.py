@@ -351,7 +351,9 @@ def every_mapping_counts(n: int, model: str) -> tuple[dict[str, np.ndarray], dic
         ).astype(np.int64)
         values, counts = np.unique(code, return_counts=True)
         codes.update(dict(zip(values.tolist(), counts.tolist())))
-    assert sum(codes.values()) == total
+    counted = sum(codes.values())
+    if counted != total:
+        raise laws.ConsistencyError(f"{model} enumeration at n={n} counted {counted} of {total} mappings")
 
     def sizes(code: int) -> tuple[int, ...]:  # the spectrum in the n low digits
         digits = [code // (n + 1) ** k % (n + 1) for k in range(n)]

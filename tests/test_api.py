@@ -87,3 +87,14 @@ def test_package_root_holds_only_the_version():
     tree = _trees()["__init__"]
     assert [type(stmt) for stmt in tree.body] == [ast.Expr, ast.Assign]
     assert [t.id for t in tree.body[1].targets] == ["__version__"]
+
+
+def test_no_assert_statements():
+    # python -O strips asserts, so a check in the package raises instead
+    found = [
+        f"{name}.py:{node.lineno}"
+        for name, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -111,11 +111,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(n=8, method="brute-force", tables=("scream",))
 
-    def test_scream_bound(self):
-        ExperimentConfig(n=laws.SCREAM_MAX_N, tables=("scream",))
-        with pytest.raises(ValueError, match=f"n <= {laws.SCREAM_MAX_N}"):
-            ExperimentConfig(n=laws.SCREAM_MAX_N + 1, tables=("q", "scream-pmf"))
-        ExperimentConfig(n=laws.SCREAM_MAX_N + 1, tables=("q", "cycles"))
+    @pytest.mark.parametrize("table", sorted(harness._SPECS))
+    def test_table_bound(self, table):
+        bound = harness._SPECS[table].max_n
+        ExperimentConfig(n=bound, tables=(table,))
+        with pytest.raises(ValueError, match=f"the {table} table is limited to n <= {bound} "):
+            ExperimentConfig(n=bound + 1, tables=(table,))
+
+    @pytest.mark.parametrize("table", sorted(harness._SPECS))
+    def test_standard_flag_matches_the_cells(self, table):
+        report = run_table(ExperimentConfig(n=4, replicates=0, tables=(table,)))
+        has_standard = any("_std[" in r.name for r in report.records)
+        assert has_standard == harness._SPECS[table].standard
 
     def test_bad_values(self):
         with pytest.raises(ValueError):
@@ -512,6 +519,22 @@ class TestCli:
         rows = capsys.readouterr().out.splitlines()
         assert len(rows) == 2 + laws.SCREAM_MAX_N // 2
 
+    @pytest.mark.parametrize("table, records", [
+        ("q", lambda n: 1), ("components", lambda n: 2 * n), ("cycles", lambda n: 2 * n - 1),
+        ("core", lambda n: 2 * n - 1),
+    ], ids=["q", "components", "cycles", "core"])
+    def test_exact_at_its_bound_is_within_budget(self, table, records, capsys):
+        # both models and the json emit, the costliest format: 1.8-3.9 s on
+        # a 2-vCPU host (Python 3.11); the budget is that of the scream table
+        for law in (laws._component_means, laws._cycle_means, laws._core_size_law,
+                    laws.core_size_counts):
+            law.cache_clear()
+        n = harness._SPECS[table].max_n
+        started = time.perf_counter()
+        assert cli.main(["exact", "--table", table, "--n", str(n), "--format", "json"]) == 0
+        assert time.perf_counter() - started < 10.0
+        assert len(json.loads(capsys.readouterr().out)["records"]) == records(n)
+
     def test_exact_acceptance_at_n60_is_quick(self, capsys):
         started = time.perf_counter()
         assert cli.main(["exact", "--table", "acceptance", "--n", "60", "--format", "csv"]) == 0
@@ -564,12 +587,22 @@ class TestCli:
         assert "mean_components[j=2]" in (tmp_path / "report.json").read_text()
 
     @pytest.mark.parametrize("table", ["q", "scream", "repeats", "acceptance"])
-    def test_standard_model_on_a_toes_only_table_is_a_one_line_error(self, table, capsys):
+    def test_standard_model_on_a_toes_only_table_is_a_one_line_error(self, table, monkeypatch, capsys):
+        # the table's law raises if called: the error comes before any law is built
+        module, law = {
+            "q": (laws, "prob_someone_screams"),
+            "scream": (laws, "scream_pmf"),
+            "repeats": (laws, "prob_no_repeated_sizes"),
+            "acceptance": (samplers, "exact_acceptance_probability"),
+        }[table]
+
+        def built(*args):
+            raise AssertionError(f"{law} was called")
+
+        monkeypatch.setattr(module, law, built)
         with pytest.raises(SystemExit) as exc:
             cli.main(["exact", "--table", table, "--n", "6", "--model", "standard"])
-        message = exc.value.code
-        assert isinstance(message, str) and "\n" not in message
-        assert "no standard-model cells" in message
+        assert exc.value.code == f"screamingtoes: the {table!r} table has no standard-model cells"
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("argv", [
@@ -628,6 +661,10 @@ class TestCli:
         (["exact", "--table", "q"], '{"bogus": "a\\nb"}'),
         (["exact", "--table", "acceptance", "--n", "3001"], None),
         (["tables", "--tables", "q,scream", "--n", "2001", "--reps", "0"], None),
+        (["exact", "--table", "components", "--n", "1001"], None),
+        (["simulate", "--table", "cycles", "--method", "direct", "--n", "2001"], None),
+        (["tables", "--tables", "q,core", "--n", "1501", "--reps", "0"], None),
+        (["exact", "--table", "q", "--n", "20001"], None),
     ], ids=["empty-tables", "missing-config", "config-not-json", "config-str-n",
             "config-float-reps", "workers-not-an-integer", "workers-0", "workers-negative",
             "config-format-choice",
@@ -638,7 +675,8 @@ class TestCli:
             "empty-argv", "format-choice", "method-choice", "validate-model-both",
             "config-numeric-str-n", "config-bool-n", "config-help", "config-abbreviated-key",
             "config-unknown-key-with-a-newline", "acceptance-above-the-bound",
-            "scream-above-the-bound"])
+            "scream-above-the-bound", "components-above-the-bound", "cycles-above-the-bound",
+            "core-above-the-bound", "q-above-the-bound"])
     def test_bad_input_is_a_one_line_error(self, argv, config, tmp_path, capsys):
         argv = [arg.format(missing=tmp_path / "missing.json", tmp=tmp_path) for arg in argv]
         if config is not None:

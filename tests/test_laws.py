@@ -149,11 +149,32 @@ class TestComponentMeans:
     @pytest.mark.parametrize("model", ["toes", "standard"])
     def test_forms_are_independent(self, model, monkeypatch):
         # a Poisson partial sum off by one term moves the intensity form
-        # only: the count form's T_j never calls it
+        # only: the count form's T_j never calls it.  The cached table is
+        # cleared, or a table built before the patch would be read back
+        laws._component_means.cache_clear()
         exact_sum = laws.poisson_partial_sum
         monkeypatch.setattr(laws, "poisson_partial_sum", lambda rate, k: exact_sum(rate, k - 1))
-        with pytest.raises(laws.ConsistencyError):
+        with pytest.raises(laws.ConsistencyError, match="forms disagree"):
             laws.mean_component_count(10, 4, model)
+
+    @pytest.mark.parametrize("model", ["toes", "standard"])
+    def test_sum_rule_checks_the_shared_factor(self, model, monkeypatch):
+        # both forms multiply by the mappings outside the j-set, so shifting
+        # that count at one j leaves them agreeing; only the sum rule
+        # sum_j j C(n,j) T_j (b-j)**(n-j) = n b**n sees it
+        laws._component_means.cache_clear()
+        outside = laws._mappings_outside
+        monkeypatch.setattr(
+            laws, "_mappings_outside", lambda n, m, model: outside(n, m, model) + (m == 4)
+        )
+        with pytest.raises(laws.ConsistencyError, match="cover every point"):
+            laws.mean_component_count(10, 4, model)
+
+    def test_one_table_build_per_n_and_model(self):
+        laws._component_means.cache_clear()
+        for j in range(2, 13):
+            laws.mean_component_count(12, j, "toes")
+        assert laws._component_means.cache_info().misses == 1
 
 
 class TestFactorialMoments:
