@@ -20,6 +20,12 @@ import json
 import os
 import sys
 
+# The package makes no BLAS call, so numpy's OpenBLAS needs no thread pool.
+# Set before the import below brings in numpy, this keeps the CLI from
+# spending CPU on idle BLAS threads, and it forks its worker pool from a
+# single-threaded process.  A caller's own setting is left as it is.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from . import harness, samplers
 
 _RUN = harness.ExperimentConfig  # holds the run defaults, which the flags take

@@ -253,9 +253,10 @@ def _acceptance_cells(config: ExperimentConfig) -> Iterator[Cell]:
 #: time ``exact --format json`` takes there (single runs, 2-vCPU host, Python
 #: 3.11, every model of the table): q 1.8 s at n = 20 000 and 5.9 s at
 #: 40 000; components 3.9 s at n = 1000 and 12.5 s at 1500, nearly all of it
-#: the two mean tables; cycles 2.5 s at n = 2000 and 7.4 s at 3000, and core
-#: 2.0 s at n = 1500 and 4.3 s at 2000, most of both the emit of their
-#: rationals.  The other three bounds are those of their laws.
+#: the two mean tables; cycles 2.5 s at n = 2000 and 7.4 s at 3000, core
+#: 2.0 s at n = 1500 and 4.3 s at 2000, and scream 2.9-3.2 s at n = 3000
+#: and 9 s at 4000, most of these three the emit of their rationals.  The
+#: scream, repeats and acceptance bounds are constants of their laws.
 _SPECS = {
     spec.name: spec
     for spec in (

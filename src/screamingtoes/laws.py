@@ -533,38 +533,52 @@ def mean_cycle_count(n: int, j: int, model: Model = "toes") -> Fraction:
 # Screaming pairs
 
 
-#: Largest n for which :func:`scream_pmf` builds its table.  The table's
-#: cost is its n//2 + 1 reductions of integers of O(n log n) bits, one
-#: full-width gcd each: about 0.3 s at n = 1000, 2.3 s at n = 2000 and 8 s at
-#: n = 3000.
-SCREAM_MAX_N = 2000
-
-
-def _scream_scale(n: int) -> int:
-    """2**J J! (n-1)**(2J) with J = n//2: the common denominator of the
-    scream law, over which :func:`_no_scream_count` and :func:`_scream_law`
-    count in integers."""
-    half = n // 2
-    return 2**half * math.factorial(half) * (n - 1) ** (2 * half)
+#: Largest n for which :func:`scream_pmf` builds its table.  The table
+#: itself, n//2 + 1 reductions of integers of O(n log n) bits by the primes
+#: of n-1, takes about 0.06 s at n = 1000 and 0.4 s at n = 3000; the emit
+#: of its rationals costs more, and `exact --format json` takes 2.9-3.2 s
+#: at n = 3000 and 9 s at n = 4000.
+SCREAM_MAX_N = 3000
 
 
 def _no_scream_count(n: int) -> int:
-    """P(no screaming pair) times :func:`_scream_scale`, an integer: the
-    alternating series sum_{l=0}^{J} (-1)**l n_[2l] / (2**l l! (n-1)**(2l))
-    over its common denominator, summed by Horner's rule from l = 0, so
-    n = 10**4 (terms of about 40000 digits) takes a fraction of a second.
+    """P(no screaming pair) (n-1)**(2J), J = n//2, an integer: the
+    alternating series N = sum_{l=0}^{J} (-1)**l M_l (n-1)**(2(J-l)), where
+    M_l = n_[2l] / (2**l l!) = C(n,2l) (2l-1)!! counts the l-matchings of n
+    points, so M_l = M_{l-1} (n-2l+2)(n-2l+1) / (2l).
+
+    Its terms have the ratio -(n-2l+2)(n-2l+1) / (2l (n-1)**2), which
+    binary splitting sums as one fraction T/Q over
+    Q = 2**J J! (n-1)**(2J): N = (Q + T) / (2**J J!), checked to divide
+    exactly.  The products are balanced, so n = 10**4 (terms of about 40000
+    digits) takes a few hundredths of a second.
     """
-    fal = num = 1
-    for l in range(1, n // 2 + 1):
-        fal *= (n - 2 * l + 2) * (n - 2 * l + 1)
-        num = num * (2 * l * (n - 1) ** 2) + (-1) ** l * fal
-    return num
+    square = (n - 1) ** 2
+
+    def split(lo: int, hi: int) -> tuple[int, int, int]:
+        # P, Q: the products of the ratios' numerators and denominators over
+        # l = lo..hi-1; T/Q: the sum over l of the products from lo to l
+        if hi - lo == 1:
+            p = -(n - 2 * lo + 2) * (n - 2 * lo + 1)
+            return p, 2 * lo * square, p
+        mid = (lo + hi) // 2
+        p_lo, q_lo, t_lo = split(lo, mid)
+        p_hi, q_hi, t_hi = split(mid, hi)
+        return p_lo * p_hi, q_lo * q_hi, t_lo * q_hi + p_lo * t_hi
+
+    half = n // 2
+    _, q, t = split(1, half + 1)
+    count, rest = divmod(q + t, 2**half * math.factorial(half))
+    if rest:
+        raise ConsistencyError(f"q_n series leaves a remainder at n={n}")
+    return count
 
 
-@lru_cache(maxsize=4)
-def _scream_law(n: int) -> tuple[Fraction, ...]:
-    """P(S = k) for k = 0..J, J = n//2, with S the number of 2-cycles of
-    the toes core.
+def _scream_counts(n: int) -> list[int]:
+    """C_k = P(S = k) (n-1)**(2J) for k = 0..J, J = n//2, with S the number
+    of 2-cycles of the toes core; integers, since by inclusion-exclusion
+    C_k = sum_l (-1)**(l-k) C(l,k) M_l (n-1)**(2(J-l)), with M_l the
+    l-matchings of :func:`_no_scream_count`.
 
     S has factorial moments E S_[m] = n_[2m] / (2 (n-1)**2)**m, so its pgf
     is G(z) = F((z-1) / (2 (n-1)**2)) with F(u) = sum_m n_[2m] u**m / m!.
@@ -572,33 +586,45 @@ def _scream_law(n: int) -> tuple[Fraction, ...]:
     is F' = (n - 2uD)(n - 1 - 2uD) F with D = d/du, which in z reads
     2(n-1)**2 G' = n(n-1) G - (4n-6)(z-1) G' + 4 (z-1)**2 G''.  Its
     coefficients of z**k give the three-term recurrence, for k = J-1..0,
-    (n-2k)(n-2k-1) P_k = (k+1)(8k - 4n + 6 + 2(n-1)**2) P_{k+1}
-                         - 4(k+1)(k+2) P_{k+2},
-    from P_{J+1} = 0 and P_J = n_[2J] (all J pairs scream).  It runs on the
-    integers P_k = P(S = k) 2**J J! (n-1)**(2J) (:func:`_scream_scale`), so
-    each step is one exact division, and the table costs one reduction per
-    cell instead of an O(n) alternating sum per cell.
-
-    Checked in integers, raising ConsistencyError: every division is exact,
-    the P_k sum to the scale, and P_0 equals the k = 0 series that q_n is
-    built from (:func:`_no_scream_count`).
+    (n-2k)(n-2k-1) C_k = (k+1)(8k - 4n + 6 + 2(n-1)**2) C_{k+1}
+                         - 4(k+1)(k+2) C_{k+2},
+    from C_{J+1} = 0 and C_J = M_J = n_[2J] / (2**J J!) (all J pairs
+    scream).  Every division, that one included, is checked to be exact,
+    raising ConsistencyError.
     """
     half = n // 2
-    scale = _scream_scale(n)
     counts = [0] * (half + 2)
-    counts[half] = falling_factorial(n, 2 * half)
+    counts[half], rest = divmod(falling_factorial(n, 2 * half), 2**half * math.factorial(half))
+    if rest:
+        raise ConsistencyError(f"the {half}-matchings of n={n} points are not an integer")
     shift = 2 * (n - 1) ** 2 - 4 * n + 6
     for k in range(half - 1, -1, -1):
         step = (k + 1) * ((8 * k + shift) * counts[k + 1] - 4 * (k + 2) * counts[k + 2])
         counts[k], rest = divmod(step, (n - 2 * k) * (n - 2 * k - 1))
         if rest:
             raise ConsistencyError(f"scream recurrence leaves a remainder at n={n}, k={k}")
-    del counts[-1]
-    if sum(counts) != scale:
-        raise ConsistencyError(f"scream counts for n={n} do not sum to the scale")
+    return counts[:-1]
+
+
+@lru_cache(maxsize=4)
+def _scream_law(n: int) -> tuple[Fraction, ...]:
+    """P(S = k) = C_k / (n-1)**(2J) for k = 0..J, with C_k the integers of
+    :func:`_scream_counts`.  The recurrence makes the table one exact
+    division and one reduction by the primes of n-1
+    (:func:`fraction_over_power`) per cell, where an alternating sum per
+    cell would be O(n) and a gcd against the whole denominator quadratic.
+
+    Checked in integers, raising ConsistencyError: the C_k sum to
+    (n-1)**(2J), and C_0 equals the k = 0 series that q_n is built from
+    (:func:`_no_scream_count`), summed apart from the recurrence.
+    """
+    counts = _scream_counts(n)
+    power = 2 * (n // 2)
+    if sum(counts) != (n - 1) ** power:
+        raise ConsistencyError(f"scream counts for n={n} do not sum to (n-1)**(2J)")
     if counts[0] != _no_scream_count(n):
         raise ConsistencyError(f"scream recurrence and q_n series disagree at n={n}")
-    return tuple(Fraction(count, scale) for count in counts)
+    return tuple(fraction_over_power(count, n - 1, power) for count in counts)
 
 
 def scream_pmf(n: int, k: int) -> Fraction:
@@ -617,12 +643,13 @@ def prob_someone_screams(n: int) -> Fraction:
 
     That is one alternating series,
     sum_{l>=1} (-1)**(l-1) n_[2l] / (2**l l! (n-1)**(2l)), summed in
-    integers by :func:`_no_scream_count`; it needs no scream table, so any
-    n >= 2 is allowed.
+    integers over (n-1)**(2J) by :func:`_no_scream_count`; it needs no
+    scream table, so any n >= 2 is allowed.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    return 1 - Fraction(_no_scream_count(n), _scream_scale(n))
+    power = 2 * (n // 2)
+    return fraction_over_power((n - 1) ** power - _no_scream_count(n), n - 1, power)
 
 
 # ---------------------------------------------------------------------------

@@ -289,8 +289,11 @@ def _tally_mappings(
     cyc_repeats = _tally_pairs(tally, "cyc", *dec.cycles, rows)
     core_sizes = np.bincount(dec.core // n, minlength=rows)
     tally["core_hist"] += np.bincount(core_sizes, minlength=tally["core_hist"].size)
-    either = np.union1d(comp_repeats, cyc_repeats)
-    tally["no_repeat"] += [rows - comp_repeats.size, rows - cyc_repeats.size, rows - either.size]
+    either = np.zeros(rows, dtype=bool)  # a row mask: np.union1d would import numpy.ma
+    either[comp_repeats] = either[cyc_repeats] = True
+    tally["no_repeat"] += [
+        rows - comp_repeats.size, rows - cyc_repeats.size, rows - np.count_nonzero(either)
+    ]
     return dec
 
 

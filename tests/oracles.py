@@ -16,6 +16,9 @@ that does not go through the code it is used to check:
 * :func:`scream_pmf_alternating`: the scream law as one alternating sum
   per k, against ``laws.scream_pmf``, which runs a three-term recurrence
   over k.
+* :func:`no_scream_fraction`: P(no screaming pair) summed by Horner's rule
+  over 2**J J! (n-1)**(2J), against ``laws.prob_someone_screams``, which
+  sums the l-matchings over (n-1)**(2J) by binary splitting.
 * :func:`derangement_two_cycle_pmf`, :func:`derangement_cycle_type_pmf` and
   :func:`derangement_mean_cycle_count`: the laws of a uniform random
   derangement, against enumeration and the core-joint route's derangement
@@ -168,6 +171,19 @@ def scream_pmf_alternating(n: int, k: int) -> Fraction:
         num = num * (2 * l * (n - 1) ** 2) + (-1) ** l * fal
     denom = 2**top * math.factorial(top) * (n - 1) ** (2 * top)
     return Fraction(num, denom * 2**k * math.factorial(k) * (n - 1) ** (2 * k))
+
+
+def no_scream_fraction(n: int) -> Fraction:
+    """P(no screaming pair in a toes mapping of size n), the alternating
+    series sum_{l=0}^{J} (-1)**l n_[2l] / (2**l l! (n-1)**(2l)), J = n//2,
+    summed by Horner's rule from l = 0 in integers over its common
+    denominator 2**J J! (n-1)**(2J), and reduced by one full gcd."""
+    half = n // 2
+    fal = num = 1
+    for l in range(1, half + 1):
+        fal *= (n - 2 * l + 2) * (n - 2 * l + 1)
+        num = num * (2 * l * (n - 1) ** 2) + (-1) ** l * fal
+    return Fraction(num, 2**half * math.factorial(half) * (n - 1) ** (2 * half))
 
 
 def derangement_cycle_type_pmf(r: int, sizes: Iterable[int]) -> Fraction:

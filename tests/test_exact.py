@@ -144,6 +144,19 @@ class TestFractionOverPower:
         assert got == F(num, base**exp)
         assert math.gcd(got.numerator, got.denominator) == 1 and got.denominator > 0
 
+    @given(st.sampled_from([(999, (3, 37)), (1024, (2,)), (9999, (3, 11, 101))]),
+           st.lists(st.integers(0, 4000), min_size=3, max_size=3),
+           st.integers(-(10**20), 10**20), st.sampled_from([1, 300, 1000]))
+    @settings(max_examples=100, deadline=None)
+    def test_lowest_terms_at_valuations_in_the_thousands(self, base_primes, powers, unit, exp):
+        # the scream law's counts over 999**1000 carry thousands of factors
+        # of 3; a valuation may pass the denominator's, which caps the strip
+        base, primes = base_primes
+        num = unit * math.prod(p**a for p, a in zip(primes, powers))
+        got = fraction_over_power(num, base, exp)
+        assert got == F(num, base**exp)
+        assert math.gcd(got.numerator, got.denominator) == 1 and got.denominator > 0
+
 
 class TestFormatFixed:
     def test_basic(self):

@@ -389,12 +389,14 @@ class TestRepeatedSizeStats:
             assert abs(s - e) <= 4 * se
 
 
-def _run_python(script: str, argv: list[str]) -> subprocess.CompletedProcess:
+def _run_python(script: str, argv: list[str], **env: str | None) -> subprocess.CompletedProcess:
     """``python -c script argv...`` in a fresh interpreter that imports this
-    package from the source tree."""
+    package from the source tree; each keyword sets an environment variable,
+    or with None removes it."""
     src = os.path.dirname(os.path.dirname(harness.__file__))
+    environ = {**os.environ, "PYTHONPATH": src, **env}
     return subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src})
+                          env={key: value for key, value in environ.items() if value is not None})
 
 
 class TestCli:
@@ -509,15 +511,15 @@ class TestCli:
         assert capsys.readouterr().out == ""
 
     def test_exact_scream_at_its_bound_is_within_budget(self, capsys):
-        # about 2.3 s on a 2-vCPU host (Python 3.11), nearly all of it the
-        # table's reductions; the budget allows a slower one
+        # the json emit, the costliest format: 2.9-3.2 s on a 2-vCPU host
+        # (Python 3.11), most of it the emit of the 28 MB report and 0.4 s
+        # the table itself; the budget allows a slower one
         laws._scream_law.cache_clear()
         started = time.perf_counter()
-        argv = ["exact", "--table", "scream", "--n", str(laws.SCREAM_MAX_N), "--format", "csv"]
+        argv = ["exact", "--table", "scream", "--n", str(laws.SCREAM_MAX_N), "--format", "json"]
         assert cli.main(argv) == 0
         assert time.perf_counter() - started < 10.0
-        rows = capsys.readouterr().out.splitlines()
-        assert len(rows) == 2 + laws.SCREAM_MAX_N // 2
+        assert len(json.loads(capsys.readouterr().out)["records"]) == 1 + laws.SCREAM_MAX_N // 2
 
     @pytest.mark.parametrize("table, records", [
         ("q", lambda n: 1), ("components", lambda n: 2 * n), ("cycles", lambda n: 2 * n - 1),
@@ -570,6 +572,37 @@ class TestCli:
                   "assert not loaded(), loaded()\n")
         done = _run_python(script, ["tables", "--reps", "2000", "--batch-size", "1000", "--workers", "1"])
         assert done.returncode == 0, done.stderr
+
+    def test_validate_and_a_direct_batch_load_no_numpy_ma(self):
+        # np.union1d goes through np.unique, which imports numpy.ma (about
+        # 27 ms) on first use; the direct route counts its rows without it
+        script = ("import sys\n"
+                  "import numpy as np\n"
+                  "from screamingtoes import cli, samplers\n"
+                  "assert cli.main(sys.argv[1:]) == 0\n"
+                  "samplers.toes_mapping_counts_batch(10, 10, np.random.default_rng(7))\n"
+                  "assert 'numpy.ma' not in sys.modules\n")
+        done = _run_python(script, ["validate", "--n", "5"])
+        assert done.returncode == 0, done.stderr
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux's /proc")
+    def test_cli_import_starts_no_blas_threads(self):
+        script = ("import os\n"
+                  "import screamingtoes.cli\n"
+                  "with open('/proc/self/status') as fh:\n"
+                  "    print(next(line for line in fh if line.startswith('Threads:')).split()[1])\n"
+                  "print(os.environ['OPENBLAS_NUM_THREADS'])\n")
+        done = _run_python(script, [], OPENBLAS_NUM_THREADS=None)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["1", "1"]
+
+    def test_cli_import_keeps_the_callers_blas_threads(self):
+        script = ("import os\n"
+                  "import screamingtoes.cli\n"
+                  "print(os.environ['OPENBLAS_NUM_THREADS'])\n")
+        done = _run_python(script, [], OPENBLAS_NUM_THREADS="2")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["2"]
 
     def test_cli_runs_without_mpmath(self, tmp_path):
         # mpmath is a test oracle only: with its import blocked, the exact,
@@ -660,7 +693,7 @@ class TestCli:
         (["simulate", "--table", "scream"], '{"rep": 100}'),
         (["exact", "--table", "q"], '{"bogus": "a\\nb"}'),
         (["exact", "--table", "acceptance", "--n", "3001"], None),
-        (["tables", "--tables", "q,scream", "--n", "2001", "--reps", "0"], None),
+        (["tables", "--tables", "q,scream", "--n", "3001", "--reps", "0"], None),
         (["exact", "--table", "components", "--n", "1001"], None),
         (["simulate", "--table", "cycles", "--method", "direct", "--n", "2001"], None),
         (["tables", "--tables", "q,core", "--n", "1501", "--reps", "0"], None),

@@ -456,6 +456,34 @@ class TestScreamLaws:
             assert laws.prob_someone_screams(n) == sum(
                 laws.scream_pmf(n, k) for k in range(1, n // 2 + 1))
 
+    def test_q_equals_the_horner_series(self):
+        # n-1 runs over primes, prime powers and powers of two (1024), and
+        # 999 = 3**3 37, whose counts carry thousands of factors of 3
+        for n in [*range(2, 201), 998, 999, 1000, 1001, 1025, 2048, 10_000]:
+            assert laws.prob_someone_screams(n) == 1 - oracles.no_scream_fraction(n), n
+
+    @pytest.mark.parametrize("n", [10, 1000])
+    def test_sum_check_sees_one_shifted_count(self, n, monkeypatch):
+        laws._scream_law.cache_clear()
+        counts = laws._scream_counts
+        monkeypatch.setattr(
+            laws, "_scream_counts", lambda n: [c + (k == 1) for k, c in enumerate(counts(n))]
+        )
+        with pytest.raises(laws.ConsistencyError, match="do not sum"):
+            laws.scream_pmf(n, 0)
+
+    @pytest.mark.parametrize("n", [10, 1000])
+    def test_series_check_sees_a_count_moved_to_k0(self, n, monkeypatch):
+        # the counts still sum to (n-1)**(2J); only q_n's own series sees it
+        laws._scream_law.cache_clear()
+        counts = laws._scream_counts
+        monkeypatch.setattr(
+            laws, "_scream_counts",
+            lambda n: [c + (k == 0) - (k == 1) for k, c in enumerate(counts(n))],
+        )
+        with pytest.raises(laws.ConsistencyError, match="series disagree"):
+            laws.scream_pmf(n, 0)
+
     def test_table_equals_the_alternating_sums(self):
         for n in [*range(2, 61), 200]:
             for k in range(n // 2 + 1):
