@@ -50,7 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exact = sub.add_parser("exact", help="exact law/moment tables, no simulation")
     p_exact.add_argument("--table", required=True, help=f"one of {sorted(set(harness.TABLE_ALIASES))}")
-    p_exact.add_argument("--model", choices=("toes", "standard", "both"), default="both")
+    p_exact.add_argument("--model", choices=harness.REPORT_MODELS, default=_RUN.model,
+                         help="the models whose laws are built (default %(default)s)")
     p_exact.set_defaults(reps=0, method=None)
 
     p_sim = sub.add_parser("simulate", help="exact and simulated columns for one table")
@@ -72,6 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="replicates (default %(default)s)")
         p.add_argument("--method", choices=harness.METHODS,
                        help="simulation route (default depends on the table)")
+        p.set_defaults(model=_RUN.model)
     for p in (p_exact, p_sim, p_tab):
         p.add_argument("--n", type=int)
         p.add_argument("--format", choices=("pretty", "csv", "json"), default="pretty")
@@ -147,18 +149,11 @@ def _report(args: argparse.Namespace) -> harness.ExperimentReport:
             raise SystemExit("screamingtoes: --tables names no table")
     try:
         config = _RUN(n=args.n, replicates=args.reps, seed=args.seed, method=args.method,
-                      tables=tables, workers=args.workers, batch_size=args.batch_size)
+                      tables=tables, workers=args.workers, batch_size=args.batch_size,
+                      model=args.model)
     except ValueError as exc:
         raise SystemExit(f"screamingtoes: {exc}") from None
-    model = getattr(args, "model", "both")
-    if model == "standard" and not harness._SPECS[config.tables[0]].standard:
-        raise SystemExit(f"screamingtoes: the {config.tables[0]!r} table has no "
-                         "standard-model cells")
-    report = harness.run_table(config)
-    if model != "both":
-        keep_std = model == "standard"
-        report.records = [r for r in report.records if ("_std[" in r.name) == keep_std]
-    return report
+    return harness.run_table(config)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -41,7 +41,7 @@ from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import TypeVar
 
 import numpy as np
@@ -63,6 +63,9 @@ INT_STR_DIGITS = 1_000_000
 Q_TABLE_NS = (5, 10, 15, 20, 30, 40, 50, 60, 70, 80, 90, 100, 1000, 10000)
 
 METHODS = ("direct", "rejection", "core-joint", "brute-force")
+
+#: The models a run can report: either one alone, or both side by side.
+REPORT_MODELS = ("toes", "standard", "both")
 
 #: The first spawn-key word of each simulation kind's batch streams.
 _KIND_KEY = {"direct": 1, "rejection": 2, "core-joint": 3}
@@ -86,7 +89,8 @@ def default_workers() -> int:
 
 @dataclass
 class ExperimentConfig:
-    """What to run: model size, replicate budget, seed, route and targets."""
+    """What to run: model size, replicate budget, seed, route, targets and
+    the models they report (``model``: toes, standard or both)."""
 
     n: int | None = None
     replicates: int = 1_000_000
@@ -95,6 +99,7 @@ class ExperimentConfig:
     tables: tuple[str, ...] = ("components",)
     workers: int | None = None
     batch_size: int = 125_000
+    model: str = "both"
 
     def __post_init__(self) -> None:
         # a table named twice, by any of its aliases, runs and reports once
@@ -107,8 +112,11 @@ class ExperimentConfig:
             raise ValueError("replicates must be nonnegative")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError("workers must be positive")
+        most_workers = 4 * default_workers()  # a pool forks every worker at its first task
+        if self.workers is not None and not 1 <= self.workers <= most_workers:
+            raise ValueError(f"workers must be between 1 and {most_workers} (4 per CPU)")
+        if self.model not in REPORT_MODELS:
+            raise ValueError(f"unknown model {self.model!r}; known: {REPORT_MODELS}")
         for table in self.tables:
             spec = _SPECS[table]
             if self.method is not None and spec.methods and self.method not in spec.methods:
@@ -122,6 +130,8 @@ class ExperimentConfig:
                     f"the {table} table is limited to n <= {spec.max_n} "
                     "(the cost of its exact column grows fast with n)"
                 )
+            if self.model == "standard" and not spec.standard:
+                raise ValueError(f"the {table!r} table has no standard-model cells")
         if self.method == "brute-force" and self.size > samplers.ENUMERATION_MAX_N:
             raise ValueError(f"brute-force enumeration is limited to n <= {samplers.ENUMERATION_MAX_N}")
 
@@ -132,9 +142,10 @@ class ExperimentConfig:
 
     def method_for(self, table: str) -> str | None:
         """The method that fills the table's simulated column; None for an
-        exact-only table."""
+        exact-only table, or when the run reports the standard model alone,
+        which no method draws."""
         methods = _SPECS[table].methods
-        if not methods:
+        if not methods or self.model == "standard":
             return None
         return self.method or methods[0]
 
@@ -200,42 +211,31 @@ def _q_cells(config: ExperimentConfig) -> Iterator[Cell]:
 
 
 def _paired_cells(
-    stat: str, var: str, toes: dict, standard: dict, kind: str, key: str
+    stat: str, var: str, law: Callable, kind: str, key: str, config: ExperimentConfig
 ) -> Iterator[Cell]:
-    """The toes cells of a statistic, then its standard-model column."""
-    for i, exact in toes.items():
-        yield f"{stat}[{var}={i}]", exact, kind, key, i
-    for i, exact in standard.items():
-        yield f"{stat}_std[{var}={i}]", exact, None, None, None
+    """The toes cells of a statistic, then its standard-model column, each
+    from ``law(n, model)`` and built only when the run reports that model."""
+    if config.model != "standard":
+        for i, exact in law(config.size, "toes").items():
+            yield f"{stat}[{var}={i}]", exact, kind, key, i
+    if config.model != "toes":
+        for i, exact in law(config.size, "standard").items():
+            yield f"{stat}_std[{var}={i}]", exact, None, None, None
 
 
-def _component_cells(config: ExperimentConfig) -> Iterator[Cell]:
-    n = config.size
-    toes = {j: None if j == 1 else laws.mean_component_count(n, j, "toes") for j in range(1, n + 1)}
-    standard = {j: laws.mean_component_count(n, j, "standard") for j in range(1, n + 1)}
-    return _paired_cells("mean_components", "j", toes, standard, "mean", "comp")
+def _component_mean_table(n: int, model: str) -> dict:
+    """Every component size's mean; the toes model's size 1, which cannot
+    occur, has no exact value."""
+    return {
+        j: None if j == 1 and model == "toes" else laws.mean_component_count(n, j, model)
+        for j in range(1, n + 1)
+    }
 
 
 def _scream_cells(config: ExperimentConfig) -> Iterator[Cell]:
     n = config.size
     for k in range(0, n // 2 + 1):
         yield f"scream_pmf[k={k}]", laws.scream_pmf(n, k), "pmf", "scream_hist", k
-
-
-def _cycle_cells(config: ExperimentConfig) -> Iterator[Cell]:
-    n = config.size
-    return _paired_cells(
-        "mean_cycles", "j", laws.cycle_mean_table(n, "toes"),
-        laws.cycle_mean_table(n, "standard"), "mean", "cyc",
-    )
-
-
-def _core_cells(config: ExperimentConfig) -> Iterator[Cell]:
-    n = config.size
-    return _paired_cells(
-        "core_size", "r", laws.core_size_table(n, "toes"),
-        laws.core_size_table(n, "standard"), "pmf", "core_hist",
-    )
 
 
 def _repeat_cells(config: ExperimentConfig) -> Iterator[Cell]:
@@ -251,21 +251,23 @@ def _acceptance_cells(config: ExperimentConfig) -> Iterator[Cell]:
 
 #: Every report table, by canonical name.  Each ``max_n`` is chosen from the
 #: time ``exact --format json`` takes there (single runs, 2-vCPU host, Python
-#: 3.11, every model of the table): q 1.8 s at n = 20 000 and 5.9 s at
-#: 40 000; components 3.9 s at n = 1000 and 12.5 s at 1500, nearly all of it
-#: the two mean tables; cycles 2.5 s at n = 2000 and 7.4 s at 3000, core
-#: 2.0 s at n = 1500 and 4.3 s at 2000, and scream 2.9-3.2 s at n = 3000
-#: and 9 s at 4000, most of these three the emit of their rationals.  The
-#: scream, repeats and acceptance bounds are constants of their laws.
+#: 3.11, every model of the table): q 2.0-2.2 s at n = 40 000 and 3.1-3.3 s
+#: at 50 000; components 2.0-2.2 s at n = 1000 (1.1 s for one model) and
+#: 7.3 s at 1500, most of it the mean tables; cycles 2.5 s at n = 2000 and
+#: 7.4 s at 3000, core 2.0 s at n = 1500 and 4.3 s at 2000, and scream
+#: 2.9-3.2 s at n = 3000 and 9 s at 4000, most of these three the emit of
+#: their rationals.  The scream, repeats and acceptance bounds are constants
+#: of their laws.
 _SPECS = {
     spec.name: spec
     for spec in (
         TableSpec(
-            "q", ("1",), "Probability that at least one pair screams", (), _q_cells, max_n=20_000,
+            "q", ("1",), "Probability that at least one pair screams", (), _q_cells, max_n=40_000,
         ),
         TableSpec(
             "components", ("2", "component-means"), "Mean number of components by size",
-            ("rejection", "direct", "brute-force"), _component_cells,
+            ("rejection", "direct", "brute-force"),
+            partial(_paired_cells, "mean_components", "j", _component_mean_table, "mean", "comp"),
             max_n=1000, standard=True,
         ),
         TableSpec(
@@ -274,11 +276,15 @@ _SPECS = {
         ),
         TableSpec(
             "cycles", ("cycle-means",), "Mean number of core cycles by length",
-            ("core-joint", "direct", "brute-force"), _cycle_cells, max_n=2000, standard=True,
+            ("core-joint", "direct", "brute-force"),
+            partial(_paired_cells, "mean_cycles", "j", laws.cycle_mean_table, "mean", "cyc"),
+            max_n=2000, standard=True,
         ),
         TableSpec(
             "core", ("core-size",), "Distribution of the core size",
-            ("core-joint", "direct", "brute-force"), _core_cells, max_n=1500, standard=True,
+            ("core-joint", "direct", "brute-force"),
+            partial(_paired_cells, "core_size", "r", laws.core_size_table, "pmf", "core_hist"),
+            max_n=1500, standard=True,
         ),
         TableSpec(
             "repeats", ("repeated-sizes",), "Probability of no repeated sizes",

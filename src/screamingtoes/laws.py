@@ -22,13 +22,16 @@ of the core/derangement identity) live with the tests, in
 ``tests/oracles.py``.
 
 Every probability and moment here is computed as an exact ``Fraction``.
-The Poisson intensities of the component laws carry a factor e**(-j) that
-cancels against an e**j of the same formula, so they are held as their
-rational part e**j * lambda_j (:func:`_scaled_intensity`) and no power of e
-is ever formed.  The one float table here, the w_j of :func:`omega`, is
-also rounded once from exact integers, with e**j summed far past a float's
-precision.  Results are bit-reproducible and feed both the CLI tables and
-the samplers' inverse-CDF tables.
+The component means, core sizes, screaming pairs and q_n are integer counts
+of mappings over a power of the model's base, reduced by the primes of the
+base (:func:`fraction_over_power`).  The Poisson intensities carry a factor
+e**(-j) that cancels against an e**j of the same formula, so they are held
+as their rational part e**j * lambda_j (:func:`_scaled_intensity`) and no
+power of e is ever formed; they give the factorial moments, and check the
+component means size by size.  The one float table here, the w_j of
+:func:`omega`, is also rounded once from exact integers, with e**j summed
+far past a float's precision.  Results are bit-reproducible and feed both
+the CLI tables and the samplers' inverse-CDF tables.
 """
 
 from __future__ import annotations
@@ -171,9 +174,9 @@ def partitions(n: int, min_part: int = 1, max_part: int | None = None) -> Iterat
 def _scaled_intensity(j: int, model: Model) -> Fraction:
     """e**j lambda_j, the rational part of the limit intensity of size-j
     components: lambda_j = (1/j) P(Po(j) <= j-1) for standard mappings and
-    lambda~_j = (1/j) P(Po(j) <= j-2) when no point maps to itself.  Its
-    callers multiply it by an e**(-j) that cancels, so that factor is never
-    formed.  Callers check j against the model's sizes.
+    lambda~_j = (1/j) P(Po(j) <= j-2) when no point maps to itself; it
+    equals T_j / j!.  The e**(-j) of lambda_j cancels in every law here,
+    so it is never formed.  Callers check j against the model's sizes.
     """
     return poisson_partial_sum(j, j - _shortest_cycle(model)) / j
 
@@ -331,39 +334,35 @@ def _mappings_outside(n: int, m: int, model: Model) -> int:
 @lru_cache(maxsize=4)
 def _component_means(n: int, model: Model) -> tuple[Fraction, ...]:
     """E C_j, the expected number of size-j components, for j = 0..n (zero
-    below the model's smallest component), in one pass over j that keeps
-    n_[j] and C(n,j) running.
+    below the model's smallest component): the count C(n,j) T_j (b-j)**(n-j)
+    of mappings in which a given j-set is one component, over b**n, with
+    b = n-1 (toes) or n and T_j counted in integers by
+    :func:`_connected_count`.  Each count is reduced once by the primes of
+    b (:func:`fraction_over_power`), as the core, scream and q_n laws are.
 
-    Two independent closed forms are evaluated for every j and must agree.
-    The intensity form is (e**j lambda_j) n_[j] (b-j)**(n-j) / b**n, with
-    e**j lambda_j the Poisson partial sum of :func:`_scaled_intensity`; the
-    count form is C(n,j) T_j (b-j)**(n-j) / b**n, the mappings in which a
-    given j-set is one component, with T_j counted in integers by
-    :func:`_connected_count`.  Here b = n-1 (toes) or n.  The forms share
-    the factor (b-j)**(n-j), so the counts are also checked to cover every
-    point once, sum_j j C(n,j) T_j (b-j)**(n-j) = n b**n, in integers.
-    Either check failing raises ConsistencyError.
+    Two checks raise ConsistencyError.  The intensity form of the same mean,
+    (e**j lambda_j) n_[j] (b-j)**(n-j) / b**n with e**j lambda_j the Poisson
+    partial sum of :func:`_scaled_intensity`, differs from the count form
+    only in j! e**j lambda_j against T_j, which does not depend on n; so
+    the two are compared at every j.  The counts are also checked to cover
+    every point once, sum_j j C(n,j) T_j (b-j)**(n-j) = n b**n, in integers,
+    which sees the factor (b-j)**(n-j) that the first check does not.
     """
     lo = _shortest_cycle(model)
-    total = _base(n, model) ** n
-    means = [Fraction(0)] * (n + 1)
-    fal = binom = 1  # n_[j] and C(n,j), from j = 0
-    covered = 0
+    base = _base(n, model)
+    counts = [0] * (n + 1)
+    binom = 1  # C(n,j), from j = 0
     for j in range(1, n + 1):
-        fal *= n - j + 1
         binom = binom * (n - j + 1) // j
         if j < lo:
             continue
-        rest = _mappings_outside(n, j, model)
-        direct = _scaled_intensity(j, model) * Fraction(fal, total) * rest
-        count = binom * _connected_count(j, model) * rest
-        if direct.numerator * total != count * direct.denominator:  # direct == count / total
-            raise ConsistencyError(f"component-mean forms disagree at n={n}, j={j}")
-        covered += j * count
-        means[j] = direct
-    if covered != n * total:
+        connected = _connected_count(j, model)
+        if _scaled_intensity(j, model) * math.factorial(j) != connected:
+            raise ConsistencyError(f"component-mean forms disagree at j={j}")
+        counts[j] = binom * connected * _mappings_outside(n, j, model)
+    if sum(j * count for j, count in enumerate(counts)) != n * base**n:
         raise ConsistencyError(f"{model} component counts for n={n} do not cover every point")
-    return tuple(means)
+    return tuple(fraction_over_power(count, base, n) for count in counts)
 
 
 def mean_component_count(n: int, j: int, model: Model = "toes") -> Fraction:

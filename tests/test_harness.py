@@ -123,6 +123,19 @@ class TestConfig:
         report = run_table(ExperimentConfig(n=4, replicates=0, tables=(table,)))
         has_standard = any("_std[" in r.name for r in report.records)
         assert has_standard == harness._SPECS[table].standard
+        if has_standard:
+            ExperimentConfig(n=4, tables=(table,), model="standard")
+        else:
+            with pytest.raises(ValueError, match=f"the {table!r} table has no standard-model cells"):
+                ExperimentConfig(n=4, tables=(table,), model="standard")
+
+    def test_workers_bound(self):
+        # a pool forks all of its workers at its first task, so the bound is
+        # a few per CPU, whatever the number of batches
+        most = 4 * harness.default_workers()
+        assert ExperimentConfig(workers=most).resolved_workers() == most
+        with pytest.raises(ValueError, match=f"workers must be between 1 and {most} "):
+            ExperimentConfig(workers=most + 1)
 
     def test_bad_values(self):
         with pytest.raises(ValueError):
@@ -131,6 +144,8 @@ class TestConfig:
             ExperimentConfig(method="magic")
         with pytest.raises(ValueError):
             ExperimentConfig(workers=0)
+        with pytest.raises(ValueError):
+            ExperimentConfig(model="both-models")
         for n in (1, 0, -3):
             with pytest.raises(ValueError):
                 ExperimentConfig(n=n)
@@ -181,6 +196,17 @@ class TestRunTable:
         assert cells["scream_pmf[k=1]"].exact == 1
         assert cells["scream_pmf[k=1]"].simulated == 1.0
         assert cells["scream_pmf[k=1]"].z == 0.0
+
+    @pytest.mark.parametrize("table", ["components", "cycles", "core"])
+    def test_one_model_at_a_time_reports_the_same_records(self, table):
+        # the toes run draws as the two-model run does; a standard-only run
+        # has no simulated column to draw for
+        def records(model):
+            config = ExperimentConfig(n=6, replicates=2000, batch_size=1000, seed=3,
+                                      tables=(table,), workers=1, model=model)
+            return run_table(config).records
+
+        assert records("toes") + records("standard") == records("both")
 
     def test_core_table_n2_single_row(self):
         report = run_table(ExperimentConfig(n=2, replicates=0, tables=("core",)))
@@ -414,6 +440,25 @@ class TestCli:
         text = capsys.readouterr().out
         assert "mean_components[j=2]" in text
         assert "_std[" not in text
+
+    @pytest.mark.parametrize("model, other", [("toes", "standard"), ("standard", "toes")])
+    @pytest.mark.parametrize("table, law", [
+        ("components", "_component_means"), ("cycles", "_cycle_means"), ("core", "_core_size_law"),
+    ])
+    def test_exact_builds_only_the_models_it_reports(self, table, law, model, other,
+                                                    monkeypatch, capsys):
+        # the other model's law raises if called
+        built = getattr(laws, law)
+
+        def only_the_reported_model(n, m):
+            if m == other:
+                raise AssertionError(f"{law} built the {other} model")
+            return built(n, m)
+
+        monkeypatch.setattr(laws, law, only_the_reported_model)
+        argv = ["exact", "--table", table, "--n", "6", "--model", model, "--format", "csv"]
+        assert cli.main(argv) == 0
+        assert ("_std[" in capsys.readouterr().out) == (model == "standard")
 
     def test_simulate(self, capsys):
         rc = cli.main([
@@ -668,6 +713,8 @@ class TestCli:
         (["simulate", "--table", "scream", "--n", "5", "--reps", "100", "--workers", "abc"], None),
         (["simulate", "--table", "scream", "--n", "5", "--reps", "100", "--workers", "0"], None),
         (["simulate", "--table", "scream", "--n", "5", "--reps", "100", "--workers", "-3"], None),
+        (["simulate", "--table", "scream", "--n", "5", "--reps", "100", "--batch-size", "1",
+          "--workers", "100000"], None),
         (["exact", "--table", "q", "--n", "5"], '{"format": "xml"}'),
         (["validate", "--n", "4"], '{"model": "foo"}'),
         (["exact", "--table", "q", "--n", "5"], '{"model": "foo"}'),
@@ -697,9 +744,10 @@ class TestCli:
         (["exact", "--table", "components", "--n", "1001"], None),
         (["simulate", "--table", "cycles", "--method", "direct", "--n", "2001"], None),
         (["tables", "--tables", "q,core", "--n", "1501", "--reps", "0"], None),
-        (["exact", "--table", "q", "--n", "20001"], None),
+        (["exact", "--table", "q", "--n", "40001"], None),
     ], ids=["empty-tables", "missing-config", "config-not-json", "config-str-n",
             "config-float-reps", "workers-not-an-integer", "workers-0", "workers-negative",
+            "workers-above-the-bound",
             "config-format-choice",
             "config-model-choice-validate", "config-model-choice-exact", "out-missing-dir",
             "out-is-a-dir", "validate-n8", "validate-format", "validate-workers",
@@ -710,7 +758,11 @@ class TestCli:
             "config-unknown-key-with-a-newline", "acceptance-above-the-bound",
             "scream-above-the-bound", "components-above-the-bound", "cycles-above-the-bound",
             "core-above-the-bound", "q-above-the-bound"])
-    def test_bad_input_is_a_one_line_error(self, argv, config, tmp_path, capsys):
+    def test_bad_input_is_a_one_line_error(self, argv, config, tmp_path, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            pytest.fail("bad input opened a worker pool")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
         argv = [arg.format(missing=tmp_path / "missing.json", tmp=tmp_path) for arg in argv]
         if config is not None:
             path = tmp_path / "cfg.json"

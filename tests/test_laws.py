@@ -170,6 +170,18 @@ class TestComponentMeans:
         with pytest.raises(laws.ConsistencyError, match="cover every point"):
             laws.mean_component_count(10, 4, model)
 
+    @pytest.mark.parametrize("model", ["toes", "standard"])
+    def test_identity_checks_each_connected_count(self, model, monkeypatch):
+        # the count form reads T_j, the intensity form j! e**j lambda_j: one
+        # T_j moved by 1 is caught at its own size, before the sum rule
+        laws._component_means.cache_clear()
+        connected = laws._connected_count
+        monkeypatch.setattr(
+            laws, "_connected_count", lambda size, model: connected(size, model) + (size == 4)
+        )
+        with pytest.raises(laws.ConsistencyError, match="forms disagree at j=4"):
+            laws.mean_component_count(10, 4, model)
+
     def test_one_table_build_per_n_and_model(self):
         laws._component_means.cache_clear()
         for j in range(2, 13):
