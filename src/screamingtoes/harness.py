@@ -192,14 +192,16 @@ Cell = tuple[str, Fraction | float | None, str | None, str | None, int | None]
 @dataclass(frozen=True)
 class TableSpec:
     """One report table.  The first of ``methods`` fills it when no method
-    is forced; an exact-only table has none.  ``max_n`` bounds the n of a
-    run that asks for it; ``standard`` says whether it has standard-model
-    cells beside the toes ones."""
+    is forced; an exact-only table has none.  ``reads`` names the tally
+    keys its simulated column reads, which the batches of its method must
+    fill.  ``max_n`` bounds the n of a run that asks for it; ``standard``
+    says whether it has standard-model cells beside the toes ones."""
 
     name: str
     aliases: tuple[str, ...]
     title: str
     methods: tuple[str, ...]
+    reads: tuple[str, ...]
     cells: Callable[[ExperimentConfig], Iterator[Cell]]
     max_n: int
     standard: bool = False
@@ -262,37 +264,39 @@ _SPECS = {
     spec.name: spec
     for spec in (
         TableSpec(
-            "q", ("1",), "Probability that at least one pair screams", (), _q_cells, max_n=40_000,
+            "q", ("1",), "Probability that at least one pair screams", (), (), _q_cells,
+            max_n=40_000,
         ),
         TableSpec(
             "components", ("2", "component-means"), "Mean number of components by size",
-            ("rejection", "direct", "brute-force"),
+            ("rejection", "direct", "brute-force"), ("comp_sum", "comp_sumsq"),
             partial(_paired_cells, "mean_components", "j", _component_mean_table, "mean", "comp"),
             max_n=1000, standard=True,
         ),
         TableSpec(
             "scream", ("3", "scream-pmf"), "Distribution of the number of screaming pairs",
-            ("core-joint", "direct", "brute-force"), _scream_cells, max_n=laws.SCREAM_MAX_N,
+            ("core-joint", "direct", "brute-force"), ("scream_hist",), _scream_cells,
+            max_n=laws.SCREAM_MAX_N,
         ),
         TableSpec(
             "cycles", ("cycle-means",), "Mean number of core cycles by length",
-            ("core-joint", "direct", "brute-force"),
+            ("core-joint", "direct", "brute-force"), ("cyc_sum", "cyc_sumsq"),
             partial(_paired_cells, "mean_cycles", "j", laws.cycle_mean_table, "mean", "cyc"),
             max_n=2000, standard=True,
         ),
         TableSpec(
             "core", ("core-size",), "Distribution of the core size",
-            ("core-joint", "direct", "brute-force"),
+            ("core-joint", "direct", "brute-force"), ("core_hist",),
             partial(_paired_cells, "core_size", "r", laws.core_size_table, "pmf", "core_hist"),
             max_n=1500, standard=True,
         ),
         TableSpec(
             "repeats", ("repeated-sizes",), "Probability of no repeated sizes",
-            ("direct", "brute-force"), _repeat_cells, max_n=laws.REPEATS_MAX_N,
+            ("direct", "brute-force"), ("no_repeat",), _repeat_cells, max_n=laws.REPEATS_MAX_N,
         ),
         TableSpec(
             "acceptance", ("acceptance-rate",), "Rejection-sampler acceptance rate",
-            ("rejection",), _acceptance_cells, max_n=samplers.ACCEPTANCE_MAX_N,
+            ("rejection",), ("attempts",), _acceptance_cells, max_n=samplers.ACCEPTANCE_MAX_N,
         ),
     )
 }
@@ -309,11 +313,13 @@ TABLE_ALIASES = {
 def _simulate_batch(task: tuple) -> dict:
     """One batch of one simulation kind, drawn from ``default_rng`` of the
     task's seed (an int or a ``SeedSequence``); returns integer tallies only
-    (keys as in :func:`samplers.zero_tally`)."""
-    kind, n, seed, size = task
+    (keys as in :func:`samplers.zero_tally`).  The task's last entry names
+    the tally keys that the run reads; the direct route labels components
+    only when they are among them, and the other routes fill fixed keys."""
+    kind, n, seed, size, reads = task
     rng = np.random.default_rng(seed)
     if kind == "direct":
-        return {"replicates": size, **samplers.toes_mapping_counts_batch(n, size, rng)}
+        return {"replicates": size, **samplers.toes_mapping_counts_batch(n, size, rng, reads)}
     if kind == "rejection":
         tally, attempts = samplers.toes_component_counts_batch(n, size, rng)
         return {"replicates": size, "attempts": attempts, **tally}
@@ -333,18 +339,20 @@ def _merge_tallies(parts: Iterable[tuple[str, dict]]) -> dict[str, dict]:
     return merged
 
 
-def _batch_tasks(config: ExperimentConfig, kinds: Iterable[str]) -> list[tuple]:
-    """Every batch of each simulation kind at ``config.size``, kind by kind.
+def _batch_tasks(config: ExperimentConfig, reads: dict[str, Iterable[str]]) -> list[tuple]:
+    """Every batch of each simulation kind of ``reads`` at ``config.size``,
+    kind by kind, each with the tally keys that ``reads`` names for its kind.
     Batch k of a kind is seeded with ``SeedSequence(seed % 2**64,
-    spawn_key=(kind key, k))``, independent of worker count and of which
-    other kinds run."""
+    spawn_key=(kind key, k))``, independent of worker count, of which other
+    kinds run and of the keys read."""
     total = config.replicates
     root = config.seed % 2**64
     tasks = []
-    for kind in kinds:
+    for kind, keys in reads.items():
+        keys = tuple(sorted(keys))
         for k, done in enumerate(range(0, total, config.batch_size)):
             seed = np.random.SeedSequence(root, spawn_key=(_KIND_KEY[kind], k))
-            tasks.append((kind, config.size, seed, min(config.batch_size, total - done)))
+            tasks.append((kind, config.size, seed, min(config.batch_size, total - done), keys))
     return tasks
 
 
@@ -431,15 +439,19 @@ def run_table(config: ExperimentConfig) -> ExperimentReport:
     ``config.replicates > 0``, produced by the table's method (or
     ``config.method`` if forced).  The same simulation kind is shared by
     all tables that need it, so e.g. the scream and core tables of one run
-    come from the same core-joint replicates.  Every batch of every kind
-    goes to one worker pool, and the exact columns are built while it
+    come from the same core-joint replicates, and a kind's batches fill the
+    tally keys its tables read (``TableSpec.reads``).  Every batch of every
+    kind goes to one worker pool, and the exact columns are built while it
     draws (:func:`_simulate`).
     """
     started = time.perf_counter()
     methods = [config.method_for(t) for t in config.tables] if config.replicates else []
-    kinds = [m for m in dict.fromkeys(methods) if m in _KIND_KEY]
+    reads: dict[str, set[str]] = {}  # by kind, in the order the tables first use it
+    for table, method in zip(config.tables, methods):
+        if method in _KIND_KEY:
+            reads.setdefault(method, set()).update(_SPECS[table].reads)
     sources, cells = _simulate(
-        _batch_tasks(config, kinds),
+        _batch_tasks(config, reads),
         config.resolved_workers(),
         lambda: {table: list(_SPECS[table].cells(config)) for table in config.tables},
     )

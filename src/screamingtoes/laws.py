@@ -325,6 +325,20 @@ def component_pmf_table(n: int, model: Model = "toes") -> dict[tuple[int, ...], 
     return table
 
 
+@lru_cache(maxsize=None)
+def _checked_connected_count(size: int, model: Model) -> int:
+    """T_j of :func:`_connected_count`, checked against the intensity form
+    of the component means: j! e**j lambda_j, from the Poisson partial sum
+    of :func:`_scaled_intensity`, must equal it (ConsistencyError if not).
+    Neither side depends on n, so each (j, model) is counted and checked
+    once per process, whatever n the tables ask for; the cache holds about
+    0.7 MB per model for j <= 1000."""
+    connected = _connected_count(size, model)
+    if _scaled_intensity(size, model) * math.factorial(size) != connected:
+        raise ConsistencyError(f"component-mean forms disagree at j={size}")
+    return connected
+
+
 def _mappings_outside(n: int, m: int, model: Model) -> int:
     """(b-m)**(n-m), b = n-1 (toes) or n: the mappings of the n-m points
     outside a given m-set among themselves, 1 when m = n."""
@@ -344,9 +358,11 @@ def _component_means(n: int, model: Model) -> tuple[Fraction, ...]:
     (e**j lambda_j) n_[j] (b-j)**(n-j) / b**n with e**j lambda_j the Poisson
     partial sum of :func:`_scaled_intensity`, differs from the count form
     only in j! e**j lambda_j against T_j, which does not depend on n; so
-    the two are compared at every j.  The counts are also checked to cover
-    every point once, sum_j j C(n,j) T_j (b-j)**(n-j) = n b**n, in integers,
-    which sees the factor (b-j)**(n-j) that the first check does not.
+    the two are compared at every j, once per process
+    (:func:`_checked_connected_count`).  The counts are also checked to
+    cover every point once, sum_j j C(n,j) T_j (b-j)**(n-j) = n b**n, in
+    integers, for every n: it sees the factor (b-j)**(n-j) that the first
+    check does not.
     """
     lo = _shortest_cycle(model)
     base = _base(n, model)
@@ -356,10 +372,7 @@ def _component_means(n: int, model: Model) -> tuple[Fraction, ...]:
         binom = binom * (n - j + 1) // j
         if j < lo:
             continue
-        connected = _connected_count(j, model)
-        if _scaled_intensity(j, model) * math.factorial(j) != connected:
-            raise ConsistencyError(f"component-mean forms disagree at j={j}")
-        counts[j] = binom * connected * _mappings_outside(n, j, model)
+        counts[j] = binom * _checked_connected_count(j, model) * _mappings_outside(n, j, model)
     if sum(j * count for j, count in enumerate(counts)) != n * base**n:
         raise ConsistencyError(f"{model} component counts for n={n} do not cover every point")
     return tuple(fraction_over_power(count, base, n) for count in counts)

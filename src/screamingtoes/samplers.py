@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -136,48 +137,80 @@ class DecompositionBatch:
     """(replicate, size) pairs from a batch decomposition, in replicate order.
 
     ``components`` is the pair of arrays (replicate, size) with one entry
-    per component; ``cycles`` likewise, one entry per cycle.  ``core``
-    holds the flat indices (row b, element i is b*n + i) of the cyclic
-    elements, ascending.
+    per component (None when the call skipped them); ``cycles`` likewise,
+    one entry per cycle.  ``core`` holds the flat indices (row b, element i
+    is b*n + i) of the cyclic elements, ascending.
     """
 
-    components: tuple[np.ndarray, np.ndarray]
+    components: tuple[np.ndarray, np.ndarray] | None
     cycles: tuple[np.ndarray, np.ndarray]
     core: np.ndarray
 
 
-def decompose_batch(images: np.ndarray, scratch: tuple | None = None) -> DecompositionBatch:
+#: Squarings of the whole successor map before :func:`decompose_batch`
+#: compacts to the image of the power they reach, f**16, about a ninth of
+#: the cells at n = 1000.  The split pays only when the rounds left on the
+#: image are at least as many: at n = 33 to 64 it was 10 % slower per
+#: chunk, at n = 100 as fast, from n = 200 on 15-20 % faster (2-vCPU host).
+FULL_ROUNDS = 4
+
+
+def decompose_batch(
+    images: np.ndarray, scratch: tuple | None = None, components: bool = True
+) -> DecompositionBatch:
     """Vectorised decomposition of a (B, n) batch of mappings.
 
-    Works on flat indices (row b, element i is b*n + i).  Squaring the flat
-    successor map K = ceil(log2 n) times gives f**(2**K), which lands every
-    element on its cycle, as 2**K >= n exceeds every tail height; the landed
-    elements are the core.  The core, about sqrt(pi n / 2) of n elements, is
-    compacted, and only there does pointer doubling find each element's
-    orbit minimum, which labels its cycle; an element's component is the
-    cycle it lands on.  Everything else is bincounts, whose nonzero entries
-    are the groups.
+    Works on flat indices (row b, element i is b*n + i).  Any power f**m
+    with m at least every tail height lands each element on its own cycle,
+    and f**m permutes the core, so its image is the core; K = ceil(log2 n)
+    squarings of the flat successor map reach m = 2**K >= n.  They run in
+    two stages.  The first squares the whole map ``FULL_ROUNDS`` times, to
+    f**16, whose image S holds about 2n/16 points of a row (Flajolet and
+    Odlyzko 1989: the image of f**k has about 2n/k).  f**16 maps S into
+    itself, so the second stage takes S to compact positions and does the
+    remaining K - 4 squarings there; the core is the image of that power
+    on S.  When K < 2 * ``FULL_ROUNDS`` (n <= 128) the first stage does all
+    K rounds and S is the core: below that the second stage saves less than
+    its bookkeeping costs.
+
+    The core, about sqrt(pi n / 2) of n elements, is compacted too, and
+    only there does pointer doubling find each element's orbit minimum,
+    which labels its cycle.  An element's component is the cycle it lands
+    on, which does not depend on m: each point of S takes the label of the
+    cycle its power lands on, and one gather through f**16 labels every
+    cell (:func:`_component_pairs`, skipped when ``components`` is false,
+    which leaves ``components`` None).  Everything else is bincounts, whose
+    nonzero entries are the groups.
 
     Working memory is three index arrays and a mask of B*n entries each,
-    plus arrays the size of the core; callers bound it by the number of rows
-    they pass.  ``scratch``, from :func:`_decomposition_scratch` for at least
-    B*n cells, lends those arrays, so that a caller decomposing many blocks
-    allocates them once.
+    plus arrays the size of S; callers bound it by the number of rows they
+    pass.  ``scratch``, from :func:`_decomposition_scratch` for at least
+    B*n cells, lends the first four, so that a caller decomposing many
+    blocks allocates them once.
     """
     images = np.asarray(images)
     batch, n = images.shape
     cells = batch * n
     if scratch is None:
         scratch = _decomposition_scratch(cells)
-    landed, spare, at, is_core = (array[:cells] for array in scratch)
+    landed, spare, at, mask = (array[:cells] for array in scratch)
     np.add(images, np.arange(0, cells, n)[:, None], out=landed.reshape(batch, n))
     rounds = (n - 1).bit_length()
-    for _ in range(rounds):  # mode="clip" skips take's bounds check, and its copy
+    full = FULL_ROUNDS if rounds >= 2 * FULL_ROUNDS else rounds
+    for _ in range(full):  # mode="clip" skips take's bounds check, and its copy
         np.take(landed, landed, out=spare, mode="clip")
         landed, spare = spare, landed
-    is_core[:] = False
-    is_core[landed] = True
-    core = np.flatnonzero(is_core)
+    image = _image_of(landed, mask)
+    power = None
+    core = image
+    if full < rounds:
+        # the power on S, through a flat-to-S map whose entries off S are
+        # never read
+        at[image] = np.arange(image.size)
+        power = at[landed[image]]
+        for _ in range(rounds - full):
+            power = power[power]
+        core = image[_image_of(power, mask[:image.size])]
     # the core's successor map on core positions, through a flat-to-core map
     # whose entries off the core are never read
     at[core] = np.arange(core.size)
@@ -186,19 +219,46 @@ def decompose_batch(images: np.ndarray, scratch: tuple | None = None) -> Decompo
     for _ in range(rounds):
         np.minimum(cycle, cycle[hop], out=cycle)
         hop = hop[hop]
-    at[core] = cycle
-    component = np.take(at, landed, out=spare, mode="clip")
     return DecompositionBatch(
-        _label_pairs(component, core, n),
+        _component_pairs(cycle, core, image, power, landed, at, spare, n) if components else None,
         _label_pairs(cycle, core, n),
         core,
     )
 
 
+def _image_of(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The distinct entries of ``values``, ascending, marked in ``mask``
+    (one entry per possible value)."""
+    mask[:] = False
+    mask[values] = True
+    return np.flatnonzero(mask)
+
+
+def _component_pairs(
+    cycle: np.ndarray,
+    core: np.ndarray,
+    image: np.ndarray,
+    power: np.ndarray | None,
+    landed: np.ndarray,
+    at: np.ndarray,
+    out: np.ndarray,
+    n: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (row, size) pairs of the components of :func:`decompose_batch`.
+    Each core point takes its cycle label, then each point of the image S
+    the label of the core point it lands on, ``image[power]`` (S is the core
+    when ``power`` is None); ``landed`` maps every cell into S, so one
+    gather through it labels every cell, in ``out``."""
+    at[core] = cycle
+    if power is not None:
+        at[image] = at[image[power]]
+    return _label_pairs(np.take(at, landed, out=out, mode="clip"), core, n)
+
+
 def _decomposition_scratch(cells: int) -> tuple[np.ndarray, ...]:
     """Working arrays that :func:`decompose_batch` borrows for up to
     ``cells`` cells: two index buffers that the squaring passes between,
-    the flat-to-core map and the core mask."""
+    the flat-to-image map and the image mask."""
     return (*np.empty((3, cells), dtype=np.intp), np.empty(cells, dtype=bool))
 
 
@@ -217,9 +277,12 @@ def _label_pairs(labels: np.ndarray, core: np.ndarray, n: int) -> tuple[np.ndarr
 
 #: Cells (rows times row width) a batch kernel works on at once.  A chunk of
 #: this size keeps a direct-route batch under about 6 MB (traced) whatever
-#: its size.  In a sweep of 10 000-row batches at n = 1000 (2-vCPU host),
-#: chunks of 2**16 to 2**19 cells took 0.37-0.43 s of CPU a batch, 2**15
-#: cells 0.42-0.44 s and 2**21 cells 0.52 s.
+#: its size.  Swept for the two-stage :func:`decompose_batch` (CPU of one
+#: direct batch, median of 11 alternating runs, 2-vCPU host): chunks of
+#: 2**15 to 2**19 cells took 0.16-0.19 s at n = 100 (40 000 rows),
+#: 0.33-0.37 s at n = 1000 (10 000 rows) and 0.25-0.28 s at n = 2000 (5000
+#: rows), and no size beat 2**17 at all three.  Before the split, 2**21
+#: cells took 0.52 s at n = 1000.
 CHUNK_CELLS = 1 << 17
 
 
@@ -269,44 +332,54 @@ def _tally_pairs(
     return repeated[np.diff(repeated, prepend=-1) > 0]
 
 
-#: The tally keys of whole mappings, which :func:`_tally_mappings` fills.
-_MAPPING_KEYS = (
-    "comp_sum", "comp_sumsq", "cyc_sum", "cyc_sumsq", "scream_hist", "core_hist", "no_repeat",
-)
+#: The tally keys of whole mappings that the core alone gives: cycles,
+#: screaming pairs and core sizes.
+_CORE_KEYS = ("cyc_sum", "cyc_sumsq", "scream_hist", "core_hist")
+
+#: The tally keys that need every cell's component label.
+_COMPONENT_KEYS = ("comp_sum", "comp_sumsq", "no_repeat")
+
+#: Every tally key of whole mappings.
+_MAPPING_KEYS = (*_COMPONENT_KEYS, *_CORE_KEYS)
 
 
 def _tally_mappings(
     tally: dict, images: np.ndarray, scratch: tuple | None = None
 ) -> DecompositionBatch:
     """Decompose a (rows, n) block of mappings, in ``scratch`` if given (see
-    :func:`decompose_batch`), and fold its component and cycle pairs into a
-    tally with the keys ``_MAPPING_KEYS``; returns the block's
-    decomposition.  The direct route and the brute-force oracle both fold
-    through here."""
-    dec = decompose_batch(images, scratch)
+    :func:`decompose_batch`), and fold it into a tally with the keys
+    ``_CORE_KEYS``, and ``_COMPONENT_KEYS`` too if it has ``comp_sum``: only
+    then are the components labelled.  Returns the block's decomposition.
+    The direct route and the brute-force oracle both fold through here."""
+    components = "comp_sum" in tally
+    dec = decompose_batch(images, scratch, components)
     rows, n = images.shape
-    comp_repeats = _tally_pairs(tally, "comp", *dec.components, rows)
     cyc_repeats = _tally_pairs(tally, "cyc", *dec.cycles, rows)
     core_sizes = np.bincount(dec.core // n, minlength=rows)
     tally["core_hist"] += np.bincount(core_sizes, minlength=tally["core_hist"].size)
-    either = np.zeros(rows, dtype=bool)  # a row mask: np.union1d would import numpy.ma
-    either[comp_repeats] = either[cyc_repeats] = True
-    tally["no_repeat"] += [
-        rows - comp_repeats.size, rows - cyc_repeats.size, rows - np.count_nonzero(either)
-    ]
+    if components:
+        comp_repeats = _tally_pairs(tally, "comp", *dec.components, rows)
+        either = np.zeros(rows, dtype=bool)  # a row mask: np.union1d would import numpy.ma
+        either[comp_repeats] = either[cyc_repeats] = True
+        tally["no_repeat"] += [
+            rows - comp_repeats.size, rows - cyc_repeats.size, rows - np.count_nonzero(either)
+        ]
     return dec
 
 
 def toes_mapping_counts_batch(
-    n: int, count: int, rng: np.random.Generator
+    n: int, count: int, rng: np.random.Generator, keys: Iterable[str] = _MAPPING_KEYS
 ) -> dict[str, np.ndarray]:
-    """Tallies (keys ``_MAPPING_KEYS``) of ``count`` uniform fixed-point-free
-    mappings by the direct route, drawn and decomposed in chunks of
-    :func:`chunk_rows` rows; the chunks' draws are the batch's draws, so the
-    tallies do not depend on the chunk size.  Every chunk is decomposed in
-    one set of working arrays, allocated once per batch: fresh ones per
-    chunk would be mapped and page-faulted in again each time."""
-    tally = zero_tally(n, *_MAPPING_KEYS)
+    """Tallies of ``count`` uniform fixed-point-free mappings by the direct
+    route: the keys ``_CORE_KEYS``, and ``_COMPONENT_KEYS`` too when
+    ``keys`` names one of them, the only case in which components are
+    labelled.  The mappings are drawn and decomposed in chunks of
+    :func:`chunk_rows` rows; the chunks' draws are the batch's draws, so no
+    tally depends on the chunk size or on ``keys``.  Every chunk is
+    decomposed in one set of working arrays, allocated once per batch: fresh
+    ones per chunk would be mapped and page-faulted in again each time."""
+    components = _COMPONENT_KEYS if any(key in _COMPONENT_KEYS for key in keys) else ()
+    tally = zero_tally(n, *components, *_CORE_KEYS)
     step = chunk_rows(n)
     scratch = _decomposition_scratch(min(step, count) * n)
     for done in range(0, count, step):

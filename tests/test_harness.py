@@ -119,6 +119,19 @@ class TestConfig:
             ExperimentConfig(n=bound + 1, tables=(table,))
 
     @pytest.mark.parametrize("table", sorted(harness._SPECS))
+    def test_reads_names_the_keys_of_the_simulated_column(self, table):
+        # the keys a table's batches fill, which are passed to the workers
+        # before any cell is built, are the keys its cells read
+        config = ExperimentConfig(n=6, replicates=0, tables=(table,))
+        keys = set()
+        for _, _, kind, key, _ in harness._SPECS[table].cells(config):
+            if kind == "mean":
+                keys.update((f"{key}_sum", f"{key}_sumsq"))
+            elif kind is not None:
+                keys.add(key)
+        assert set(harness._SPECS[table].reads) == keys
+
+    @pytest.mark.parametrize("table", sorted(harness._SPECS))
     def test_standard_flag_matches_the_cells(self, table):
         report = run_table(ExperimentConfig(n=4, replicates=0, tables=(table,)))
         has_standard = any("_std[" in r.name for r in report.records)
@@ -229,7 +242,7 @@ def _assert_tallies_merged_on_arrival(workers):
     place of the exact columns; with a pool, the tallies that arrive meanwhile
     must be merged, not queued behind it."""
     config = ExperimentConfig(n=1000, replicates=2000, batch_size=1, tables=(), workers=workers)
-    tasks = harness._batch_tasks(config, ["core-joint"])
+    tasks = harness._batch_tasks(config, {"core-joint": harness._SPECS["core"].reads})
     samplers._core_size_cdf(1000)  # the cached exact CDF is set-up, not tally memory
 
     def build():
@@ -388,9 +401,10 @@ class TestEmit:
 
 def _no_repeat_shares(n, reps, seed, **config):
     """The direct route's (no repeated component size, no repeated cycle
-    length, neither) shares; a config with no table builds no exact column."""
+    length, neither) shares, from batches that fill the repeats table's
+    tally; a config with no table builds no exact column, and takes any n."""
     config = ExperimentConfig(n=n, replicates=reps, seed=seed, tables=(), **config)
-    tasks = harness._batch_tasks(config, ["direct"])
+    tasks = harness._batch_tasks(config, {"direct": harness._SPECS["repeats"].reads})
     tally = harness._simulate(tasks, config.resolved_workers(), lambda: None)[0]["direct"]
     assert tally["replicates"] == reps
     return tuple(float(c / reps) for c in tally["no_repeat"])
@@ -467,6 +481,28 @@ class TestCli:
         ])
         assert rc == 0
         assert "scream_pmf[k=0]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, labelled", [
+        (["simulate", "--table", "cycles", "--n", "300"], False),
+        (["tables", "--tables", "cycles,core,scream", "--n", "300"], False),
+        (["tables", "--tables", "cycles,components", "--n", "300"], True),
+        (["tables", "--tables", "repeats", "--n", "60"], True),
+    ], ids=["cycles", "cycles-core-scream", "with-components", "repeats"])
+    def test_direct_route_labels_components_only_for_a_table_that_reads_them(
+        self, argv, labelled, monkeypatch, capsys
+    ):
+        def no_labelling(*args):
+            raise AssertionError("components labelled")
+
+        monkeypatch.setattr(samplers, "_component_pairs", no_labelling)
+        argv += ["--method", "direct", "--reps", "600", "--batch-size", "300", "--workers", "1",
+                 "--format", "csv"]
+        if labelled:
+            with pytest.raises(AssertionError, match="components labelled"):
+                cli.main(argv)
+        else:
+            assert cli.main(argv) == 0
+            assert "mean_cycles[j=2]" in capsys.readouterr().out
 
     def test_validate_cli(self, capsys):
         assert cli.main(["validate", "--n", "3"]) == 0
@@ -573,8 +609,8 @@ class TestCli:
     def test_exact_at_its_bound_is_within_budget(self, table, records, capsys):
         # both models and the json emit, the costliest format: 1.8-3.9 s on
         # a 2-vCPU host (Python 3.11); the budget is that of the scream table
-        for law in (laws._component_means, laws._cycle_means, laws._core_size_law,
-                    laws.core_size_counts):
+        for law in (laws._component_means, laws._checked_connected_count, laws._cycle_means,
+                    laws._core_size_law, laws.core_size_counts):
             law.cache_clear()
         n = harness._SPECS[table].max_n
         started = time.perf_counter()

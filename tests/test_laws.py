@@ -121,6 +121,22 @@ class TestComponentPmf:
         laws.component_pmf_table(n, "standard")
 
 
+@pytest.fixture
+def fresh_component_caches():
+    """Clear both caches behind the component means, the per-n tables and
+    the per-size checked T_j, before a test that patches what they are
+    built from (an entry built earlier would hide the patch) and after it
+    (an entry built under the patch would outlive it)."""
+
+    def clear():
+        laws._component_means.cache_clear()
+        laws._checked_connected_count.cache_clear()
+
+    clear()
+    yield
+    clear()
+
+
 class TestComponentMeans:
     def test_reference_values(self):
         assert format_fixed(laws.mean_component_count(10, 2, "toes")) == "0.0744"
@@ -147,22 +163,19 @@ class TestComponentMeans:
                 laws.mean_component_count(n, j, "standard")
 
     @pytest.mark.parametrize("model", ["toes", "standard"])
-    def test_forms_are_independent(self, model, monkeypatch):
+    def test_forms_are_independent(self, model, monkeypatch, fresh_component_caches):
         # a Poisson partial sum off by one term moves the intensity form
-        # only: the count form's T_j never calls it.  The cached table is
-        # cleared, or a table built before the patch would be read back
-        laws._component_means.cache_clear()
+        # only: the count form's T_j never calls it
         exact_sum = laws.poisson_partial_sum
         monkeypatch.setattr(laws, "poisson_partial_sum", lambda rate, k: exact_sum(rate, k - 1))
         with pytest.raises(laws.ConsistencyError, match="forms disagree"):
             laws.mean_component_count(10, 4, model)
 
     @pytest.mark.parametrize("model", ["toes", "standard"])
-    def test_sum_rule_checks_the_shared_factor(self, model, monkeypatch):
+    def test_sum_rule_checks_the_shared_factor(self, model, monkeypatch, fresh_component_caches):
         # both forms multiply by the mappings outside the j-set, so shifting
         # that count at one j leaves them agreeing; only the sum rule
         # sum_j j C(n,j) T_j (b-j)**(n-j) = n b**n sees it
-        laws._component_means.cache_clear()
         outside = laws._mappings_outside
         monkeypatch.setattr(
             laws, "_mappings_outside", lambda n, m, model: outside(n, m, model) + (m == 4)
@@ -171,16 +184,31 @@ class TestComponentMeans:
             laws.mean_component_count(10, 4, model)
 
     @pytest.mark.parametrize("model", ["toes", "standard"])
-    def test_identity_checks_each_connected_count(self, model, monkeypatch):
+    def test_identity_checks_each_connected_count(self, model, monkeypatch, fresh_component_caches):
         # the count form reads T_j, the intensity form j! e**j lambda_j: one
         # T_j moved by 1 is caught at its own size, before the sum rule
-        laws._component_means.cache_clear()
         connected = laws._connected_count
         monkeypatch.setattr(
             laws, "_connected_count", lambda size, model: connected(size, model) + (size == 4)
         )
         with pytest.raises(laws.ConsistencyError, match="forms disagree at j=4"):
             laws.mean_component_count(10, 4, model)
+
+    @pytest.mark.parametrize("model", ["toes", "standard"])
+    def test_each_connected_count_is_checked_once(self, model, monkeypatch, fresh_component_caches):
+        # T_j and its identity do not depend on n: a table at n = 12 after
+        # one at n = 11 counts and checks T_12 alone, and the sum rule still
+        # runs at each n
+        sizes = []
+        connected = laws._connected_count
+        monkeypatch.setattr(
+            laws, "_connected_count", lambda size, model: sizes.append(size) or connected(size, model)
+        )
+        laws.mean_component_count(11, 2, model)
+        first = sizes[:]
+        laws.mean_component_count(12, 2, model)
+        assert first == list(range(laws._shortest_cycle(model), 12))
+        assert sizes[len(first):] == [12]
 
     def test_one_table_build_per_n_and_model(self):
         laws._component_means.cache_clear()

@@ -198,6 +198,22 @@ class TestDecompose:
         for lo in range(0, len(images), step):
             _assert_batch_matches_walk(images[lo:lo + step], n, scratch)
 
+    @pytest.mark.parametrize("full_rounds", [samplers.FULL_ROUNDS, 2])
+    @pytest.mark.parametrize("n", [15, 16, 17, 31, 32, 33, 64, 65, 128, 129, 256, 257])
+    def test_two_stages_match_the_walk(self, n, full_rounds, monkeypatch):
+        """The two-stage kernel against the scalar walk, on random toes
+        rows, random rows with fixed points and the rows of
+        :func:`_adversarial_rows`.  At the default ``FULL_ROUNDS`` the
+        second stage starts at n = 129; with 2 full rounds it starts at
+        n = 9, so that every n here takes both stages, on both sides of each
+        boundary of K = ceil(log2 n)."""
+        monkeypatch.setattr(samplers, "FULL_ROUNDS", full_rounds)
+        rng = np.random.default_rng(n)
+        images = np.vstack([
+            sample_mappings_batch(n, 40, rng), rng.integers(0, n, (10, n)), _adversarial_rows(n),
+        ])
+        _assert_batch_matches_walk(images, n)
+
 
 class TestEsfProposals:
     """ESF(1/2) proposals of the rejection route, drawn given a_1 = 0."""
@@ -314,6 +330,18 @@ def _extreme_rows(n, rng):
         np.where(i < 2, 1 - i, 0),  # a star into a 2-cycle
         np.zeros(n, dtype=np.int64),  # a star into a fixed point
     ])
+
+
+def _adversarial_rows(n):
+    """Toes rows that stress the two stages of decompose_batch: the longest
+    tail, i -> i+1 for i <= n-3 and n-2 <-> n-1, whose height n-2 leaves
+    the image of f**16 a path that every second-stage round shortens; one
+    n-cycle, whose image and core are every point; and all 2-cycles, the
+    last point of an odd n mapping into the first pair."""
+    i = np.arange(n)
+    pairs = i ^ 1
+    pairs[pairs == n] = 0
+    return np.array([np.where(i < n - 2, i + 1, 2 * n - 3 - i), (i + 1) % n, pairs])
 
 
 def _accepted(n, reps, rng):
@@ -701,7 +729,7 @@ class TestChunkedTallies:
         assert 0 < no_comp.sum() < reps and 0 < no_cyc.sum() < reps
         assert 0 < want["scream_hist"][0] < reps
         monkeypatch.setattr(samplers, "CHUNK_CELLS", 40)  # 4 rows a chunk
-        got = harness._simulate_batch(("direct", n, seed, reps))
+        got = harness._simulate_batch(("direct", n, seed, reps, samplers._MAPPING_KEYS))
         assert sorted(got) == sorted(want)
         for key, value in want.items():
             assert np.array_equal(got[key], value), key
@@ -716,6 +744,19 @@ class TestChunkedTallies:
         assert sorted(small) == sorted(large)
         for key, value in large.items():
             assert np.array_equal(small[key], value), key
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 17, 1000])
+    def test_direct_route_without_components(self, n):
+        # a batch that reads no component key labels no component, and its
+        # core tallies are the full batch's, from the same draws
+        full = samplers.toes_mapping_counts_batch(n, 500, np.random.default_rng(n))
+        core = samplers.toes_mapping_counts_batch(
+            n, 500, np.random.default_rng(n), ("cyc_sum", "scream_hist")
+        )
+        assert sorted(full) == sorted(samplers._MAPPING_KEYS)
+        assert sorted(core) == sorted(samplers._CORE_KEYS)
+        for key, value in core.items():
+            assert np.array_equal(value, full[key]), key
 
     def test_core_joint_route_n10(self, monkeypatch):
         n, reps, seed, block = 10, 3000, 4343, 700
@@ -767,11 +808,14 @@ class TestMemoryBound:
         assert peak < 16
 
     def test_direct_batch(self):
-        # one chunk of 2**17 cells and its scratch arrays trace 4.4-6.2 MB,
-        # whatever the batch size (6.2 MB when the call is the process's
-        # first and also fills caches); the bound is 60 % above that.
-        # Chunks of 2**21 cells took 74 MB.
-        peak = _traced_peak_mb(harness._simulate_batch, ("direct", 1000, 951, 5_000))
+        # one chunk of 2**17 cells, its scratch arrays and the second
+        # stage's arrays the size of the image of f**16 trace 4.8-5.5 MB,
+        # whatever the batch size (4.4-6.2 MB with one stage, 6.2 MB when the
+        # call was the process's first and also filled caches); the bound is
+        # 60 % above that.  Chunks of 2**21 cells took 74 MB.
+        peak = _traced_peak_mb(
+            harness._simulate_batch, ("direct", 1000, 951, 5_000, samplers._MAPPING_KEYS)
+        )
         assert peak < 10
 
     def test_brute_force_oracle(self):
