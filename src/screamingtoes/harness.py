@@ -30,9 +30,10 @@ enumeration against the closed forms with exact equality.
 
 from __future__ import annotations
 
-import contextlib
+import decimal
 import json
 import math
+import multiprocessing
 import os
 import sys
 import time
@@ -54,21 +55,26 @@ REPORT_SCHEMA = "screamingtoes-report/1"
 
 _T = TypeVar("_T")
 
-#: Digits of the int<->str conversions that emit and parse_report allow
-#: themselves: exact rationals at n = 10**4 have tens of thousands of
-#: digits, past the interpreter's default guard.
-INT_STR_DIGITS = 1_000_000
-
 #: The n values of the reference probability-of-a-scream table.
 Q_TABLE_NS = (5, 10, 15, 20, 30, 40, 50, 60, 70, 80, 90, 100, 1000, 10000)
 
-METHODS = ("direct", "rejection", "core-joint", "brute-force")
+#: Each sampling route's first spawn-key word and the name of its batch
+#: kernel in :mod:`samplers`, looked up per batch so that module wrappers see it.
+_ROUTES = {
+    "direct": (1, "toes_mapping_counts_batch"),
+    "rejection": (2, "toes_component_counts_batch"),
+    "core-joint": (3, "toes_core_cycle_counts_batch"),
+}
+METHODS = (*_ROUTES, "brute-force")
 
 #: The models a run can report: either one alone, or both side by side.
 REPORT_MODELS = ("toes", "standard", "both")
 
-#: The first spawn-key word of each simulation kind's batch streams.
-_KIND_KEY = {"direct": 1, "rejection": 2, "core-joint": 3}
+#: Most batches of one simulation kind that a run draws.  A run builds every
+#: batch's task, its seed included, and submits them all to the pool at
+#: once, which holds each until the run ends: about 2.5 KB a batch (measured
+#: at n = 10), so the bound keeps that to about 25 MB.
+MAX_BATCHES = 10_000
 
 #: The bit generator of ``np.random.default_rng``, behind every batch stream;
 #: the report metadata names it.  (Touching ``np.random`` here would import
@@ -112,6 +118,12 @@ class ExperimentConfig:
             raise ValueError("replicates must be nonnegative")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
+        batches = -(-self.replicates // self.batch_size)
+        if batches > MAX_BATCHES:
+            raise ValueError(
+                f"{self.replicates} replicates in batches of {self.batch_size} make {batches} "
+                f"batches, above the bound of {MAX_BATCHES}; raise --batch-size"
+            )
         most_workers = 4 * default_workers()  # a pool forks every worker at its first task
         if self.workers is not None and not 1 <= self.workers <= most_workers:
             raise ValueError(f"workers must be between 1 and {most_workers} (4 per CPU)")
@@ -181,48 +193,52 @@ class ExperimentReport:
 # ---------------------------------------------------------------------------
 # Table specs
 
-#: One report cell before its simulated column is filled:
-#: (name, exact, kind, tally key, index).  ``kind`` says how the simulated
-#: column is estimated: "mean" (tally ``key_sum``/``key_sumsq`` at the index),
-#: "pmf" (histogram ``key`` at the index), "ratio" (replicates over the
-#: ``key`` count) or None (no simulated column).
-Cell = tuple[str, Fraction | float | None, str | None, str | None, int | None]
+#: One report cell before its simulated column is filled: (name, exact,
+#: index read by its table's statistic, or None for no simulated column).
+Cell = tuple[str, Fraction | float | None, int | None]
 
 
 @dataclass(frozen=True)
 class TableSpec:
     """One report table.  The first of ``methods`` fills it when no method
-    is forced; an exact-only table has none.  ``reads`` names the tally
-    keys its simulated column reads, which the batches of its method must
-    fill.  ``max_n`` bounds the n of a run that asks for it; ``standard``
-    says whether it has standard-model cells beside the toes ones."""
+    is forced; an exact-only table has none.  ``statistic``, (kind, key),
+    estimates its simulated column from a tally: "mean" (``key_sum`` and
+    ``key_sumsq`` at a cell's index), "pmf" (histogram ``key`` at the index)
+    or "ratio" (replicates over the ``key`` count).  ``max_n`` bounds the n
+    of a run; ``standard`` says whether it has standard-model cells."""
 
     name: str
     aliases: tuple[str, ...]
     title: str
     methods: tuple[str, ...]
-    reads: tuple[str, ...]
+    statistic: tuple[str, str] | None
     cells: Callable[[ExperimentConfig], Iterator[Cell]]
     max_n: int
     standard: bool = False
 
+    @property
+    def reads(self) -> tuple[str, ...]:
+        """The tally keys the statistic reads, which its method's batches fill."""
+        if self.statistic is None:
+            return ()
+        kind, key = self.statistic
+        return (f"{key}_sum", f"{key}_sumsq") if kind == "mean" else (key,)
+
 
 def _q_cells(config: ExperimentConfig) -> Iterator[Cell]:
     for n in (config.n,) if config.n is not None else Q_TABLE_NS:
-        yield f"q[n={n}]", laws.prob_someone_screams(n), None, None, None
+        yield f"q[n={n}]", laws.prob_someone_screams(n), None
 
 
-def _paired_cells(
-    stat: str, var: str, law: Callable, kind: str, key: str, config: ExperimentConfig
-) -> Iterator[Cell]:
+def _paired_cells(stat: str, var: str, law: Callable, config: ExperimentConfig) -> Iterator[Cell]:
     """The toes cells of a statistic, then its standard-model column, each
     from ``law(n, model)`` and built only when the run reports that model."""
     if config.model != "standard":
         for i, exact in law(config.size, "toes").items():
-            yield f"{stat}[{var}={i}]", exact, kind, key, i
+            yield f"{stat}[{var}={i}]", exact, i
     if config.model != "toes":
         for i, exact in law(config.size, "standard").items():
-            yield f"{stat}_std[{var}={i}]", exact, None, None, None
+            yield f"{stat}_std[{var}={i}]", exact, None
 
 
 def _component_mean_table(n: int, model: str) -> dict:
@@ -237,24 +253,24 @@ def _component_mean_table(n: int, model: str) -> dict:
 def _scream_cells(config: ExperimentConfig) -> Iterator[Cell]:
     n = config.size
     for k in range(0, n // 2 + 1):
-        yield f"scream_pmf[k={k}]", laws.scream_pmf(n, k), "pmf", "scream_hist", k
+        yield f"scream_pmf[k={k}]", laws.scream_pmf(n, k), k
 
 
 def _repeat_cells(config: ExperimentConfig) -> Iterator[Cell]:
     exact = laws.prob_no_repeated_sizes(config.size)
     for idx, name in enumerate(("no_repeat_components", "no_repeat_cycles", "no_repeat_either")):
-        yield name, exact[idx], "pmf", "no_repeat", idx
+        yield name, exact[idx], idx
 
 
 def _acceptance_cells(config: ExperimentConfig) -> Iterator[Cell]:
     exact = samplers.exact_acceptance_probability(config.size)
-    yield "acceptance_rate", exact, "ratio", "attempts", None
+    yield "acceptance_rate", exact, 0
 
 
 #: Every report table, by canonical name.  Each ``max_n`` is chosen from the
 #: time ``exact --format json`` takes there (single runs, 2-vCPU host, Python
-#: 3.11, every model of the table): q 2.0-2.2 s at n = 40 000 and 3.1-3.3 s
-#: at 50 000; components 2.0-2.2 s at n = 1000 (1.1 s for one model) and
+#: 3.11, every model of the table): q 2.2 s at n = 60 000 and 2.8 s at
+#: 70 000; components 2.0-2.2 s at n = 1000 (1.1 s for one model) and
 #: 7.3 s at 1500, most of it the mean tables; cycles 2.5 s at n = 2000 and
 #: 7.4 s at 3000, core 2.0 s at n = 1500 and 4.3 s at 2000, and scream
 #: 2.9-3.2 s at n = 3000 and 9 s at 4000, most of these three the emit of
@@ -264,39 +280,39 @@ _SPECS = {
     spec.name: spec
     for spec in (
         TableSpec(
-            "q", ("1",), "Probability that at least one pair screams", (), (), _q_cells,
-            max_n=40_000,
+            "q", ("1",), "Probability that at least one pair screams", (), None, _q_cells,
+            max_n=60_000,
         ),
         TableSpec(
             "components", ("2", "component-means"), "Mean number of components by size",
-            ("rejection", "direct", "brute-force"), ("comp_sum", "comp_sumsq"),
-            partial(_paired_cells, "mean_components", "j", _component_mean_table, "mean", "comp"),
+            ("rejection", "direct", "brute-force"), ("mean", "comp"),
+            partial(_paired_cells, "mean_components", "j", _component_mean_table),
             max_n=1000, standard=True,
         ),
         TableSpec(
             "scream", ("3", "scream-pmf"), "Distribution of the number of screaming pairs",
-            ("core-joint", "direct", "brute-force"), ("scream_hist",), _scream_cells,
+            ("core-joint", "direct", "brute-force"), ("pmf", "scream_hist"), _scream_cells,
             max_n=laws.SCREAM_MAX_N,
         ),
         TableSpec(
             "cycles", ("cycle-means",), "Mean number of core cycles by length",
-            ("core-joint", "direct", "brute-force"), ("cyc_sum", "cyc_sumsq"),
-            partial(_paired_cells, "mean_cycles", "j", laws.cycle_mean_table, "mean", "cyc"),
+            ("core-joint", "direct", "brute-force"), ("mean", "cyc"),
+            partial(_paired_cells, "mean_cycles", "j", laws.cycle_mean_table),
             max_n=2000, standard=True,
         ),
         TableSpec(
             "core", ("core-size",), "Distribution of the core size",
-            ("core-joint", "direct", "brute-force"), ("core_hist",),
-            partial(_paired_cells, "core_size", "r", laws.core_size_table, "pmf", "core_hist"),
+            ("core-joint", "direct", "brute-force"), ("pmf", "core_hist"),
+            partial(_paired_cells, "core_size", "r", laws.core_size_table),
             max_n=1500, standard=True,
         ),
         TableSpec(
             "repeats", ("repeated-sizes",), "Probability of no repeated sizes",
-            ("direct", "brute-force"), ("no_repeat",), _repeat_cells, max_n=laws.REPEATS_MAX_N,
+            ("direct", "brute-force"), ("pmf", "no_repeat"), _repeat_cells, max_n=laws.REPEATS_MAX_N,
         ),
         TableSpec(
             "acceptance", ("acceptance-rate",), "Rejection-sampler acceptance rate",
-            ("rejection",), ("attempts",), _acceptance_cells, max_n=samplers.ACCEPTANCE_MAX_N,
+            ("rejection",), ("ratio", "attempts"), _acceptance_cells, max_n=samplers.ACCEPTANCE_MAX_N,
         ),
     )
 }
@@ -311,21 +327,12 @@ TABLE_ALIASES = {
 
 
 def _simulate_batch(task: tuple) -> dict:
-    """One batch of one simulation kind, drawn from ``default_rng`` of the
-    task's seed (an int or a ``SeedSequence``); returns integer tallies only
-    (keys as in :func:`samplers.zero_tally`).  The task's last entry names
-    the tally keys that the run reads; the direct route labels components
-    only when they are among them, and the other routes fill fixed keys."""
+    """One batch's integer tally, by its route's kernel from ``default_rng``
+    of the task's seed (an int or a ``SeedSequence``) and with the tally
+    keys the run reads (the task's last entry), which only direct heeds."""
     kind, n, seed, size, reads = task
-    rng = np.random.default_rng(seed)
-    if kind == "direct":
-        return {"replicates": size, **samplers.toes_mapping_counts_batch(n, size, rng, reads)}
-    if kind == "rejection":
-        tally, attempts = samplers.toes_component_counts_batch(n, size, rng)
-        return {"replicates": size, "attempts": attempts, **tally}
-    if kind == "core-joint":
-        return {"replicates": size, **samplers.toes_core_cycle_counts_batch(n, size, rng)}
-    raise ValueError(f"unknown simulation kind {kind!r}")
+    kernel = getattr(samplers, _ROUTES[kind][1])
+    return kernel(n, size, np.random.default_rng(seed), reads)
 
 
 def _merge_tallies(parts: Iterable[tuple[str, dict]]) -> dict[str, dict]:
@@ -351,7 +358,7 @@ def _batch_tasks(config: ExperimentConfig, reads: dict[str, Iterable[str]]) -> l
     for kind, keys in reads.items():
         keys = tuple(sorted(keys))
         for k, done in enumerate(range(0, total, config.batch_size)):
-            seed = np.random.SeedSequence(root, spawn_key=(_KIND_KEY[kind], k))
+            seed = np.random.SeedSequence(root, spawn_key=(_ROUTES[kind][0], k))
             tasks.append((kind, config.size, seed, min(config.batch_size, total - done), keys))
     return tasks
 
@@ -370,12 +377,20 @@ def _simulate(
     no worker is forked from a process this function made multi-threaded,
     and no tally waits for ``build`` to finish.  Otherwise the batches are
     drawn one by one here, then ``build`` runs.
+
+    On Linux the workers are forked whatever the platform's default start
+    method (forkserver from Python 3.14), so they start without importing
+    the package again; elsewhere they start the platform's way.
     """
     kinds = [task[0] for task in tasks]
     workers = min(workers, len(tasks))
     if workers <= 1:
         return _merge_tallies(zip(kinds, map(_simulate_batch, tasks))), build()
-    with ProcessPoolExecutor(max_workers=workers) as pool, ThreadPoolExecutor(1) as helper:
+    context = multiprocessing.get_context("fork") if sys.platform.startswith("linux") else None
+    with (
+        ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool,
+        ThreadPoolExecutor(1) as helper,
+    ):
         results = pool.map(_simulate_batch, tasks)
         merged = helper.submit(_merge_tallies, zip(kinds, results))
         try:
@@ -422,10 +437,10 @@ def _table_records(
     a merged tally or None.  An exhaustive tally (the brute-force oracle's)
     gives exact frequencies, so its cells have no standard error or z."""
     records = []
-    for name, exact, kind, key, idx in cells:
+    for name, exact, idx in cells:
         simulated = se = z = None
-        if kind is not None and exact is not None and source is not None:
-            simulated, se, z = _simulated_cell(source, kind, key, idx, exact)
+        if idx is not None and exact is not None and source is not None:
+            simulated, se, z = _simulated_cell(source, *_SPECS[table].statistic, idx, exact)
             if exhaustive:
                 se = z = None
         records.append(StatRecord(table, name, exact, simulated, se, z))
@@ -448,7 +463,7 @@ def run_table(config: ExperimentConfig) -> ExperimentReport:
     methods = [config.method_for(t) for t in config.tables] if config.replicates else []
     reads: dict[str, set[str]] = {}  # by kind, in the order the tables first use it
     for table, method in zip(config.tables, methods):
-        if method in _KIND_KEY:
+        if method in _ROUTES:
             reads.setdefault(method, set()).update(_SPECS[table].reads)
     sources, cells = _simulate(
         _batch_tasks(config, reads),
@@ -587,19 +602,84 @@ def validate(n: int, model: str = "toes") -> list[tuple[str, bool]]:
 # Serialisation
 
 
-@contextlib.contextmanager
-def _long_int_strings():
-    """Allow int<->str conversions of up to INT_STR_DIGITS digits inside the
-    block, and restore the interpreter's own limit after it (0 is none)."""
-    old = sys.get_int_max_str_digits()
-    raise_limit = 0 < old < INT_STR_DIGITS
-    if raise_limit:
-        sys.set_int_max_str_digits(INT_STR_DIGITS)
-    try:
-        yield
-    finally:
-        if raise_limit:
-            sys.set_int_max_str_digits(old)
+# Exact values of more than 4300 digits, the interpreter's default limit on
+# int<->str conversions (q_n at n = 10**4 has 38 185), are converted by
+# divide and conquer, which leaves that interpreter-wide limit alone and is
+# faster: CPython's own conversions are quadratic in the digits.
+
+def _plain_digits() -> int:
+    """Digits that ``str()`` and ``int()`` convert here: the interpreter's
+    default limit, or a lower one that the caller has set."""
+    limit = sys.get_int_max_str_digits()
+    default = sys.int_info.default_max_str_digits
+    return min(limit, default) if limit else default
+
+
+#: Exact arithmetic on decimal integers of any size, in libmpdec, whose
+#: multiplication is subquadratic.
+_EXACT_DECIMAL = decimal.Context(
+    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN, traps=[decimal.Inexact]
+)
+
+#: Bits of the pieces that :func:`_int_to_text` converts on their own, and
+#: digits of those that :func:`_text_to_int` does; both below 640, the least
+#: limit the interpreter takes.  Tuned on the n bounds of the cycles, core
+#: and scream tables.
+_PIECE_BITS = 2048
+_PIECE_DIGITS = 600
+
+
+@lru_cache(maxsize=None)  # one entry per doubling, up to the widest value converted
+def _decimal_power_of_two(i: int) -> decimal.Decimal:
+    """2**(_PIECE_BITS * 2**i) as a Decimal, squared up from i = 0."""
+    if i == 0:
+        return decimal.Decimal(1 << _PIECE_BITS)
+    half = _decimal_power_of_two(i - 1)
+    return _EXACT_DECIMAL.multiply(half, half)
+
+
+def _as_decimal(value: int) -> decimal.Decimal:
+    """``value`` >= 0 as a Decimal: split at the widest bit position
+    ``_PIECE_BITS * 2**i`` below its top bit, each part converted the same
+    way and the high one shifted by a cached power of two."""
+    bits = value.bit_length()
+    if bits <= _PIECE_BITS:
+        return decimal.Decimal(value)
+    i = ((bits - 1) // _PIECE_BITS).bit_length() - 1
+    low = _PIECE_BITS << i
+    high = _EXACT_DECIMAL.multiply(_as_decimal(value >> low), _decimal_power_of_two(i))
+    return _EXACT_DECIMAL.add(high, _as_decimal(value & ((1 << low) - 1)))
+
+
+def _int_to_text(value: int) -> str:
+    """``str(value)``, also for more digits than :func:`_plain_digits`."""
+    if value.bit_length() * math.log10(2) < _plain_digits():
+        return str(value)
+    return ("-" if value < 0 else "") + str(_as_decimal(abs(value)))
+
+
+@lru_cache(maxsize=None)  # one entry per doubling, up to the widest value converted
+def _power_of_ten(i: int) -> int:
+    """10**(_PIECE_DIGITS * 2**i), squared up from i = 0."""
+    return 10**_PIECE_DIGITS if i == 0 else _power_of_ten(i - 1) ** 2
+
+
+def _digits_to_int(text: str) -> int:
+    """The value of a string of decimal digits, split at the widest place
+    ``_PIECE_DIGITS * 2**i`` below its first digit like :func:`_as_decimal`."""
+    if len(text) <= _PIECE_DIGITS:
+        return int(text)
+    i = ((len(text) - 1) // _PIECE_DIGITS).bit_length() - 1
+    low = _PIECE_DIGITS << i
+    return _digits_to_int(text[:-low]) * _power_of_ten(i) + _digits_to_int(text[-low:])
+
+
+def _text_to_int(text: str) -> int:
+    """``int(text)`` for the output of :func:`_int_to_text`, also for more
+    digits than :func:`_plain_digits`."""
+    if len(text) <= _plain_digits():
+        return int(text)
+    return -_digits_to_int(text[1:]) if text.startswith("-") else _digits_to_int(text)
 
 
 #: Denominator strings that one ``emit`` call keeps.  A table's cells share
@@ -614,7 +694,7 @@ def _exact_fields(value, denominator_text: Callable[[int], str]) -> dict:
     if isinstance(value, Fraction):
         return {
             "exact": format_significant(value),
-            "exact_rational": f"{value.numerator}/{denominator_text(value.denominator)}",
+            "exact_rational": f"{_int_to_text(value.numerator)}/{denominator_text(value.denominator)}",
             "exact_float": None,
         }
     return {"exact": repr(float(value)), "exact_rational": None, "exact_float": float(value)}
@@ -627,13 +707,8 @@ def emit(report: ExperimentReport, format: str = "pretty") -> str:
     (rationals verbatim).  Wall time is carried on the object only and is
     never serialised, keeping equal-config runs byte-identical.
     """
-    with _long_int_strings():
-        return _serialise(report, format)
-
-
-def _serialise(report: ExperimentReport, format: str) -> str:
     if format == "json":
-        denominator_text = lru_cache(maxsize=_DENOMINATOR_TEXTS)(str)
+        denominator_text = lru_cache(maxsize=_DENOMINATOR_TEXTS)(_int_to_text)
         payload = {
             "schema": REPORT_SCHEMA,
             "metadata": report.metadata,
@@ -709,8 +784,7 @@ def parse_report(text: str) -> ExperimentReport:
     for r in payload["records"]:
         if r["exact_rational"] is not None:
             num, den = r["exact_rational"].split("/")
-            with _long_int_strings():
-                exact = Fraction(int(num), int(den))
+            exact = Fraction(_text_to_int(num), _text_to_int(den))
         elif r["exact_float"] is not None:
             exact = float(r["exact_float"])
         else:

@@ -187,25 +187,22 @@ def _scaled_intensity(j: int, model: Model) -> Fraction:
 OMEGA_EXACT_MAX_J = 100
 
 
-@lru_cache(maxsize=1)
-def _omega_exact() -> np.ndarray:
-    """w_j for j = 0..OMEGA_EXACT_MAX_J (zero below 2), each one correctly
-    rounded integer ratio: the Poisson partial sum up to j-2 over the sum up
-    to K = 2j + 200, which is e**j to far more bits than a float holds.
-    Both come from one running sum over the common denominator K!; about
-    10 ms for the whole table."""
-    w = np.zeros(OMEGA_EXACT_MAX_J + 1)
-    for j in range(2, OMEGA_EXACT_MAX_J + 1):
-        last = 2 * j + 200  # the terms past it are below 2**-250 of e**j for j <= 100
-        acc = power = head = 1  # acc = l! sum_{i<=l} j**i / i!, as in poisson_partial_sum
-        for l in range(1, last + 1):
-            power *= j
-            acc = acc * l + power
-            if l == j - 2:
-                head = acc
-        # (head / (j-2)!) / (acc / K!), rounded by one integer true division
-        w[j] = head * math.prod(range(j - 1, last + 1)) / acc
-    return w
+@lru_cache(maxsize=None)
+def _omega_exact(j: int) -> float:
+    """w_j for 2 <= j <= OMEGA_EXACT_MAX_J, one correctly rounded integer
+    ratio: the Poisson partial sum up to j-2 over the sum up to
+    K = 2j + 200, which is e**j to far more bits than a float holds.  Both
+    come from one running sum over the common denominator K!; each j is
+    computed on its own, about 10 ms for all of them."""
+    last = 2 * j + 200  # the terms past it are below 2**-250 of e**j for j <= 100
+    acc = power = head = 1  # acc = l! sum_{i<=l} j**i / i!, as in poisson_partial_sum
+    for l in range(1, last + 1):
+        power *= j
+        acc = acc * l + power
+        if l == j - 2:
+            head = acc
+    # (head / (j-2)!) / (acc / K!), rounded by one integer true division
+    return head * math.prod(range(j - 1, last + 1)) / acc
 
 
 def omega(j: np.ndarray) -> np.ndarray:
@@ -228,7 +225,7 @@ def omega(j: np.ndarray) -> np.ndarray:
         raise ValueError("w_j is defined for j >= 2")
     w = np.empty(j.shape)
     small = j <= OMEGA_EXACT_MAX_J
-    w[small] = _omega_exact()[j[small]]
+    w[small] = [_omega_exact(k) for k in j[small].tolist()]
     large = j[~small].astype(np.float64)
     x = 1.0 / large
     theta = 1 / 3 + x * (4 / 135 + x * (-8 / 2835 + x * (

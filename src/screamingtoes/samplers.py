@@ -13,11 +13,11 @@
 Every sampler takes a ``numpy.random.Generator`` and is bit-reproducible
 for a fixed seed and call sequence; the harness gives each batch its own
 generator, spawned from the master seed by numpy's ``SeedSequence``.  Each
-route has one implementation, a vectorised ``*_batch`` kernel;
-:func:`sample_mapping`, :func:`sample_toes_components` and
-:func:`sample_toes_core` are one-replicate calls of those kernels, and
-:func:`decompose` is one row of the decomposition kernel
-:func:`decompose_batch`.
+route has one implementation, a vectorised kernel that takes (n, count,
+rng, keys) and returns the batch's whole tally; :func:`sample_mapping`,
+:func:`sample_toes_components` and :func:`sample_toes_core` are
+one-replicate calls of the ``*_batch`` kernels, and :func:`decompose` is
+one row of the decomposition kernel :func:`decompose_batch`.
 
 Routes 2 and 3 share one kernel, :func:`_cycles_without_fixed_points`: it
 draws ESF(theta) conditioned on having no 1-cycle, one cycle at a time from
@@ -369,11 +369,11 @@ def _tally_mappings(
 
 def toes_mapping_counts_batch(
     n: int, count: int, rng: np.random.Generator, keys: Iterable[str] = _MAPPING_KEYS
-) -> dict[str, np.ndarray]:
+) -> dict:
     """Tallies of ``count`` uniform fixed-point-free mappings by the direct
-    route: the keys ``_CORE_KEYS``, and ``_COMPONENT_KEYS`` too when
-    ``keys`` names one of them, the only case in which components are
-    labelled.  The mappings are drawn and decomposed in chunks of
+    route: ``replicates``, the keys ``_CORE_KEYS``, and ``_COMPONENT_KEYS``
+    too when ``keys`` names one of them, the only case in which components
+    are labelled.  The mappings are drawn and decomposed in chunks of
     :func:`chunk_rows` rows; the chunks' draws are the batch's draws, so no
     tally depends on the chunk size or on ``keys``.  Every chunk is
     decomposed in one set of working arrays, allocated once per batch: fresh
@@ -384,7 +384,7 @@ def toes_mapping_counts_batch(
     scratch = _decomposition_scratch(min(step, count) * n)
     for done in range(0, count, step):
         _tally_mappings(tally, sample_mappings_batch(n, min(step, count - done), rng), scratch)
-    return tally
+    return {"replicates": count, **tally}
 
 
 #: Largest n that the brute-force oracle enumerates: 6**7, about 280 000
@@ -569,27 +569,27 @@ def _accepted_components(n: int, count: int, rng: np.random.Generator):
 
 
 def toes_component_counts_batch(
-    n: int, count: int, rng: np.random.Generator
-) -> tuple[dict[str, np.ndarray], int]:
-    """Tallies (``zero_tally`` keys ``comp_sum`` and ``comp_sumsq``) of
-    ``count`` component spectra of the toes mapping by rejection from
-    ESF(1/2), plus the number of proposals consumed through the last
-    acceptance; each chunk of :func:`_accepted_components` is tallied as it
-    comes."""
+    n: int, count: int, rng: np.random.Generator, keys: Iterable[str] = ()
+) -> dict:
+    """Tallies of ``count`` component spectra of the toes mapping by
+    rejection from ESF(1/2): ``replicates``, ``attempts`` (the proposals
+    consumed through the last acceptance) and the ``zero_tally`` keys
+    ``comp_sum`` and ``comp_sumsq``, whatever ``keys`` names.  Each chunk of
+    :func:`_accepted_components` is tallied as it comes."""
     if n < 2:
         raise ValueError("need n >= 2")
     tally = zero_tally(n, "comp_sum", "comp_sumsq")
     attempts = 0
     for rows, lengths, attempts in _accepted_components(n, count, rng):
         _tally_pairs(tally, "comp", rows, lengths, count)
-    return tally, attempts
+    return {"replicates": count, "attempts": attempts, **tally}
 
 
 def sample_toes_components(n: int, rng: np.random.Generator) -> tuple[Spectrum, int]:
     """One component-size spectrum of the toes mapping, plus the proposals
     it took: one replicate of :func:`toes_component_counts_batch`."""
-    tally, attempts = toes_component_counts_batch(n, 1, rng)
-    return _spectrum(tally["comp_sum"]), attempts
+    tally = toes_component_counts_batch(n, 1, rng)
+    return _spectrum(tally["comp_sum"]), tally["attempts"]
 
 
 #: Largest n of the exact acceptance probability: its O(n**2) recurrence takes
@@ -679,14 +679,13 @@ def derangement_cycle_counts_batch(
 
 
 def toes_core_cycle_counts_batch(
-    n: int, count: int, rng: np.random.Generator
-) -> dict[str, np.ndarray]:
-    """Tallies of ``count`` replicates by the core-joint route: the cycle
-    tallies of :func:`derangement_cycle_counts_batch` plus ``core_hist``."""
+    n: int, count: int, rng: np.random.Generator, keys: Iterable[str] = ()
+) -> dict:
+    """Tallies of ``count`` replicates by the core-joint route, whatever
+    ``keys`` names: ``replicates``, ``core_hist`` and the cycle tallies."""
     sizes = core_sizes_batch(n, count, rng)
     tally = derangement_cycle_counts_batch(sizes, n, rng)
-    tally["core_hist"] = np.bincount(sizes, minlength=n + 1)
-    return tally
+    return {"replicates": count, **tally, "core_hist": np.bincount(sizes, minlength=n + 1)}
 
 
 def sample_toes_core(n: int, rng: np.random.Generator) -> Spectrum:

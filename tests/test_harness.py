@@ -15,6 +15,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import screamingtoes
 from screamingtoes import cli, harness, laws, samplers
@@ -120,16 +122,36 @@ class TestConfig:
 
     @pytest.mark.parametrize("table", sorted(harness._SPECS))
     def test_reads_names_the_keys_of_the_simulated_column(self, table):
-        # the keys a table's batches fill, which are passed to the workers
-        # before any cell is built, are the keys its cells read
-        config = ExperimentConfig(n=6, replicates=0, tables=(table,))
-        keys = set()
-        for _, _, kind, key, _ in harness._SPECS[table].cells(config):
-            if kind == "mean":
-                keys.update((f"{key}_sum", f"{key}_sumsq"))
-            elif kind is not None:
-                keys.add(key)
-        assert set(harness._SPECS[table].reads) == keys
+        # the keys derived from the table's statistic, which are passed to
+        # the workers before any cell is built, are in the tally of a
+        # one-replicate batch of every route the table lists
+        spec = harness._SPECS[table]
+        every = samplers.every_mapping_counts(5, "toes")[0]
+        for method in spec.methods:
+            if method == "brute-force":
+                tally = every
+            else:
+                tally = harness._simulate_batch((method, 6, 0, 1, spec.reads))
+            assert {"replicates", *spec.reads} <= set(tally), method
+        # a table has a statistic exactly when its cells have simulated
+        # columns, and over every mapping that statistic is the exact column
+        cells = list(spec.cells(ExperimentConfig(n=5, replicates=0, tables=(table,))))
+        assert (spec.statistic is None) == all(idx is None for _, _, idx in cells)
+        if "brute-force" in spec.methods:
+            records = harness._table_records(table, cells, every, exhaustive=True)
+            filled = [r for r in records if r.simulated is not None]
+            assert filled
+            for record in filled:
+                assert record.simulated == float(record.exact), record.name
+
+    def test_batch_bound(self):
+        # checked on the config, before any task is built: 10**12 batches
+        # would need petabytes, so a test at that size allocates nothing
+        ExperimentConfig(replicates=harness.MAX_BATCHES, batch_size=1)
+        ExperimentConfig(replicates=10**12, batch_size=10**12 // harness.MAX_BATCHES)
+        for reps, size in ((harness.MAX_BATCHES + 1, 1), (10**12, 1), (10**12, 10**8 - 1)):
+            with pytest.raises(ValueError, match="raise --batch-size"):
+                ExperimentConfig(replicates=reps, batch_size=size)
 
     @pytest.mark.parametrize("table", sorted(harness._SPECS))
     def test_standard_flag_matches_the_cells(self, table):
@@ -310,6 +332,7 @@ class TestDeterminism:
         pools = []
 
         def pool(*args, **kwargs):
+            kwargs.pop("mp_context")  # the harness's own choice, replaced by this case's
             pools.append(ProcessPoolExecutor(*args, mp_context=context, **kwargs))
             return pools[-1]
 
@@ -317,6 +340,21 @@ class TestDeterminism:
         monkeypatch.setattr(harness, "ProcessPoolExecutor", pool)
         pooled = emit(run_table(ExperimentConfig(**_SEED_RUN, workers=2)), "json")
         assert len(pools) == 1 and pooled == serial
+
+    def test_pool_forks_its_workers_on_linux(self, monkeypatch):
+        # Python 3.14 makes forkserver Linux's default; the harness keeps fork
+        contexts = []
+
+        def pool(*args, mp_context, **kwargs):
+            contexts.append(mp_context)
+            return ProcessPoolExecutor(*args, mp_context=mp_context, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", pool)
+        run_table(ExperimentConfig(**_SEED_RUN, workers=2))
+        if sys.platform.startswith("linux"):
+            assert [context.get_start_method() for context in contexts] == ["fork"]
+        else:
+            assert contexts == [None]
 
     def test_acceptance_attempts_deterministic(self):
         cfg = dict(n=10, replicates=20_000, seed=3, tables=("acceptance",), batch_size=5_000)
@@ -397,6 +435,43 @@ class TestEmit:
         assert again.records[0].exact == report.records[0].exact
         # more digits than the default limit lets through
         assert report.records[0].exact.denominator.bit_length() > 4300 * math.log2(10)
+
+    @pytest.mark.parametrize("limit", [0, 640, sys.int_info.default_max_str_digits])
+    def test_emit_and_parse_never_set_the_int_str_limit(self, limit, monkeypatch):
+        # under the interpreter's default limit, the least it takes and none
+        # (0), values of up to 38 185 digits (the reference q table) are
+        # written and read without touching it
+        report = run_table(ExperimentConfig(replicates=0, tables=("q",)))
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(sys, "set_int_max_str_digits", None)
+                again = parse_report(emit(report, "json"))
+            assert sys.get_int_max_str_digits() == limit
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert again == report
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(st.integers(1, 700), st.integers(4250, 4350), st.just(10**5)),
+        st.booleans(),
+        st.randoms(use_true_random=False),
+    )
+    def test_long_integers_convert_like_str_and_int(self, digits, negative, rng):
+        # short values, values around the interpreter's default limit, where
+        # the splits take over, and values far past it
+        value = rng.randrange(10 ** (digits - 1), 10**digits) * (-1 if negative else 1)
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            want = str(value)
+        finally:
+            sys.set_int_max_str_digits(old)
+        text = harness._int_to_text(value)
+        assert text == want
+        assert harness._text_to_int(text) == value
 
 
 def _no_repeat_shares(n, reps, seed, **config):
@@ -780,7 +855,8 @@ class TestCli:
         (["exact", "--table", "components", "--n", "1001"], None),
         (["simulate", "--table", "cycles", "--method", "direct", "--n", "2001"], None),
         (["tables", "--tables", "q,core", "--n", "1501", "--reps", "0"], None),
-        (["exact", "--table", "q", "--n", "40001"], None),
+        (["exact", "--table", "q", "--n", "60001"], None),
+        (["simulate", "--table", "cycles", "--n", "10", "--reps", "100000", "--batch-size", "1"], None),
     ], ids=["empty-tables", "missing-config", "config-not-json", "config-str-n",
             "config-float-reps", "workers-not-an-integer", "workers-0", "workers-negative",
             "workers-above-the-bound",
@@ -793,7 +869,7 @@ class TestCli:
             "config-numeric-str-n", "config-bool-n", "config-help", "config-abbreviated-key",
             "config-unknown-key-with-a-newline", "acceptance-above-the-bound",
             "scream-above-the-bound", "components-above-the-bound", "cycles-above-the-bound",
-            "core-above-the-bound", "q-above-the-bound"])
+            "core-above-the-bound", "q-above-the-bound", "batches-above-the-bound"])
     def test_bad_input_is_a_one_line_error(self, argv, config, tmp_path, capsys, monkeypatch):
         def no_pool(*args, **kwargs):
             pytest.fail("bad input opened a worker pool")

@@ -458,10 +458,24 @@ class TestOmega:
 
     def test_exact_table_bits_are_pinned(self):
         # the rejection sampler's acceptance weights depend on these bits
-        w = laws._omega_exact()
-        assert w.shape == (laws.OMEGA_EXACT_MAX_J + 1,)
+        w = np.zeros(laws.OMEGA_EXACT_MAX_J + 1)
+        w[2:] = laws.omega(np.arange(2, laws.OMEGA_EXACT_MAX_J + 1))
         digest = hashlib.sha256(w.astype("<f8").tobytes()).hexdigest()
         assert digest == "5b7c8ded473785c65db89164d6d9692de2b4f1f01ce96827ae9dda5463e7f3b1"
+
+    def test_exact_values_are_built_only_when_asked_for(self):
+        # a rejection run at n = 10 reads w_2..w_10 and builds no other;
+        # each value, built alone and in any order, is the full table's
+        full = laws.omega(np.arange(2, laws.OMEGA_EXACT_MAX_J + 1))
+        laws._omega_exact.cache_clear()
+        try:
+            assert np.array_equal(laws.omega(np.arange(2, 11)), full[:9])
+            assert laws._omega_exact.cache_info().currsize == 9
+            laws._omega_exact.cache_clear()
+            for j in range(laws.OMEGA_EXACT_MAX_J, 1, -1):
+                assert laws.omega(np.array([j]))[0] == full[j - 2], j
+        finally:
+            laws._omega_exact.cache_clear()
 
     def test_within_one_ulp_above_the_switch(self):
         w = omega_values(400)
@@ -515,9 +529,9 @@ class TestRejectionSampler:
         # the batch tally is the tally of the accepted pairs, which follow
         # the component law
         n, reps = 6, 100_000
-        tally, attempts = toes_component_counts_batch(n, reps, np.random.default_rng(600))
-        rows, lengths, again = _accepted(n, reps, np.random.default_rng(600))
-        assert again == attempts
+        tally = toes_component_counts_batch(n, reps, np.random.default_rng(600))
+        rows, lengths, attempts = _accepted(n, reps, np.random.default_rng(600))
+        assert tally["replicates"] == reps and tally["attempts"] == attempts
         counts = _dense_counts(rows, lengths, reps, n)
         for key, value in _matrix_tally(counts, "comp").items():
             assert np.array_equal(tally[key], value), key
@@ -548,7 +562,7 @@ class TestRejectionSampler:
 
     def test_acceptance_rate_matches_exact(self):
         n, accepted = 10, 100_000
-        _, attempts = toes_component_counts_batch(n, accepted, np.random.default_rng(601))
+        attempts = toes_component_counts_batch(n, accepted, np.random.default_rng(601))["attempts"]
         rate = accepted / attempts
         exact = exact_acceptance_probability(n)
         se = math.sqrt(exact * (1 - exact) / attempts)
@@ -557,7 +571,7 @@ class TestRejectionSampler:
     def test_acceptance_rate_matches_exact_at_n1000(self):
         # one default-size batch of wide proposals
         n, accepted = 1000, 125_000
-        _, attempts = toes_component_counts_batch(n, accepted, np.random.default_rng(602))
+        attempts = toes_component_counts_batch(n, accepted, np.random.default_rng(602))["attempts"]
         exact = exact_acceptance_probability(n)
         se = math.sqrt(exact * (1 - exact) / attempts)
         assert abs(accepted / attempts - exact) < 4 * se
@@ -753,8 +767,8 @@ class TestChunkedTallies:
         core = samplers.toes_mapping_counts_batch(
             n, 500, np.random.default_rng(n), ("cyc_sum", "scream_hist")
         )
-        assert sorted(full) == sorted(samplers._MAPPING_KEYS)
-        assert sorted(core) == sorted(samplers._CORE_KEYS)
+        assert sorted(full) == sorted(("replicates", *samplers._MAPPING_KEYS))
+        assert sorted(core) == sorted(("replicates", *samplers._CORE_KEYS))
         for key, value in core.items():
             assert np.array_equal(value, full[key]), key
 
@@ -771,6 +785,7 @@ class TestChunkedTallies:
         assert (cyc @ np.arange(n + 1) == sizes).all()
         assert (cyc[:, 1] == 0).all()
         want = {
+            "replicates": reps,
             **_matrix_tally(cyc, "cyc"),
             "scream_hist": np.bincount(cyc[:, 2], minlength=n // 2 + 1),
             "core_hist": np.bincount(sizes, minlength=n + 1),
@@ -874,7 +889,7 @@ class TestLargeN:
 class TestRouteAgreement:
     def test_rejection_and_direct_component_means(self):
         n, reps = 8, 120_000
-        rej, _ = toes_component_counts_batch(n, reps, np.random.default_rng(1100))
+        rej = toes_component_counts_batch(n, reps, np.random.default_rng(1100))
         direct = decompose_batch(sample_mappings_batch(n, reps, np.random.default_rng(1101)))
         comp = _dense_counts(*direct.components, reps, n)
         for j in range(2, n + 1):
@@ -899,10 +914,9 @@ class TestRouteAgreement:
 
 class TestBatchDeterminism:
     def test_same_seed_same_tallies(self):
-        a, att_a = toes_component_counts_batch(7, 5000, np.random.default_rng(1200))
-        b, att_b = toes_component_counts_batch(7, 5000, np.random.default_rng(1200))
-        assert att_a == att_b
-        assert sorted(a) == sorted(b) == ["comp_sum", "comp_sumsq"]
+        a = toes_component_counts_batch(7, 5000, np.random.default_rng(1200))
+        b = toes_component_counts_batch(7, 5000, np.random.default_rng(1200))
+        assert sorted(a) == sorted(b) == ["attempts", "comp_sum", "comp_sumsq", "replicates"]
         for key in a:
             assert np.array_equal(a[key], b[key]), key
 
