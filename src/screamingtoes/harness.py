@@ -778,13 +778,18 @@ def _pretty(report: ExperimentReport) -> str:
 
 
 def parse_report(text: str) -> ExperimentReport:
-    """Inverse of ``emit(report, "json")``; parse(emit(r)) == r."""
+    """Inverse of ``emit(report, "json")``; parse(emit(r)) == r.
+
+    Each distinct denominator text is converted once, since a table's cells
+    share a few; ``Fraction`` still reduces every value, as the text comes
+    from outside the program."""
     payload = json.loads(text)
+    denominator = lru_cache(maxsize=None)(_text_to_int)
     records = []
     for r in payload["records"]:
         if r["exact_rational"] is not None:
             num, den = r["exact_rational"].split("/")
-            exact = Fraction(_text_to_int(num), _text_to_int(den))
+            exact = Fraction(_text_to_int(num), denominator(den))
         elif r["exact_float"] is not None:
             exact = float(r["exact_float"])
         else:

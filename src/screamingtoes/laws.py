@@ -12,14 +12,18 @@ Two models of a random function f on n points are covered:
 
 The module holds the laws that the CLI tables, the brute-force validation
 and the samplers read: component spectra and means, core size, core cycle
-means, screaming pairs and q_n, and no-repeated-size probabilities.  Beside
-them are two results of the paper that no table reports, the joint
+means, screaming pairs and q_n, and no-repeated-size probabilities.
+Beside them are two results of the paper that no table reports, the joint
 falling-factorial moments (:func:`factorial_moment`) and the Spitzer-type
 sum behind the rejection sampler's acceptance rate
-(:func:`spitzer_partial_sum`).  The reference laws that only check these
-(the Ewens sampling formula, the derangement cycle laws and the two sides
-of the core/derangement identity) live with the tests, in
-``tests/oracles.py``.
+(:func:`spitzer_partial_sum`).  A spectrum, a mapping's component sizes or
+its core's cycle type, is the tuple of its sizes in ascending order:
+:func:`component_pmf_table` keys its entries so, ``samplers.decompose``
+and the one-replicate samplers return spectra so, and
+:func:`component_pmf` takes the sizes in any order.  The reference laws
+that only check these (the Ewens sampling formula, the derangement cycle
+laws and the two sides of the core/derangement identity) live with the
+tests, in ``tests/oracles.py``.
 
 Every probability and moment here is computed as an exact ``Fraction``.
 The component means, core sizes, screaming pairs and q_n are integer counts
@@ -36,9 +40,8 @@ the CLI tables and the samplers' inverse-CDF tables.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Literal, Mapping, NamedTuple
@@ -80,71 +83,7 @@ def _base(n: int, model: Model) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Size spectra and pmf table checks
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Multiset of sizes encoded as counts: ``counts`` holds (size, multiplicity).
-
-    Used both for component sizes (n = number of mapped points) and for
-    cycle lengths (n = number of core elements).  A spectrum accounts for
-    everything: sum of size*multiplicity equals n.
-    """
-
-    n: int
-    counts: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("total size must be nonnegative")
-        seen = set()
-        for size, mult in self.counts:
-            if size < 1 or mult < 1:
-                raise ValueError("sizes and multiplicities must be positive")
-            if size in seen:
-                raise ValueError("duplicate size entry")
-            seen.add(size)
-        if tuple(sorted(self.counts)) != self.counts:
-            raise ValueError("counts must be sorted by size")
-        if self.total != self.n:
-            raise ValueError(
-                "a spectrum must satisfy sum(size*mult) == n; "
-                f"got {self.total} != {self.n}"
-            )
-
-    @classmethod
-    def from_counts(cls, n: int, counts: Mapping[int, int]) -> Spectrum:
-        items = tuple(sorted((int(j), int(a)) for j, a in counts.items() if a != 0))
-        return cls(n, items)
-
-    @classmethod
-    def from_sizes(cls, sizes: Iterable[int]) -> Spectrum:
-        sizes = tuple(sizes)
-        counts: dict[int, int] = {}
-        for s in sizes:
-            counts[s] = counts.get(s, 0) + 1
-        return cls.from_counts(sum(sizes), counts)
-
-    @property
-    def total(self) -> int:
-        return sum(j * a for j, a in self.counts)
-
-    @property
-    def num_groups(self) -> int:
-        return sum(a for _, a in self.counts)
-
-    def get(self, size: int) -> int:
-        for j, a in self.counts:
-            if j == size:
-                return a
-        return 0
-
-    def sizes(self) -> tuple[int, ...]:
-        """Expanded, ascending multiset of sizes, e.g. (2, 2, 3)."""
-        return tuple(
-            itertools.chain.from_iterable([j] * a for j, a in self.counts)
-        )
+# Partitions and pmf table checks
 
 
 def _check_sums_to_one(pmf: dict, what: str, n: int) -> None:
@@ -292,22 +231,27 @@ def single_component_prob(n: int, model: Model = "toes") -> Fraction:
 # Component-size laws
 
 
-def component_pmf(n: int, spectrum: Spectrum, model: Model = "toes") -> Fraction:
-    """Exact probability that the mapping has the given size spectrum.
+def component_pmf(n: int, sizes: Iterable[int], model: Model = "toes") -> Fraction:
+    """Exact probability that the mapping's component sizes are ``sizes``,
+    a multiset given in any order.
 
     Splitting the n points into a_j blocks of each size j and making every
     block one connected mapping gives
     P = n!/b**n * prod_j (T_j / j!)**a_j / a_j!, where b**n counts the
     model's mappings and T_j its connected mappings on j points
-    (:func:`_connected_count`).
+    (:func:`_connected_count`).  Raises ValueError unless every size is at
+    least 1 and the sizes sum to n, and for a size 1 in the toes model.
     """
     _check_model(model)
-    if spectrum.n != n:
-        raise ValueError("spectrum is for a different n")
-    if model == "toes" and spectrum.get(1) > 0:
+    counts = Counter(sizes)
+    if min(counts, default=1) < 1:
+        raise ValueError("component sizes must be positive")
+    if sum(j * a for j, a in counts.items()) != n:
+        raise ValueError(f"component sizes must sum to n = {n}")
+    if model == "toes" and 1 in counts:
         raise ValueError("size-1 components cannot occur in the toes model")
     value = Fraction(math.factorial(n), _base(n, model) ** n)
-    for j, a in spectrum.counts:
+    for j, a in counts.items():
         value *= Fraction(_connected_count(j, model), math.factorial(j)) ** a / math.factorial(a)
     return value
 
@@ -316,8 +260,8 @@ def component_pmf_table(n: int, model: Model = "toes") -> dict[tuple[int, ...], 
     """component_pmf over every spectrum, keyed by ascending size tuple."""
     table = {}
     for parts in partitions(n, _shortest_cycle(model)):
-        spec = Spectrum.from_sizes(parts)
-        table[spec.sizes()] = component_pmf(n, spec, model)
+        sizes = parts[::-1]
+        table[sizes] = component_pmf(n, sizes, model)
     _check_sums_to_one(table, "component-pmf", n)
     return table
 
@@ -775,7 +719,6 @@ __all__ = [
     "OMEGA_EXACT_MAX_J",
     "REPEATS_MAX_N",
     "SCREAM_MAX_N",
-    "Spectrum",
     "component_count_with_core",
     "component_pmf",
     "component_pmf_table",

@@ -17,7 +17,8 @@ route has one implementation, a vectorised kernel that takes (n, count,
 rng, keys) and returns the batch's whole tally; :func:`sample_mapping`,
 :func:`sample_toes_components` and :func:`sample_toes_core` are
 one-replicate calls of the ``*_batch`` kernels, and :func:`decompose` is
-one row of the decomposition kernel :func:`decompose_batch`.
+one row of the decomposition kernel :func:`decompose_batch`.  These views
+give a spectrum as the tuple of its sizes in ascending order.
 
 Routes 2 and 3 share one kernel, :func:`_cycles_without_fixed_points`: it
 draws ESF(theta) conditioned on having no 1-cycle, one cycle at a time from
@@ -45,7 +46,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import laws
-from .laws import Spectrum
 
 
 @dataclass(frozen=True)
@@ -71,23 +71,27 @@ class Mapping:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Functional-graph decomposition of a fixed-point-free mapping."""
+    """Functional-graph decomposition of a fixed-point-free mapping, its
+    component sizes and cycle lengths each an ascending tuple."""
 
-    component_sizes: Spectrum
-    cycle_lengths: Spectrum
+    component_sizes: tuple[int, ...]
+    cycle_lengths: tuple[int, ...]
     core_size: int
     cyclic: tuple[bool, ...]
 
     def __post_init__(self) -> None:
         n = len(self.cyclic)
-        if self.component_sizes.total != n:
+        for sizes in (self.component_sizes, self.cycle_lengths):
+            if tuple(sorted(sizes)) != sizes:
+                raise ValueError("sizes must be an ascending tuple")
+        if sum(self.component_sizes) != n:
             raise ValueError("component sizes must cover all elements")
-        if self.cycle_lengths.total != self.core_size:
+        if sum(self.cycle_lengths) != self.core_size:
             raise ValueError("cycle lengths must cover the core")
-        if self.component_sizes.num_groups != self.cycle_lengths.num_groups:
+        if len(self.component_sizes) != len(self.cycle_lengths):
             raise ValueError("each component contains exactly one cycle")
-        if any(j < 2 for j, _ in self.cycle_lengths.counts):
-            raise ValueError("cycles must have length >= 2")
+        if min(self.component_sizes + self.cycle_lengths, default=2) < 2:
+            raise ValueError("components and cycles must have size >= 2")
         if sum(self.cyclic) != self.core_size:
             raise ValueError("cyclic flags disagree with the core size")
 
@@ -98,8 +102,8 @@ def decompose(mapping: Mapping) -> Decomposition:
     cyclic = np.zeros(mapping.n, dtype=bool)
     cyclic[dec.core] = True
     return Decomposition(
-        component_sizes=Spectrum.from_sizes(dec.components[1].tolist()),
-        cycle_lengths=Spectrum.from_sizes(dec.cycles[1].tolist()),
+        component_sizes=tuple(sorted(dec.components[1].tolist())),
+        cycle_lengths=tuple(sorted(dec.cycles[1].tolist())),
         core_size=dec.core.size,
         cyclic=tuple(cyclic.tolist()),
     )
@@ -585,11 +589,12 @@ def toes_component_counts_batch(
     return {"replicates": count, "attempts": attempts, **tally}
 
 
-def sample_toes_components(n: int, rng: np.random.Generator) -> tuple[Spectrum, int]:
-    """One component-size spectrum of the toes mapping, plus the proposals
-    it took: one replicate of :func:`toes_component_counts_batch`."""
+def sample_toes_components(n: int, rng: np.random.Generator) -> tuple[tuple[int, ...], int]:
+    """The ascending component sizes of one toes mapping, plus the proposals
+    they took: one replicate of :func:`toes_component_counts_batch`."""
     tally = toes_component_counts_batch(n, 1, rng)
-    return _spectrum(tally["comp_sum"]), tally["attempts"]
+    counts = tally["comp_sum"]
+    return tuple(np.repeat(np.arange(counts.size), counts).tolist()), tally["attempts"]
 
 
 #: Largest n of the exact acceptance probability: its O(n**2) recurrence takes
@@ -688,15 +693,11 @@ def toes_core_cycle_counts_batch(
     return {"replicates": count, **tally, "core_hist": np.bincount(sizes, minlength=n + 1)}
 
 
-def sample_toes_core(n: int, rng: np.random.Generator) -> Spectrum:
-    """Cycle-length spectrum of the toes core, core size then derangement:
-    one replicate of :func:`toes_core_cycle_counts_batch`."""
-    return _spectrum(toes_core_cycle_counts_batch(n, 1, rng)["cyc_sum"])
-
-
-def _spectrum(counts: np.ndarray) -> Spectrum:
-    """The spectrum of one replicate's count vector (entry j = groups of size j)."""
-    return Spectrum.from_sizes(np.repeat(np.arange(counts.size), counts).tolist())
+def sample_toes_core(n: int, rng: np.random.Generator) -> tuple[int, ...]:
+    """The ascending cycle lengths of the toes core, core size then
+    derangement: one replicate of :func:`toes_core_cycle_counts_batch`."""
+    counts = toes_core_cycle_counts_batch(n, 1, rng)["cyc_sum"]
+    return tuple(np.repeat(np.arange(counts.size), counts).tolist())
 
 
 __all__ = [

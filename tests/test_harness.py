@@ -453,6 +453,25 @@ class TestEmit:
             sys.set_int_max_str_digits(old)
         assert again == report
 
+    def test_parse_converts_each_denominator_once(self, monkeypatch):
+        # the n = 1000 scream table: 501 rationals over a few shared
+        # denominators, each of about 3000 digits
+        text = emit(run_table(ExperimentConfig(n=1000, replicates=0, tables=("scream",))), "json")
+        rationals = [r["exact_rational"] for r in json.loads(text)["records"]]
+        denominators = {r.split("/")[1] for r in rationals}
+        assert len(denominators) < len(rationals) == 501
+        calls = []
+
+        def counted(digits):
+            calls.append(digits)
+            return text_to_int(digits)
+
+        text_to_int = harness._text_to_int
+        monkeypatch.setattr(harness, "_text_to_int", counted)
+        again = parse_report(text)
+        assert len(calls) <= len(rationals) + len(denominators)
+        assert emit(again, "json") == text
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.one_of(st.integers(1, 700), st.integers(4250, 4350), st.just(10**5)),

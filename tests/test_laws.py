@@ -15,31 +15,6 @@ import oracles
 from oracles import poisson_cdf
 from screamingtoes import laws
 from screamingtoes.exact import derangement_number, falling_factorial, format_fixed
-from screamingtoes.laws import Spectrum
-
-
-def spectrum(*sizes):
-    return Spectrum.from_sizes(sizes)
-
-
-class TestSpectrum:
-    def test_from_sizes(self):
-        s = spectrum(3, 2, 2)
-        assert s.n == 7 and s.counts == ((2, 2), (3, 1))
-        assert s.sizes() == (2, 2, 3)
-        assert s.num_groups == 3
-
-    def test_complete_must_balance(self):
-        with pytest.raises(ValueError):
-            Spectrum.from_counts(5, {2: 1})
-
-    def test_bad_entries(self):
-        with pytest.raises(ValueError):
-            Spectrum(4, ((0, 1),))
-        with pytest.raises(ValueError):
-            Spectrum(4, ((2, 0), (4, 1)))
-        with pytest.raises(ValueError):
-            Spectrum(4, ((3, 1), (2, 1)))  # unsorted
 
 
 class TestLambdas:
@@ -84,7 +59,7 @@ class TestSingleComponent:
 
 class TestComponentPmf:
     def test_standard_n1(self):
-        assert laws.component_pmf(1, spectrum(1), "standard") == 1
+        assert laws.component_pmf(1, (1,), "standard") == 1
 
     def test_toes_n4(self):
         # enumerate the 81 mappings on 4 points with f(i) != i
@@ -97,19 +72,39 @@ class TestComponentPmf:
             if all(image[image[i]] == i for i in range(4)):
                 two_two += 1
         assert total == 81
-        p22 = laws.component_pmf(4, spectrum(2, 2), "toes")
+        p22 = laws.component_pmf(4, (2, 2), "toes")
         assert p22 == F(two_two, 81)
-        assert laws.component_pmf(4, spectrum(4), "toes") == 1 - p22
+        assert laws.component_pmf(4, (4,), "toes") == 1 - p22
 
     def test_off_support_is_zero(self):
-        # a spectrum always sums to its own n, so the only way off the
-        # support is a spectrum for another n, which is an error
-        with pytest.raises(ValueError):
-            laws.component_pmf(6, spectrum(2, 2), "toes")
+        # sizes that sum to another n are no spectrum of this n: an error,
+        # not a zero
+        for n, sizes in [(6, (2, 2)), (5, (2, 2)), (3, (2, 2)), (4, ())]:
+            with pytest.raises(ValueError, match="sum to n"):
+                laws.component_pmf(n, sizes, "toes")
 
     def test_toes_rejects_singletons(self):
-        with pytest.raises(ValueError):
-            laws.component_pmf(3, spectrum(1, 2), "toes")
+        with pytest.raises(ValueError, match="size-1"):
+            laws.component_pmf(3, (1, 2), "toes")
+        # the standard model has them
+        assert laws.component_pmf(3, (1, 2), "standard") > 0
+
+    def test_rejects_sizes_below_one(self):
+        for model in ("toes", "standard"):
+            for sizes in [(0, 3), (0, 0, 3), (-1, 4), (-2, 2, 3)]:
+                with pytest.raises(ValueError, match="positive"):
+                    laws.component_pmf(3, sizes, model)
+
+    @pytest.mark.parametrize("model", ["toes", "standard"])
+    def test_any_order_of_the_sizes_gives_the_same_value(self, model):
+        # every order of every spectrum for n = 2..7, as a tuple, a list or
+        # a generator, gives the table's value under its ascending key
+        for n in range(2, 8):
+            for key, p in laws.component_pmf_table(n, model).items():
+                for order in set(itertools.permutations(key)):
+                    assert laws.component_pmf(n, order, model) == p
+                    assert laws.component_pmf(n, list(order), model) == p
+                    assert laws.component_pmf(n, iter(order), model) == p
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_toes_normalisation(self, n):
@@ -633,7 +628,7 @@ def _no_repeat_by_enumeration(n):
     """The three no-repeat probabilities by enumerating partitions into
     distinct parts, and for the joint every assignment of distinct cores."""
     comp = sum(
-        (laws.component_pmf(n, Spectrum.from_sizes(parts), "toes")
+        (laws.component_pmf(n, parts, "toes")
          for parts in _distinct_partitions(n)),
         F(0),
     )
@@ -697,5 +692,5 @@ def test_scream_pmf_is_probability(n, data):
 @settings(max_examples=30, deadline=None)
 def test_component_pmf_values_are_probabilities(n):
     for parts in laws.partitions(n, 2):
-        p = laws.component_pmf(n, Spectrum.from_sizes(parts), "toes")
+        p = laws.component_pmf(n, parts, "toes")
         assert 0 < p <= 1

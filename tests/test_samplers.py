@@ -5,6 +5,8 @@ import hashlib
 import itertools
 import math
 import tracemalloc
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction as F
 
 import mpmath
@@ -24,7 +26,6 @@ from oracles import (
 )
 from screamingtoes import harness, laws, samplers
 from screamingtoes.exact import derangement_number, poisson_partial_sum
-from screamingtoes.laws import Spectrum
 from screamingtoes.samplers import (
     Decomposition,
     Mapping,
@@ -123,20 +124,20 @@ class TestDecompose:
         looks_at = [2, 14, 7, 1, 7, 19, 17, 11, 10, 13, 2, 14, 9, 8, 19, 10, 6, 16, 6, 19]
         mapping = Mapping(tuple(v - 1 for v in looks_at))
         dec = decompose(mapping)
-        assert dec.component_sizes.sizes() == (5, 7, 8)
-        assert dec.cycle_lengths.sizes() == (2, 3, 4)
+        assert dec.component_sizes == (5, 7, 8)
+        assert dec.cycle_lengths == (2, 3, 4)
         assert dec.core_size == 9
 
     def test_n2(self):
         dec = decompose(Mapping((1, 0)))
-        assert dec.component_sizes.sizes() == (2,)
-        assert dec.cycle_lengths.sizes() == (2,)
+        assert dec.component_sizes == (2,)
+        assert dec.cycle_lengths == (2,)
 
     def test_hand_traced_example(self):
         # 1-based (2, 1, 2, 3): one component of 4, a 2-cycle, core 2
         dec = decompose(Mapping((1, 0, 1, 2)))
-        assert dec.component_sizes.sizes() == (4,)
-        assert dec.cycle_lengths.sizes() == (2,)
+        assert dec.component_sizes == (4,)
+        assert dec.cycle_lengths == (2,)
         assert dec.core_size == 2
         assert dec.cyclic == (True, True, False, False)
 
@@ -145,8 +146,41 @@ class TestDecompose:
     def test_structural_invariants(self, image):
         dec = decompose(Mapping(image))  # Decomposition validates on build
         assert isinstance(dec, Decomposition)
-        assert dec.component_sizes.total == len(image)
-        assert min(dec.cycle_lengths.sizes()) >= 2
+        assert sum(dec.component_sizes) == len(image)
+        assert min(dec.cycle_lengths) >= 2
+
+    # a consistent decomposition of a 2-cycle and a 3-cycle on 5 points, and
+    # one inconsistent change of it for each check
+    CONSISTENT = Decomposition((2, 3), (2, 3), 5, (True,) * 5)
+
+    @pytest.mark.parametrize(
+        ("change", "message"),
+        [
+            ({"component_sizes": (3, 2)}, "ascending"),
+            ({"cycle_lengths": (3, 2)}, "ascending"),
+            ({"component_sizes": [2, 3]}, "ascending"),
+            ({"component_sizes": (2, 2)}, "cover all elements"),
+            ({"cycle_lengths": (2, 2)}, "cover the core"),
+            ({"component_sizes": (5,)}, "exactly one cycle"),
+            ({"cycle_lengths": (1, 4)}, ">= 2"),
+            ({"component_sizes": (1, 4)}, ">= 2"),
+            ({"cyclic": (True,) * 4 + (False,)}, "cyclic flags"),
+        ],
+        ids=[
+            "components-unsorted",
+            "cycles-unsorted",
+            "components-not-a-tuple",
+            "components-short",
+            "cycles-short",
+            "cycles-fewer-than-components",
+            "cycle-of-length-1",
+            "component-of-size-1",
+            "cyclic-flags",
+        ],
+    )
+    def test_inconsistent_tuples_are_rejected(self, change, message):
+        with pytest.raises(ValueError, match=message):
+            replace(self.CONSISTENT, **change)
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(1234)
@@ -161,8 +195,8 @@ class TestDecompose:
         for image in itertools.product(*choices):
             comp_sizes, cycle_lens, cyclic = decompose_image(image)
             dec = decompose(Mapping(image))
-            assert dec.component_sizes == Spectrum.from_sizes(comp_sizes)
-            assert dec.cycle_lengths == Spectrum.from_sizes(cycle_lens)
+            assert dec.component_sizes == tuple(sorted(comp_sizes))
+            assert dec.cycle_lengths == tuple(sorted(cycle_lens))
             assert dec.core_size == sum(cycle_lens)
             assert dec.cyclic == tuple(cyclic)
 
@@ -381,8 +415,8 @@ def _class_counts(count_matrix, n):
     return decoded
 
 
-def _esf_crp(n: int, theta: float, rng: np.random.Generator) -> Spectrum:
-    """One full ESF(theta) spectrum via the Chinese restaurant process.
+def _esf_crp(n: int, theta: float, rng: np.random.Generator) -> tuple[int, ...]:
+    """One full ESF(theta) spectrum, ascending, via the Chinese restaurant process.
 
     A proposal source independent of the package's kernel: customer i
     starts a new table w.p. theta/(theta+i-1), else joins an existing table
@@ -401,7 +435,7 @@ def _esf_crp(n: int, theta: float, rng: np.random.Generator) -> Spectrum:
             if u < acc:
                 tables[t] += 1
                 break
-    return Spectrum.from_sizes(tables)
+    return tuple(sorted(tables))
 
 
 class TestChineseRestaurant:
@@ -410,7 +444,7 @@ class TestChineseRestaurant:
         rng = np.random.default_rng(404)
         observed = {}
         for _ in range(reps):
-            key = _class_key_from_sizes(_esf_crp(n, 0.5, rng).sizes(), n)
+            key = _class_key_from_sizes(_esf_crp(n, 0.5, rng), n)
             observed[key] = observed.get(key, 0) + 1
         expected = {
             _class_key_from_sizes(parts, n): esf_pmf(n, F(1, 2), parts)
@@ -421,7 +455,7 @@ class TestChineseRestaurant:
     def test_total_is_n(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
-            assert _esf_crp(9, 2.0, rng).total == 9
+            assert sum(_esf_crp(9, 2.0, rng)) == 9
 
 
 class TestOmega:
@@ -498,9 +532,10 @@ class TestRejectionSampler:
     def test_scalar_properties(self):
         rng = np.random.default_rng(500)
         for _ in range(300):
-            spec, attempts = sample_toes_components(6, rng)
-            assert spec.get(1) == 0
-            assert spec.total == 6
+            sizes, attempts = sample_toes_components(6, rng)
+            assert sizes == tuple(sorted(sizes))
+            assert 1 not in sizes
+            assert sum(sizes) == 6
             assert attempts >= 1
 
     def test_acceptance_rule_on_crp_proposals(self):
@@ -512,11 +547,11 @@ class TestRejectionSampler:
         w = omega_values(n)
         observed: dict = {}
         for _ in range(proposals):
-            spec = _esf_crp(n, 0.5, rng)
-            if spec.get(1) > 0:
+            sizes = _esf_crp(n, 0.5, rng)
+            if 1 in sizes:
                 continue
-            if rng.random() < math.prod((2.0 * w[j]) ** a for j, a in spec.counts):
-                key = _class_key_from_sizes(spec.sizes(), n)
+            if rng.random() < math.prod((2.0 * w[j]) ** a for j, a in Counter(sizes).items()):
+                key = _class_key_from_sizes(sizes, n)
                 observed[key] = observed.get(key, 0) + 1
         accepted = sum(observed.values())
         expected = {
@@ -539,9 +574,7 @@ class TestRejectionSampler:
         assert (counts[:, 1] == 0).all()
         observed = _class_counts(counts, n)
         expected = {
-            _class_key_from_sizes(parts, n): laws.component_pmf(
-                n, Spectrum.from_sizes(parts), "toes"
-            )
+            _class_key_from_sizes(parts, n): laws.component_pmf(n, parts, "toes")
             for parts in laws.partitions(n, 2)
         }
         assert chi_square_pvalue(observed, expected, reps) > 1e-4
@@ -693,7 +726,7 @@ class TestDerangementSampler:
 
 class TestCoreJointSampler:
     def test_n2(self):
-        assert sample_toes_core(2, np.random.default_rng(900)).sizes() == (2,)
+        assert sample_toes_core(2, np.random.default_rng(900)) == (2,)
 
     def test_cycle_mean_agreement(self):
         n, reps = 10, 100_000
@@ -882,7 +915,7 @@ class TestLargeN:
         n = 100_000
         mapping = sample_mapping(n, np.random.default_rng(1500))
         dec = decompose(mapping)
-        assert dec.component_sizes.total == n
+        assert sum(dec.component_sizes) == n
         assert dec.core_size >= 2
 
 
@@ -921,6 +954,6 @@ class TestBatchDeterminism:
             assert np.array_equal(a[key], b[key]), key
 
     def test_scalar_streams_reproduce(self):
-        seq_a = [sample_toes_core(6, np.random.default_rng(1300)).sizes() for _ in range(1)]
-        seq_b = [sample_toes_core(6, np.random.default_rng(1300)).sizes() for _ in range(1)]
+        seq_a = [sample_toes_core(6, np.random.default_rng(1300)) for _ in range(1)]
+        seq_b = [sample_toes_core(6, np.random.default_rng(1300)) for _ in range(1)]
         assert seq_a == seq_b
