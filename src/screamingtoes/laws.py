@@ -211,13 +211,6 @@ def _connected_count(size: int, model: Model) -> int:
     return acc + fal // size  # fal is now size!
 
 
-def component_total_count(size: int) -> int:
-    """Number of single-component toes mappings on `size` labelled points."""
-    if size < 2:
-        raise ValueError("size must be >= 2")
-    return _connected_count(size, "toes")
-
-
 def single_component_prob(n: int, model: Model = "toes") -> Fraction:
     """Probability that the whole mapping is one component, T_n / b**n with
     b**n the model's mappings; exactly rational."""
@@ -659,10 +652,10 @@ def prob_no_repeated_sizes(n: int) -> NoRepeatProbs:
     no repeated cycle length, and neither; 2 <= n <= REPEATS_MAX_N.
 
     Each is a count of mappings over (n-1)**n.  Components: blocks of
-    distinct sizes j, each one of the component_total_count(j) connected
-    mappings on its points.  Cycles: a core of r points whose cycles have
-    distinct lengths j, each in (j-1)! cyclic orders, times the
-    C(n,r) r n**(n-r-1) ways to choose the core and root the rest on it.
+    distinct sizes j, each one of the T_j connected toes mappings on its
+    points.  Cycles: a core of r points whose cycles have distinct lengths
+    j, each in (j-1)! cyclic orders, times the C(n,r) r n**(n-r-1) ways to
+    choose the core and root the rest on it.
     Both are 0/1 knapsacks.  The joint needs distinct sizes and distinct
     cores at once, which has no product form: it is summed exactly over
     sizes from the largest down, memoised on (largest size left, points
@@ -672,7 +665,7 @@ def prob_no_repeated_sizes(n: int) -> NoRepeatProbs:
     if not 2 <= n <= REPEATS_MAX_N:
         raise ValueError(f"need 2 <= n <= {REPEATS_MAX_N} (got {n})")
     sizes = range(2, n + 1)
-    comp = _distinct_block_counts(n, [0, 0] + [component_total_count(j) for j in sizes])[n]
+    comp = _distinct_block_counts(n, [0, 0] + [_connected_count(j, "toes") for j in sizes])[n]
     cores = _distinct_block_counts(n, [0, 0] + [math.factorial(j - 1) for j in sizes])
     cyc = cores[n] + sum(
         math.comb(n, r) * r * n ** (n - r - 1) * cores[r] for r in range(2, n)
@@ -722,7 +715,6 @@ __all__ = [
     "component_count_with_core",
     "component_pmf",
     "component_pmf_table",
-    "component_total_count",
     "core_size_counts",
     "core_size_pmf",
     "core_size_table",

@@ -8,7 +8,9 @@
    Accepted vectors are distributed as the component-size spectrum of the
    mapping.
 3. Core-joint: draw the core size from its exact inverse CDF, then the
-   cycle type of a uniform random derangement of that size.
+   cycle type of a uniform random derangement of that size, both in blocks
+   of ``ROW_CHUNK`` replicates, so that a batch's memory does not grow with
+   its size.
 
 Every sampler takes a ``numpy.random.Generator`` and is bit-reproducible
 for a fixed seed and call sequence; the harness gives each batch its own
@@ -36,6 +38,7 @@ nothing builds a per-replicate (rows, n+1) count matrix.
 
 from __future__ import annotations
 
+import copy
 import math
 from collections import Counter
 from collections.abc import Iterable
@@ -382,6 +385,8 @@ def toes_mapping_counts_batch(
     tally depends on the chunk size or on ``keys``.  Every chunk is
     decomposed in one set of working arrays, allocated once per batch: fresh
     ones per chunk would be mapped and page-faulted in again each time."""
+    if count < 0:
+        raise ValueError(f"need count >= 0 (got {count})")
     components = _COMPONENT_KEYS if any(key in _COMPONENT_KEYS for key in keys) else ()
     tally = zero_tally(n, *components, *_CORE_KEYS)
     step = chunk_rows(n)
@@ -524,9 +529,10 @@ def _cycles_without_fixed_points(
     return np.concatenate(rows), np.concatenate(lengths)
 
 
-#: Rows (ESF proposals or derangements) that the rejection and core-joint
-#: routes pass to :func:`_cycles_without_fixed_points` and tally at once;
-#: their pairs take a few MB, whatever the batch size.
+#: Rows (ESF proposals, or core sizes and their derangements) that the
+#: rejection and core-joint routes draw, pass to
+#: :func:`_cycles_without_fixed_points` and tally at once; their pairs take a
+#: few MB, whatever the batch size.
 ROW_CHUNK = 1 << 14
 
 
@@ -582,6 +588,8 @@ def toes_component_counts_batch(
     :func:`_accepted_components` is tallied as it comes."""
     if n < 2:
         raise ValueError("need n >= 2")
+    if count < 0:
+        raise ValueError(f"need count >= 0 (got {count})")
     tally = zero_tally(n, "comp_sum", "comp_sumsq")
     attempts = 0
     for rows, lengths, attempts in _accepted_components(n, count, rng):
@@ -649,48 +657,39 @@ def _core_size_cdf(n: int) -> np.ndarray:
     return cdf
 
 
-def core_sizes_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """`count` independent core sizes of uniform toes mappings of size n,
-    drawn by inverse CDF from the exact core-size law (values 2..n)."""
-    cdf = _core_size_cdf(n)
-    return 2 + np.searchsorted(cdf, rng.random(count), side="right")
-
-
-def _derangement_cycles(
-    sizes: np.ndarray, n: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """The (row, cycle length) pairs of one uniform derangement of each size
-    in ``sizes`` (each 2..n): its cycle type is ESF(1) conditioned on
-    a_1 = 0, drawn by :func:`_cycles_without_fixed_points`."""
-    sizes = np.asarray(sizes, dtype=np.int64)
-    if sizes.size and sizes.min() < 2:
-        raise ValueError("no derangement of fewer than 2 elements exists")
-    return _cycles_without_fixed_points(sizes, n, Fraction(1), rng)
-
-
-def derangement_cycle_counts_batch(
-    sizes: np.ndarray, n: int, rng: np.random.Generator
-) -> dict[str, np.ndarray]:
-    """Cycle tallies (``zero_tally`` keys ``cyc_sum``, ``cyc_sumsq`` and
-    ``scream_hist``) of uniform derangements, one of each size in ``sizes``,
-    drawn one cycle at a time (:func:`_derangement_cycles`) and tallied in
-    blocks of ``ROW_CHUNK`` rows; nothing n+1 wide is held per row."""
-    sizes = np.asarray(sizes)
-    tally = zero_tally(n, "cyc_sum", "cyc_sumsq", "scream_hist")
-    for lo in range(0, sizes.size, ROW_CHUNK):
-        block = sizes[lo:lo + ROW_CHUNK]
-        _tally_pairs(tally, "cyc", *_derangement_cycles(block, n, rng), block.size)
-    return tally
-
-
 def toes_core_cycle_counts_batch(
     n: int, count: int, rng: np.random.Generator, keys: Iterable[str] = ()
 ) -> dict:
     """Tallies of ``count`` replicates by the core-joint route, whatever
-    ``keys`` names: ``replicates``, ``core_hist`` and the cycle tallies."""
-    sizes = core_sizes_batch(n, count, rng)
-    tally = derangement_cycle_counts_batch(sizes, n, rng)
-    return {"replicates": count, **tally, "core_hist": np.bincount(sizes, minlength=n + 1)}
+    ``keys`` names: ``replicates`` and the keys ``_CORE_KEYS``.
+
+    Blocks of ``ROW_CHUNK`` replicates each draw their core sizes by inverse
+    CDF from the exact core-size law, then a uniform derangement of each
+    size, ESF(1) conditioned on a_1 = 0 by
+    :func:`_cycles_without_fixed_points`, and are tallied as they come, so
+    memory does not grow with ``count``.  The draws are still those of
+    every core size first, then the derangements in block order, and
+    ``rng`` ends in that order's state: the core sizes come from a copy of
+    ``rng``, which itself skips their ``count`` doubles before it draws the
+    derangements.  The skip draws and discards them in chunks of
+    ``CHUNK_CELLS`` doubles, 1 MB: any chunking gives the same stream, and
+    in ``ROW_CHUNK`` chunks glibc's malloc kept unmapping and faulting in
+    again the blocks' 128 KB arrays, twice the page faults of a run at
+    n = 10 and about 40 ms more CPU for 10**6 replicates.
+    """
+    if count < 0:
+        raise ValueError(f"need count >= 0 (got {count})")
+    cdf = _core_size_cdf(n)
+    cores = copy.deepcopy(rng)
+    for done in range(0, count, CHUNK_CELLS):
+        rng.random(min(CHUNK_CELLS, count - done))
+    tally = zero_tally(n, *_CORE_KEYS)
+    for done in range(0, count, ROW_CHUNK):
+        sizes = 2 + np.searchsorted(cdf, cores.random(min(ROW_CHUNK, count - done)), side="right")
+        tally["core_hist"] += np.bincount(sizes, minlength=n + 1)
+        pairs = _cycles_without_fixed_points(sizes, n, Fraction(1), rng)
+        _tally_pairs(tally, "cyc", *pairs, sizes.size)
+    return {"replicates": count, **tally}
 
 
 def sample_toes_core(n: int, rng: np.random.Generator) -> tuple[int, ...]:
@@ -709,10 +708,8 @@ __all__ = [
     "Mapping",
     "ROW_CHUNK",
     "chunk_rows",
-    "core_sizes_batch",
     "decompose",
     "decompose_batch",
-    "derangement_cycle_counts_batch",
     "esf_cycle_counts_batch",
     "every_mapping_counts",
     "exact_acceptance_probability",

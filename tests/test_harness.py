@@ -908,8 +908,9 @@ class TestCli:
 
 #: Small CLI runs whose stdout is pinned byte for byte, in every format: they
 #: cover every table through every method that can fill it, the q table with
-#: and without n, the exact model filter, n = 2, and a direct run at
-#: n = 1000 whose batches span several chunks of ``samplers.CHUNK_CELLS``.
+#: and without n, the exact model filter, n = 2, a direct run at n = 1000
+#: whose batches span several chunks of ``samplers.CHUNK_CELLS``, and a
+#: core-joint batch of 40 000 replicates, three blocks of ``samplers.ROW_CHUNK``.
 #: A change to any report byte must update these digests on purpose.
 GOLDEN_RUNS = {
     "tables-default": ["tables", "--reps", "20000", "--batch-size", "5000", "--workers", "1"],
@@ -920,6 +921,8 @@ GOLDEN_RUNS = {
     "rejection-n5": ["tables", "--tables", "components,acceptance",
                      "--method", "rejection", "--n", "5", "--reps", "3000", "--batch-size", "1000", "--workers", "1"],
     "core-joint-n5": ["simulate", "--table", "core", "--method", "core-joint", "--n", "5", "--reps", "3000", "--workers", "1"],
+    "core-joint-n10-blocks": ["simulate", "--table", "scream", "--method", "core-joint", "--n", "10",
+                              "--reps", "40000", "--workers", "1"],
     "core-joint-n5-all": ["tables", "--tables", "scream,cycles,core",
                           "--method", "core-joint", "--n", "5", "--reps", "3000", "--batch-size", "1000", "--workers", "1"],
     "brute-force-n5": ["tables", "--tables", "components,scream,cycles,core,repeats",
@@ -948,6 +951,9 @@ GOLDEN_SHA256 = {
     ("core-joint-n5", "json"): "365f81bc9f9eaf6ab3ce667d34c1f69d6770b5dd00d4c340d82ec231347b463b",
     ("core-joint-n5", "csv"): "4aa8e25ae2c1fd87021f4045238736d154da609e7fbafa01ea9af6140c8cfc15",
     ("core-joint-n5", "pretty"): "3b8b9b90eb6de2683957eac0c5cb3dca3db56d39dbacdd1def989c73d009afc0",
+    ("core-joint-n10-blocks", "json"): "888d10a449189aeddd858b42694612f93b16cd137485b2a7827b7096030fb7e1",
+    ("core-joint-n10-blocks", "csv"): "0e52650e3aaf2edbfe4e8d1969ceda43fd75e0d259dc84a4e28b81d0b7069d4a",
+    ("core-joint-n10-blocks", "pretty"): "12ca375131bc656c160e28bc0340305ca67878c6fcc6a05035905c5eeb9b9d70",
     ("core-joint-n5-all", "json"): "895e328d8341fa80c1a96d023a47325f7dba3e070cda7f07cd0e74d6e443db8b",
     ("core-joint-n5-all", "csv"): "7d59a1c4813a4559e1977af0e17f65b5bb441e3367d09e04f9e566cab7c4ee49",
     ("core-joint-n5-all", "pretty"): "337fc22a0c36df6749f79cdecfd88c691e2f3600b42082e9aeee1e238c08f8c6",

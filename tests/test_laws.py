@@ -33,7 +33,7 @@ class TestLambdas:
     def test_toes_matches_component_counts(self):
         # e**j lambda~_j = (count of single components of size j) / j!
         for j in range(2, 13):
-            m = laws.component_total_count(j)
+            m = laws._connected_count(j, "toes")
             assert laws._scaled_intensity(j, "toes") * math.factorial(j) == m
 
 

@@ -629,14 +629,21 @@ class TestRejectionSampler:
         assert exact_acceptance_probability(40) < math.exp(-1) / math.sqrt(2)
 
 
+def _derangement_cycles(sizes, n, rng):
+    """(row, cycle length) pairs of one uniform derangement of each size."""
+    return samplers._cycles_without_fixed_points(np.asarray(sizes), n, F(1), rng)
+
+
 class TestCoreSizeSampler:
     def test_n2_degenerate(self):
-        assert (samplers.core_sizes_batch(2, 20, np.random.default_rng(700)) == 2).all()
+        hist = toes_core_cycle_counts_batch(2, 20, np.random.default_rng(700))["core_hist"]
+        assert hist[2] == hist.sum() == 20
 
     def test_batch_matches_core_law(self):
         n, reps = 10, 100_000
-        sizes = samplers.core_sizes_batch(n, reps, np.random.default_rng(701))
-        observed = {int(r): int(c) for r, c in zip(*np.unique(sizes, return_counts=True))}
+        hist = toes_core_cycle_counts_batch(n, reps, np.random.default_rng(701))["core_hist"]
+        assert hist.sum() == reps
+        observed = {r: int(c) for r, c in enumerate(hist) if c}
         expected = {r: p for r, p in laws.core_size_table(n, "toes").items()}
         assert chi_square_pvalue(observed, expected, reps) > 1e-4
 
@@ -660,7 +667,7 @@ class TestDerangementSampler:
     def test_forced_small_cases(self):
         # every derangement of 2 or 3 elements is a single cycle
         sizes = np.array([2] + [3] * 10)
-        rows, lengths = samplers._derangement_cycles(sizes, 3, np.random.default_rng(800))
+        rows, lengths = _derangement_cycles(sizes, 3, np.random.default_rng(800))
         assert sorted(rows.tolist()) == list(range(sizes.size))
         assert (lengths == sizes[rows]).all()
 
@@ -668,8 +675,8 @@ class TestDerangementSampler:
         # P(k 2-cycles | derangement of 6), exact vs 10^5 batch draws
         reps = 100_000
         sizes = np.full(reps, 6)
-        rng = np.random.default_rng(801)
-        hist = samplers.derangement_cycle_counts_batch(sizes, 6, rng)["scream_hist"]
+        rows, lengths = _derangement_cycles(sizes, 6, np.random.default_rng(801))
+        hist = np.bincount(_dense_counts(rows, lengths, reps, 6)[:, 2])
         assert hist.sum() == reps
         observed = {k: int(c) for k, c in enumerate(hist) if c}
         norm = F(derangement_number(6), math.factorial(6))
@@ -682,7 +689,7 @@ class TestDerangementSampler:
         # per row, whatever the mix of sizes: sum_j j*c_j = r and no 1-cycles
         sizes = np.repeat([2, 5, 9, 3], 200)
         np.random.default_rng(802).shuffle(sizes)
-        rows, lengths = samplers._derangement_cycles(sizes, 9, np.random.default_rng(803))
+        rows, lengths = _derangement_cycles(sizes, 9, np.random.default_rng(803))
         counts = _dense_counts(rows, lengths, sizes.size, 9)
         assert (counts @ np.arange(10) == sizes).all()
         assert (counts[:, 1] == 0).all()
@@ -692,7 +699,7 @@ class TestDerangementSampler:
         reps = 40_000
         sizes = np.repeat(np.arange(2, 9), reps)
         np.random.default_rng(804).shuffle(sizes)
-        rows, lengths = samplers._derangement_cycles(sizes, 8, np.random.default_rng(805))
+        rows, lengths = _derangement_cycles(sizes, 8, np.random.default_rng(805))
         counts = _dense_counts(rows, lengths, sizes.size, 8)
         assert (counts @ np.arange(9) == sizes).all()
         for r in range(2, 9):
@@ -709,19 +716,16 @@ class TestDerangementSampler:
     def test_cycle_means_of_wide_rows(self):
         # 10**5 derangements of 1000 points: short, middle and longest cycles
         n, reps = 1000, 100_000
-        sizes = np.full(reps, n)
-        tally = samplers.derangement_cycle_counts_batch(sizes, n, np.random.default_rng(806))
+        tally = samplers.zero_tally(n, "cyc_sum", "cyc_sumsq", "scream_hist")
+        samplers._tally_pairs(
+            tally, "cyc", *_derangement_cycles(np.full(reps, n), n, np.random.default_rng(806)), reps
+        )
         assert tally["cyc_sum"] @ np.arange(n + 1) == n * reps
         assert tally["cyc_sum"][1] == tally["cyc_sum"][n - 1] == 0
         for j in [*range(2, 12), 500, 998, 1000]:
             exact = float(derangement_mean_cycle_count(n, j))
             mean, se = _mean_and_se(tally, "cyc", j, reps)
             assert abs(mean - exact) <= 5 * max(se, 1e-9), j
-
-    def test_rejects_sizes_below_2(self):
-        for sizes in ([3, 1], [1]):
-            with pytest.raises(ValueError):
-                samplers.derangement_cycle_counts_batch(np.array(sizes), 3, np.random.default_rng(0))
 
 
 class TestCoreJointSampler:
@@ -807,27 +811,57 @@ class TestChunkedTallies:
 
     def test_core_joint_route_n10(self, monkeypatch):
         n, reps, seed, block = 10, 3000, 4343, 700
-        # reference: the same draws, block by block, as a full per-row
-        # cycle-count matrix
         rng = np.random.default_rng(seed)
-        sizes = samplers.core_sizes_batch(n, reps, rng)
-        cyc = np.zeros((reps, n + 1), dtype=np.int64)
-        for lo in range(0, reps, block):
-            rows, lengths = samplers._derangement_cycles(sizes[lo:lo + block], n, rng)
-            cyc[lo:lo + block] = _dense_counts(rows, lengths, sizes[lo:lo + block].size, n)
-        assert (cyc @ np.arange(n + 1) == sizes).all()
-        assert (cyc[:, 1] == 0).all()
-        want = {
-            "replicates": reps,
-            **_matrix_tally(cyc, "cyc"),
-            "scream_hist": np.bincount(cyc[:, 2], minlength=n // 2 + 1),
-            "core_hist": np.bincount(sizes, minlength=n + 1),
-        }
+        want = _core_joint_reference(n, reps, rng, block)
         monkeypatch.setattr(samplers, "ROW_CHUNK", block)
-        got = toes_core_cycle_counts_batch(n, reps, np.random.default_rng(seed))
+        kernel_rng = np.random.default_rng(seed)
+        got = toes_core_cycle_counts_batch(n, reps, kernel_rng)
         assert sorted(got) == sorted(want)
         for key, value in want.items():
             assert np.array_equal(got[key], value), key
+        # and the caller's generator ends where those draws leave it
+        assert kernel_rng.bit_generator.state == rng.bit_generator.state
+
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.SFC64, np.random.Philox])
+    def test_core_joint_route_block_size(self, monkeypatch, bit_generator):
+        # whatever the block size and the chunks that skip the core sizes'
+        # doubles, on generators with no jump-ahead too, the kernel draws
+        # every core size before any derangement: its core sizes do not
+        # depend on the blocks, and its tally is the reference's for the
+        # same blocks
+        core_hists = []
+        for block, skip in ((samplers.ROW_CHUNK, samplers.CHUNK_CELLS), (700, 64), (64, 1000)):
+            monkeypatch.setattr(samplers, "ROW_CHUNK", block)
+            monkeypatch.setattr(samplers, "CHUNK_CELLS", skip)
+            rng = np.random.Generator(bit_generator(4646))
+            want = _core_joint_reference(10, 3000, rng, block)
+            kernel_rng = np.random.Generator(bit_generator(4646))
+            got = toes_core_cycle_counts_batch(10, 3000, kernel_rng)
+            assert sorted(got) == sorted(want)
+            for key, value in want.items():
+                assert np.array_equal(got[key], value), (block, key)
+            assert kernel_rng.random() == rng.random()
+            core_hists.append(got["core_hist"])
+        assert all(np.array_equal(hist, core_hists[0]) for hist in core_hists)
+
+
+def _core_joint_reference(n, reps, rng, block):
+    """The core-joint route's tally from its draws in their order, every
+    core size by inverse CDF, then the derangements in blocks of ``block``
+    rows, tallied as a full per-row cycle-count matrix."""
+    sizes = 2 + np.searchsorted(samplers._core_size_cdf(n), rng.random(reps), side="right")
+    cyc = np.zeros((reps, n + 1), dtype=np.int64)
+    for lo in range(0, reps, block):
+        rows, lengths = _derangement_cycles(sizes[lo:lo + block], n, rng)
+        cyc[lo:lo + block] = _dense_counts(rows, lengths, sizes[lo:lo + block].size, n)
+    assert (cyc @ np.arange(n + 1) == sizes).all()
+    assert (cyc[:, 1] == 0).all()
+    return {
+        "replicates": reps,
+        **_matrix_tally(cyc, "cyc"),
+        "scream_hist": np.bincount(cyc[:, 2], minlength=n // 2 + 1),
+        "core_hist": np.bincount(sizes, minlength=n + 1),
+    }
 
 
 def _traced_peak_mb(fn, *args):
@@ -840,15 +874,26 @@ def _traced_peak_mb(fn, *args):
 
 
 class TestMemoryBound:
-    """Peak traced memory of one batch at n = 1000.  Full per-row (B, n+1)
-    int64 matrices would need 160 MB (core-joint, 20 000 rows) and about
-    360 MB (direct, 5 000 rows) here; dense ESF proposals took about
-    1.6 GB for 20 000 accepted components."""
+    """Peak traced memory of one batch at n = 1000, and the core-joint
+    batch's growth with its size at n = 10.  Full per-row (B, n+1) int64
+    matrices would need 160 MB (core-joint, 20 000 rows) and about 360 MB
+    (direct, 5 000 rows) here; dense ESF proposals took about 1.6 GB for
+    20 000 accepted components, and core sizes drawn all at once took 16
+    bytes a replicate."""
 
     def test_core_joint_batch(self):
         samplers._core_size_cdf(1000)  # the cached exact CDF is set-up, not batch memory
         peak = _traced_peak_mb(toes_core_cycle_counts_batch, 1000, 20_000, np.random.default_rng(950))
         assert peak < 16
+        # flat in the batch size: 30 more blocks of core sizes held at once
+        # would add 7.5 MB
+        samplers._core_size_cdf(10)
+        small, large = (
+            _traced_peak_mb(toes_core_cycle_counts_batch, 10, blocks * samplers.ROW_CHUNK,
+                            np.random.default_rng(953))
+            for blocks in (2, 32)
+        )
+        assert large - small < 1
 
     def test_rejection_batch(self):
         omega_values(1000)  # cached, like the CDF above
@@ -943,6 +988,16 @@ class TestRouteAgreement:
             b = cyc[:, j]
             se = math.sqrt(a_se**2 + b.var(ddof=1) / reps)
             assert abs(a_mean - b.mean()) <= 4 * max(se, 1e-9)
+
+
+@pytest.mark.parametrize("kernel", [
+    samplers.toes_mapping_counts_batch,
+    samplers.toes_component_counts_batch,
+    samplers.toes_core_cycle_counts_batch,
+])
+def test_route_kernels_reject_negative_counts(kernel):
+    with pytest.raises(ValueError, match="count"):
+        kernel(10, -3, np.random.default_rng(0))
 
 
 class TestBatchDeterminism:
