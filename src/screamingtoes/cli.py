@@ -121,19 +121,26 @@ def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespa
 
 
 def _write(text: str, out: str | None) -> None:
-    """Write to ``--out``, or write and flush stdout.  A closed stdout (``| head``)
-    exits 1 with one line; stdout is pointed at devnull first, because the
-    interpreter flushes it again at exit and would print a traceback."""
+    """Write to ``--out``, or write and flush stdout.  Any error from opening,
+    writing or closing the output (a closed stdout under ``| head``, a full
+    device) exits 1 with one line.  A failed stdout is pointed at devnull
+    first, because the interpreter flushes it again at exit and would print
+    a traceback."""
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SystemExit(f"screamingtoes: cannot write --out {out}: {exc.strerror or exc}") from None
         return
     try:
         sys.stdout.write(text)
         sys.stdout.flush()
-    except BrokenPipeError:
+    except OSError as exc:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        raise SystemExit("screamingtoes: stdout closed before all output was written") from None
+        if isinstance(exc, BrokenPipeError):
+            raise SystemExit("screamingtoes: stdout closed before all output was written") from None
+        raise SystemExit(f"screamingtoes: cannot write stdout: {exc.strerror or exc}") from None
 
 
 def _report(args: argparse.Namespace) -> harness.ExperimentReport:

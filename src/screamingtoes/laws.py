@@ -20,10 +20,15 @@ sum behind the rejection sampler's acceptance rate
 its core's cycle type, is the tuple of its sizes in ascending order:
 :func:`component_pmf_table` keys its entries so, ``samplers.decompose``
 and the one-replicate samplers return spectra so, and
-:func:`component_pmf` takes the sizes in any order.  The reference laws
-that only check these (the Ewens sampling formula, the derangement cycle
-laws and the two sides of the core/derangement identity) live with the
-tests, in ``tests/oracles.py``.
+:func:`component_pmf` takes the sizes in any order.  The two cycle-type
+laws that the samplers draw from are not here: the Ewens sampling formula
+given no 1-cycle, and at parameter 1 the derangement cycle-type law, live
+in ``samplers`` as its integer weights and its float64 whole-type tables
+of n <= ``samplers.TYPE_TABLE_MAX_N``, joined with :func:`core_size_counts`
+for the core-joint route.  The reference laws that only check these (the
+Ewens sampling formula and the derangement cycle laws as exact Fractions,
+and the two sides of the core/derangement identity) live with the tests,
+in ``tests/oracles.py``.
 
 Every probability and moment here is computed as an exact ``Fraction``.
 The component means, core sizes, screaming pairs and q_n are integer counts

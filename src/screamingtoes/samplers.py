@@ -22,23 +22,36 @@ one-replicate calls of the ``*_batch`` kernels, and :func:`decompose` is
 one row of the decomposition kernel :func:`decompose_batch`.  These views
 give a spectrum as the tuple of its sizes in ascending order.
 
-Routes 2 and 3 share one kernel, :func:`_cycles_without_fixed_points`: it
-draws ESF(theta) conditioned on having no 1-cycle, one cycle at a time from
-one exact cumulative table, so a replicate costs O(its cycles) random
-numbers and memory, not O(n).  At theta = 1 that is a uniform derangement's
-cycle type; at theta = 1/2 it is a rejection proposal that has already
-passed the no-1-cycle test, which one uniform against P(a_1 = 0) decides.
+Above :data:`TYPE_TABLE_MAX_N`, routes 2 and 3 share one kernel,
+:func:`_cycles_without_fixed_points`: it draws ESF(theta) conditioned on
+having no 1-cycle, one cycle at a time from one exact cumulative table, so
+a replicate costs O(its cycles) random numbers and memory, not O(n).  At
+theta = 1 that is a uniform derangement's cycle type; at theta = 1/2 it is
+a rejection proposal that has already passed the no-1-cycle test, which one
+uniform against P(a_1 = 0) decides.
 
-There is one tally format and one fold.  Every kernel, the brute-force
-oracle's :func:`every_mapping_counts` too, hands its groups (components or
-cycles) to :func:`_tally_pairs` as (replicate, size) pairs, one pair per
-group, and that fold builds every integer tally of :func:`zero_tally`;
-nothing builds a per-replicate (rows, n+1) count matrix.
+Up to :data:`TYPE_TABLE_MAX_N`, where a replicate's cycle type takes only a
+few hundred values, each route draws it whole with one double, by one
+search of one exact cumulative table over its outcomes.  These tables hold
+the laws that both routes sample, as float64 CDFs rounded once from exact
+integers: the Ewens sampling formula given a_1 = 0 by Cauchy's cycle-type
+count (:func:`_cycle_types`), at theta = 1/2 for rejection proposals
+(:func:`_proposal_type_table`, with each type's acceptance threshold), and
+at theta = 1, the derangement cycle-type law, joined with the core-size
+counts of ``laws`` for the core-joint route (:func:`_core_type_table`).
+
+There is one tally format.  Every kernel, the brute-force oracle's
+:func:`every_mapping_counts` too, hands its groups (components or cycles)
+to :func:`_tally_pairs` as (replicate, size) pairs, one pair per group, or,
+drawing whole types, a histogram of them to :func:`_tally_types`, and these
+folds build every integer tally of :func:`zero_tally`; nothing builds a
+per-replicate (rows, n+1) count matrix.
 """
 
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 from collections import Counter
 from collections.abc import Iterable
@@ -532,8 +545,121 @@ def _cycles_without_fixed_points(
 #: Rows (ESF proposals, or core sizes and their derangements) that the
 #: rejection and core-joint routes draw, pass to
 #: :func:`_cycles_without_fixed_points` and tally at once; their pairs take a
-#: few MB, whatever the batch size.
+#: few MB, whatever the batch size.  The whole-type tables of
+#: :data:`TYPE_TABLE_MAX_N` draw in chunks of as many proposals or replicates.
 ROW_CHUNK = 1 << 14
+
+
+# ---------------------------------------------------------------------------
+# Whole cycle types from one exact table, at small n
+
+#: Largest n at which the rejection and core-joint routes draw each
+#: replicate's whole cycle type with one search of one exact cumulative
+#: table (:func:`_proposal_type_table`, :func:`_core_type_table`), not one
+#: cycle at a time.  The core-joint table has 41 entries at n = 10 and 626 at
+#: n = 20; both tables took 1 ms to build at n = 10, 0.010 s at n = 20,
+#: 0.030 s at n = 25 and 0.10 s at n = 30, once per worker.  One default
+#: batch of 125 000 replicates took 0.014 s by table and 0.064 s by steps
+#: for rejection at n = 20, and 0.005 s and 0.024 s for core-joint (CPU,
+#: median of 7, 2-vCPU host, Python 3.11).  At 20 each route's build costs
+#: less than it saves on its first batch; at 25 the core-joint table alone
+#: took 0.024 s, more than that batch's saving.
+TYPE_TABLE_MAX_N = 20
+
+
+def _cycle_types(m: int, theta: Fraction) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The cycle types of size m with no 1-cycle, in ``laws.partitions(m, 2)``
+    order, and the integer weight of each under the Ewens sampling formula
+    with theta = p/q: m! q**m prod_j (theta/j)**a_j / a_j!, which is
+    Cauchy's count m!/prod_j j**a_j a_j! of the permutations of that type
+    times p**k q**(m-k) for its k cycles.  The weights must sum to
+    m! q**m f_m = (m-1) p q C_{m-2} of :func:`_no_fixed_point_sums`, so their
+    ratios to that sum are ESF(theta) given a_1 = 0; at theta = 1 the sum is
+    D_m and the ratios are a uniform derangement's cycle-type law."""
+    p, q = theta.numerator, theta.denominator
+    types = list(laws.partitions(m, 2))
+    weights = [
+        math.factorial(m) * p ** len(parts) * q ** (m - len(parts))
+        // math.prod(j**a * math.factorial(a) for j, a in Counter(parts).items())
+        for parts in types
+    ]
+    *_, (acc, _) = _no_fixed_point_sums(m, theta)
+    if sum(weights) != (m - 1) * p * q * acc:
+        raise laws.ConsistencyError(f"ESF({theta}) cycle-type weights at size {m} miss their total")
+    return types, weights
+
+
+def _type_counts(types: list[tuple[int, ...]], n: int) -> np.ndarray:
+    """The (types, n+1) int64 matrix of each type's count of cycles of each length."""
+    counts = np.zeros((len(types), n + 1), dtype=np.int64)
+    for row, parts in zip(counts, types):
+        np.add.at(row, list(parts), 1)
+    return counts
+
+
+@lru_cache(maxsize=64)
+def _proposal_type_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rejection route's table at size n <= :data:`TYPE_TABLE_MAX_N`,
+    over the ESF(1/2) cycle types with no 1-cycle in ``laws.partitions(n, 2)``
+    order: the cumulative law of a proposal's type given a_1 = 0, each
+    running integer sum of :func:`_cycle_types` over their total rounded
+    once to float64 and the last forced to 1.0; each type's acceptance
+    threshold P(a_1 = 0) prod_j (2 w_j)**a_j; and the types' count matrix
+    (:func:`_type_counts`)."""
+    types, weights = _cycle_types(n, Fraction(1, 2))
+    total = sum(weights)
+    cdf = np.array([acc / total for acc in itertools.accumulate(weights)])
+    cdf[-1] = 1.0
+    p_none = _no_fixed_point_table(n, Fraction(1, 2))[1]
+    w = omega_values(n)
+    threshold = np.array([p_none * math.prod(2.0 * w[j] for j in parts) for parts in types])
+    return cdf, threshold, _type_counts(types, n)
+
+
+@lru_cache(maxsize=64)
+def _core_type_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The core-joint route's table at size n <= :data:`TYPE_TABLE_MAX_N`,
+    over the pairs (core size r, cycle type of a derangement of r), r
+    ascending, then the types in ``laws.partitions(r, 2)`` order: the
+    cumulative joint law and the types' count matrix (:func:`_type_counts`).
+
+    The pair's probability is N_r / (n-1)**n, with N_r of
+    :func:`laws.core_size_counts`, times the type's derangement law of
+    :func:`_cycle_types` at theta = 1, W / D_r.  Each running sum, over r'
+    below r plus the types of r so far, is the exact ratio
+    (N_below D_r + N_r W_acc) / ((n-1)**n D_r), rounded once to float64; at
+    the end of each r's types it is the entry of :func:`_core_size_cdf`, bit
+    for bit, so a double gives the same core size by either table.  The sums
+    must reach (n-1)**n; the last entry is forced to 1.0.
+    """
+    core_counts = laws.core_size_counts(n, "toes")
+    total = (n - 1) ** n
+    below, cdf, types = 0, [], []
+    for r in range(2, n + 1):
+        parts, weights = _cycle_types(r, Fraction(1))
+        derangements = sum(weights)
+        cdf += [(below * derangements + core_counts[r] * acc) / (total * derangements)
+                for acc in itertools.accumulate(weights)]
+        types += parts
+        below += core_counts[r]
+    if below != total:
+        raise laws.ConsistencyError(f"core-size counts for n={n} do not sum to (n-1)**n")
+    cdf[-1] = 1.0
+    return np.array(cdf), _type_counts(types, n)
+
+
+def _tally_types(tally: dict, name: str, hist: np.ndarray, counts: np.ndarray) -> None:
+    """Fold a histogram of type indices into a tally, through the types'
+    count matrix: ``tally[name + "_sum"]`` and ``tally[name + "_sumsq"]`` get
+    the per-length sums of the counts and of their squares and, for cycles
+    (``name == "cyc"``), ``scream_hist`` and ``core_hist`` the histograms of
+    the 2-cycle counts and of the core sizes, all exact int64 counts, as
+    :func:`_tally_pairs` builds them from pairs."""
+    tally[name + "_sum"] += hist @ counts
+    tally[name + "_sumsq"] += hist @ (counts * counts)
+    if name == "cyc":
+        np.add.at(tally["scream_hist"], counts[:, 2], hist)
+        np.add.at(tally["core_hist"], counts @ np.arange(counts.shape[1]), hist)
 
 
 def esf_cycle_counts_batch(
@@ -564,7 +690,7 @@ def _accepted_components(n: int, count: int, rng: np.random.Generator):
     log_ratio[2:] = np.log(2.0 * omega_values(n)[2:])
     have = attempts = 0
     while have < count:
-        chunk = min(max(4096, int((count - have) / 0.2)), ROW_CHUNK)
+        chunk = _proposal_chunk(count - have)
         u = rng.random(chunk)
         drawn = np.flatnonzero(u < p_none)
         prop, size = esf_cycle_counts_batch(n, drawn.size, rng)
@@ -578,22 +704,65 @@ def _accepted_components(n: int, count: int, rng: np.random.Generator):
         yield number[prop[keep]], size[keep], attempts
 
 
+def _proposal_chunk(left: int) -> int:
+    """Proposals that the rejection route draws at once when ``left`` are
+    still to be accepted: enough for them at an acceptance rate of 0.2 (it
+    is 0.2479 at n = 10 and rises towards 0.2601), at least 4096 and at
+    most ``ROW_CHUNK``."""
+    return min(max(4096, int(left / 0.2)), ROW_CHUNK)
+
+
+def _accepted_types(n: int, count: int, rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    """Rejection from ESF(1/2) until ``count`` proposals are accepted, each
+    proposal's whole cycle type drawn from :func:`_proposal_type_table`, at
+    n <= :data:`TYPE_TABLE_MAX_N`.
+
+    Doubles 2i and 2i+1 of ``rng`` are proposal i's u and v: v picks its
+    type given a_1 = 0, and it is accepted iff u is below the type's
+    threshold P(a_1 = 0) prod_j (2 w_j)**a_j, the rule of
+    :func:`_accepted_components`.  Proposals come in chunks of
+    :func:`_proposal_chunk`, and acceptances are taken in proposal order.
+    Returns the histogram of the accepted types and the number of proposals
+    consumed through the last acceptance.
+    """
+    cdf, threshold, _ = _proposal_type_table(n)
+    top = threshold.max()
+    hist = np.zeros(cdf.size, dtype=np.int64)
+    have = attempts = 0
+    while have < count:
+        chunk = _proposal_chunk(count - have)
+        u, v = rng.random((chunk, 2)).T
+        live = np.flatnonzero(u < top)  # no type accepts the others
+        kind = np.searchsorted(cdf, v[live], side="right")
+        took = np.flatnonzero(u[live] < threshold[kind])[: count - have]
+        attempts += int(live[took[-1]]) + 1 if have + took.size == count else chunk
+        hist += np.bincount(kind[took], minlength=cdf.size)
+        have += took.size
+    return hist, attempts
+
+
 def toes_component_counts_batch(
     n: int, count: int, rng: np.random.Generator, keys: Iterable[str] = ()
 ) -> dict:
     """Tallies of ``count`` component spectra of the toes mapping by
     rejection from ESF(1/2): ``replicates``, ``attempts`` (the proposals
     consumed through the last acceptance) and the ``zero_tally`` keys
-    ``comp_sum`` and ``comp_sumsq``, whatever ``keys`` names.  Each chunk of
+    ``comp_sum`` and ``comp_sumsq``, whatever ``keys`` names.  Up to
+    :data:`TYPE_TABLE_MAX_N` the accepted types of :func:`_accepted_types`
+    are tallied at once; above it each chunk of
     :func:`_accepted_components` is tallied as it comes."""
     if n < 2:
         raise ValueError("need n >= 2")
     if count < 0:
         raise ValueError(f"need count >= 0 (got {count})")
     tally = zero_tally(n, "comp_sum", "comp_sumsq")
-    attempts = 0
-    for rows, lengths, attempts in _accepted_components(n, count, rng):
-        _tally_pairs(tally, "comp", rows, lengths, count)
+    if n <= TYPE_TABLE_MAX_N:
+        hist, attempts = _accepted_types(n, count, rng)
+        _tally_types(tally, "comp", hist, _proposal_type_table(n)[2])
+    else:
+        attempts = 0
+        for rows, lengths, attempts in _accepted_components(n, count, rng):
+            _tally_pairs(tally, "comp", rows, lengths, count)
     return {"replicates": count, "attempts": attempts, **tally}
 
 
@@ -657,17 +826,33 @@ def _core_size_cdf(n: int) -> np.ndarray:
     return cdf
 
 
+def _core_types(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """The histogram of ``count`` replicates' (core size, derangement type)
+    pairs, indices of :func:`_core_type_table`, at n <=
+    :data:`TYPE_TABLE_MAX_N`: double i of ``rng`` is replicate i's, one
+    search of the table, in chunks of ``ROW_CHUNK`` doubles."""
+    cdf = _core_type_table(n)[0]
+    hist = np.zeros(cdf.size, dtype=np.int64)
+    for done in range(0, count, ROW_CHUNK):
+        kind = np.searchsorted(cdf, rng.random(min(ROW_CHUNK, count - done)), side="right")
+        hist += np.bincount(kind, minlength=cdf.size)
+    return hist
+
+
 def toes_core_cycle_counts_batch(
     n: int, count: int, rng: np.random.Generator, keys: Iterable[str] = ()
 ) -> dict:
     """Tallies of ``count`` replicates by the core-joint route, whatever
     ``keys`` names: ``replicates`` and the keys ``_CORE_KEYS``.
 
-    Blocks of ``ROW_CHUNK`` replicates each draw their core sizes by inverse
-    CDF from the exact core-size law, then a uniform derangement of each
-    size, ESF(1) conditioned on a_1 = 0 by
-    :func:`_cycles_without_fixed_points`, and are tallied as they come, so
-    memory does not grow with ``count``.  The draws are still those of
+    Up to :data:`TYPE_TABLE_MAX_N` each replicate's core size and cycle type
+    come from one double (:func:`_core_types`), and its core size is the one
+    that the same double gives by the core-size CDF below.  Above it, blocks
+    of ``ROW_CHUNK`` replicates each draw their core sizes by inverse CDF
+    from the exact core-size law, then a uniform derangement of each size,
+    ESF(1) conditioned on a_1 = 0 by :func:`_cycles_without_fixed_points`,
+    and are tallied as they come, so memory does not grow with ``count``.
+    The draws are still those of
     every core size first, then the derangements in block order, and
     ``rng`` ends in that order's state: the core sizes come from a copy of
     ``rng``, which itself skips their ``count`` doubles before it draws the
@@ -679,11 +864,14 @@ def toes_core_cycle_counts_batch(
     """
     if count < 0:
         raise ValueError(f"need count >= 0 (got {count})")
+    tally = zero_tally(n, *_CORE_KEYS)
+    if n <= TYPE_TABLE_MAX_N:
+        _tally_types(tally, "cyc", _core_types(n, count, rng), _core_type_table(n)[1])
+        return {"replicates": count, **tally}
     cdf = _core_size_cdf(n)
     cores = copy.deepcopy(rng)
     for done in range(0, count, CHUNK_CELLS):
         rng.random(min(CHUNK_CELLS, count - done))
-    tally = zero_tally(n, *_CORE_KEYS)
     for done in range(0, count, ROW_CHUNK):
         sizes = 2 + np.searchsorted(cdf, cores.random(min(ROW_CHUNK, count - done)), side="right")
         tally["core_hist"] += np.bincount(sizes, minlength=n + 1)

@@ -1,7 +1,9 @@
 """Harness tests: enumeration golden values, table plumbing, serialisation
 determinism, and the CLI."""
 
+import errno
 import hashlib
+import io
 import json
 import math
 import multiprocessing
@@ -834,6 +836,43 @@ class TestCli:
         lines = done.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("screamingtoes:"), done.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--n", "3"],
+        ["exact", "--table", "q", "--n", "5"],
+    ], ids=["validate", "exact"])
+    def test_full_device_is_a_one_line_error(self, argv, tmp_path, capsys, monkeypatch):
+        # an --out file whose close fails to flush, as on a full device
+        class Full(io.StringIO):
+            def close(self):
+                if not self.closed:
+                    super().close()
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: Full(), raising=False)
+        out = tmp_path / "report.txt"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--out", str(out)])
+        assert exc.value.code == f"screamingtoes: cannot write --out {out}: No space left on device"
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--n", "3"],
+        ["exact", "--table", "q", "--n", "5"],
+        ["validate", "--n", "3", "--out", "/dev/full"],
+        ["exact", "--table", "q", "--n", "5", "--out", "/dev/full"],
+    ], ids=["validate", "exact", "validate-out", "exact-out"])
+    def test_dev_full_is_a_one_line_error(self, argv):
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                [sys.executable, "-m", "screamingtoes.cli", *argv], stdout=full,
+                stderr=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": src},
+            )
+        assert done.returncode == 1
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("screamingtoes: cannot write"), done.stderr
+
     @pytest.mark.parametrize("argv, config", [
         (["tables", "--tables", ","], None),
         (["exact", "--table", "q", "--config", "{missing}"], None),
@@ -909,8 +948,10 @@ class TestCli:
 #: Small CLI runs whose stdout is pinned byte for byte, in every format: they
 #: cover every table through every method that can fill it, the q table with
 #: and without n, the exact model filter, n = 2, a direct run at n = 1000
-#: whose batches span several chunks of ``samplers.CHUNK_CELLS``, and a
-#: core-joint batch of 40 000 replicates, three blocks of ``samplers.ROW_CHUNK``.
+#: whose batches span several chunks of ``samplers.CHUNK_CELLS``, a
+#: core-joint batch of 40 000 replicates, three chunks of ``samplers.ROW_CHUNK``,
+#: and both routes that draw whole cycle types from a table at small n, at
+#: n = ``samplers.TYPE_TABLE_MAX_N`` + 1, where they draw one cycle at a time.
 #: A change to any report byte must update these digests on purpose.
 GOLDEN_RUNS = {
     "tables-default": ["tables", "--reps", "20000", "--batch-size", "5000", "--workers", "1"],
@@ -933,30 +974,34 @@ GOLDEN_RUNS = {
     "exact-standard": ["exact", "--table", "cycles", "--n", "6", "--model", "standard"],
     "n2": ["tables", "--tables", "q,components,scream,cycles,core,repeats,acceptance",
            "--n", "2", "--reps", "500", "--batch-size", "200", "--workers", "1"],
+    "core-joint-n21": ["tables", "--tables", "scream,cycles,core", "--method", "core-joint", "--n", "21",
+                       "--reps", "3000", "--batch-size", "1000", "--workers", "1"],
+    "rejection-n21": ["tables", "--tables", "components,acceptance", "--method", "rejection", "--n", "21",
+                      "--reps", "3000", "--batch-size", "1000", "--workers", "1"],
 }
 
 GOLDEN_SHA256 = {
-    ("tables-default", "json"): "c94d9b39aa1cb6c4273fde7b473f39432a278dcf4448e27986b1f7db7d8e0493",
-    ("tables-default", "csv"): "e0b94c3eb03ac7af22a3f0a6c7cb3e15469c5fe342c540ff6999c5151bfbc94d",
-    ("tables-default", "pretty"): "e725fd9b0b3c0cd4809abe3830ad0f50b3872b31b429a241a00cc0cd821a2aa8",
+    ("tables-default", "json"): "0a64c5410dfc2bd3183eb3c86c902c5b37bf457fe40501472ccc9dce66230fb5",
+    ("tables-default", "csv"): "2dc3586181432a24b5dbb42b1534f0df4b7a31e7b2dd44ff3ba9d95224021621",
+    ("tables-default", "pretty"): "b52880e560ed1a7ac63667719636c9e16fa283086b3f7e0f8ba83675edb46135",
     ("direct-n5", "json"): "e30cdd0b35b94cb7b879a2cc5f47dc19b79c24c1eebe16aaf2292b542de5b83b",
     ("direct-n5", "csv"): "8bac575f9d958742b0ebed799f5c4fa8f9ab003e064a02a8f1bc258ad49f8cad",
     ("direct-n5", "pretty"): "fa7478698f50d9841320c0f9af97b7d6cc559341c65afaf71463c6c353c1f3e5",
     ("direct-n1000", "json"): "f923fde6fd3d570689dd999e7fd10ec07f495d929adadfc8b3c93e919e7bc276",
     ("direct-n1000", "csv"): "9beba48fbb4d15087fe3c6443e1394548589a566b28ff7f0119451a173050020",
     ("direct-n1000", "pretty"): "672c73495cb6d58fe947d3824258fbca84639e9de28d03be79917083d72e0509",
-    ("rejection-n5", "json"): "0f18b97f580f2a9ce826567b997ebe143ba128c96ea3e0c0929b30797ec5c314",
-    ("rejection-n5", "csv"): "0aad1c15b17d3e9864e172a57e6c533669efb4dbe677653e0e66b4382766a08f",
-    ("rejection-n5", "pretty"): "91b86778fc330a8466e0bcd03391faa6dcf9fdc3012724f0db15e0efe9cf0846",
+    ("rejection-n5", "json"): "7c4d25e10b194fedc3b5c8c27b181e81208ffc715cb8286779d5e1325cdc792a",
+    ("rejection-n5", "csv"): "d4d074919ec509ef80547e1b422b7dadbd8b337729446c2a23da4ca8db35a258",
+    ("rejection-n5", "pretty"): "c4a5e542675b5ca99a9d6c323c49ecb97c2188df8801a72b7a4d40b53d9612c4",
     ("core-joint-n5", "json"): "365f81bc9f9eaf6ab3ce667d34c1f69d6770b5dd00d4c340d82ec231347b463b",
     ("core-joint-n5", "csv"): "4aa8e25ae2c1fd87021f4045238736d154da609e7fbafa01ea9af6140c8cfc15",
     ("core-joint-n5", "pretty"): "3b8b9b90eb6de2683957eac0c5cb3dca3db56d39dbacdd1def989c73d009afc0",
-    ("core-joint-n10-blocks", "json"): "888d10a449189aeddd858b42694612f93b16cd137485b2a7827b7096030fb7e1",
-    ("core-joint-n10-blocks", "csv"): "0e52650e3aaf2edbfe4e8d1969ceda43fd75e0d259dc84a4e28b81d0b7069d4a",
-    ("core-joint-n10-blocks", "pretty"): "12ca375131bc656c160e28bc0340305ca67878c6fcc6a05035905c5eeb9b9d70",
-    ("core-joint-n5-all", "json"): "895e328d8341fa80c1a96d023a47325f7dba3e070cda7f07cd0e74d6e443db8b",
-    ("core-joint-n5-all", "csv"): "7d59a1c4813a4559e1977af0e17f65b5bb441e3367d09e04f9e566cab7c4ee49",
-    ("core-joint-n5-all", "pretty"): "337fc22a0c36df6749f79cdecfd88c691e2f3600b42082e9aeee1e238c08f8c6",
+    ("core-joint-n10-blocks", "json"): "65cafd742c67bbb334d33eab662b0ff1f11cf2b59b92fe3bb5659dfaa14d9bb1",
+    ("core-joint-n10-blocks", "csv"): "5b556b41f5edc1c8f2534b79886966792b13ad8a2a1b78fab8e0074d174da3b7",
+    ("core-joint-n10-blocks", "pretty"): "31ee859735ba0dd37ee36471cc08655a84bf5c66e312038871683ee8ec7b077e",
+    ("core-joint-n5-all", "json"): "7786cfac661aeac6be6ca53214ea6127e9e42e22fd4faf2fad19a5d84d82e0bb",
+    ("core-joint-n5-all", "csv"): "a278e503c9294bd964fc2edbc765d03479d3cff453122295a37bf841237dea44",
+    ("core-joint-n5-all", "pretty"): "64bc7f825f282a1d0851a97aabb61e0769f32db04a98d88cce54564ccc582fd4",
     ("brute-force-n5", "json"): "cd575feea9fdd099428c48f2d02f04c42041ebb7b6f3ca6179361730355cc53f",
     ("brute-force-n5", "csv"): "284d8af1790bf0644d57a95364d801b150c6d181c1f85e914baa95971b9e9ca3",
     ("brute-force-n5", "pretty"): "ec4cd3374c0bb513bb1ea5e6cdf61a8294b9883d5f79b5162e9817ac2fc1cc8d",
@@ -972,10 +1017,22 @@ GOLDEN_SHA256 = {
     ("exact-standard", "json"): "20108ce8e4a8fcbb5c62ab24efefda1111635a0fff7d17e6e91c70a9d052d947",
     ("exact-standard", "csv"): "eaf04a4f666a5735800b6a16190455c8366ed94e23de56976b45340f2c297a6e",
     ("exact-standard", "pretty"): "f3fdc46116ff9cf4c4ec21fbe46f779ff548bdb7a14a5dd6facab918b0b421a2",
-    ("n2", "json"): "664dddf771f7e5487de8936ca634c1a5c075366a731ac9b9b935e686b8b66cc6",
-    ("n2", "csv"): "bd79f138e4b873446c3d2597b65622bf94943e4c28e104521355b0aca95f245a",
-    ("n2", "pretty"): "f07d3c72d10a7853a01e680c0e6edc7f7f70fc8f9dce687a574858b0b936602f",
+    ("n2", "json"): "6c5b5092aaf8277e66e9958e0cb9b7c8625153af156615785d47eb7db735be20",
+    ("n2", "csv"): "31525b73237c63c211486103ad8469530bff704600d98010ee27cc58dd352bd2",
+    ("n2", "pretty"): "e76d775b304fdde731c5d9c6a39a6a2d2c38e415793cc6220e72de64115c5c1f",
+    ("core-joint-n21", "json"): "b2cfd2bc1e4aa42f96da85952f5fadc0ae43d2d371ba727cadd4129e8d0ac9d4",
+    ("core-joint-n21", "csv"): "7a9853b0a6eb0efd37c3226e005f32d201b17bc8bc09a1edcf3a6eb8924551b7",
+    ("core-joint-n21", "pretty"): "138f8cd841a840354210247424071063a4c945803a8ec5d84a6e24888751f584",
+    ("rejection-n21", "json"): "acec9c718dd34efd48c6d9d1f60de88c3888d3ec3a598cc5d977aca96b182853",
+    ("rejection-n21", "csv"): "4d8aaf0c08b9c5706226068345bd544c92769ea5762db0ce2f706a9fa9125ec9",
+    ("rejection-n21", "pretty"): "af4d47585b4db1ada8d6852c5f96a473eaa03b074797792cd204e2818e29f140",
 }
+
+
+def test_step_golden_runs_sit_just_above_the_type_tables():
+    for run in ("core-joint-n21", "rejection-n21"):
+        argv = GOLDEN_RUNS[run]
+        assert int(argv[argv.index("--n") + 1]) == samplers.TYPE_TABLE_MAX_N + 1
 
 
 @pytest.mark.parametrize("run", sorted(GOLDEN_RUNS))

@@ -560,9 +560,10 @@ class TestRejectionSampler:
         }
         assert chi_square_pvalue(observed, expected, accepted) > 1e-4
 
-    def test_batch_matches_component_law(self):
+    def test_batch_matches_component_law(self, monkeypatch):
         # the batch tally is the tally of the accepted pairs, which follow
-        # the component law
+        # the component law; the kernel is held to its cycle-at-a-time path
+        monkeypatch.setattr(samplers, "TYPE_TABLE_MAX_N", 1)
         n, reps = 6, 100_000
         tally = toes_component_counts_batch(n, reps, np.random.default_rng(600))
         rows, lengths, attempts = _accepted(n, reps, np.random.default_rng(600))
@@ -743,6 +744,167 @@ class TestCoreJointSampler:
             assert abs(mean - exact) <= 5 * max(se, 1e-9)
 
 
+def _pooled(observed, expected, total, least=5):
+    """The classes of a chi-square with an expected count below ``least``
+    pooled into one, so that rare classes cannot dominate the statistic."""
+    rare = {key for key, p in expected.items() if float(p) * total < least}
+    pooled = ({key: c for key, c in observed.items() if key not in rare},
+              {key: p for key, p in expected.items() if key not in rare})
+    if rare:
+        pooled[0]["rare"] = sum(observed.get(key, 0) for key in rare)
+        pooled[1]["rare"] = sum(expected[key] for key in rare)
+    return pooled
+
+
+def _type_sizes(counts):
+    """Each type's size, the cycle lengths summed, from a table's count matrix."""
+    return counts @ np.arange(counts.shape[1])
+
+
+def _core_joint_law(n):
+    """The core-joint outcomes, core size r ascending then the derangement
+    types in ``laws.partitions(r, 2)`` order, each with its exact probability
+    from the core-size law and the derangement cycle-type oracle."""
+    return [
+        ((r, parts), p_core * derangement_cycle_type_pmf(r, parts))
+        for r, p_core in laws.core_size_table(n, "toes").items()
+        for parts in laws.partitions(r, 2)
+    ]
+
+
+def _rounded_cumulative(probs):
+    """Every running sum of exact probabilities, rounded once to float64."""
+    return [float(acc) for acc in itertools.accumulate(probs)]
+
+
+class TestTypeTables:
+    """The whole-type tables of the rejection and core-joint routes at
+    n <= ``TYPE_TABLE_MAX_N``, against the oracles' laws."""
+
+    def test_proposal_table_is_the_rounded_esf_law(self):
+        for n in range(2, samplers.TYPE_TABLE_MAX_N + 1):
+            cdf, threshold, counts = samplers._proposal_type_table(n)
+            types = list(laws.partitions(n, 2))
+            law = [esf_pmf(n, F(1, 2), parts) for parts in types]
+            p_none = sum(law)
+            assert cdf.tolist() == _rounded_cumulative(p / p_none for p in law), n
+            assert cdf[-1] == 1.0
+            assert counts.tolist() == [list(_class_key_from_sizes(parts, n)) for parts in types]
+            w = omega_values(n)
+            assert threshold.tolist() == [
+                float(p_none) * math.prod(2.0 * w[j] for j in parts) for parts in types
+            ], n
+
+    def test_core_table_is_the_rounded_joint_law(self):
+        for n in range(2, samplers.TYPE_TABLE_MAX_N + 1):
+            cdf, counts = samplers._core_type_table(n)
+            outcomes, law = zip(*_core_joint_law(n))
+            assert cdf.tolist() == _rounded_cumulative(law), n
+            assert cdf[-1] == 1.0
+            assert counts.tolist() == [list(_class_key_from_sizes(parts, n)) for _, parts in outcomes]
+
+    @pytest.mark.parametrize("table, n, digest", [
+        ("proposal", 10, "2b1e96443bdfc80d63ebf4dd5e323ba31cade7f20204100cb9f99e288e084fe8"),
+        ("proposal", samplers.TYPE_TABLE_MAX_N, "7d91adf82746a0737a694dc38b26dd37e54d93c3d9ce89928fadaf59ded36a07"),
+        ("core", 10, "a88892d8f4ab12fc5ffaa1e530aad6646bfeb2301a6247b850152e2135a1945a"),
+        ("core", samplers.TYPE_TABLE_MAX_N, "2c3ff829df86d696090b91307bd70b79329615ea60db272be3cd67bf8d76c046"),
+    ])
+    def test_table_bits_are_pinned(self, table, n, digest):
+        # the draws of both routes depend on these bits: the proposal CDF and
+        # acceptance thresholds, and the core-joint CDF
+        if table == "proposal":
+            bits = np.concatenate(samplers._proposal_type_table(n)[:2])
+        else:
+            bits = samplers._core_type_table(n)[0]
+        assert hashlib.sha256(bits.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n", [2, 5, 10, samplers.TYPE_TABLE_MAX_N])
+    def test_core_sizes_are_the_core_size_cdfs(self, n, monkeypatch):
+        # a double gives the same core size through the joint table as through
+        # the core-size CDF of the cycle-at-a-time path: on random doubles, on
+        # every entry of that CDF and on the double just below each
+        core_cdf = samplers._core_size_cdf(n)
+        u = np.concatenate([
+            np.random.default_rng(n).random(50_000), core_cdf, np.nextafter(core_cdf, 0), [0.0]
+        ])
+        u = u[u < 1]
+        cdf, counts = samplers._core_type_table(n)
+        joint = _type_sizes(counts)[np.searchsorted(cdf, u, side="right")]
+        assert np.array_equal(joint, 2 + np.searchsorted(core_cdf, u, side="right"))
+        # and so the kernel's core sizes are the same by either path
+        table = toes_core_cycle_counts_batch(n, 20_000, np.random.default_rng(7))
+        monkeypatch.setattr(samplers, "TYPE_TABLE_MAX_N", 1)
+        steps = toes_core_cycle_counts_batch(n, 20_000, np.random.default_rng(7))
+        assert np.array_equal(table["core_hist"], steps["core_hist"])
+
+    def test_core_joint_types_match_the_joint_law(self):
+        n, reps = 10, 200_000
+        hist = samplers._core_types(n, reps, np.random.default_rng(1600))
+        assert hist.sum() == reps
+        law = dict(enumerate(p for _, p in _core_joint_law(n)))
+        observed = {t: int(c) for t, c in enumerate(hist) if c}
+        assert chi_square_pvalue(*_pooled(observed, law, reps), reps) > 1e-4
+
+    def test_accepted_types_match_the_component_law(self):
+        n, reps = 10, 200_000
+        hist, attempts = samplers._accepted_types(n, reps, np.random.default_rng(1601))
+        assert hist.sum() == reps and attempts > reps
+        law = {t: laws.component_pmf(n, parts) for t, parts in enumerate(laws.partitions(n, 2))}
+        observed = {t: int(c) for t, c in enumerate(hist) if c}
+        assert chi_square_pvalue(*_pooled(observed, law, reps), reps) > 1e-4
+
+    @pytest.mark.parametrize("chunk", [samplers.ROW_CHUNK, 1000, 64])
+    def test_draw_order(self, chunk, monkeypatch):
+        # core-joint: double i is replicate i's; rejection: doubles 2i and
+        # 2i+1 are proposal i's u and v, and acceptances are taken in
+        # proposal order; whatever the chunks the doubles are drawn in
+        monkeypatch.setattr(samplers, "ROW_CHUNK", chunk)
+        n, reps, seed = 10, 3000, 1602
+        cdf, counts = samplers._core_type_table(n)
+        kind = np.searchsorted(cdf, np.random.default_rng(seed).random(reps), side="right")
+        hist = samplers._core_types(n, reps, np.random.default_rng(seed))
+        assert np.array_equal(hist, np.bincount(kind, minlength=cdf.size))
+        cdf, threshold, _ = samplers._proposal_type_table(n)
+        u, v = np.random.default_rng(seed).random((8 * reps, 2)).T
+        kind = np.searchsorted(cdf, v, side="right")
+        took = np.flatnonzero(u < threshold[kind])[:reps]
+        hist, attempts = samplers._accepted_types(n, reps, np.random.default_rng(seed))
+        assert np.array_equal(hist, np.bincount(kind[took], minlength=cdf.size))
+        assert attempts == took[-1] + 1
+
+    def test_kernel_tallies_fold_the_types(self):
+        # each kernel's tally is that of the per-replicate count matrix of
+        # the types its histogram holds
+        n, reps, seed = 10, 5000, 1603
+        routes = (
+            (toes_core_cycle_counts_batch, "cyc", samplers._core_type_table(n)[1],
+             samplers._core_types(n, reps, np.random.default_rng(seed))),
+            (toes_component_counts_batch, "comp", samplers._proposal_type_table(n)[2],
+             samplers._accepted_types(n, reps, np.random.default_rng(seed))[0]),
+        )
+        for kernel, name, counts, hist in routes:
+            tally = kernel(n, reps, np.random.default_rng(seed))
+            per_row = np.repeat(counts, hist, axis=0)
+            want = _matrix_tally(per_row, name)
+            if name == "cyc":
+                want["scream_hist"] = np.bincount(per_row[:, 2], minlength=n // 2 + 1)
+                want["core_hist"] = np.bincount(_type_sizes(per_row), minlength=n + 1)
+            assert sorted(tally) == sorted(["replicates", *want] + (["attempts"] if name == "comp" else []))
+            for key, value in want.items():
+                assert np.array_equal(tally[key], value), (name, key)
+
+    def test_weights_that_miss_their_total_are_refused(self, monkeypatch):
+        sums = samplers._no_fixed_point_sums
+
+        def one_short(m, theta):
+            *head, (acc, scale) = sums(m, theta)
+            return [*head, (acc + 1, scale)]
+
+        monkeypatch.setattr(samplers, "_no_fixed_point_sums", one_short)
+        with pytest.raises(laws.ConsistencyError, match="weights"):
+            samplers._cycle_types(10, F(1, 2))
+
+
 def _mean_and_se(tally, name, j, reps):
     """Replicate mean of c_j and its standard error, from the sum and the
     sum of squares (the same as the mean and std(ddof=1)/sqrt(reps) of the
@@ -810,6 +972,8 @@ class TestChunkedTallies:
             assert np.array_equal(value, full[key]), key
 
     def test_core_joint_route_n10(self, monkeypatch):
+        # the cycle-at-a-time path, below the type tables' bound too
+        monkeypatch.setattr(samplers, "TYPE_TABLE_MAX_N", 1)
         n, reps, seed, block = 10, 3000, 4343, 700
         rng = np.random.default_rng(seed)
         want = _core_joint_reference(n, reps, rng, block)
@@ -828,7 +992,9 @@ class TestChunkedTallies:
         # doubles, on generators with no jump-ahead too, the kernel draws
         # every core size before any derangement: its core sizes do not
         # depend on the blocks, and its tally is the reference's for the
-        # same blocks
+        # same blocks; the cycle-at-a-time path, below the type tables'
+        # bound too
+        monkeypatch.setattr(samplers, "TYPE_TABLE_MAX_N", 1)
         core_hists = []
         for block, skip in ((samplers.ROW_CHUNK, samplers.CHUNK_CELLS), (700, 64), (64, 1000)):
             monkeypatch.setattr(samplers, "ROW_CHUNK", block)
