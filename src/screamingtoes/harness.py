@@ -407,11 +407,14 @@ def _simulate(
 
 def _simulated_cell(tally: dict, kind: str, key: str, idx, exact) -> tuple[float, float, float]:
     """Estimate, standard error and z-score of one cell from merged tallies.
-    The exact value is rounded to a float once."""
+    The exact value is rounded to a float once.  A mean cell's sums are read
+    as Python ints, whose square cannot wrap as an int64 one does past about
+    3.04e9.  With no standard error, z is 0 at the exact value and otherwise
+    infinite, with the sign of the deviation."""
     exact_f = float(exact)
     reps = tally["replicates"]
     if kind == "mean":
-        total, total_sq = tally[f"{key}_sum"][idx], tally[f"{key}_sumsq"][idx]
+        total, total_sq = int(tally[f"{key}_sum"][idx]), int(tally[f"{key}_sumsq"][idx])
         simulated = float(total / reps)
         var = (total_sq - total**2 / reps) / max(reps - 1, 1)
         se = float(math.sqrt(max(var, 0.0) / reps))
@@ -424,7 +427,7 @@ def _simulated_cell(tally: dict, kind: str, key: str, idx, exact) -> tuple[float
         simulated = reps / attempts
         se = math.sqrt(exact_f * (1.0 - exact_f) / attempts)
     if se == 0.0:
-        z = 0.0 if simulated == exact_f else math.inf
+        z = 0.0 if simulated == exact_f else math.copysign(math.inf, simulated - exact_f)
     else:
         z = (simulated - exact_f) / se
     return simulated, se, z

@@ -39,6 +39,10 @@ count (:func:`_cycle_types`), at theta = 1/2 for rejection proposals
 (:func:`_proposal_type_table`, with each type's acceptance threshold), and
 at theta = 1, the derangement cycle-type law, joined with the core-size
 counts of ``laws`` for the core-joint route (:func:`_core_type_table`).
+One builder, :func:`_cumulative_table`, makes both, and the core-size CDF
+that route 3 searches above :data:`TYPE_TABLE_MAX_N`
+(:func:`_core_size_cdf`): a law over (size, type of that size) pairs, each
+running sum rounded once, checked to reach its total, the last entry 1.0.
 
 There is one tally format.  Every kernel, the brute-force oracle's
 :func:`every_mapping_counts` too, hands its groups (components or cycles)
@@ -131,8 +135,6 @@ def decompose(mapping: Mapping) -> Decomposition:
 
 def sample_mapping(n: int, rng: np.random.Generator) -> Mapping:
     """One uniform fixed-point-free mapping: row 0 of :func:`sample_mappings_batch`."""
-    if n < 2:
-        raise ValueError("need n >= 2")
     return Mapping(tuple(sample_mappings_batch(n, 1, rng)[0].tolist()))
 
 
@@ -147,6 +149,8 @@ def sample_mappings_batch(n: int, count: int, rng: np.random.Generator) -> np.nd
     (numpy's bounded integers take whole 32-bit draws per value), which is
     what lets the direct route draw a batch in chunks of :func:`chunk_rows`.
     """
+    if n < 2:
+        raise ValueError("need n >= 2")
     u = rng.integers(0, n - 1, size=(count, n), dtype=np.int64)
     u += u >= np.arange(n, dtype=np.int64)
     return u
@@ -597,23 +601,50 @@ def _type_counts(types: list[tuple[int, ...]], n: int) -> np.ndarray:
     return counts
 
 
+def _cumulative_table(total: int, masses: dict[int, int], types) -> tuple[np.ndarray, list]:
+    """The cumulative law over the pairs (r, type of r), r in ``masses``
+    order, then the types of ``types(r)`` = (types, weights) in their order,
+    and the list of those types.  The pair's probability is N_r / total,
+    N_r = ``masses[r]``, times the type's weight W over the sum S_r of r's
+    weights.  Each running sum, over r' before r plus the types of r so far,
+    is the exact ratio (N_below S_r + N_r W_acc) / (total S_r), rounded once
+    to float64; at the end of r's types it is (N_below + N_r) / total,
+    whatever the types.  The masses must reach ``total``; the last entry is
+    forced to 1.0, so that no uniform double falls off the end."""
+    below, cdf, outcomes = 0, [], []
+    for r, mass in masses.items():
+        parts, weights = types(r)
+        scale = sum(weights)
+        cdf += [(below * scale + mass * acc) / (total * scale)
+                for acc in itertools.accumulate(weights)]
+        outcomes += parts
+        below += mass
+    if below != total:
+        raise laws.ConsistencyError(f"masses sum to {below}, not their total {total}")
+    cdf[-1] = 1.0
+    return np.array(cdf), outcomes
+
+
 @lru_cache(maxsize=64)
 def _proposal_type_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The rejection route's table at size n <= :data:`TYPE_TABLE_MAX_N`,
     over the ESF(1/2) cycle types with no 1-cycle in ``laws.partitions(n, 2)``
-    order: the cumulative law of a proposal's type given a_1 = 0, each
-    running integer sum of :func:`_cycle_types` over their total rounded
-    once to float64 and the last forced to 1.0; each type's acceptance
-    threshold P(a_1 = 0) prod_j (2 w_j)**a_j; and the types' count matrix
+    order: the cumulative law of a proposal's type given a_1 = 0, by
+    :func:`_cumulative_table` with the one size n over the weights of
+    :func:`_cycle_types`; each type's acceptance threshold
+    P(a_1 = 0) prod_j (2 w_j)**a_j; and the types' count matrix
     (:func:`_type_counts`)."""
-    types, weights = _cycle_types(n, Fraction(1, 2))
-    total = sum(weights)
-    cdf = np.array([acc / total for acc in itertools.accumulate(weights)])
-    cdf[-1] = 1.0
+    cdf, types = _cumulative_table(1, {n: 1}, lambda r: _cycle_types(r, Fraction(1, 2)))
     p_none = _no_fixed_point_table(n, Fraction(1, 2))[1]
     w = omega_values(n)
     threshold = np.array([p_none * math.prod(2.0 * w[j] for j in parts) for parts in types])
     return cdf, threshold, _type_counts(types, n)
+
+
+def _core_masses(n: int) -> dict[int, int]:
+    """N_r of :func:`laws.core_size_counts` for the core sizes r = 2..n."""
+    counts = laws.core_size_counts(n, "toes")
+    return {r: counts[r] for r in range(2, n + 1)}
 
 
 @lru_cache(maxsize=64)
@@ -623,29 +654,16 @@ def _core_type_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     ascending, then the types in ``laws.partitions(r, 2)`` order: the
     cumulative joint law and the types' count matrix (:func:`_type_counts`).
 
-    The pair's probability is N_r / (n-1)**n, with N_r of
-    :func:`laws.core_size_counts`, times the type's derangement law of
-    :func:`_cycle_types` at theta = 1, W / D_r.  Each running sum, over r'
-    below r plus the types of r so far, is the exact ratio
-    (N_below D_r + N_r W_acc) / ((n-1)**n D_r), rounded once to float64; at
-    the end of each r's types it is the entry of :func:`_core_size_cdf`, bit
-    for bit, so a double gives the same core size by either table.  The sums
-    must reach (n-1)**n; the last entry is forced to 1.0.
+    :func:`_cumulative_table` over (n-1)**n mappings, with the core-size
+    counts N_r and the derangement law of :func:`_cycle_types` at theta = 1.
+    At the end of each r's types its entry is that of
+    :func:`_core_size_cdf`, bit for bit, so a double gives the same core
+    size by either table.
     """
-    core_counts = laws.core_size_counts(n, "toes")
-    total = (n - 1) ** n
-    below, cdf, types = 0, [], []
-    for r in range(2, n + 1):
-        parts, weights = _cycle_types(r, Fraction(1))
-        derangements = sum(weights)
-        cdf += [(below * derangements + core_counts[r] * acc) / (total * derangements)
-                for acc in itertools.accumulate(weights)]
-        types += parts
-        below += core_counts[r]
-    if below != total:
-        raise laws.ConsistencyError(f"core-size counts for n={n} do not sum to (n-1)**n")
-    cdf[-1] = 1.0
-    return np.array(cdf), _type_counts(types, n)
+    cdf, types = _cumulative_table(
+        (n - 1) ** n, _core_masses(n), lambda r: _cycle_types(r, Fraction(1))
+    )
+    return cdf, _type_counts(types, n)
 
 
 def _tally_types(tally: dict, name: str, hist: np.ndarray, counts: np.ndarray) -> None:
@@ -662,21 +680,13 @@ def _tally_types(tally: dict, name: str, hist: np.ndarray, counts: np.ndarray) -
         np.add.at(tally["core_hist"], counts @ np.arange(counts.shape[1]), hist)
 
 
-def esf_cycle_counts_batch(
-    n: int, count: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """The (proposal, cycle length) pairs of ``count`` ESF(1/2) proposals of
-    size n conditioned on a_1 = 0, by :func:`_cycles_without_fixed_points`."""
-    return _cycles_without_fixed_points(np.full(count, n), n, Fraction(1, 2), rng)
-
-
 def _accepted_components(n: int, count: int, rng: np.random.Generator):
     """Rejection from ESF(1/2) until ``count`` proposals are accepted.
 
     Proposals come in chunks of at most ``ROW_CHUNK``, each one a uniform U.
     One with U >= P(a_1 = 0) has a 1-cycle and is rejected undrawn; the
     others are drawn from ESF(1/2) given a_1 = 0 by
-    :func:`esf_cycle_counts_batch` and accepted iff
+    :func:`_cycles_without_fixed_points` and accepted iff
     U < P(a_1 = 0) prod_j (2 w_j)**a_j, the product the exp of log(2 w_len)
     summed along the cycles.  So a proposal is accepted with probability
     1{a_1 = 0} prod_j (2 w_j)**a_j, and acceptances are taken in proposal
@@ -693,7 +703,7 @@ def _accepted_components(n: int, count: int, rng: np.random.Generator):
         chunk = _proposal_chunk(count - have)
         u = rng.random(chunk)
         drawn = np.flatnonzero(u < p_none)
-        prop, size = esf_cycle_counts_batch(n, drawn.size, rng)
+        prop, size = _cycles_without_fixed_points(np.full(drawn.size, n), n, Fraction(1, 2), rng)
         log_acc = np.bincount(prop, weights=log_ratio[size], minlength=drawn.size)
         took = np.flatnonzero(u[drawn] < p_none * np.exp(log_acc))[: count - have]
         attempts += int(drawn[took[-1]]) + 1 if have + took.size == count else chunk
@@ -806,24 +816,11 @@ def exact_acceptance_probability(n: int) -> float:
 
 @lru_cache(maxsize=64)
 def _core_size_cdf(n: int) -> np.ndarray:
-    """Cumulative core-size law for r = 2..n as float64, from the exact counts.
-
-    Running integer sums of :func:`laws.core_size_counts` over (n-1)**n,
-    each rounded once to float64 by integer true division; the sums must
-    reach (n-1)**n exactly.  The last cumulative float is forced to 1.0 so a
-    uniform draw can never fall off the end.
-    """
-    counts = laws.core_size_counts(n, "toes")
-    total = (n - 1) ** n
-    acc = 0
-    cdf = np.empty(n - 1)
-    for idx, r in enumerate(range(2, n + 1)):
-        acc += counts[r]
-        cdf[idx] = acc / total
-    if acc != total:
-        raise laws.ConsistencyError(f"core-size counts for n={n} do not sum to (n-1)**n")
-    cdf[-1] = 1.0
-    return cdf
+    """Cumulative core-size law for r = 2..n as float64: :func:`_cumulative_table`
+    over (n-1)**n mappings with one outcome per core size, so each entry is
+    the running sum of :func:`laws.core_size_counts` over (n-1)**n, rounded
+    once."""
+    return _cumulative_table((n - 1) ** n, _core_masses(n), lambda r: ([r], [1]))[0]
 
 
 def _core_types(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -898,7 +895,6 @@ __all__ = [
     "chunk_rows",
     "decompose",
     "decompose_batch",
-    "esf_cycle_counts_batch",
     "every_mapping_counts",
     "exact_acceptance_probability",
     "omega_values",

@@ -210,6 +210,32 @@ class TestRunTable:
         assert cells["mean_cycles[j=2]"] == laws.mean_cycle_count(7, 2, "toes")
         assert cells["mean_cycles_std[j=1]"] == 1
 
+    @pytest.mark.parametrize("count, sign", [(1, -1), (3, 1)])
+    def test_z_without_a_standard_error_has_the_deviation_s_sign(self, count, sign):
+        # every replicate has `count` 2-cycles, so the s.e. is 0
+        tally = {"replicates": 4, "cyc_sum": np.array([0, 0, 4 * count]),
+                 "cyc_sumsq": np.array([0, 0, 4 * count**2])}
+        assert harness._simulated_cell(tally, "mean", "cyc", 2, F(2)) == (count, 0.0, sign * math.inf)
+
+    def test_cells_below_their_exact_value_with_no_error_read_minus_inf(self):
+        # cells that no replicate reaches: simulated 0, below the exact value
+        report = run_table(ExperimentConfig(n=30, replicates=2000, batch_size=1000, workers=1,
+                                            tables=("cycles", "components"), method="direct"))
+        infinite = [r for r in report.records if r.z is not None and math.isinf(r.z)]
+        assert infinite and all(r.z == -math.inf and r.simulated == 0 < r.exact for r in infinite)
+        assert parse_report(emit(report, "json")) == report
+        rows = {row.split(",")[0]: row for row in emit(report, "csv").splitlines()}
+        assert all(rows[r.name].endswith(",-inf") for r in infinite)
+
+    def test_mean_cell_sums_square_past_int64(self):
+        # a sum of 5e9 squares to 2.5e19, past the int64 range
+        reps, total = 10**10, 5 * 10**9
+        tally = {"replicates": reps, "cyc_sum": np.array([0, 0, total]),
+                 "cyc_sumsq": np.array([0, 0, total])}
+        simulated, se, _ = harness._simulated_cell(tally, "mean", "cyc", 2, F(1, 2))
+        assert simulated == 0.5
+        assert se == pytest.approx(5e-6, rel=1e-9)
+
     def test_simulated_columns_have_errors_and_z(self):
         report = run_table(
             ExperimentConfig(n=6, replicates=20_000, seed=5, tables=("scream",), workers=1)
@@ -987,9 +1013,9 @@ GOLDEN_SHA256 = {
     ("direct-n5", "json"): "e30cdd0b35b94cb7b879a2cc5f47dc19b79c24c1eebe16aaf2292b542de5b83b",
     ("direct-n5", "csv"): "8bac575f9d958742b0ebed799f5c4fa8f9ab003e064a02a8f1bc258ad49f8cad",
     ("direct-n5", "pretty"): "fa7478698f50d9841320c0f9af97b7d6cc559341c65afaf71463c6c353c1f3e5",
-    ("direct-n1000", "json"): "f923fde6fd3d570689dd999e7fd10ec07f495d929adadfc8b3c93e919e7bc276",
-    ("direct-n1000", "csv"): "9beba48fbb4d15087fe3c6443e1394548589a566b28ff7f0119451a173050020",
-    ("direct-n1000", "pretty"): "672c73495cb6d58fe947d3824258fbca84639e9de28d03be79917083d72e0509",
+    ("direct-n1000", "json"): "48313b6626003e96a5a3ea72be189ba3e71b203f9b869e7adc1d7a4efe0566a5",
+    ("direct-n1000", "csv"): "932c580f4f65c0ee1cda647e5b4e692063e87ede93b29e49c51ca9684c87439c",
+    ("direct-n1000", "pretty"): "6ed2dd1bde7db5fb5cf6c6cccb03cb9a4cecbbb1b3c6790cfe4448e5376bbd37",
     ("rejection-n5", "json"): "7c4d25e10b194fedc3b5c8c27b181e81208ffc715cb8286779d5e1325cdc792a",
     ("rejection-n5", "csv"): "d4d074919ec509ef80547e1b422b7dadbd8b337729446c2a23da4ca8db35a258",
     ("rejection-n5", "pretty"): "c4a5e542675b5ca99a9d6c323c49ecb97c2188df8801a72b7a4d40b53d9612c4",
@@ -1020,9 +1046,9 @@ GOLDEN_SHA256 = {
     ("n2", "json"): "6c5b5092aaf8277e66e9958e0cb9b7c8625153af156615785d47eb7db735be20",
     ("n2", "csv"): "31525b73237c63c211486103ad8469530bff704600d98010ee27cc58dd352bd2",
     ("n2", "pretty"): "e76d775b304fdde731c5d9c6a39a6a2d2c38e415793cc6220e72de64115c5c1f",
-    ("core-joint-n21", "json"): "b2cfd2bc1e4aa42f96da85952f5fadc0ae43d2d371ba727cadd4129e8d0ac9d4",
-    ("core-joint-n21", "csv"): "7a9853b0a6eb0efd37c3226e005f32d201b17bc8bc09a1edcf3a6eb8924551b7",
-    ("core-joint-n21", "pretty"): "138f8cd841a840354210247424071063a4c945803a8ec5d84a6e24888751f584",
+    ("core-joint-n21", "json"): "57e0e4f5a6cdb8f351f352516d4d2919270432e77df1e41172ebb5ce81d29ec3",
+    ("core-joint-n21", "csv"): "18851ce82f8f7ee13a1e2da9f0af20dfb2e66f9babddf76df981e2fc66f76327",
+    ("core-joint-n21", "pretty"): "8682279c95462e94e96bca912279165ecf08a7f4d8f9722ac7fff1dd6ab49831",
     ("rejection-n21", "json"): "acec9c718dd34efd48c6d9d1f60de88c3888d3ec3a598cc5d977aca96b182853",
     ("rejection-n21", "csv"): "4d8aaf0c08b9c5706226068345bd544c92769ea5762db0ce2f706a9fa9125ec9",
     ("rejection-n21", "pretty"): "af4d47585b4db1ada8d6852c5f96a473eaa03b074797792cd204e2818e29f140",

@@ -31,7 +31,6 @@ from screamingtoes.samplers import (
     Mapping,
     decompose,
     decompose_batch,
-    esf_cycle_counts_batch,
     exact_acceptance_probability,
     omega_values,
     sample_mapping,
@@ -111,6 +110,15 @@ class TestSampleMapping:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             sample_mapping(1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("draw", [
+        lambda n, rng: sample_mappings_batch(n, 3, rng),
+        lambda n, rng: samplers.toes_mapping_counts_batch(n, 5, rng),
+    ], ids=["sample_mappings_batch", "toes_mapping_counts_batch"])
+    def test_direct_route_rejects_n1_as_rejection_does(self, draw):
+        # the rejection kernel's message, not numpy's "high <= 0"
+        with pytest.raises(ValueError, match=r"^need n >= 2$"):
+            draw(1, np.random.default_rng(0))
 
     @pytest.mark.parametrize("n", [2, 3, 10, 25, 1000])
     def test_is_row_0_of_the_batch(self, n):
@@ -250,10 +258,16 @@ class TestDecompose:
 
 
 class TestEsfProposals:
-    """ESF(1/2) proposals of the rejection route, drawn given a_1 = 0."""
+    """ESF(1/2) proposals of the rejection route above
+    ``samplers.TYPE_TABLE_MAX_N``, drawn given a_1 = 0 by
+    :func:`samplers._cycles_without_fixed_points` at theta = 1/2."""
+
+    @staticmethod
+    def proposals(n, count, rng):
+        return samplers._cycles_without_fixed_points(np.full(count, n), n, F(1, 2), rng)
 
     def test_totals_always_n(self):
-        rows, lengths = esf_cycle_counts_batch(11, 50_000, np.random.default_rng(8))
+        rows, lengths = self.proposals(11, 50_000, np.random.default_rng(8))
         counts = _dense_counts(rows, lengths, 50_000, 11)
         assert (counts @ np.arange(12) == 11).all()
         assert (counts[:, 1] == 0).all()
@@ -261,7 +275,7 @@ class TestEsfProposals:
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_matches_conditioned_law(self, n):
         reps = 50_000
-        rows, lengths = esf_cycle_counts_batch(n, reps, np.random.default_rng(210 + n))
+        rows, lengths = self.proposals(n, reps, np.random.default_rng(210 + n))
         no_ones = {parts: esf_pmf(n, F(1, 2), parts) for parts in laws.partitions(n, 2)}
         p_none = sum(no_ones.values())
         expected = {_class_key_from_sizes(parts, n): p / p_none for parts, p in no_ones.items()}
@@ -269,7 +283,7 @@ class TestEsfProposals:
         assert chi_square_pvalue(observed, expected, reps) > 1e-4
 
     def test_no_row_is_a_no_op(self):
-        rows, lengths = esf_cycle_counts_batch(5, 0, np.random.default_rng(0))
+        rows, lengths = self.proposals(5, 0, np.random.default_rng(0))
         assert rows.size == lengths.size == 0
 
 
@@ -892,6 +906,16 @@ class TestTypeTables:
             assert sorted(tally) == sorted(["replicates", *want] + (["attempts"] if name == "comp" else []))
             for key, value in want.items():
                 assert np.array_equal(tally[key], value), (name, key)
+
+    def test_masses_that_miss_their_total_are_refused(self, monkeypatch):
+        with pytest.raises(laws.ConsistencyError, match="masses"):
+            samplers._cumulative_table(10, {2: 3, 3: 6}, lambda r: ([r], [1]))
+        # and so both core tables, whose masses are the core-size counts
+        masses = samplers._core_masses
+        monkeypatch.setattr(samplers, "_core_masses", lambda n: {**masses(n), n: masses(n)[n] - 1})
+        for table in (samplers._core_size_cdf, samplers._core_type_table):
+            with pytest.raises(laws.ConsistencyError, match="masses"):
+                table.__wrapped__(10)
 
     def test_weights_that_miss_their_total_are_refused(self, monkeypatch):
         sums = samplers._no_fixed_point_sums
