@@ -44,11 +44,12 @@ that route 3 searches above :data:`TYPE_TABLE_MAX_N`
 (:func:`_core_size_cdf`): a law over (size, type of that size) pairs, each
 running sum rounded once, checked to reach its total, the last entry 1.0.
 
-There is one tally format.  Every kernel, the brute-force oracle's
-:func:`every_mapping_counts` too, hands its groups (components or cycles)
-to :func:`_tally_pairs` as (replicate, size) pairs, one pair per group, or,
-drawing whole types, a histogram of them to :func:`_tally_types`, and these
-folds build every integer tally of :func:`zero_tally`; nothing builds a
+There is one tally format and one fold.  Every kernel, the brute-force
+oracle's :func:`every_mapping_counts` too, hands its groups (components or
+cycles) to :func:`_tally_pairs` as (row, size) pairs, one pair per group,
+with a weight per row: a row is one replicate, weight 1, or, drawing whole
+types, one type of a table, weighted by how many replicates drew it.  That
+fold builds every integer tally of :func:`zero_tally`; nothing builds a
 per-replicate (rows, n+1) count matrix.
 """
 
@@ -138,6 +139,15 @@ def sample_mapping(n: int, rng: np.random.Generator) -> Mapping:
     return Mapping(tuple(sample_mappings_batch(n, 1, rng)[0].tolist()))
 
 
+def _check_batch(n: int, count: int) -> None:
+    """Refuse, before any work, a batch that no route can draw: every route
+    kernel and :func:`sample_mappings_batch` give these two messages."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    if count < 0:
+        raise ValueError(f"need count >= 0 (got {count})")
+
+
 def sample_mappings_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """(count, n) array of independent uniform fixed-point-free mappings.
 
@@ -149,8 +159,7 @@ def sample_mappings_batch(n: int, count: int, rng: np.random.Generator) -> np.nd
     (numpy's bounded integers take whole 32-bit draws per value), which is
     what lets the direct route draw a batch in chunks of :func:`chunk_rows`.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
+    _check_batch(n, count)
     u = rng.integers(0, n - 1, size=(count, n), dtype=np.int64)
     u += u >= np.arange(n, dtype=np.int64)
     return u
@@ -319,40 +328,47 @@ def zero_tally(n: int, *keys: str) -> dict[str, np.ndarray]:
     """Zeroed int64 tallies for size-n replicates.
 
     There is one tally format: every route hands its groups to one fold,
-    :func:`_tally_pairs`, as (replicate, size) pairs, and these are the
-    tallies it builds.  ``<name>_sum`` and ``<name>_sumsq`` are per-length
-    sums of counts and of squared counts (length n+1), ``core_hist`` is a
-    histogram of core sizes (n+1), ``scream_hist`` one of 2-cycle counts
-    (n//2 + 1; every cycle tally has one), and ``no_repeat`` counts the
-    replicates with no repeated component size, no repeated cycle length,
-    and neither (3).
+    :func:`_tally_pairs`, as (row, size) pairs with a weight per row, and
+    these are the tallies it builds, all but ``no_repeat``.  ``<name>_sum``
+    and ``<name>_sumsq`` are per-length sums of counts and of squared counts
+    (length n+1), ``core_hist`` is a histogram of core sizes (n+1),
+    ``scream_hist`` one of 2-cycle counts (n//2 + 1; both come with every
+    cycle tally), and ``no_repeat`` counts the replicates with no repeated
+    component size, no repeated cycle length, and neither (3), from the
+    rows that the fold returns.
     """
     width = {"scream_hist": n // 2 + 1, "no_repeat": 3}
     return {key: np.zeros(width.get(key, n + 1), dtype=np.int64) for key in keys}
 
 
 def _tally_pairs(
-    tally: dict, name: str, rows: np.ndarray, lengths: np.ndarray, num_rows: int
+    tally: dict, name: str, rows: np.ndarray, lengths: np.ndarray, weight: np.ndarray
 ) -> np.ndarray:
     """Fold a block of (row, group length) pairs, one per group of the rows
-    0..num_rows-1, into a tally: ``tally[name + "_sum"]`` and
-    ``tally[name + "_sumsq"]`` get the per-length sums over rows of the
-    count c of such groups and of c**2, and for cycles (``name == "cyc"``)
-    ``scream_hist`` gets every row's count of 2-cycles.  Returns the rows
+    0..weight.size-1, into a tally, row r standing for ``weight[r]``
+    (int64) replicates: ``tally[name + "_sum"]`` and ``tally[name + "_sumsq"]``
+    get the per-length sums over replicates of the count c of such groups
+    and of c**2, and for cycles (``name == "cyc"``) ``scream_hist`` and
+    ``core_hist`` the histograms of every replicate's count of 2-cycles and
+    of its core size, the sum of its cycle lengths.  Every sum is taken in
+    int64, so the tallies stay exact whatever the weights.  Returns the rows
     that have two groups of one length, sorted and once each."""
     width = tally[name + "_sum"].size
     codes, counts = np.unique(rows * width + lengths, return_counts=True)
-    length = codes % width
-    tally[name + "_sum"] += np.bincount(length, weights=counts, minlength=width).astype(np.int64)
-    tally[name + "_sumsq"] += np.bincount(
-        length, weights=counts * counts, minlength=width
-    ).astype(np.int64)
+    row = codes // width  # sorted, as the codes are
+    length = codes - row * width
+    times = weight[row] * counts
+    np.add.at(tally[name + "_sum"], length, times)
+    np.add.at(tally[name + "_sumsq"], length, times * counts)
     if name == "cyc":
-        twos = counts[length == 2]
-        hist = tally["scream_hist"]
-        hist += np.bincount(twos, minlength=hist.size)
-        hist[0] += num_rows - twos.size
-    repeated = codes[counts > 1] // width  # sorted, as the codes are
+        twos = np.zeros(weight.size, dtype=np.int64)
+        two = length == 2
+        twos[row[two]] = counts[two]
+        np.add.at(tally["scream_hist"], twos, weight)
+        # float64 sums are exact: a row's lengths sum to at most n
+        core = np.bincount(rows, weights=lengths, minlength=weight.size).astype(np.int64)
+        np.add.at(tally["core_hist"], core, weight)
+    repeated = row[counts > 1]
     return repeated[np.diff(repeated, prepend=-1) > 0]
 
 
@@ -373,16 +389,17 @@ def _tally_mappings(
     """Decompose a (rows, n) block of mappings, in ``scratch`` if given (see
     :func:`decompose_batch`), and fold it into a tally with the keys
     ``_CORE_KEYS``, and ``_COMPONENT_KEYS`` too if it has ``comp_sum``: only
-    then are the components labelled.  Returns the block's decomposition.
-    The direct route and the brute-force oracle both fold through here."""
+    then are the components labelled.  Each row is one replicate, weight 1,
+    in :func:`_tally_pairs`, which also gives the core sizes, from the
+    cycles.  Returns the block's decomposition.  The direct route and the
+    brute-force oracle both fold through here."""
     components = "comp_sum" in tally
     dec = decompose_batch(images, scratch, components)
-    rows, n = images.shape
-    cyc_repeats = _tally_pairs(tally, "cyc", *dec.cycles, rows)
-    core_sizes = np.bincount(dec.core // n, minlength=rows)
-    tally["core_hist"] += np.bincount(core_sizes, minlength=tally["core_hist"].size)
+    rows = len(images)
+    ones = np.ones(rows, dtype=np.int64)
+    cyc_repeats = _tally_pairs(tally, "cyc", *dec.cycles, ones)
     if components:
-        comp_repeats = _tally_pairs(tally, "comp", *dec.components, rows)
+        comp_repeats = _tally_pairs(tally, "comp", *dec.components, ones)
         either = np.zeros(rows, dtype=bool)  # a row mask: np.union1d would import numpy.ma
         either[comp_repeats] = either[cyc_repeats] = True
         tally["no_repeat"] += [
@@ -402,8 +419,7 @@ def toes_mapping_counts_batch(
     tally depends on the chunk size or on ``keys``.  Every chunk is
     decomposed in one set of working arrays, allocated once per batch: fresh
     ones per chunk would be mapped and page-faulted in again each time."""
-    if count < 0:
-        raise ValueError(f"need count >= 0 (got {count})")
+    _check_batch(n, count)
     components = _COMPONENT_KEYS if any(key in _COMPONENT_KEYS for key in keys) else ()
     tally = zero_tally(n, *components, *_CORE_KEYS)
     step = chunk_rows(n)
@@ -593,12 +609,10 @@ def _cycle_types(m: int, theta: Fraction) -> tuple[list[tuple[int, ...]], list[i
     return types, weights
 
 
-def _type_counts(types: list[tuple[int, ...]], n: int) -> np.ndarray:
-    """The (types, n+1) int64 matrix of each type's count of cycles of each length."""
-    counts = np.zeros((len(types), n + 1), dtype=np.int64)
-    for row, parts in zip(counts, types):
-        np.add.at(row, list(parts), 1)
-    return counts
+def _type_pairs(types: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """The (type index, cycle length) pairs of a list of cycle types, one
+    pair per cycle, which :func:`_tally_pairs` folds."""
+    return np.repeat(np.arange(len(types)), [len(parts) for parts in types]), np.concatenate(types)
 
 
 def _cumulative_table(total: int, masses: dict[int, int], types) -> tuple[np.ndarray, list]:
@@ -626,19 +640,19 @@ def _cumulative_table(total: int, masses: dict[int, int], types) -> tuple[np.nda
 
 
 @lru_cache(maxsize=64)
-def _proposal_type_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _proposal_type_table(n: int) -> tuple[np.ndarray, np.ndarray, tuple]:
     """The rejection route's table at size n <= :data:`TYPE_TABLE_MAX_N`,
     over the ESF(1/2) cycle types with no 1-cycle in ``laws.partitions(n, 2)``
     order: the cumulative law of a proposal's type given a_1 = 0, by
     :func:`_cumulative_table` with the one size n over the weights of
     :func:`_cycle_types`; each type's acceptance threshold
-    P(a_1 = 0) prod_j (2 w_j)**a_j; and the types' count matrix
-    (:func:`_type_counts`)."""
+    P(a_1 = 0) prod_j (2 w_j)**a_j; and the types' (type, cycle length)
+    pairs (:func:`_type_pairs`)."""
     cdf, types = _cumulative_table(1, {n: 1}, lambda r: _cycle_types(r, Fraction(1, 2)))
     p_none = _no_fixed_point_table(n, Fraction(1, 2))[1]
     w = omega_values(n)
     threshold = np.array([p_none * math.prod(2.0 * w[j] for j in parts) for parts in types])
-    return cdf, threshold, _type_counts(types, n)
+    return cdf, threshold, _type_pairs(types)
 
 
 def _core_masses(n: int) -> dict[int, int]:
@@ -648,11 +662,12 @@ def _core_masses(n: int) -> dict[int, int]:
 
 
 @lru_cache(maxsize=64)
-def _core_type_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _core_type_table(n: int) -> tuple[np.ndarray, tuple]:
     """The core-joint route's table at size n <= :data:`TYPE_TABLE_MAX_N`,
     over the pairs (core size r, cycle type of a derangement of r), r
     ascending, then the types in ``laws.partitions(r, 2)`` order: the
-    cumulative joint law and the types' count matrix (:func:`_type_counts`).
+    cumulative joint law and the types' (type, cycle length) pairs
+    (:func:`_type_pairs`).
 
     :func:`_cumulative_table` over (n-1)**n mappings, with the core-size
     counts N_r and the derangement law of :func:`_cycle_types` at theta = 1.
@@ -663,21 +678,7 @@ def _core_type_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     cdf, types = _cumulative_table(
         (n - 1) ** n, _core_masses(n), lambda r: _cycle_types(r, Fraction(1))
     )
-    return cdf, _type_counts(types, n)
-
-
-def _tally_types(tally: dict, name: str, hist: np.ndarray, counts: np.ndarray) -> None:
-    """Fold a histogram of type indices into a tally, through the types'
-    count matrix: ``tally[name + "_sum"]`` and ``tally[name + "_sumsq"]`` get
-    the per-length sums of the counts and of their squares and, for cycles
-    (``name == "cyc"``), ``scream_hist`` and ``core_hist`` the histograms of
-    the 2-cycle counts and of the core sizes, all exact int64 counts, as
-    :func:`_tally_pairs` builds them from pairs."""
-    tally[name + "_sum"] += hist @ counts
-    tally[name + "_sumsq"] += hist @ (counts * counts)
-    if name == "cyc":
-        np.add.at(tally["scream_hist"], counts[:, 2], hist)
-        np.add.at(tally["core_hist"], counts @ np.arange(counts.shape[1]), hist)
+    return cdf, _type_pairs(types)
 
 
 def _accepted_components(n: int, count: int, rng: np.random.Generator):
@@ -758,21 +759,20 @@ def toes_component_counts_batch(
     rejection from ESF(1/2): ``replicates``, ``attempts`` (the proposals
     consumed through the last acceptance) and the ``zero_tally`` keys
     ``comp_sum`` and ``comp_sumsq``, whatever ``keys`` names.  Up to
-    :data:`TYPE_TABLE_MAX_N` the accepted types of :func:`_accepted_types`
-    are tallied at once; above it each chunk of
-    :func:`_accepted_components` is tallied as it comes."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if count < 0:
-        raise ValueError(f"need count >= 0 (got {count})")
+    :data:`TYPE_TABLE_MAX_N` the table's pairs are folded once, each type
+    weighted by its count in the histogram of :func:`_accepted_types`;
+    above it each chunk of :func:`_accepted_components` is folded as it
+    comes, each replicate once."""
+    _check_batch(n, count)
     tally = zero_tally(n, "comp_sum", "comp_sumsq")
     if n <= TYPE_TABLE_MAX_N:
         hist, attempts = _accepted_types(n, count, rng)
-        _tally_types(tally, "comp", hist, _proposal_type_table(n)[2])
+        _tally_pairs(tally, "comp", *_proposal_type_table(n)[2], hist)
     else:
         attempts = 0
+        once = np.broadcast_to(np.int64(1), count)  # rows run across chunks; a view, no memory
         for rows, lengths, attempts in _accepted_components(n, count, rng):
-            _tally_pairs(tally, "comp", rows, lengths, count)
+            _tally_pairs(tally, "comp", rows, lengths, once)
     return {"replicates": count, "attempts": attempts, **tally}
 
 
@@ -844,7 +844,8 @@ def toes_core_cycle_counts_batch(
 
     Up to :data:`TYPE_TABLE_MAX_N` each replicate's core size and cycle type
     come from one double (:func:`_core_types`), and its core size is the one
-    that the same double gives by the core-size CDF below.  Above it, blocks
+    that the same double gives by the core-size CDF below; the table's pairs
+    are folded once, weighted by that histogram.  Above it, blocks
     of ``ROW_CHUNK`` replicates each draw their core sizes by inverse CDF
     from the exact core-size law, then a uniform derangement of each size,
     ESF(1) conditioned on a_1 = 0 by :func:`_cycles_without_fixed_points`,
@@ -859,11 +860,10 @@ def toes_core_cycle_counts_batch(
     again the blocks' 128 KB arrays, twice the page faults of a run at
     n = 10 and about 40 ms more CPU for 10**6 replicates.
     """
-    if count < 0:
-        raise ValueError(f"need count >= 0 (got {count})")
+    _check_batch(n, count)
     tally = zero_tally(n, *_CORE_KEYS)
     if n <= TYPE_TABLE_MAX_N:
-        _tally_types(tally, "cyc", _core_types(n, count, rng), _core_type_table(n)[1])
+        _tally_pairs(tally, "cyc", *_core_type_table(n)[1], _core_types(n, count, rng))
         return {"replicates": count, **tally}
     cdf = _core_size_cdf(n)
     cores = copy.deepcopy(rng)
@@ -871,9 +871,8 @@ def toes_core_cycle_counts_batch(
         rng.random(min(CHUNK_CELLS, count - done))
     for done in range(0, count, ROW_CHUNK):
         sizes = 2 + np.searchsorted(cdf, cores.random(min(ROW_CHUNK, count - done)), side="right")
-        tally["core_hist"] += np.bincount(sizes, minlength=n + 1)
         pairs = _cycles_without_fixed_points(sizes, n, Fraction(1), rng)
-        _tally_pairs(tally, "cyc", *pairs, sizes.size)
+        _tally_pairs(tally, "cyc", *pairs, np.ones(sizes.size, dtype=np.int64))
     return {"replicates": count, **tally}
 
 

@@ -731,9 +731,10 @@ class TestDerangementSampler:
     def test_cycle_means_of_wide_rows(self):
         # 10**5 derangements of 1000 points: short, middle and longest cycles
         n, reps = 1000, 100_000
-        tally = samplers.zero_tally(n, "cyc_sum", "cyc_sumsq", "scream_hist")
+        tally = samplers.zero_tally(n, *samplers._CORE_KEYS)
         samplers._tally_pairs(
-            tally, "cyc", *_derangement_cycles(np.full(reps, n), n, np.random.default_rng(806)), reps
+            tally, "cyc", *_derangement_cycles(np.full(reps, n), n, np.random.default_rng(806)),
+            np.ones(reps, dtype=np.int64),
         )
         assert tally["cyc_sum"] @ np.arange(n + 1) == n * reps
         assert tally["cyc_sum"][1] == tally["cyc_sum"][n - 1] == 0
@@ -797,7 +798,8 @@ class TestTypeTables:
 
     def test_proposal_table_is_the_rounded_esf_law(self):
         for n in range(2, samplers.TYPE_TABLE_MAX_N + 1):
-            cdf, threshold, counts = samplers._proposal_type_table(n)
+            cdf, threshold, pairs = samplers._proposal_type_table(n)
+            counts = _dense_counts(*pairs, cdf.size, n)
             types = list(laws.partitions(n, 2))
             law = [esf_pmf(n, F(1, 2), parts) for parts in types]
             p_none = sum(law)
@@ -811,7 +813,8 @@ class TestTypeTables:
 
     def test_core_table_is_the_rounded_joint_law(self):
         for n in range(2, samplers.TYPE_TABLE_MAX_N + 1):
-            cdf, counts = samplers._core_type_table(n)
+            cdf, pairs = samplers._core_type_table(n)
+            counts = _dense_counts(*pairs, cdf.size, n)
             outcomes, law = zip(*_core_joint_law(n))
             assert cdf.tolist() == _rounded_cumulative(law), n
             assert cdf[-1] == 1.0
@@ -842,8 +845,9 @@ class TestTypeTables:
             np.random.default_rng(n).random(50_000), core_cdf, np.nextafter(core_cdf, 0), [0.0]
         ])
         u = u[u < 1]
-        cdf, counts = samplers._core_type_table(n)
-        joint = _type_sizes(counts)[np.searchsorted(cdf, u, side="right")]
+        cdf, pairs = samplers._core_type_table(n)
+        sizes = _type_sizes(_dense_counts(*pairs, cdf.size, n))
+        joint = sizes[np.searchsorted(cdf, u, side="right")]
         assert np.array_equal(joint, 2 + np.searchsorted(core_cdf, u, side="right"))
         # and so the kernel's core sizes are the same by either path
         table = toes_core_cycle_counts_batch(n, 20_000, np.random.default_rng(7))
@@ -874,7 +878,7 @@ class TestTypeTables:
         # proposal order; whatever the chunks the doubles are drawn in
         monkeypatch.setattr(samplers, "ROW_CHUNK", chunk)
         n, reps, seed = 10, 3000, 1602
-        cdf, counts = samplers._core_type_table(n)
+        cdf = samplers._core_type_table(n)[0]
         kind = np.searchsorted(cdf, np.random.default_rng(seed).random(reps), side="right")
         hist = samplers._core_types(n, reps, np.random.default_rng(seed))
         assert np.array_equal(hist, np.bincount(kind, minlength=cdf.size))
@@ -891,12 +895,13 @@ class TestTypeTables:
         # the types its histogram holds
         n, reps, seed = 10, 5000, 1603
         routes = (
-            (toes_core_cycle_counts_batch, "cyc", samplers._core_type_table(n)[1],
+            (toes_core_cycle_counts_batch, "cyc", samplers._core_type_table(n),
              samplers._core_types(n, reps, np.random.default_rng(seed))),
-            (toes_component_counts_batch, "comp", samplers._proposal_type_table(n)[2],
+            (toes_component_counts_batch, "comp", samplers._proposal_type_table(n),
              samplers._accepted_types(n, reps, np.random.default_rng(seed))[0]),
         )
-        for kernel, name, counts, hist in routes:
+        for kernel, name, table, hist in routes:
+            counts = _dense_counts(*table[-1], table[0].size, n)
             tally = kernel(n, reps, np.random.default_rng(seed))
             per_row = np.repeat(counts, hist, axis=0)
             want = _matrix_tally(per_row, name)
@@ -927,6 +932,52 @@ class TestTypeTables:
         monkeypatch.setattr(samplers, "_no_fixed_point_sums", one_short)
         with pytest.raises(laws.ConsistencyError, match="weights"):
             samplers._cycle_types(10, F(1, 2))
+
+    @pytest.mark.parametrize("table, name", [
+        (samplers._core_type_table, "cyc"), (samplers._proposal_type_table, "comp"),
+    ])
+    def test_weighted_fold_is_exact_past_float64(self, table, name):
+        # every type weighted 2**53 + 1, which float64 rounds to 2**53: each
+        # key equals the Python-int sums over the types, and a float64 fold
+        # of the same weights would not
+        n, weight = 10, 2**53 + 1
+        types = list(laws.partitions(n, 2)) if name == "comp" else [
+            parts for r in range(2, n + 1) for parts in laws.partitions(r, 2)
+        ]
+        pairs = table(n)[-1]
+        keys = samplers._CORE_KEYS if name == "cyc" else ("comp_sum", "comp_sumsq")
+        tally = samplers.zero_tally(n, *keys)
+        samplers._tally_pairs(tally, name, *pairs, np.full(len(types), weight, dtype=np.int64))
+        want = {key: [0] * value.size for key, value in tally.items()}
+        for parts in types:
+            for j, c in Counter(parts).items():
+                want[name + "_sum"][j] += weight * c
+                want[name + "_sumsq"][j] += weight * c * c
+            if name == "cyc":
+                want["scream_hist"][parts.count(2)] += weight
+                want["core_hist"][sum(parts)] += weight
+        for key, value in tally.items():
+            assert value.dtype == np.int64 and value.tolist() == want[key], key
+        rounded = np.bincount(pairs[1], weights=np.full(pairs[0].size, float(weight)))
+        assert rounded.tolist() != want[name + "_sum"][: rounded.size]
+
+    def test_core_hist_is_the_rows_cycle_lengths_summed(self):
+        # the cycle fold's core sizes: of direct rows (weight 1) against the
+        # decomposition's core, and of type rows (random weights) against
+        # the sizes of the table's types
+        n = 9
+        images = sample_mappings_batch(n, 2000, np.random.default_rng(1604))
+        tally = samplers.zero_tally(n, *samplers._CORE_KEYS)
+        dec = samplers._tally_mappings(tally, images)
+        sizes = np.bincount(dec.core // n, minlength=len(images))
+        assert np.array_equal(tally["core_hist"], np.bincount(sizes, minlength=n + 1))
+        cdf, pairs = samplers._core_type_table(n)
+        weight = np.random.default_rng(1605).integers(0, 1000, cdf.size)
+        tally = samplers.zero_tally(n, *samplers._CORE_KEYS)
+        samplers._tally_pairs(tally, "cyc", *pairs, weight)
+        sizes = _type_sizes(_dense_counts(*pairs, cdf.size, n))
+        assert (sizes == [r for r in range(2, n + 1) for _ in laws.partitions(r, 2)]).all()
+        assert np.array_equal(tally["core_hist"], np.bincount(sizes, weights=weight, minlength=n + 1))
 
 
 def _mean_and_se(tally, name, j, reps):
@@ -1188,6 +1239,23 @@ class TestRouteAgreement:
 def test_route_kernels_reject_negative_counts(kernel):
     with pytest.raises(ValueError, match="count"):
         kernel(10, -3, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("kernel", [
+    samplers.toes_mapping_counts_batch,
+    samplers.toes_component_counts_batch,
+    samplers.toes_core_cycle_counts_batch,
+])
+@pytest.mark.parametrize("n", [-1, 0, 1])
+@pytest.mark.parametrize("count", [0, 5])
+def test_route_kernels_refuse_n_below_2_alike(kernel, n, count):
+    # one message from every kernel, before any work: not numpy's negative
+    # dimensions, a division by zero or a law's own message
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"^need n >= 2$"):
+        kernel(n, count, rng)
+    assert rng.bit_generator.state == state
 
 
 class TestBatchDeterminism:
