@@ -145,9 +145,9 @@ def _write(text: str, out: str | None) -> None:
 
 def _report(args: argparse.Namespace) -> harness.ExperimentReport:
     """Run the configuration of ``exact``, ``simulate`` or ``tables``; an
-    invalid one (say, a method that cannot fill a table, or ``exact --model
-    standard`` on a toes-only table) exits with one line before any law is
-    built."""
+    invalid one (say, a method that cannot fill a table, ``exact --model
+    standard`` on a toes-only table, or ``simulate`` of an exact-only table)
+    exits with one line before any law is built."""
     if "table" in args:
         tables = (args.table,)
     else:
@@ -160,6 +160,10 @@ def _report(args: argparse.Namespace) -> harness.ExperimentReport:
                       model=args.model)
     except ValueError as exc:
         raise SystemExit(f"screamingtoes: {exc}") from None
+    if args.command == "simulate" and config.method_for(config.tables[0]) is None:
+        table = config.tables[0]  # simulate reports both models, so the table is exact-only
+        raise SystemExit(f"screamingtoes: the {table!r} table has no simulated column; "
+                         f"use exact --table {table}")
     return harness.run_table(config)
 
 

@@ -230,30 +230,29 @@ def _q_cells(config: ExperimentConfig) -> Iterator[Cell]:
         yield f"q[n={n}]", laws.prob_someone_screams(n), None
 
 
-def _paired_cells(stat: str, var: str, law: Callable, config: ExperimentConfig) -> Iterator[Cell]:
-    """The toes cells of a statistic, then its standard-model column, each
-    from ``law(n, model)`` and built only when the run reports that model."""
-    if config.model != "standard":
-        for i, exact in law(config.size, "toes").items():
-            yield f"{stat}[{var}={i}]", exact, i
-    if config.model != "toes":
-        for i, exact in law(config.size, "standard").items():
-            yield f"{stat}_std[{var}={i}]", exact, None
-
-
-def _component_mean_table(n: int, model: str) -> dict:
-    """Every component size's mean; the toes model's size 1, which cannot
-    occur, has no exact value."""
-    return {
-        j: None if j == 1 and model == "toes" else laws.mean_component_count(n, j, model)
-        for j in range(1, n + 1)
-    }
-
-
-def _scream_cells(config: ExperimentConfig) -> Iterator[Cell]:
-    n = config.size
-    for k in range(0, n // 2 + 1):
-        yield f"scream_pmf[k={k}]", laws.scream_pmf(n, k), k
+def _law_cells(
+    stat: str, var: str, law: str, config: ExperimentConfig, first: int | None = None,
+    paired: bool = True,
+) -> Iterator[Cell]:
+    """The rows of one per-size exact law, its tuple ``laws.<law>(n, model)``
+    read whole.  The law is looked up on :mod:`laws` per call, so that a
+    patched or traced law is the one called.  The toes rows come first, and
+    only they index the simulated column; the standard-model rows, named
+    ``<stat>_std``, follow.  Each model's rows are built only when the run
+    reports it.  A model's rows start at index ``first``, or else at its
+    shortest cycle, and a row below that cycle has no exact value.  An
+    unpaired law, ``laws.<law>(n)``, is the toes model's alone, with a row
+    at every index from 0."""
+    build = getattr(laws, law)
+    for model in ("toes", "standard") if paired else ("toes",):
+        if config.model not in (model, "both"):
+            continue
+        values = build(config.size, model) if paired else build(config.size)
+        lo = laws._shortest_cycle(model) if paired else 0
+        toes = model == "toes"
+        name = stat if toes else f"{stat}_std"
+        for i in range(lo if first is None else first, len(values)):
+            yield f"{name}[{var}={i}]", values[i] if i >= lo else None, i if toes else None
 
 
 def _repeat_cells(config: ExperimentConfig) -> Iterator[Cell]:
@@ -286,24 +285,25 @@ _SPECS = {
         TableSpec(
             "components", ("2", "component-means"), "Mean number of components by size",
             ("rejection", "direct", "brute-force"), ("mean", "comp"),
-            partial(_paired_cells, "mean_components", "j", _component_mean_table),
+            partial(_law_cells, "mean_components", "j", "component_means", first=1),
             max_n=1000, standard=True,
         ),
         TableSpec(
             "scream", ("3", "scream-pmf"), "Distribution of the number of screaming pairs",
-            ("core-joint", "direct", "brute-force"), ("pmf", "scream_hist"), _scream_cells,
+            ("core-joint", "direct", "brute-force"), ("pmf", "scream_hist"),
+            partial(_law_cells, "scream_pmf", "k", "scream_law", paired=False),
             max_n=laws.SCREAM_MAX_N,
         ),
         TableSpec(
             "cycles", ("cycle-means",), "Mean number of core cycles by length",
             ("core-joint", "direct", "brute-force"), ("mean", "cyc"),
-            partial(_paired_cells, "mean_cycles", "j", laws.cycle_mean_table),
+            partial(_law_cells, "mean_cycles", "j", "cycle_means"),
             max_n=2000, standard=True,
         ),
         TableSpec(
             "core", ("core-size",), "Distribution of the core size",
             ("core-joint", "direct", "brute-force"), ("pmf", "core_hist"),
-            partial(_paired_cells, "core_size", "r", laws.core_size_table),
+            partial(_law_cells, "core_size", "r", "core_size_law"),
             max_n=1500, standard=True,
         ),
         TableSpec(
@@ -558,46 +558,32 @@ def brute_force_law(n: int, model: str = "toes") -> BruteForceLaw:
 
 
 def validate(n: int, model: str = "toes") -> list[tuple[str, bool]]:
-    """Exact-equality checks of the enumeration against every closed form."""
+    """Exact-equality checks of the enumeration against every closed form.
+    Each per-size law is compared whole, its tuple against the
+    enumeration's frequencies at the same indices, 0 where none occur."""
     brute = brute_force_law(n, model)
-    checks: list[tuple[str, bool]] = []
 
-    pmf_table = laws.component_pmf_table(n, model)
-    checks.append(("component_pmf", pmf_table == brute.component_pmf))
+    def dense(law: dict, size: int) -> tuple:
+        return tuple(law.get(i, 0) for i in range(size))
 
-    lo = laws._shortest_cycle(model)
-    core_counts = tuple(brute.core_pmf.get(r, 0) * brute.total for r in range(n + 1))
-    core_ok = laws.core_size_counts(n, model) == core_counts and all(
-        laws.core_size_pmf(n, r, model) == brute.core_pmf.get(r, Fraction(0))
-        for r in range(lo, n + 1)
-    )
-    checks.append(("core_size_pmf", core_ok))
-
-    mean_ok = all(
-        laws.mean_component_count(n, j, model) == brute.component_means[j]
-        for j in range(lo, n + 1)
-    ) and (Fraction(0) == brute.component_means.get(1, Fraction(0)) or model == "standard")
-    checks.append(("mean_component_count", mean_ok))
-
-    cyc_ok = all(
-        laws.mean_cycle_count(n, j, model) == brute.cycle_means[j]
-        for j in range(lo, n + 1)
-    )
-    checks.append(("mean_cycle_count", cyc_ok))
-
-    checks.append(
-        ("expected_num_components", laws.expected_num_components(n, model) == brute.mean_components)
-    )
-
+    core_counts = tuple(p * brute.total for p in dense(brute.core_pmf, n + 1))
+    checks = [
+        ("component_pmf", laws.component_pmf_table(n, model) == brute.component_pmf),
+        ("core_size_pmf", laws.core_size_counts(n, model) == core_counts
+         and laws.core_size_law(n, model) == dense(brute.core_pmf, n + 1)),
+        ("mean_component_count",
+         laws.component_means(n, model) == dense(brute.component_means, n + 1)),
+        ("mean_cycle_count", laws.cycle_means(n, model) == dense(brute.cycle_means, n + 1)),
+        ("expected_num_components",
+         laws.expected_num_components(n, model) == brute.mean_components),
+    ]
     if model == "toes":
-        scream_ok = all(
-            laws.scream_pmf(n, k) == brute.scream_pmf.get(k, Fraction(0))
-            for k in range(0, n // 2 + 1)
-        )
-        checks.append(("scream_pmf", scream_ok))
-        checks.append(("prob_someone_screams",
-                       laws.prob_someone_screams(n) == 1 - brute.scream_pmf.get(0, Fraction(0))))
-        checks.append(("no_repeated_sizes", laws.prob_no_repeated_sizes(n) == brute.no_repeat))
+        scream = dense(brute.scream_pmf, n // 2 + 1)
+        checks += [
+            ("scream_pmf", laws.scream_law(n) == scream),
+            ("prob_someone_screams", laws.prob_someone_screams(n) == 1 - scream[0]),
+            ("no_repeated_sizes", laws.prob_no_repeated_sizes(n) == brute.no_repeat),
+        ]
     return checks
 
 

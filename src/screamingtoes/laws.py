@@ -13,6 +13,14 @@ Two models of a random function f on n points are covered:
 The module holds the laws that the CLI tables, the brute-force validation
 and the samplers read: component spectra and means, core size, core cycle
 means, screaming pairs and q_n, and no-repeated-size probabilities.
+Each per-size law has one shape, a tuple indexed from 0 that holds the
+exact law at every index, 0 where the size cannot occur, built whole and
+cached: :func:`component_means`, :func:`cycle_means` and
+:func:`core_size_law` over j or r = 0..n of a model, and
+:func:`scream_law` over k = 0..n//2.  The report tables and the
+validation read these tuples whole; the range-checked accessors
+(:func:`mean_component_count`, :func:`mean_cycle_count`,
+:func:`core_size_pmf`, :func:`scream_pmf`) read one cell.
 Beside them are two results of the paper that no table reports, the joint
 falling-factorial moments (:func:`factorial_moment`) and the Spitzer-type
 sum behind the rejection sampler's acceptance rate
@@ -80,6 +88,14 @@ def _shortest_cycle(model: str) -> int:
     standard one.  Rejects an unknown model."""
     _check_model(model)
     return 2 if model == "toes" else 1
+
+
+def _check_n(n: int, model: str) -> int:
+    """The model's shortest cycle, after refusing an n below it."""
+    lo = _shortest_cycle(model)
+    if n < lo:
+        raise ValueError(f"need n >= {lo} in the {model} model")
+    return lo
 
 
 def _base(n: int, model: Model) -> int:
@@ -211,9 +227,7 @@ def _connected_count(size: int, model: Model) -> int:
 def single_component_prob(n: int, model: Model = "toes") -> Fraction:
     """Probability that the whole mapping is one component, T_n / b**n with
     b**n the model's mappings; exactly rational."""
-    lo = _shortest_cycle(model)
-    if n < lo:
-        raise ValueError(f"need n >= {lo} in the {model} model")
+    _check_n(n, model)
     return fraction_over_power(_connected_count(n, model), _base(n, model), n)
 
 
@@ -277,8 +291,8 @@ def _mappings_outside(n: int, m: int, model: Model) -> int:
 
 
 @lru_cache(maxsize=4)
-def _component_means(n: int, model: Model) -> tuple[Fraction, ...]:
-    """E C_j, the expected number of size-j components, for j = 0..n (zero
+def component_means(n: int, model: Model) -> tuple[Fraction, ...]:
+    """E C_j, the expected number of size-j components, for j = 0..n (0
     below the model's smallest component): the count C(n,j) T_j (b-j)**(n-j)
     of mappings in which a given j-set is one component, over b**n, with
     b = n-1 (toes) or n and T_j counted in integers by
@@ -295,7 +309,7 @@ def _component_means(n: int, model: Model) -> tuple[Fraction, ...]:
     integers, for every n: it sees the factor (b-j)**(n-j) that the first
     check does not.
     """
-    lo = _shortest_cycle(model)
+    lo = _check_n(n, model)
     base = _base(n, model)
     counts = [0] * (n + 1)
     binom = 1  # C(n,j), from j = 0
@@ -312,13 +326,13 @@ def _component_means(n: int, model: Model) -> tuple[Fraction, ...]:
 def mean_component_count(n: int, j: int, model: Model = "toes") -> Fraction:
     """Expected number of size-j components, exactly; the first call for an
     (n, model) builds (and caches) the whole checked table,
-    :func:`_component_means`.  Toes-model queries with j = 1 are rejected
+    :func:`component_means`.  Toes-model queries with j = 1 are rejected
     rather than returning 0, to catch confusion with the standard model.
     """
     lo = _shortest_cycle(model)
     if not lo <= j <= n:
         raise ValueError(f"need {lo} <= j <= n in the {model} model")
-    return _component_means(n, model)[j]
+    return component_means(n, model)[j]
 
 
 def factorial_moment(n: int, orders: Mapping[int, int]) -> Fraction:
@@ -346,27 +360,16 @@ def factorial_moment(n: int, orders: Mapping[int, int]) -> Fraction:
 
 
 def expected_num_components(n: int, model: Model = "toes") -> Fraction:
-    """Expected total number of components.
+    """Expected total number of components, the sum of the component means.
 
-    For the toes model the value is computed twice -- once by summing the
-    component-mean formula over sizes, once by summing the core cycle-count
-    means (components and core cycles are in bijection) -- and the two must
-    agree exactly.
+    Components and core cycles are in bijection, so the sum of the cycle
+    means is the same value, found apart; the two sums must agree exactly
+    (ConsistencyError if not).
     """
-    lo = _shortest_cycle(model)
-    if n < lo:
-        raise ValueError(f"need n >= {lo} in the {model} model")
-    via_components = sum(
-        (mean_component_count(n, j, model) for j in range(lo, n + 1)), Fraction(0)
-    )
-    if model == "standard":
-        return via_components
-    via_cycles = sum(
-        (mean_cycle_count(n, j, "toes") for j in range(2, n + 1)), Fraction(0)
-    )
-    if via_components != via_cycles:
+    total = sum(component_means(n, model))
+    if total != sum(cycle_means(n, model)):
         raise ConsistencyError(f"component/cycle count means disagree at n={n}")
-    return via_components
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +387,7 @@ def core_size_counts(n: int, model: Model = "toes") -> tuple[int, ...]:
     = r! or D_r.  Built by running products from r = n down, and checked to
     sum to the model's number of mappings, (n-1)**n or n**n, in integers.
     """
-    lo = _shortest_cycle(model)
-    if n < lo:
-        raise ValueError(f"need n >= {lo} in the {model} model")
+    _check_n(n, model)
     if model == "toes":
         arrangements = derangement_numbers(n)
     else:
@@ -406,7 +407,7 @@ def core_size_counts(n: int, model: Model = "toes") -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=4)
-def _core_size_law(n: int, model: Model) -> tuple[Fraction, ...]:
+def core_size_law(n: int, model: Model) -> tuple[Fraction, ...]:
     """P(core has r elements) = N_r / (model's mappings), r = 0..n, with
     N_r from :func:`core_size_counts`.
 
@@ -434,15 +435,7 @@ def core_size_pmf(n: int, r: int, model: Model = "toes") -> Fraction:
     lo = _shortest_cycle(model)
     if not lo <= r <= n:
         raise ValueError(f"need {lo} <= r <= n in the {model} model")
-    return _core_size_law(n, model)[r]
-
-
-def core_size_table(n: int, model: Model = "toes") -> dict[int, Fraction]:
-    """Exact core-size pmf for r over the full support.  Its normalisation
-    is checked in integers, on the counts it is read from."""
-    lo = _shortest_cycle(model)
-    law = _core_size_law(n, model)
-    return {r: law[r] for r in range(lo, n + 1)}
+    return core_size_law(n, model)[r]
 
 
 # ---------------------------------------------------------------------------
@@ -450,16 +443,20 @@ def core_size_table(n: int, model: Model = "toes") -> dict[int, Fraction]:
 
 
 @lru_cache(maxsize=4)
-def _cycle_means(n: int, model: Model) -> tuple[Fraction, ...]:
-    """E C_j = n_[j] / (j b**j), b = n-1 (toes) or n, for j = 0..n, as the
-    running product E C_{j+1} = E C_j (n-j) j / ((j+1) b) from E C_1 = n/b.
-    Each step multiplies by a Fraction of small integers, which costs two
-    gcds against small integers instead of one of full width.  (The toes
-    model has no 1-cycles; its entry 1 only seeds the product.)"""
+def cycle_means(n: int, model: Model) -> tuple[Fraction, ...]:
+    """E C_j, the expected number of length-j core cycles, for j = 0..n:
+    n_[j] / (j b**j), b = n-1 (toes) or n, as the running product
+    E C_{j+1} = E C_j (n-j) j / ((j+1) b) from n_[1] / b = n/b.  Each step
+    multiplies by a Fraction of small integers, which costs two gcds against
+    small integers instead of one of full width.  The toes model has no
+    1-cycles: n/b only seeds its product, and its entry 1 is 0."""
+    _check_n(n, model)
     base = _base(n, model)
     means = [Fraction(0), Fraction(n, base)]
     for j in range(1, n):
         means.append(means[j] * Fraction((n - j) * j, (j + 1) * base))
+    if model == "toes":
+        means[1] = Fraction(0)
     return tuple(means)
 
 
@@ -469,7 +466,7 @@ def mean_cycle_count(n: int, j: int, model: Model = "toes") -> Fraction:
     lo = _shortest_cycle(model)
     if not lo <= j <= n:
         raise ValueError(f"need {lo} <= j <= n in the {model} model")
-    return _cycle_means(n, model)[j]
+    return cycle_means(n, model)[j]
 
 
 # ---------------------------------------------------------------------------
@@ -550,10 +547,11 @@ def _scream_counts(n: int) -> list[int]:
 
 
 @lru_cache(maxsize=4)
-def _scream_law(n: int) -> tuple[Fraction, ...]:
-    """P(S = k) = C_k / (n-1)**(2J) for k = 0..J, with C_k the integers of
-    :func:`_scream_counts`.  The recurrence makes the table one exact
-    division and one reduction by the primes of n-1
+def scream_law(n: int) -> tuple[Fraction, ...]:
+    """P(S = k) = C_k / (n-1)**(2J) for k = 0..J, J = n//2, with S the
+    screaming pairs of the toes model, 2 <= n <= SCREAM_MAX_N, and C_k the
+    integers of :func:`_scream_counts`.  The recurrence makes the table one
+    exact division and one reduction by the primes of n-1
     (:func:`fraction_over_power`) per cell, where an alternating sum per
     cell would be O(n) and a gcd against the whole denominator quadratic.
 
@@ -561,6 +559,8 @@ def _scream_law(n: int) -> tuple[Fraction, ...]:
     (n-1)**(2J), and C_0 equals the k = 0 series that q_n is built from
     (:func:`_no_scream_count`), summed apart from the recurrence.
     """
+    if not 2 <= n <= SCREAM_MAX_N:
+        raise ValueError(f"need 2 <= n <= {SCREAM_MAX_N} (got {n})")
     counts = _scream_counts(n)
     power = 2 * (n // 2)
     if sum(counts) != (n - 1) ** power:
@@ -573,12 +573,11 @@ def _scream_law(n: int) -> tuple[Fraction, ...]:
 def scream_pmf(n: int, k: int) -> Fraction:
     """P(exactly k screaming pairs), i.e. k 2-cycles in the toes core;
     2 <= n <= SCREAM_MAX_N.  The first call for an n builds (and caches)
-    the whole table, :func:`_scream_law`."""
-    if not 2 <= n <= SCREAM_MAX_N:
-        raise ValueError(f"need 2 <= n <= {SCREAM_MAX_N} (got {n})")
-    if not 0 <= k <= n // 2:
+    the whole table, :func:`scream_law`."""
+    law = scream_law(n)
+    if not 0 <= k < len(law):
         raise ValueError("need 0 <= k <= n//2")
-    return _scream_law(n)[k]
+    return law[k]
 
 
 def prob_someone_screams(n: int) -> Fraction:
@@ -692,16 +691,6 @@ def prob_no_repeated_sizes(n: int) -> NoRepeatProbs:
     return NoRepeatProbs(*(fraction_over_power(count, n - 1, n) for count in (comp, cyc, either)))
 
 
-# ---------------------------------------------------------------------------
-# Mean tables for the harness
-
-
-def cycle_mean_table(n: int, model: Model = "toes") -> dict[int, Fraction]:
-    """mean_cycle_count for every length j."""
-    lo = _shortest_cycle(model)
-    return {j: mean_cycle_count(n, j, model) for j in range(lo, n + 1)}
-
-
 __all__ = [
     "ConsistencyError",
     "Model",
@@ -710,12 +699,13 @@ __all__ = [
     "REPEATS_MAX_N",
     "SCREAM_MAX_N",
     "component_count_with_core",
+    "component_means",
     "component_pmf",
     "component_pmf_table",
     "core_size_counts",
+    "core_size_law",
     "core_size_pmf",
-    "core_size_table",
-    "cycle_mean_table",
+    "cycle_means",
     "expected_num_components",
     "factorial_moment",
     "mean_component_count",
@@ -724,6 +714,7 @@ __all__ = [
     "partitions",
     "prob_no_repeated_sizes",
     "prob_someone_screams",
+    "scream_law",
     "scream_pmf",
     "single_component_prob",
     "spitzer_partial_sum",

@@ -22,7 +22,7 @@ that does not go through the code it is used to check:
 * :func:`derangement_two_cycle_pmf`, :func:`derangement_cycle_type_pmf` and
   :func:`derangement_mean_cycle_count`: the laws of a uniform random
   derangement, against enumeration and the core-joint route's derangement
-  draw, and, mixed over ``laws.core_size_table``, against the toes cycle
+  draw, and, mixed over ``laws.core_size_law``, against the toes cycle
   means and the no-repeated-cycle probability.
 * :func:`rising_factorial`, :func:`esf_pmf` and :func:`esf_mean_cycle_count`:
   the Ewens sampling formula, against the rejection sampler's ESF(1/2)

@@ -48,6 +48,33 @@ BRUTE_FORCE_SHA256 = {
 }
 
 
+#: The checks of ``validate``, in the order it prints them, and the law that
+#: each one reads; the core check reads the integer counts too.
+VALIDATE_CHECKS = {
+    "component_pmf": "component_pmf_table",
+    "core_size_pmf": "core_size_law",
+    "mean_component_count": "component_means",
+    "mean_cycle_count": "cycle_means",
+    "expected_num_components": "expected_num_components",
+    "scream_pmf": "scream_law",
+    "prob_someone_screams": "prob_someone_screams",
+    "no_repeated_sizes": "prob_no_repeated_sizes",
+}
+#: The checks of the standard model, which has no screaming-pair laws.
+STANDARD_CHECKS = list(VALIDATE_CHECKS)[:5]
+
+
+def _one_count_off(value, one):
+    """``value`` with one entry moved by ``one``: a dict's first, a tuple's
+    last, or a number itself."""
+    if isinstance(value, dict):
+        key = next(iter(value))
+        return {**value, key: value[key] + one}
+    if isinstance(value, tuple):
+        return value[:-1] + (value[-1] + one,)
+    return value + one
+
+
 class TestBruteForce:
     def test_n3_golden(self):
         law = brute_force_law(3, "toes")
@@ -71,6 +98,31 @@ class TestBruteForce:
     def test_validate_at_the_enumeration_bound(self, model):
         checks = harness.validate(7, model)
         assert all(ok for _, ok in checks), checks
+
+    @pytest.mark.parametrize("model, check, law", [
+        *(("toes", check, law) for check, law in VALIDATE_CHECKS.items()),
+        ("toes", "core_size_pmf", "core_size_counts"),
+        *(("standard", check, VALIDATE_CHECKS[check]) for check in STANDARD_CHECKS),
+        ("standard", "core_size_pmf", "core_size_counts"),
+    ])
+    def test_validate_fails_on_one_count_off(self, model, check, law, monkeypatch, capsys):
+        n = 5
+        checks = harness.validate(n, model)  # also caches every law at n
+        assert checks == [(name, True) for name in (VALIDATE_CHECKS if model == "toes"
+                                                    else STANDARD_CHECKS)]
+        total = brute_force_law(n, model).total
+        one = 1 if law == "core_size_counts" else F(1, total)  # one mapping
+        expected = laws.expected_num_components(n, model)
+        built = getattr(laws, law)
+        monkeypatch.setattr(laws, law, lambda *args: _one_count_off(built(*args), one))
+        if law != "expected_num_components":
+            # it sums the component and cycle means, so it stays at its value
+            # for a moved mean to fail alone
+            monkeypatch.setattr(laws, "expected_num_components", lambda n, model: expected)
+        assert [name for name, ok in harness.validate(n, model) if not ok] == [check]
+        assert cli.main(["validate", "--n", str(n), "--model", model]) == 1
+        failed = [line.split() for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
+        assert failed == [[check, "FAIL"]]
 
     @pytest.mark.parametrize("model", ["toes", "standard"])
     @pytest.mark.parametrize("n", range(2, 8))
@@ -579,22 +631,26 @@ class TestCli:
 
     @pytest.mark.parametrize("model, other", [("toes", "standard"), ("standard", "toes")])
     @pytest.mark.parametrize("table, law", [
-        ("components", "_component_means"), ("cycles", "_cycle_means"), ("core", "_core_size_law"),
+        ("components", "component_means"), ("cycles", "cycle_means"), ("core", "core_size_law"),
     ])
     def test_exact_builds_only_the_models_it_reports(self, table, law, model, other,
                                                     monkeypatch, capsys):
-        # the other model's law raises if called
+        # the other model's law raises if called, and the reported model's
+        # law is called: a law bound before the patch would skip both
         built = getattr(laws, law)
+        called = []
 
         def only_the_reported_model(n, m):
             if m == other:
                 raise AssertionError(f"{law} built the {other} model")
+            called.append(m)
             return built(n, m)
 
         monkeypatch.setattr(laws, law, only_the_reported_model)
         argv = ["exact", "--table", table, "--n", "6", "--model", model, "--format", "csv"]
         assert cli.main(argv) == 0
         assert ("_std[" in capsys.readouterr().out) == (model == "standard")
+        assert called == [model]
 
     def test_simulate(self, capsys):
         rc = cli.main([
@@ -625,6 +681,29 @@ class TestCli:
         else:
             assert cli.main(argv) == 0
             assert "mean_cycles[j=2]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--table", "q", "--method", "direct", "--n", "5", "--reps", "100"],
+        ["simulate", "--table", "1", "--reps", "0"],
+    ], ids=["q-direct", "alias-no-reps"])
+    def test_simulate_of_an_exact_only_table_is_a_one_line_error(self, argv, monkeypatch, capsys):
+        def no_law(n):
+            raise AssertionError("q_n built")
+
+        monkeypatch.setattr(laws, "prob_someone_screams", no_law)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        message = exc.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith("screamingtoes: ") and "exact --table q" in message
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("method", harness.METHODS)
+    def test_tables_reports_q_exact_under_any_method(self, method, capsys):
+        argv = ["tables", "--tables", "q", "--method", method, "--n", "5", "--reps", "100",
+                "--workers", "1", "--format", "csv"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == "statistic,exact,simulated,std_error,z\nq[n=5],0.5664,,,\n"
 
     def test_validate_cli(self, capsys):
         assert cli.main(["validate", "--n", "3"]) == 0
@@ -717,7 +796,7 @@ class TestCli:
         # the json emit, the costliest format: 2.9-3.2 s on a 2-vCPU host
         # (Python 3.11), most of it the emit of the 28 MB report and 0.4 s
         # the table itself; the budget allows a slower one
-        laws._scream_law.cache_clear()
+        laws.scream_law.cache_clear()
         started = time.perf_counter()
         argv = ["exact", "--table", "scream", "--n", str(laws.SCREAM_MAX_N), "--format", "json"]
         assert cli.main(argv) == 0
@@ -731,8 +810,8 @@ class TestCli:
     def test_exact_at_its_bound_is_within_budget(self, table, records, capsys):
         # both models and the json emit, the costliest format: 1.8-3.9 s on
         # a 2-vCPU host (Python 3.11); the budget is that of the scream table
-        for law in (laws._component_means, laws._checked_connected_count, laws._cycle_means,
-                    laws._core_size_law, laws.core_size_counts):
+        for law in (laws.component_means, laws._checked_connected_count, laws.cycle_means,
+                    laws.core_size_law, laws.core_size_counts):
             law.cache_clear()
         n = harness._SPECS[table].max_n
         started = time.perf_counter()

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import poisson_cdf
-from screamingtoes import laws
+from screamingtoes import laws, samplers
 from screamingtoes.exact import derangement_number, falling_factorial, format_fixed
 
 
@@ -124,7 +124,7 @@ def fresh_component_caches():
     (an entry built under the patch would outlive it)."""
 
     def clear():
-        laws._component_means.cache_clear()
+        laws.component_means.cache_clear()
         laws._checked_connected_count.cache_clear()
 
     clear()
@@ -206,10 +206,10 @@ class TestComponentMeans:
         assert sizes[len(first):] == [12]
 
     def test_one_table_build_per_n_and_model(self):
-        laws._component_means.cache_clear()
+        laws.component_means.cache_clear()
         for j in range(2, 13):
             laws.mean_component_count(12, j, "toes")
-        assert laws._component_means.cache_info().misses == 1
+        assert laws.component_means.cache_info().misses == 1
 
 
 class TestFactorialMoments:
@@ -266,7 +266,7 @@ class TestCoreSize:
     @pytest.mark.parametrize("model", ["standard", "toes"])
     @pytest.mark.parametrize("n", [2, 3, 7, 12, 25])
     def test_normalisation(self, n, model):
-        laws.core_size_table(n, model)  # builder raises if the sum is off
+        laws.core_size_law(n, model)  # builder raises if the sum is off
 
     def test_tail(self):
         assert oracles.core_size_tail_std(7, 1) == 1
@@ -294,6 +294,11 @@ def _core_law_per_r(n, model):
     return law
 
 
+def _dense(law, n):
+    """A law keyed by size as the tuple over sizes 0..n, 0 where it has no key."""
+    return tuple(law.get(i, 0) for i in range(n + 1))
+
+
 def _cycle_means_per_j(n, model):
     base = n - 1 if model == "toes" else n
     means = {}
@@ -314,8 +319,8 @@ class TestIntegerCounts:
             assert len(counts) == n + 1 and sum(counts) == base**n
             law = _core_law_per_r(n, model)
             assert {r: F(counts[r], base**n) for r in law} == law, n
-            assert laws.core_size_table(n, model) == law, n
-            assert laws.cycle_mean_table(n, model) == _cycle_means_per_j(n, model), n
+            assert laws.core_size_law(n, model) == _dense(law, n), n
+            assert laws.cycle_means(n, model) == _dense(_cycle_means_per_j(n, model), n), n
 
     def test_pmf_and_means_read_the_same_values(self):
         for model in ("standard", "toes"):
@@ -372,10 +377,10 @@ class TestCycleMeans:
     def test_toes_means_mix_derangement_means(self):
         # given a core of r points, the core is a uniform derangement of them
         for n in range(2, 31):
-            core = laws.core_size_table(n, "toes")
+            core = laws.core_size_law(n, "toes")
             for j in range(2, n + 1):
                 mixed = sum(p * oracles.derangement_mean_cycle_count(r, j)
-                            for r, p in core.items() if r >= j)
+                            for r, p in enumerate(core) if r >= j)
                 assert laws.mean_cycle_count(n, j, "toes") == mixed, (n, j)
 
 
@@ -394,9 +399,39 @@ class TestWholeTableSumRules:
     @pytest.mark.parametrize("model", ["standard", "toes"])
     def test_cycles_cover_the_core(self, model):
         for n in [*range(2, 61), 1000]:
-            cycles = sum(j * mean for j, mean in laws.cycle_mean_table(n, model).items())
-            core = sum(r * p for r, p in laws.core_size_table(n, model).items())
+            cycles = sum(j * mean for j, mean in enumerate(laws.cycle_means(n, model)))
+            core = sum(r * p for r, p in enumerate(laws.core_size_law(n, model)))
             assert cycles == core, (n, model)
+
+
+class TestOneShape:
+    """Every per-size law is one tuple indexed from 0, with the exact law at
+    every index and 0 where the size cannot occur."""
+
+    @pytest.mark.parametrize("model", ["toes", "standard"])
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_each_tuple_is_the_enumerated_tally(self, n, model):
+        tally = samplers.every_mapping_counts(n, model)[0]
+        pairs = [
+            (laws.component_means(n, model), "comp_sum"),
+            (laws.cycle_means(n, model), "cyc_sum"),
+            (laws.core_size_law(n, model), "core_hist"),
+        ]
+        if model == "toes":
+            pairs.append((laws.scream_law(n), "scream_hist"))
+        for law, key in pairs:
+            assert law == tuple(F(count, tally["replicates"]) for count in tally[key].tolist()), key
+
+    @pytest.mark.parametrize("model", ["toes", "standard"])
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_each_tuple_sums_to_its_total(self, n, model):
+        # components and core cycles are in bijection; the toes entry 1,
+        # where no 1-cycle can be, adds nothing
+        expected = laws.expected_num_components(n, model)
+        assert sum(laws.component_means(n, model)) == sum(laws.cycle_means(n, model)) == expected
+        assert sum(laws.core_size_law(n, model)) == 1
+        if model == "toes":
+            assert sum(laws.scream_law(n)) == 1
 
 
 def _cycle_lengths(perm):
@@ -499,7 +534,7 @@ class TestScreamLaws:
 
     @pytest.mark.parametrize("n", [10, 1000])
     def test_sum_check_sees_one_shifted_count(self, n, monkeypatch):
-        laws._scream_law.cache_clear()
+        laws.scream_law.cache_clear()
         counts = laws._scream_counts
         monkeypatch.setattr(
             laws, "_scream_counts", lambda n: [c + (k == 1) for k, c in enumerate(counts(n))]
@@ -510,7 +545,7 @@ class TestScreamLaws:
     @pytest.mark.parametrize("n", [10, 1000])
     def test_series_check_sees_a_count_moved_to_k0(self, n, monkeypatch):
         # the counts still sum to (n-1)**(2J); only q_n's own series sees it
-        laws._scream_law.cache_clear()
+        laws.scream_law.cache_clear()
         counts = laws._scream_counts
         monkeypatch.setattr(
             laws, "_scream_counts",
@@ -635,7 +670,7 @@ def _no_repeat_by_enumeration(n):
     cyc = sum(
         (pr * sum((oracles.derangement_cycle_type_pmf(r, parts) for parts in _distinct_partitions(r)),
                   F(0))
-         for r, pr in laws.core_size_table(n, "toes").items()),
+         for r, pr in enumerate(laws.core_size_law(n, "toes")) if pr),
         F(0),
     )
 

@@ -659,7 +659,7 @@ class TestCoreSizeSampler:
         hist = toes_core_cycle_counts_batch(n, reps, np.random.default_rng(701))["core_hist"]
         assert hist.sum() == reps
         observed = {r: int(c) for r, c in enumerate(hist) if c}
-        expected = {r: p for r, p in laws.core_size_table(n, "toes").items()}
+        expected = {r: p for r, p in enumerate(laws.core_size_law(n, "toes")) if p}
         assert chi_square_pvalue(observed, expected, reps) > 1e-4
 
     @pytest.mark.parametrize("n, digest", [
@@ -782,7 +782,7 @@ def _core_joint_law(n):
     from the core-size law and the derangement cycle-type oracle."""
     return [
         ((r, parts), p_core * derangement_cycle_type_pmf(r, parts))
-        for r, p_core in laws.core_size_table(n, "toes").items()
+        for r, p_core in enumerate(laws.core_size_law(n, "toes")) if p_core
         for parts in laws.partitions(r, 2)
     ]
 
