@@ -52,7 +52,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_exact.add_argument("--table", required=True, help=f"one of {sorted(set(harness.TABLE_ALIASES))}")
     p_exact.add_argument("--model", choices=harness.REPORT_MODELS, default=_RUN.model,
                          help="the models whose laws are built (default %(default)s)")
-    p_exact.set_defaults(reps=0, method=None)
+    # exact draws no batch: no --workers or --batch-size, and the metadata's
+    # batch size is the default
+    p_exact.set_defaults(reps=0, method=None, workers=None, batch_size=_RUN.batch_size)
 
     p_sim = sub.add_parser("simulate", help="exact and simulated columns for one table")
     p_sim.add_argument("--table", required=True)
@@ -74,14 +76,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--method", choices=harness.METHODS,
                        help="simulation route (default depends on the table)")
         p.set_defaults(model=_RUN.model)
-    for p in (p_exact, p_sim, p_tab):
-        p.add_argument("--n", type=int)
-        p.add_argument("--format", choices=("pretty", "csv", "json"), default="pretty")
-        p.add_argument("--seed", type=int, default=_RUN.seed, help="master seed (default %(default)s)")
         p.add_argument("--workers", type=int,
                        help="parallel workers (default: cpu count)")
         p.add_argument("--batch-size", type=int, default=_RUN.batch_size,
                        help="replicates per batch/stream (default %(default)s)")
+    for p in (p_exact, p_sim, p_tab):
+        p.add_argument("--n", type=int)
+        p.add_argument("--format", choices=("pretty", "csv", "json"), default="pretty")
+        p.add_argument("--seed", type=int, default=_RUN.seed, help="master seed (default %(default)s)")
     for p in (p_exact, p_sim, p_tab, p_val):
         p.add_argument("--config", help="JSON file of flag values; flags given here win")
         p.add_argument("--out", help="write output to this path instead of stdout")

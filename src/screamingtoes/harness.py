@@ -24,8 +24,11 @@ evaluated at the exact p (stable even for cells the simulation never
 hits); mean cells use the empirical replicate variance.
 
 ``brute_force_law`` enumerates every admissible mapping for small n and
-tallies the same statistics as exact rationals; ``validate`` compares that
-enumeration against the closed forms with exact equality.
+tallies the same statistics as exact rationals, each per-size law under the
+name and in the tuple shape of its :mod:`laws` function (``core_size_counts``,
+``core_size_law``, ``component_means``, ``cycle_means``, ``scream_law``);
+``validate`` compares each closed form whole with the enumeration, with
+exact equality.
 """
 
 from __future__ import annotations
@@ -420,7 +423,7 @@ def _simulated_cell(tally: dict, kind: str, key: str, idx, exact) -> tuple[float
         se = float(math.sqrt(max(var, 0.0) / reps))
     elif kind == "pmf":
         hist = tally[key]
-        simulated = float(hist[idx] / reps) if idx < len(hist) else 0.0
+        simulated = float(hist[idx] / reps)
         se = math.sqrt(exact_f * (1.0 - exact_f) / reps)
     else:  # ratio: accepted replicates per proposal
         attempts = int(tally[key])
@@ -511,20 +514,22 @@ class BruteForceLaw:
 
     All probabilities are Fractions with denominator (n-1)**n for the toes
     model (n**n for the standard model), so agreement with the closed-form
-    laws is exact equality, not a tolerance.
+    laws is exact equality, not a tolerance.  Each per-size law has the
+    name and the shape of the :mod:`laws` function that it checks: a tuple
+    indexed from 0, 0 where a size does not occur.  ``scream_law`` counts
+    the core's 2-cycles in either model; :mod:`laws` has it for toes only.
     """
 
     n: int
     model: str
     total: int
     component_pmf: dict[tuple[int, ...], Fraction]
-    cycle_pmf: dict[tuple[int, ...], Fraction]
     joint_pmf: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction]
-    core_pmf: dict[int, Fraction]
-    scream_pmf: dict[int, Fraction]
-    component_means: dict[int, Fraction]
-    cycle_means: dict[int, Fraction]
-    mean_components: Fraction
+    core_size_counts: tuple[int, ...]
+    core_size_law: tuple[Fraction, ...]
+    component_means: tuple[Fraction, ...]
+    cycle_means: tuple[Fraction, ...]
+    scream_law: tuple[Fraction, ...]
     no_repeat: NoRepeatProbs
 
 
@@ -532,56 +537,45 @@ def brute_force_law(n: int, model: str = "toes") -> BruteForceLaw:
     """Decompose every mapping (with or without the f(i) != i constraint)."""
     tally, joint_tally = samplers.every_mapping_counts(n, model)
     total = tally["replicates"]
-    comp_tally, cyc_tally = Counter(), Counter()
-    for (comp, cyc), count in joint_tally.items():
+    comp_tally = Counter()
+    for (comp, _), count in joint_tally.items():
         comp_tally[comp] += count
-        cyc_tally[cyc] += count
 
-    def as_prob(counts) -> dict:
-        return {k: Fraction(v, total) for k, v in sorted(dict(counts).items()) if v}
+    def law(key: str) -> tuple[Fraction, ...]:
+        return tuple(Fraction(count, total) for count in tally[key].tolist())
 
-    comp_sum, cyc_sum = tally["comp_sum"].tolist(), tally["cyc_sum"].tolist()
     return BruteForceLaw(
         n=n,
         model=model,
         total=total,
-        component_pmf=as_prob(comp_tally),
-        cycle_pmf=as_prob(cyc_tally),
-        joint_pmf=as_prob(joint_tally),
-        core_pmf=as_prob(enumerate(tally["core_hist"].tolist())),
-        scream_pmf=as_prob(enumerate(tally["scream_hist"].tolist())),
-        component_means={j: Fraction(comp_sum[j], total) for j in range(1, n + 1)},
-        cycle_means={j: Fraction(cyc_sum[j], total) for j in range(1, n + 1)},
-        mean_components=Fraction(sum(comp_sum), total),
-        no_repeat=NoRepeatProbs(*(Fraction(v, total) for v in tally["no_repeat"].tolist())),
+        component_pmf={k: Fraction(v, total) for k, v in sorted(comp_tally.items())},
+        joint_pmf={k: Fraction(v, total) for k, v in sorted(joint_tally.items())},
+        core_size_counts=tuple(tally["core_hist"].tolist()),
+        core_size_law=law("core_hist"),
+        component_means=law("comp_sum"),
+        cycle_means=law("cyc_sum"),
+        scream_law=law("scream_hist"),
+        no_repeat=NoRepeatProbs(*law("no_repeat")),
     )
 
 
 def validate(n: int, model: str = "toes") -> list[tuple[str, bool]]:
-    """Exact-equality checks of the enumeration against every closed form.
-    Each per-size law is compared whole, its tuple against the
-    enumeration's frequencies at the same indices, 0 where none occur."""
+    """Exact-equality checks of the enumeration against every closed form,
+    each per-size law compared whole with the oracle's tuple of its name."""
     brute = brute_force_law(n, model)
-
-    def dense(law: dict, size: int) -> tuple:
-        return tuple(law.get(i, 0) for i in range(size))
-
-    core_counts = tuple(p * brute.total for p in dense(brute.core_pmf, n + 1))
     checks = [
         ("component_pmf", laws.component_pmf_table(n, model) == brute.component_pmf),
-        ("core_size_pmf", laws.core_size_counts(n, model) == core_counts
-         and laws.core_size_law(n, model) == dense(brute.core_pmf, n + 1)),
-        ("mean_component_count",
-         laws.component_means(n, model) == dense(brute.component_means, n + 1)),
-        ("mean_cycle_count", laws.cycle_means(n, model) == dense(brute.cycle_means, n + 1)),
+        ("core_size_pmf", laws.core_size_counts(n, model) == brute.core_size_counts
+         and laws.core_size_law(n, model) == brute.core_size_law),
+        ("mean_component_count", laws.component_means(n, model) == brute.component_means),
+        ("mean_cycle_count", laws.cycle_means(n, model) == brute.cycle_means),
         ("expected_num_components",
-         laws.expected_num_components(n, model) == brute.mean_components),
+         laws.expected_num_components(n, model) == sum(brute.component_means)),
     ]
     if model == "toes":
-        scream = dense(brute.scream_pmf, n // 2 + 1)
         checks += [
-            ("scream_pmf", laws.scream_law(n) == scream),
-            ("prob_someone_screams", laws.prob_someone_screams(n) == 1 - scream[0]),
+            ("scream_pmf", laws.scream_law(n) == brute.scream_law),
+            ("prob_someone_screams", laws.prob_someone_screams(n) == 1 - brute.scream_law[0]),
             ("no_repeated_sizes", laws.prob_no_repeated_sizes(n) == brute.no_repeat),
         ]
     return checks
@@ -741,8 +735,6 @@ def _fmt4(value) -> str:
         return ""
     if isinstance(value, Fraction):
         return format_fixed(value, 4)
-    if isinstance(value, float) and not math.isfinite(value):
-        return repr(value)
     return f"{value:.4f}"
 
 

@@ -30,20 +30,20 @@ from screamingtoes.harness import ExperimentConfig, brute_force_law, emit, parse
 #: oracles.decompose_image, independently of decompose_batch.
 BRUTE_FORCE_SHA256 = {
     "toes": (
-        "300166c581cfd9815d0164c064a10ab9b6501996a91aaed50fe6f89a0619d5a4",
-        "7a3755a0acb9956009a0e2d66f4c839fc8051107c6b3a19b4dcffcdae14d59f9",
-        "7a5c0000274e4d84d7d2bac4a1e37e11b852467af27f9fb13d15dea13933cbce",
-        "b48dd16d35f53db68e19a5f9945d15d554b7fc5c13d724fd2e3ea3233a9c60c2",
-        "ba2f457f0e27d35231270da01055e3bed3c0a190654e50919920c8049aac97c1",
-        "25056535054f6916d8922d3561bfa0cc0ce8f5cbcbaafb596ebb134f0109a1af",
+        "f151e6ecc39d76cc015926b1bcd899d6fa24f946f169326512042875e825300a",
+        "76d2cfd5277c4fef6b1b35cee70d38667c458b07eed3f93e368c1718c52264f8",
+        "9099009a0ad387cce7f74bcd015eb72ce2eb70518cf19af9951ed850274f027b",
+        "77588e1edb4ecdae5cb7b2a222b87fd162796d9808d2fd286551a4ff3e49410c",
+        "ee49dfd3cc31dafdf001525c26118a87fe8a5966ec2bd317a1b9a7c10bb640a8",
+        "a88d1e517725f5110e7f62357550063a17d06af8c22e8c0376c09934b3e61de1",
     ),
     "standard": (
-        "a5648f18180b722fa2f44bcd05b07e6d55b1abf9ff602074d66bec40bd180b1d",
-        "71942d67a3ac12e3faf62bdea9158d89b73736442f23c4103289d9bfea5b51d0",
-        "86d4c809ddf247e9e2c9892fbd05bfeeb065615b5ad182a8531f2a8183fbefe0",
-        "59421c2f59e86aac970c1832c63f020ecb6b2b2ab2d6d99d9759d71f239d784c",
-        "17c8ec28429830a61afb6e8a94ec4084710413721fdcb912aaa9952802991122",
-        "7ca6ea1831e302edb6ed627d43662a03d5943850d0ea26d83f28731f9c12349d",
+        "d58042512fe2d6ac18649557e19fe1437e473f439bf4c2786507d4bccf22fd33",
+        "c738acb6dc996eeb048ac0e65d2892445993eff748dbfc9625b3008f10886cb1",
+        "948f22ac40002f4aefb871b357bb8d8ac4a663fafbaa5de33df61ce4936fb48c",
+        "d2bc564e93866a544233e666f70fa4a622ec66b945fa555b4c3f240136270423",
+        "551b9f7e78015513ab7649c4b5dd78d3e581af9fda3a3309f7a4b0c26d6445d1",
+        "4d57045833ad2793dc90dff9985a5fe7847ab1965d3b350c0881e6b8b99e7f0a",
     ),
 }
 
@@ -80,19 +80,32 @@ class TestBruteForce:
         law = brute_force_law(3, "toes")
         assert law.total == 8
         assert law.component_pmf == {(3,): F(1)}
-        assert law.cycle_pmf == {(2,): F(3, 4), (3,): F(1, 4)}
-        assert law.core_pmf == {2: F(3, 4), 3: F(1, 4)}
-        assert law.scream_pmf == {0: F(1, 4), 1: F(3, 4)}
-        assert law.mean_components == 1
+        assert law.core_size_counts == (0, 0, 6, 2)
+        assert law.core_size_law == (0, 0, F(3, 4), F(1, 4))
+        assert law.component_means == (0, 0, 0, 1)
+        assert law.cycle_means == (0, 0, F(3, 4), F(1, 4))
+        assert law.scream_law == (F(1, 4), F(3, 4))
         assert law.no_repeat == (1, 1, 1)
         assert law.joint_pmf == {((3,), (2,)): F(3, 4), ((3,), (3,)): F(1, 4)}
 
-    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("n", range(2, 7))
     def test_validate_toes(self, n):
         assert all(ok for _, ok in harness.validate(n, "toes"))
 
     def test_validate_standard(self):
-        assert all(ok for _, ok in harness.validate(4, "standard"))
+        for n in range(2, 7):
+            assert all(ok for _, ok in harness.validate(n, "standard")), n
+
+    @pytest.mark.parametrize("model", ["toes", "standard"])
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_per_size_laws_have_the_laws_names(self, n, model):
+        # each per-size field is the tuple that the laws function of its
+        # name returns; laws has the scream law of the toes model only
+        brute = brute_force_law(n, model)
+        for name in ("core_size_counts", "core_size_law", "component_means", "cycle_means"):
+            assert getattr(brute, name) == getattr(laws, name)(n, model), name
+        if model == "toes":
+            assert brute.scream_law == laws.scream_law(n)
 
     @pytest.mark.parametrize("model", ["toes", "standard"])
     def test_validate_at_the_enumeration_bound(self, model):
@@ -1001,6 +1014,10 @@ class TestCli:
         (["validate", "--n", "3"], '{"format": "csv"}'),
         (["validate", "--n", "3"], '{"workers": 2}'),
         (["validate", "--n", "3"], '{"batch-size": 100}'),
+        (["exact", "--table", "q", "--n", "5", "--workers", "2"], None),
+        (["exact", "--table", "q", "--n", "5", "--batch-size", "100"], None),
+        (["exact", "--table", "q", "--n", "5"], '{"workers": 2}'),
+        (["exact", "--table", "q", "--n", "5"], '{"batch_size": 100}'),
         (["exact", "--table", "q", "--n", "abc"], None),
         (["simulate", "--table", "q", "--bogus", "1"], None),
         (["exact", "--n", "3"], None),
@@ -1027,7 +1044,9 @@ class TestCli:
             "config-model-choice-validate", "config-model-choice-exact", "out-missing-dir",
             "out-is-a-dir", "validate-n8", "validate-format", "validate-workers",
             "validate-batch-size", "validate-config-format", "validate-config-workers",
-            "validate-config-batch-size", "n-not-an-integer", "unknown-flag", "exact-without-table",
+            "validate-config-batch-size", "exact-workers", "exact-batch-size",
+            "exact-config-workers", "exact-config-batch-size", "n-not-an-integer", "unknown-flag",
+            "exact-without-table",
             "empty-argv", "format-choice", "method-choice", "validate-model-both",
             "config-numeric-str-n", "config-bool-n", "config-help", "config-abbreviated-key",
             "config-unknown-key-with-a-newline", "acceptance-above-the-bound",
