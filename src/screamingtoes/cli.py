@@ -52,9 +52,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_exact.add_argument("--table", required=True, help=f"one of {sorted(set(harness.TABLE_ALIASES))}")
     p_exact.add_argument("--model", choices=harness.REPORT_MODELS, default=_RUN.model,
                          help="the models whose laws are built (default %(default)s)")
-    # exact draws no batch: no --workers or --batch-size, and the metadata's
-    # batch size is the default
-    p_exact.set_defaults(reps=0, method=None, workers=None, batch_size=_RUN.batch_size)
+    # exact draws nothing: no --workers, --batch-size or --seed, and the
+    # metadata's batch size and seed are the defaults
+    p_exact.set_defaults(reps=0, method=None, workers=None, batch_size=_RUN.batch_size,
+                         seed=_RUN.seed)
 
     p_sim = sub.add_parser("simulate", help="exact and simulated columns for one table")
     p_sim.add_argument("--table", required=True)
@@ -80,10 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="parallel workers (default: cpu count)")
         p.add_argument("--batch-size", type=int, default=_RUN.batch_size,
                        help="replicates per batch/stream (default %(default)s)")
+        p.add_argument("--seed", type=int, default=_RUN.seed, help="master seed (default %(default)s)")
     for p in (p_exact, p_sim, p_tab):
         p.add_argument("--n", type=int)
         p.add_argument("--format", choices=("pretty", "csv", "json"), default="pretty")
-        p.add_argument("--seed", type=int, default=_RUN.seed, help="master seed (default %(default)s)")
     for p in (p_exact, p_sim, p_tab, p_val):
         p.add_argument("--config", help="JSON file of flag values; flags given here win")
         p.add_argument("--out", help="write output to this path instead of stdout")

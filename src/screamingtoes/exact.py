@@ -1,5 +1,13 @@
 """Exact integer and rational primitives shared by all distribution laws.
 
+The module holds the derangement numbers D_r (:func:`derangement_numbers`),
+the rational part of a Poisson probability (:func:`poisson_partial_sum`),
+a count over a power in lowest terms (:func:`fraction_over_power`) and the
+two decimal formatters.  The falling factorials n_[r] of the laws are the
+standard library's ``math.perm(n, r)``.  Nothing here keeps state between
+calls: each function's result depends on its arguments alone, and the one
+cache, the prime factors of a base, only memoizes such a function.
+
 Rational values are carried by ``fractions.Fraction`` (arbitrary precision,
 always in lowest terms, positive denominator, exact arithmetic); it is the
 one representation of an exact law.  A Poisson probability such as
@@ -22,40 +30,20 @@ from typing import Union
 RationalLike = Union[int, Fraction]
 
 
-def falling_factorial(n: int, r: int) -> int:
-    """n_[r] = n(n-1)...(n-r+1); 1 when r = 0, and 0 as soon as a factor is 0."""
-    if r < 0:
-        raise ValueError("order r must be nonnegative")
-    out = 1
-    for i in range(r):
-        out *= n - i
-        if out == 0:
-            return 0
-    return out
+def derangement_numbers(n: int) -> list[int]:
+    """The prefix [D_0, D_1, ..., D_n] of the numbers D_r of permutations of
+    r objects with no fixed point.
 
-
-_DERANGEMENTS = [1, 0]  # D_0, D_1; extended on demand
-
-
-def derangement_number(n: int) -> int:
-    """Number D_n of permutations of n objects with no fixed point.
-
-    Computed by the integer recurrence D_n = (n-1)(D_{n-1} + D_{n-2}) with
+    Computed by the integer recurrence D_r = (r-1)(D_{r-1} + D_{r-2}) with
     D_0 = 1, D_1 = 0, which avoids the cancellation of the alternating-sum
     definition and never leaves the integers.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    while len(_DERANGEMENTS) <= n:
-        m = len(_DERANGEMENTS)
-        _DERANGEMENTS.append((m - 1) * (_DERANGEMENTS[m - 1] + _DERANGEMENTS[m - 2]))
-    return _DERANGEMENTS[n]
-
-
-def derangement_numbers(n: int) -> list[int]:
-    """The prefix [D_0, D_1, ..., D_n]."""
-    derangement_number(n)
-    return _DERANGEMENTS[: n + 1]
+    out = [1, 0]
+    for r in range(2, n + 1):
+        out.append((r - 1) * (out[r - 1] + out[r - 2]))
+    return out[: n + 1]
 
 
 def poisson_partial_sum(rate: int, k: int) -> Fraction:

@@ -63,7 +63,6 @@ import numpy as np
 
 from .exact import (
     derangement_numbers,
-    falling_factorial,
     fraction_over_power,
     poisson_partial_sum,
 )
@@ -196,12 +195,7 @@ def component_count_with_core(size: int, core: int) -> int:
         raise ValueError("core must satisfy 2 <= core <= size")
     if core == size:
         return math.factorial(size - 1)
-    return (
-        math.comb(size, core)
-        * math.factorial(core - 1)
-        * core
-        * size ** (size - core - 1)
-    )
+    return math.perm(size, core) * size ** (size - core - 1)
 
 
 def _connected_count(size: int, model: Model) -> int:
@@ -216,7 +210,7 @@ def _connected_count(size: int, model: Model) -> int:
     partial sum, which the intensity forms use.
     """
     lo = _shortest_cycle(model)
-    fal = falling_factorial(size, lo)  # size_[c], from c = lo
+    fal = math.perm(size, lo)  # size_[c], from c = lo
     acc = 0
     for c in range(lo, size):
         acc = acc * size + fal
@@ -341,8 +335,9 @@ def factorial_moment(n: int, orders: Mapping[int, int]) -> Fraction:
     `orders` maps size j (>= 2) to r_j.  With m = sum j*r_j it is
     prod_j (e**j lambda~_j)**r_j n_[m] (n-m-1)**(n-m) / (n-1)**n, the
     intensities' factors e**(-m) cancelling the e**m of the law; it
-    vanishes when the sizes cannot fit, m > n.
+    vanishes when the sizes cannot fit, m > n.  Needs n >= 2.
     """
+    _check_n(n, "toes")
     m = 0
     value = Fraction(1)
     for j, r in sorted(orders.items()):
@@ -356,7 +351,7 @@ def factorial_moment(n: int, orders: Mapping[int, int]) -> Fraction:
         value = value * _scaled_intensity(j, "toes") ** r
     if m > n:
         return Fraction(0)
-    return value * Fraction(falling_factorial(n, m), (n - 1) ** n) * _mappings_outside(n, m, "toes")
+    return value * Fraction(math.perm(n, m), (n - 1) ** n) * _mappings_outside(n, m, "toes")
 
 
 def expected_num_components(n: int, model: Model = "toes") -> Fraction:
@@ -534,7 +529,7 @@ def _scream_counts(n: int) -> list[int]:
     """
     half = n // 2
     counts = [0] * (half + 2)
-    counts[half], rest = divmod(falling_factorial(n, 2 * half), 2**half * math.factorial(half))
+    counts[half], rest = divmod(math.perm(n, 2 * half), 2**half * math.factorial(half))
     if rest:
         raise ConsistencyError(f"the {half}-matchings of n={n} points are not an integer")
     shift = 2 * (n - 1) ** 2 - 4 * n + 6

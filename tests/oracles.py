@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from screamingtoes import laws
-from screamingtoes.exact import derangement_number, falling_factorial
+from screamingtoes.exact import derangement_numbers
 
 
 def poisson_cdf(rate: float, k: int) -> float:
@@ -115,7 +115,7 @@ def core_size_tail_std(n: int, j: int) -> Fraction:
     """P(standard-mapping core has >= j elements) = (n-1)_[j-1] / n**(j-1)."""
     if not 1 <= j <= n:
         raise ValueError("need 1 <= j <= n")
-    return Fraction(falling_factorial(n - 1, j - 1), n ** (j - 1))
+    return Fraction(math.perm(n - 1, j - 1), n ** (j - 1))
 
 
 def core_identity_sides(n: int, m: int) -> tuple[Fraction, Fraction]:
@@ -128,16 +128,17 @@ def core_identity_sides(n: int, m: int) -> tuple[Fraction, Fraction]:
     if n < 2 or not 1 <= m <= n:
         raise ValueError("need n >= 2 and 1 <= m <= n")
     acc = Fraction(0)
-    fal = falling_factorial(n, m - 1)
+    fal = math.perm(n, m - 1)
+    derangements = derangement_numbers(n - m)
     for r in range(m, n + 1):
         fal *= n - r + 1
         acc += (
             Fraction(r, n)
             * Fraction(fal, n**r)
-            * Fraction(derangement_number(r - m), math.factorial(r - m))
+            * Fraction(derangements[r - m], math.factorial(r - m))
         )
     lhs = Fraction(n, n - 1) ** n * acc
-    rhs = Fraction(falling_factorial(n, m), (n - 1) ** m)
+    rhs = Fraction(math.perm(n, m), (n - 1) ** m)
     return lhs, rhs
 
 
@@ -146,11 +147,12 @@ def derangement_two_cycle_pmf(n: int, k: int) -> Fraction:
     if not 0 <= k <= n // 2:
         raise ValueError("need 0 <= k <= n//2")
     total = Fraction(0)
+    derangements = derangement_numbers(n)
     for l in range(0, n // 2 - k + 1):
         rest = n - 2 * l - 2 * k
         total += (
             Fraction((-1) ** l, 2**l * math.factorial(l))
-            * Fraction(derangement_number(rest), math.factorial(rest))
+            * Fraction(derangements[rest], math.factorial(rest))
         )
     return total * Fraction(1, 2**k * math.factorial(k))
 
@@ -164,7 +166,7 @@ def scream_pmf_alternating(n: int, k: int) -> Fraction:
     if not 0 <= k <= n // 2:
         raise ValueError("need 0 <= k <= n//2")
     top = n // 2 - k
-    fal = falling_factorial(n, 2 * k)
+    fal = math.perm(n, 2 * k)
     num = fal
     for l in range(1, top + 1):
         fal *= (n - 2 * l - 2 * k + 2) * (n - 2 * l - 2 * k + 1)
@@ -196,7 +198,7 @@ def derangement_cycle_type_pmf(r: int, sizes: Iterable[int]) -> Fraction:
     counts: dict[int, int] = {}
     for s in sizes:
         counts[s] = counts.get(s, 0) + 1
-    value = Fraction(math.factorial(r), derangement_number(r))
+    value = Fraction(math.factorial(r), derangement_numbers(r)[r])
     for j, a in counts.items():
         value *= Fraction(1, j**a * math.factorial(a))
     return value
@@ -208,10 +210,11 @@ def derangement_mean_cycle_count(n: int, j: int) -> Fraction:
     chosen cycle cannot strand exactly one non-fixed point)."""
     if not 2 <= j <= n:
         raise ValueError("need 2 <= j <= n")
+    derangements = derangement_numbers(n)
     return (
         Fraction(1, j)
-        * Fraction(math.factorial(n), derangement_number(n))
-        * Fraction(derangement_number(n - j), math.factorial(n - j))
+        * Fraction(math.factorial(n), derangements[n])
+        * Fraction(derangements[n - j], math.factorial(n - j))
     )
 
 
@@ -253,7 +256,7 @@ def esf_mean_cycle_count(n: int, theta: Fraction | int, j: int) -> Fraction:
     return (
         theta
         / j
-        * falling_factorial(n, j)
+        * math.perm(n, j)
         * rising_factorial(theta, n - j)
         / rising_factorial(theta, n)
     )

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import poisson_cdf
-from screamingtoes import laws, samplers
-from screamingtoes.exact import derangement_number, falling_factorial, format_fixed
+from screamingtoes import exact, laws, samplers
+from screamingtoes.exact import derangement_numbers, format_fixed
 
 
 class TestLambdas:
@@ -236,7 +236,7 @@ class TestFactorialMoments:
     def test_cross_moment_value(self):
         # frozen from both independent routes
         value = laws.factorial_moment(10, {2: 1, 3: 1})
-        assert value == F(2, 3) * F(falling_factorial(10, 5) * 4**5, 9**10)
+        assert value == F(2, 3) * F(math.perm(10, 5) * 4**5, 9**10)
         assert format_fixed(value, 6) == "0.005921"
 
     def test_rejects_bad_orders(self):
@@ -285,12 +285,13 @@ def _core_law_per_r(n, model):
     law = {}
     fal = 1
     scale = F(n, n - 1) ** n
+    derangements = derangement_numbers(n)
     for r in range(1, n + 1):
         fal *= n - r + 1  # n_[r]
         if model == "standard":
             law[r] = F(r, n) * F(fal, n**r)
         elif r >= 2:
-            law[r] = scale * F(r, n) * F(fal, n**r) * F(derangement_number(r), math.factorial(r))
+            law[r] = scale * F(r, n) * F(fal, n**r) * F(derangements[r], math.factorial(r))
     return law
 
 
@@ -362,7 +363,7 @@ class TestCycleMeans:
             lens = _cycle_lengths(p)
             for ln in lens:
                 counts[ln] = counts.get(ln, 0) + 1
-        assert total == derangement_number(6)
+        assert total == derangement_numbers(6)[6]
         for j in range(2, 7):
             assert oracles.derangement_mean_cycle_count(6, j) == F(counts.get(j, 0), total)
 
@@ -467,7 +468,7 @@ class TestDerangementLaws:
     def test_sums_to_derangement_probability(self):
         for n in range(2, 13):
             total = sum(oracles.derangement_two_cycle_pmf(n, k) for k in range(0, n // 2 + 1))
-            assert total == F(derangement_number(n), math.factorial(n))
+            assert total == F(derangement_numbers(n)[n], math.factorial(n))
 
     def test_cycle_type_pmf(self):
         for r in range(2, 11):
@@ -482,7 +483,7 @@ class TestDerangementLaws:
             key = tuple(sorted(_cycle_lengths(p)))
             tally[key] = tally.get(key, 0) + 1
         for key, count in tally.items():
-            assert oracles.derangement_cycle_type_pmf(6, key) == F(count, derangement_number(6))
+            assert oracles.derangement_cycle_type_pmf(6, key) == F(count, derangement_numbers(6)[6])
 
 
 class TestCoreIdentity:
@@ -513,7 +514,7 @@ class TestScreamLaws:
         for n in range(2, 41):
             mean = sum(k * laws.scream_pmf(n, k) for k in range(0, n // 2 + 1))
             assert mean == laws.mean_cycle_count(n, 2, "toes")
-            assert mean == F(falling_factorial(n, 2), 2 * (n - 1) ** 2)
+            assert mean == F(math.perm(n, 2), 2 * (n - 1) ** 2)
 
     def test_q_values(self):
         assert format_fixed(laws.prob_someone_screams(10)) == "0.4654"
@@ -563,10 +564,11 @@ class TestScreamLaws:
         # the oracle is P(no fixed point and k 2-cycles) over all r!
         # permutations of the core; r!/D_r conditions it on the derangements
         for n in range(2, 21):
+            derangements = derangement_numbers(n)
             for k in range(n // 2 + 1):
                 mixture = sum(
                     laws.core_size_pmf(n, r) * oracles.derangement_two_cycle_pmf(r, k)
-                    * F(math.factorial(r), derangement_number(r))
+                    * F(math.factorial(r), derangements[r])
                     for r in range(max(2, 2 * k), n + 1)
                 )
                 assert laws.scream_pmf(n, k) == mixture, (n, k)
@@ -729,3 +731,22 @@ def test_component_pmf_values_are_probabilities(n):
     for parts in laws.partitions(n, 2):
         p = laws.component_pmf(n, parts, "toes")
         assert 0 < p <= 1
+
+
+@pytest.mark.parametrize("function, args", [
+    (laws.scream_pmf, (10, 6)),
+    (laws.core_size_pmf, (10, 1, "toes")),
+    (laws.prob_someone_screams, (1,)),
+    (laws.spitzer_partial_sum, (1,)),
+    (laws.single_component_prob, (1, "toes")),
+    (laws.component_means, (5, "foo")),
+    (laws.component_count_with_core, (3, 4)),
+    (laws.factorial_moment, (1, {})),
+    (exact.poisson_partial_sum, (0, 2)),
+    (exact.format_fixed, (F(1, 3), -1)),
+    (exact.derangement_numbers, (-1,)),
+    (samplers.exact_acceptance_probability, (1,)),
+], ids=lambda value: value.__name__ if callable(value) else ",".join(map(str, value)))
+def test_public_range_errors(function, args):
+    with pytest.raises(ValueError):
+        function(*args)
