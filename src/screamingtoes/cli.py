@@ -9,8 +9,9 @@ Subcommands:
 
 argparse checks every flag.  ``--config file.json`` holds flag values keyed by
 flag name; they are parsed as flags placed before the command line's own, so
-explicit flags win.  Any bad input, argparse's own errors included, exits
-with status 1 and one ``screamingtoes:`` line on stderr.
+explicit flags win, and ``--table`` may come from either.  Any bad input,
+argparse's own errors included, exits with status 1 and one
+``screamingtoes:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_exact = sub.add_parser("exact", help="exact law/moment tables, no simulation")
-    p_exact.add_argument("--table", required=True, help=f"one of {sorted(set(harness.TABLE_ALIASES))}")
+    # --table is required, from the command line or --config: _parse checks it
+    p_exact.add_argument("--table", help=f"one of {sorted(set(harness.TABLE_ALIASES))} (required)")
     p_exact.add_argument("--model", choices=harness.REPORT_MODELS, default=_RUN.model,
                          help="the models whose laws are built (default %(default)s)")
     # exact draws nothing: no --workers, --batch-size or --seed, and the
@@ -58,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
                          seed=_RUN.seed)
 
     p_sim = sub.add_parser("simulate", help="exact and simulated columns for one table")
-    p_sim.add_argument("--table", required=True)
+    p_sim.add_argument("--table", help="(required)")
 
     p_tab = sub.add_parser("tables", help="reproduce the reference tables")
     p_tab.add_argument("--tables", default="1,2,3,cycles,core",
@@ -93,12 +95,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    """Parse argv; with ``--config``, parse it again with the file's values
+    """Parse argv, with the values of its ``--config`` file merged in, and
+    only then require ``--table``, which either may give."""
+    args = parser.parse_args(argv)
+    if args.config is not None:
+        args = _merge_config(parser, argv, args)
+    if "table" in args and args.table is None:
+        parser.error("the following arguments are required: --table")
+    return args
+
+
+def _merge_config(
+    parser: argparse.ArgumentParser, argv: list[str], args: argparse.Namespace
+) -> argparse.Namespace:
+    """Parse argv again with the values of the ``--config`` file of ``args``
     as ``--key=value`` flags put right after the subcommand, so that argparse
     checks them and the command line's own flags win."""
-    args = parser.parse_args(argv)
-    if args.config is None:
-        return args
     try:
         with open(args.config) as fh:
             values = json.load(fh)
@@ -129,7 +141,7 @@ def _write(text: str, out: str | None) -> None:
     device) exits 1 with one line.  A failed stdout is pointed at devnull
     first, because the interpreter flushes it again at exit and would print
     a traceback."""
-    if out:
+    if out is not None:
         try:
             with open(out, "w") as fh:
                 fh.write(text)
@@ -172,8 +184,11 @@ def _report(args: argparse.Namespace) -> harness.ExperimentReport:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parse(build_parser(), list(sys.argv[1:] if argv is None else argv))
-    if args.out and (os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or ".")):
-        raise SystemExit(f"screamingtoes: --out {args.out} is not a file in an existing directory")
+    out = args.out
+    if out is not None and (  # "" names no file
+        not out or os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")
+    ):
+        raise SystemExit(f"screamingtoes: --out {out!r} is not a file in an existing directory")
 
     if args.command == "validate":
         checks = harness.validate(args.n, args.model)

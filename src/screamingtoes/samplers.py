@@ -16,11 +16,9 @@ Every sampler takes a ``numpy.random.Generator`` and is bit-reproducible
 for a fixed seed and call sequence; the harness gives each batch its own
 generator, spawned from the master seed by numpy's ``SeedSequence``.  Each
 route has one implementation, a vectorised kernel that takes (n, count,
-rng, keys) and returns the batch's whole tally; :func:`sample_mapping`,
-:func:`sample_toes_components` and :func:`sample_toes_core` are
-one-replicate calls of the ``*_batch`` kernels, and :func:`decompose` is
-one row of the decomposition kernel :func:`decompose_batch`.  These views
-give a spectrum as the tuple of its sizes in ascending order.
+rng, keys) and returns the batch's whole tally, and the direct route and
+the brute-force oracle decompose their mappings by one kernel,
+:func:`decompose_batch`.
 
 Above :data:`TYPE_TABLE_MAX_N`, routes 2 and 3 share one kernel,
 :func:`_cycles_without_fixed_points`: it draws ESF(theta) conditioned on
@@ -69,74 +67,8 @@ import numpy as np
 from . import laws
 
 
-@dataclass(frozen=True)
-class Mapping:
-    """A function on {0, ..., n-1} with image[i] != i (nobody eyes their own feet)."""
-
-    image: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.image)
-        if n < 2:
-            raise ValueError("a fixed-point-free mapping needs n >= 2")
-        for i, v in enumerate(self.image):
-            if not 0 <= v < n:
-                raise ValueError(f"image[{i}] = {v} out of range")
-            if v == i:
-                raise ValueError(f"image[{i}] is a fixed point")
-
-    @property
-    def n(self) -> int:
-        return len(self.image)
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """Functional-graph decomposition of a fixed-point-free mapping, its
-    component sizes and cycle lengths each an ascending tuple."""
-
-    component_sizes: tuple[int, ...]
-    cycle_lengths: tuple[int, ...]
-    core_size: int
-    cyclic: tuple[bool, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.cyclic)
-        for sizes in (self.component_sizes, self.cycle_lengths):
-            if tuple(sorted(sizes)) != sizes:
-                raise ValueError("sizes must be an ascending tuple")
-        if sum(self.component_sizes) != n:
-            raise ValueError("component sizes must cover all elements")
-        if sum(self.cycle_lengths) != self.core_size:
-            raise ValueError("cycle lengths must cover the core")
-        if len(self.component_sizes) != len(self.cycle_lengths):
-            raise ValueError("each component contains exactly one cycle")
-        if min(self.component_sizes + self.cycle_lengths, default=2) < 2:
-            raise ValueError("components and cycles must have size >= 2")
-        if sum(self.cyclic) != self.core_size:
-            raise ValueError("cyclic flags disagree with the core size")
-
-
-def decompose(mapping: Mapping) -> Decomposition:
-    """Components, core and cycles of the mapping: one row of :func:`decompose_batch`."""
-    dec = decompose_batch(np.array([mapping.image]))
-    cyclic = np.zeros(mapping.n, dtype=bool)
-    cyclic[dec.core] = True
-    return Decomposition(
-        component_sizes=tuple(sorted(dec.components[1].tolist())),
-        cycle_lengths=tuple(sorted(dec.cycles[1].tolist())),
-        core_size=dec.core.size,
-        cyclic=tuple(cyclic.tolist()),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Direct simulation
-
-
-def sample_mapping(n: int, rng: np.random.Generator) -> Mapping:
-    """One uniform fixed-point-free mapping: row 0 of :func:`sample_mappings_batch`."""
-    return Mapping(tuple(sample_mappings_batch(n, 1, rng)[0].tolist()))
 
 
 def _check_batch(n: int, count: int) -> None:
@@ -441,10 +373,11 @@ def every_mapping_counts(n: int, model: str) -> tuple[dict[str, np.ndarray], dic
     any in the "standard" one, and the number of mappings with each joint
     spectrum (component sizes, cycle lengths), as tuples of sizes.
 
-    Mapping m has the base-``choices`` digits of m as images, shifted past
-    their own index in the toes model.  A block's joint spectra are first
-    base-(n+1) codes, one bincount over its pairs: a size-j component adds
-    (n+1)**(j-1) to its mapping's code and a length-j cycle (n+1)**(n+j-1).
+    The m-th mapping has the base-``choices`` digits of m as images,
+    shifted past their own index in the toes model.  A block's joint
+    spectra are first base-(n+1) codes, one bincount over its pairs: a
+    size-j component adds (n+1)**(j-1) to its mapping's code and a
+    length-j cycle (n+1)**(n+j-1).
     """
     laws._check_model(model)
     if not 2 <= n <= ENUMERATION_MAX_N:
@@ -776,14 +709,6 @@ def toes_component_counts_batch(
     return {"replicates": count, "attempts": attempts, **tally}
 
 
-def sample_toes_components(n: int, rng: np.random.Generator) -> tuple[tuple[int, ...], int]:
-    """The ascending component sizes of one toes mapping, plus the proposals
-    they took: one replicate of :func:`toes_component_counts_batch`."""
-    tally = toes_component_counts_batch(n, 1, rng)
-    counts = tally["comp_sum"]
-    return tuple(np.repeat(np.arange(counts.size), counts).tolist()), tally["attempts"]
-
-
 #: Largest n of the exact acceptance probability: its O(n**2) recurrence takes
 #: 1.25-1.4 s at n = 3000 and 15 s at n = 10 000 (2-vCPU host, Python 3.11).
 ACCEPTANCE_MAX_N = 3000
@@ -876,31 +801,18 @@ def toes_core_cycle_counts_batch(
     return {"replicates": count, **tally}
 
 
-def sample_toes_core(n: int, rng: np.random.Generator) -> tuple[int, ...]:
-    """The ascending cycle lengths of the toes core, core size then
-    derangement: one replicate of :func:`toes_core_cycle_counts_batch`."""
-    counts = toes_core_cycle_counts_batch(n, 1, rng)["cyc_sum"]
-    return tuple(np.repeat(np.arange(counts.size), counts).tolist())
-
-
 __all__ = [
     "ACCEPTANCE_MAX_N",
     "CHUNK_CELLS",
-    "Decomposition",
     "DecompositionBatch",
     "ENUMERATION_MAX_N",
-    "Mapping",
     "ROW_CHUNK",
     "chunk_rows",
-    "decompose",
     "decompose_batch",
     "every_mapping_counts",
     "exact_acceptance_probability",
     "omega_values",
-    "sample_mapping",
     "sample_mappings_batch",
-    "sample_toes_components",
-    "sample_toes_core",
     "toes_component_counts_batch",
     "toes_core_cycle_counts_batch",
     "toes_mapping_counts_batch",

@@ -754,6 +754,20 @@ class TestCli:
         # --n 5 overrides the file's n=6: support of k ends at 2
         assert "scream_pmf[k=2]" in text and "scream_pmf[k=3]" not in text
 
+    @pytest.mark.parametrize("argv", [
+        ["exact", "--table", "q", "--n", "5"],
+        ["simulate", "--table", "scream", "--n", "5", "--reps", "2000", "--workers", "1"],
+    ], ids=["exact", "simulate"])
+    def test_config_file_gives_the_table(self, argv, tmp_path, capsys):
+        # --table is required, and the file alone may give it, with n
+        command, _, table, _, n, *rest = argv
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"table": table, "n": int(n)}))
+        assert cli.main([*argv, "--format", "json"]) == 0
+        expected = capsys.readouterr().out
+        assert cli.main([command, *rest, "--format", "json", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == expected
+
     @pytest.mark.parametrize("key", ["batch_size", "batch-size"])
     def test_config_file_accepts_batch_size_either_way(self, key, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -1013,6 +1027,8 @@ class TestCli:
         (["exact", "--table", "q", "--n", "5"], '{"model": "foo"}'),
         (["exact", "--table", "core", "--n", "4", "--out", "{tmp}/no-such-dir/x.csv"], None),
         (["exact", "--table", "core", "--n", "4", "--out", "{tmp}"], None),
+        (["exact", "--table", "q", "--n", "5", "--out", ""], None),
+        (["exact", "--table", "q", "--n", "5"], '{"out": ""}'),
         (["validate", "--n", "8"], None),
         (["validate", "--n", "3", "--format", "json"], None),
         (["validate", "--n", "3", "--workers", "2"], None),
@@ -1031,6 +1047,7 @@ class TestCli:
         (["exact", "--table", "q", "--n", "abc"], None),
         (["simulate", "--table", "q", "--bogus", "1"], None),
         (["exact", "--n", "3"], None),
+        (["exact"], '{"n": 3}'),
         ([], None),
         (["exact", "--table", "q", "--n", "5", "--format", "xml"], None),
         (["simulate", "--table", "scream", "--n", "5", "--method", "foo"], None),
@@ -1052,12 +1069,12 @@ class TestCli:
             "workers-above-the-bound",
             "config-format-choice",
             "config-model-choice-validate", "config-model-choice-exact", "out-missing-dir",
-            "out-is-a-dir", "validate-n8", "validate-format", "validate-workers",
+            "out-is-a-dir", "out-empty", "config-out-empty", "validate-n8", "validate-format", "validate-workers",
             "validate-batch-size", "validate-config-format", "validate-config-workers",
             "validate-config-batch-size", "exact-workers", "exact-batch-size",
             "exact-config-workers", "exact-config-batch-size", "exact-seed", "exact-config-seed",
             "config-json-array", "batch-size-0", "n-not-an-integer", "unknown-flag",
-            "exact-without-table",
+            "exact-without-table", "config-without-table",
             "empty-argv", "format-choice", "method-choice", "validate-model-both",
             "config-numeric-str-n", "config-bool-n", "config-help", "config-abbreviated-key",
             "config-unknown-key-with-a-newline", "acceptance-above-the-bound",

@@ -6,7 +6,6 @@ import itertools
 import math
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction as F
 
 import mpmath
@@ -27,16 +26,10 @@ from oracles import (
 from screamingtoes import harness, laws, samplers
 from screamingtoes.exact import derangement_numbers, poisson_partial_sum
 from screamingtoes.samplers import (
-    Decomposition,
-    Mapping,
-    decompose,
     decompose_batch,
     exact_acceptance_probability,
     omega_values,
-    sample_mapping,
     sample_mappings_batch,
-    sample_toes_components,
-    sample_toes_core,
     toes_component_counts_batch,
     toes_core_cycle_counts_batch,
 )
@@ -71,21 +64,17 @@ def toes_images(draw):
     return image
 
 
-class TestMappingType:
-    def test_rejects_fixed_points(self):
-        with pytest.raises(ValueError):
-            Mapping((0, 0))
-        with pytest.raises(ValueError):
-            Mapping((1,))
-        with pytest.raises(ValueError):
-            Mapping((1, 2, 5))
+def _decompose_one(image):
+    """The component sizes and cycle lengths, each ascending, and the cyclic
+    points of one mapping, by a one-row :func:`decompose_batch`."""
+    dec = decompose_batch(np.array([image]))
+    return sorted(dec.components[1].tolist()), sorted(dec.cycles[1].tolist()), dec.core.tolist()
 
 
 class TestSampleMapping:
     def test_n2_is_forced(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            assert sample_mapping(2, rng).image == (1, 0)
+        images = sample_mappings_batch(2, 20, np.random.default_rng(1))
+        assert (images == [1, 0]).all()
 
     def test_never_fixed_point(self):
         imgs = sample_mappings_batch(9, 5000, np.random.default_rng(3))
@@ -103,13 +92,9 @@ class TestSampleMapping:
         assert chi_square_pvalue(observed, expected, reps) > 1e-4
 
     def test_seed_reproducibility(self):
-        m1 = sample_mapping(25, np.random.default_rng(77))
-        m2 = sample_mapping(25, np.random.default_rng(77))
-        assert m1 == m2
-
-    def test_rejects_small_n(self):
-        with pytest.raises(ValueError):
-            sample_mapping(1, np.random.default_rng(0))
+        m1 = sample_mappings_batch(25, 1, np.random.default_rng(77))
+        m2 = sample_mappings_batch(25, 1, np.random.default_rng(77))
+        assert np.array_equal(m1, m2)
 
     @pytest.mark.parametrize("draw", [
         lambda n, rng: sample_mappings_batch(n, 3, rng),
@@ -120,93 +105,43 @@ class TestSampleMapping:
         with pytest.raises(ValueError, match=r"^need n >= 2$"):
             draw(1, np.random.default_rng(0))
 
-    @pytest.mark.parametrize("n", [2, 3, 10, 25, 1000])
-    def test_is_row_0_of_the_batch(self, n):
-        for seed in range(20):
-            row = sample_mappings_batch(n, 1, np.random.default_rng(seed))[0]
-            assert sample_mapping(n, np.random.default_rng(seed)).image == tuple(row.tolist())
-
 
 class TestDecompose:
     def test_reference_20_point_mapping(self):
         looks_at = [2, 14, 7, 1, 7, 19, 17, 11, 10, 13, 2, 14, 9, 8, 19, 10, 6, 16, 6, 19]
-        mapping = Mapping(tuple(v - 1 for v in looks_at))
-        dec = decompose(mapping)
-        assert dec.component_sizes == (5, 7, 8)
-        assert dec.cycle_lengths == (2, 3, 4)
-        assert dec.core_size == 9
+        components, cycles, core = _decompose_one([v - 1 for v in looks_at])
+        assert components == [5, 7, 8]
+        assert cycles == [2, 3, 4]
+        assert len(core) == 9
 
     def test_n2(self):
-        dec = decompose(Mapping((1, 0)))
-        assert dec.component_sizes == (2,)
-        assert dec.cycle_lengths == (2,)
+        assert _decompose_one([1, 0]) == ([2], [2], [0, 1])
 
     def test_hand_traced_example(self):
-        # 1-based (2, 1, 2, 3): one component of 4, a 2-cycle, core 2
-        dec = decompose(Mapping((1, 0, 1, 2)))
-        assert dec.component_sizes == (4,)
-        assert dec.cycle_lengths == (2,)
-        assert dec.core_size == 2
-        assert dec.cyclic == (True, True, False, False)
+        # 1-based (2, 1, 2, 3): one component of 4, a 2-cycle on points 0 and 1
+        assert _decompose_one([1, 0, 1, 2]) == ([4], [2], [0, 1])
 
     @given(toes_images())
     @settings(max_examples=150, deadline=None)
     def test_structural_invariants(self, image):
-        dec = decompose(Mapping(image))  # Decomposition validates on build
-        assert isinstance(dec, Decomposition)
-        assert sum(dec.component_sizes) == len(image)
-        assert min(dec.cycle_lengths) >= 2
-
-    # a consistent decomposition of a 2-cycle and a 3-cycle on 5 points, and
-    # one inconsistent change of it for each check
-    CONSISTENT = Decomposition((2, 3), (2, 3), 5, (True,) * 5)
-
-    @pytest.mark.parametrize(
-        ("change", "message"),
-        [
-            ({"component_sizes": (3, 2)}, "ascending"),
-            ({"cycle_lengths": (3, 2)}, "ascending"),
-            ({"component_sizes": [2, 3]}, "ascending"),
-            ({"component_sizes": (2, 2)}, "cover all elements"),
-            ({"cycle_lengths": (2, 2)}, "cover the core"),
-            ({"component_sizes": (5,)}, "exactly one cycle"),
-            ({"cycle_lengths": (1, 4)}, ">= 2"),
-            ({"component_sizes": (1, 4)}, ">= 2"),
-            ({"cyclic": (True,) * 4 + (False,)}, "cyclic flags"),
-        ],
-        ids=[
-            "components-unsorted",
-            "cycles-unsorted",
-            "components-not-a-tuple",
-            "components-short",
-            "cycles-short",
-            "cycles-fewer-than-components",
-            "cycle-of-length-1",
-            "component-of-size-1",
-            "cyclic-flags",
-        ],
-    )
-    def test_inconsistent_tuples_are_rejected(self, change, message):
-        with pytest.raises(ValueError, match=message):
-            replace(self.CONSISTENT, **change)
+        n = len(image)
+        dec = decompose_batch(np.array([image]))
+        (comp_rows, sizes), (cyc_rows, lengths) = dec.components, dec.cycles
+        assert (comp_rows == 0).all() and (cyc_rows == 0).all()
+        assert sizes.sum() == n  # the components cover every point
+        assert lengths.sum() == dec.core.size  # the cycles cover the core
+        assert sizes.size == lengths.size  # one cycle per component
+        assert min(sizes.min(), lengths.min()) >= 2
+        # one cyclic flag per core point: the core is a set of points that
+        # the mapping permutes
+        core = dec.core
+        assert (np.diff(core) > 0).all() and 0 <= core[0] and core[-1] < n
+        assert np.array_equal(np.unique(np.asarray(image)[core]), core)
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(1234)
         for n in (2, 3, 5, 8, 16):
             _assert_batch_matches_walk(sample_mappings_batch(n, 300, rng), n)
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_decompose_matches_walk_on_every_toes_mapping(self, n):
-        """decompose, one row of decompose_batch, against the scalar walk on
-        every toes mapping below n = 7, cyclic flags included."""
-        choices = [[v for v in range(n) if v != i] for i in range(n)]
-        for image in itertools.product(*choices):
-            comp_sizes, cycle_lens, cyclic = decompose_image(image)
-            dec = decompose(Mapping(image))
-            assert dec.component_sizes == tuple(sorted(comp_sizes))
-            assert dec.cycle_lengths == tuple(sorted(cycle_lens))
-            assert dec.core_size == sum(cycle_lens)
-            assert dec.cyclic == tuple(cyclic)
 
     @pytest.mark.parametrize("model", ["toes", "standard"])
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -544,13 +479,16 @@ class TestOmega:
 
 class TestRejectionSampler:
     def test_scalar_properties(self):
+        # one replicate at a time: its counts are its spectrum
         rng = np.random.default_rng(500)
         for _ in range(300):
-            sizes, attempts = sample_toes_components(6, rng)
-            assert sizes == tuple(sorted(sizes))
-            assert 1 not in sizes
-            assert sum(sizes) == 6
-            assert attempts >= 1
+            tally = toes_component_counts_batch(6, 1, rng)
+            counts = tally["comp_sum"]
+            assert tally["replicates"] == 1
+            assert np.array_equal(tally["comp_sumsq"], counts**2)
+            assert counts[:2].sum() == 0
+            assert counts @ np.arange(7) == 6
+            assert tally["attempts"] >= 1
 
     def test_acceptance_rule_on_crp_proposals(self):
         # the rejection rule 1{a_1 = 0} prod_j (2 w_j)**a_j, applied to
@@ -746,7 +684,8 @@ class TestDerangementSampler:
 
 class TestCoreJointSampler:
     def test_n2(self):
-        assert sample_toes_core(2, np.random.default_rng(900)) == (2,)
+        tally = toes_core_cycle_counts_batch(2, 1, np.random.default_rng(900))
+        assert tally["cyc_sum"].tolist() == tally["core_hist"].tolist() == [0, 0, 1]
 
     def test_cycle_mean_agreement(self):
         n, reps = 10, 100_000
@@ -1199,10 +1138,9 @@ class TestLargeN:
     def test_decompose_handles_deep_paths(self):
         # one row of the batch kernel at n = 10**5
         n = 100_000
-        mapping = sample_mapping(n, np.random.default_rng(1500))
-        dec = decompose(mapping)
-        assert sum(dec.component_sizes) == n
-        assert dec.core_size >= 2
+        dec = decompose_batch(sample_mappings_batch(n, 1, np.random.default_rng(1500)))
+        assert dec.components[1].sum() == n
+        assert dec.cycles[1].sum() == dec.core.size >= 2
 
 
 class TestRouteAgreement:
@@ -1267,6 +1205,9 @@ class TestBatchDeterminism:
             assert np.array_equal(a[key], b[key]), key
 
     def test_scalar_streams_reproduce(self):
-        seq_a = [sample_toes_core(6, np.random.default_rng(1300)) for _ in range(1)]
-        seq_b = [sample_toes_core(6, np.random.default_rng(1300)) for _ in range(1)]
-        assert seq_a == seq_b
+        # one replicate of the core-joint route
+        a = toes_core_cycle_counts_batch(6, 1, np.random.default_rng(1300))
+        b = toes_core_cycle_counts_batch(6, 1, np.random.default_rng(1300))
+        assert sorted(a) == sorted(b)
+        for key in a:
+            assert np.array_equal(a[key], b[key]), key
