@@ -7,11 +7,11 @@ Subcommands:
 * ``tables``    -- reproduce the reference tables (1, 2, 3, cycles, core).
 * ``validate``  -- brute-force enumeration vs. closed forms, exact equality.
 
-argparse checks every flag.  ``--config file.json`` holds flag values keyed by
-flag name; they are parsed as flags placed before the command line's own, so
-explicit flags win, and ``--table`` may come from either.  Any bad input,
-argparse's own errors included, exits with status 1 and one
-``screamingtoes:`` line on stderr.
+argparse checks every flag, spelt in full.  ``--config file.json`` holds flag
+values keyed by flag name; they are parsed as flags placed before the command
+line's own, so explicit flags win, and ``--table`` may come from either.  Any
+bad input exits with status 1 and one ``screamingtoes:`` line on stderr, which
+names the ``--config`` file of a run that has one.
 """
 
 from __future__ import annotations
@@ -33,9 +33,12 @@ _RUN = harness.ExperimentConfig  # holds the run defaults, which the flags take
 
 
 class _Parser(argparse.ArgumentParser):
-    """A parser whose errors are one line, also when they quote an argument
-    that holds a newline, and exit status 1, not a usage dump and status 2;
-    ``add_subparsers`` builds subparsers of the same class."""
+    """A parser of whole flags, not abbreviations, whose errors are one line,
+    also when they quote an argument that holds a newline, and exit status 1,
+    not a usage dump and status 2; its subparsers are of the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message: str):
         raise SystemExit(f"screamingtoes: {message}".replace("\n", "\\n"))
@@ -51,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exact = sub.add_parser("exact", help="exact law/moment tables, no simulation")
     # --table is required, from the command line or --config: _parse checks it
-    p_exact.add_argument("--table", help=f"one of {sorted(set(harness.TABLE_ALIASES))} (required)")
+    p_exact.add_argument("--table", help=f"one of {sorted(harness.TABLE_ALIASES)} (required)")
     p_exact.add_argument("--model", choices=harness.REPORT_MODELS, default=_RUN.model,
                          help="the models whose laws are built (default %(default)s)")
     # exact draws nothing: no --workers, --batch-size or --seed, and the
@@ -101,8 +104,14 @@ def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespa
     if args.config is not None:
         args = _merge_config(parser, argv, args)
     if "table" in args and args.table is None:
-        parser.error("the following arguments are required: --table")
+        raise _refusal(args, "the following arguments are required: --table")
     return args
+
+
+def _refusal(args: argparse.Namespace, message: str) -> SystemExit:
+    """The one-line exit 1 of a refused run, naming its ``--config`` file if any."""
+    suffix = f" (with --config {args.config})" if args.config is not None else ""
+    return SystemExit(f"screamingtoes: {message}{suffix}")
 
 
 def _merge_config(
@@ -122,16 +131,13 @@ def _merge_config(
     tokens = [f"--{key.replace('_', '-')}={value}" for key, value in values.items()]
     try:
         args = parser.parse_args(argv[:at] + tokens + argv[at:])
+        for key, value in values.items():
+            wanted = type(getattr(args, key.replace("-", "_")))  # "n": "6" parses as an integer
+            if type(value) is not wanted:
+                expected = "an integer" if wanted is int else "a string"
+                parser.error(f"config file key {key!r} must be {expected}, not {value!r}")
     except SystemExit as exc:  # argv alone parsed, so the file is at fault
         raise SystemExit(f"{exc.code} (in --config {args.config})") from None
-    for key, value in values.items():
-        attr = key.replace("-", "_")
-        if attr not in args:  # an abbreviation, such as "rep" for --reps
-            raise SystemExit(f"screamingtoes: config file key {key!r} is not a flag of {args.command}")
-        wanted = type(getattr(args, attr))  # "n": "6" parses as an integer, "table": true as "True"
-        if type(value) is not wanted:
-            expected = "an integer" if wanted is int else "a string"
-            raise SystemExit(f"screamingtoes: config file key {key!r} must be {expected}, not {value!r}")
     return args
 
 
@@ -163,22 +169,16 @@ def _report(args: argparse.Namespace) -> harness.ExperimentReport:
     invalid one (say, a method that cannot fill a table, ``exact --model
     standard`` on a toes-only table, or ``simulate`` of an exact-only table)
     exits with one line before any law is built."""
-    if "table" in args:
-        tables = (args.table,)
-    else:
-        tables = tuple(t.strip() for t in args.tables.split(",") if t.strip())
-        if not tables:
-            raise SystemExit("screamingtoes: --tables names no table")
+    tables = (args.table,) if "table" in args else tuple(args.tables.split(","))
     try:
         config = _RUN(n=args.n, replicates=args.reps, seed=args.seed, method=args.method,
                       tables=tables, workers=args.workers, batch_size=args.batch_size,
                       model=args.model)
     except ValueError as exc:
-        raise SystemExit(f"screamingtoes: {exc}") from None
+        raise _refusal(args, str(exc)) from None
     if args.command == "simulate" and config.method_for(config.tables[0]) is None:
         table = config.tables[0]  # simulate reports both models, so the table is exact-only
-        raise SystemExit(f"screamingtoes: the {table!r} table has no simulated column; "
-                         f"use exact --table {table}")
+        raise _refusal(args, f"the {table!r} table has no simulated column; use exact --table {table}")
     return harness.run_table(config)
 
 
@@ -188,7 +188,7 @@ def main(argv: list[str] | None = None) -> int:
     if out is not None and (  # "" names no file
         not out or os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")
     ):
-        raise SystemExit(f"screamingtoes: --out {out!r} is not a file in an existing directory")
+        raise _refusal(args, f"--out {out!r} is not a file in an existing directory")
 
     if args.command == "validate":
         checks = harness.validate(args.n, args.model)

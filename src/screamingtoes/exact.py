@@ -151,6 +151,8 @@ def fraction_over_power(num: int, base: int, exp: int) -> Fraction:
     counts take about 35 microseconds each, and the scream law's counts,
     which carry thousands of factors of 3, about 0.1 ms.
     """
+    if base < 1 or exp < 0:
+        raise ValueError(f"need base >= 1 and exp >= 0 (got base {base}, exp {exp})")
     den = base**exp
     if num == 0:
         return Fraction(0)

@@ -86,10 +86,9 @@ _BIT_GENERATOR = "PCG64"
 
 
 def canonical_table(name: str) -> str:
-    key = str(name).strip().lower()
-    if key not in TABLE_ALIASES:
-        raise ValueError(f"unknown table {name!r}; known: {sorted(set(TABLE_ALIASES))}")
-    return TABLE_ALIASES[key]
+    if name not in TABLE_ALIASES:
+        raise ValueError(f"unknown table {name!r}; known: {sorted(TABLE_ALIASES)}")
+    return TABLE_ALIASES[name]
 
 
 def default_workers() -> int:
@@ -111,7 +110,7 @@ class ExperimentConfig:
     model: str = "both"
 
     def __post_init__(self) -> None:
-        # a table named twice, by any of its aliases, runs and reports once
+        # a table named twice, by its name and its number, runs and reports once
         self.tables = tuple(dict.fromkeys(canonical_table(t) for t in self.tables))
         if self.n is not None and self.n < 2:
             raise ValueError(f"n must be >= 2 (got {self.n})")
@@ -211,7 +210,6 @@ class TableSpec:
     of a run; ``standard`` says whether it has standard-model cells."""
 
     name: str
-    aliases: tuple[str, ...]
     title: str
     methods: tuple[str, ...]
     statistic: tuple[str, str] | None
@@ -282,47 +280,46 @@ _SPECS = {
     spec.name: spec
     for spec in (
         TableSpec(
-            "q", ("1",), "Probability that at least one pair screams", (), None, _q_cells,
+            "q", "Probability that at least one pair screams", (), None, _q_cells,
             max_n=60_000,
         ),
         TableSpec(
-            "components", ("2", "component-means"), "Mean number of components by size",
+            "components", "Mean number of components by size",
             ("rejection", "direct", "brute-force"), ("mean", "comp"),
             partial(_law_cells, "mean_components", "j", "component_means", first=1),
             max_n=1000, standard=True,
         ),
         TableSpec(
-            "scream", ("3", "scream-pmf"), "Distribution of the number of screaming pairs",
+            "scream", "Distribution of the number of screaming pairs",
             ("core-joint", "direct", "brute-force"), ("pmf", "scream_hist"),
             partial(_law_cells, "scream_pmf", "k", "scream_law", paired=False),
             max_n=laws.SCREAM_MAX_N,
         ),
         TableSpec(
-            "cycles", ("cycle-means",), "Mean number of core cycles by length",
+            "cycles", "Mean number of core cycles by length",
             ("core-joint", "direct", "brute-force"), ("mean", "cyc"),
             partial(_law_cells, "mean_cycles", "j", "cycle_means"),
             max_n=2000, standard=True,
         ),
         TableSpec(
-            "core", ("core-size",), "Distribution of the core size",
+            "core", "Distribution of the core size",
             ("core-joint", "direct", "brute-force"), ("pmf", "core_hist"),
             partial(_law_cells, "core_size", "r", "core_size_law"),
             max_n=1500, standard=True,
         ),
         TableSpec(
-            "repeats", ("repeated-sizes",), "Probability of no repeated sizes",
+            "repeats", "Probability of no repeated sizes",
             ("direct", "brute-force"), ("pmf", "no_repeat"), _repeat_cells, max_n=laws.REPEATS_MAX_N,
         ),
         TableSpec(
-            "acceptance", ("acceptance-rate",), "Rejection-sampler acceptance rate",
+            "acceptance", "Rejection-sampler acceptance rate",
             ("rejection",), ("ratio", "attempts"), _acceptance_cells, max_n=samplers.ACCEPTANCE_MAX_N,
         ),
     )
 }
 
-TABLE_ALIASES = {
-    alias: spec.name for spec in _SPECS.values() for alias in (spec.name, *spec.aliases)
-}
+#: Every table by its name, and the paper's tables 1-3 by their numbers.
+TABLE_ALIASES = {**{name: name for name in _SPECS}, "1": "q", "2": "components", "3": "scream"}
 
 
 # ---------------------------------------------------------------------------

@@ -238,9 +238,9 @@ def component_pmf(n: int, sizes: Iterable[int], model: Model = "toes") -> Fracti
     P = n!/b**n * prod_j (T_j / j!)**a_j / a_j!, where b**n counts the
     model's mappings and T_j its connected mappings on j points
     (:func:`_connected_count`).  Raises ValueError unless every size is at
-    least 1 and the sizes sum to n, and for a size 1 in the toes model.
+    least 1 and the sizes sum to n, for a size 1 or n = 1 in the toes model.
     """
-    _check_model(model)
+    _check_n(n, model)
     counts = Counter(sizes)
     if min(counts, default=1) < 1:
         raise ValueError("component sizes must be positive")
@@ -257,7 +257,7 @@ def component_pmf(n: int, sizes: Iterable[int], model: Model = "toes") -> Fracti
 def component_pmf_table(n: int, model: Model = "toes") -> dict[tuple[int, ...], Fraction]:
     """component_pmf over every spectrum, keyed by ascending size tuple."""
     table = {}
-    for parts in partitions(n, _shortest_cycle(model)):
+    for parts in partitions(n, _check_n(n, model)):
         sizes = parts[::-1]
         table[sizes] = component_pmf(n, sizes, model)
     _check_sums_to_one(table, "component-pmf", n)

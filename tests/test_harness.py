@@ -1,6 +1,7 @@
 """Harness tests: enumeration golden values, table plumbing, serialisation
 determinism, and the CLI."""
 
+import argparse
 import errno
 import hashlib
 import io
@@ -153,11 +154,14 @@ class TestBruteForce:
 
 class TestConfig:
     def test_table_aliases(self):
-        assert harness.canonical_table("1") == "q"
-        assert harness.canonical_table("SCREAM-PMF") == "scream"
-        assert harness.canonical_table("core-size") == "core"
-        with pytest.raises(ValueError):
-            harness.canonical_table("nope")
+        # each table by its one name, and the paper's tables 1-3 by their
+        # numbers, spelt exactly: no other case, padding or long alias
+        for name in harness._SPECS:
+            assert harness.canonical_table(name) == name
+        assert [harness.canonical_table(t) for t in ("1", "2", "3")] == ["q", "components", "scream"]
+        for name in ("nope", "SCREAM-PMF", "core-size", "SCREAM", "Scream", " core", "core ", ""):
+            with pytest.raises(ValueError, match="unknown table"):
+                harness.canonical_table(name)
 
     def test_repeated_table_runs_once(self):
         # "2" and "1" are aliases of "components" and "q"
@@ -1064,6 +1068,11 @@ class TestCli:
         (["tables", "--tables", "q,core", "--n", "1501", "--reps", "0"], None),
         (["exact", "--table", "q", "--n", "60001"], None),
         (["simulate", "--table", "cycles", "--n", "10", "--reps", "100000", "--batch-size", "1"], None),
+        (["simulate", "--table", "cycles", "--rep", "5"], None),
+        (["exact", "--tab", "q"], None),
+        (["exact", "--table", "core-size"], None),
+        (["exact", "--table", "SCREAM"], None),
+        (["tables", "--tables", "cycles, core"], None),
     ], ids=["empty-tables", "missing-config", "config-not-json", "config-str-n",
             "config-float-reps", "workers-not-an-integer", "workers-0", "workers-negative",
             "workers-above-the-bound",
@@ -1079,7 +1088,9 @@ class TestCli:
             "config-numeric-str-n", "config-bool-n", "config-help", "config-abbreviated-key",
             "config-unknown-key-with-a-newline", "acceptance-above-the-bound",
             "scream-above-the-bound", "components-above-the-bound", "cycles-above-the-bound",
-            "core-above-the-bound", "q-above-the-bound", "batches-above-the-bound"])
+            "core-above-the-bound", "q-above-the-bound", "batches-above-the-bound",
+            "abbreviated-flag", "abbreviated-table-flag", "long-table-alias", "table-in-capitals",
+            "padded-tables"])
     def test_bad_input_is_a_one_line_error(self, argv, config, tmp_path, capsys, monkeypatch):
         def no_pool(*args, **kwargs):
             pytest.fail("bad input opened a worker pool")
@@ -1095,6 +1106,91 @@ class TestCli:
         message = exc.value.code
         assert isinstance(message, str) and "\n" not in message and message.startswith("screamingtoes:")
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv, config", [
+        (["exact"], {"table": "zz"}),
+        (["exact"], {"table": "q", "n": 70000}),
+        (["exact"], {"n": 5}),
+        (["tables", "--reps", "0"], {"tables": ","}),
+        (["exact", "--table", "q"], {"out": "{tmp}/no-such-dir/x"}),
+        (["simulate", "--table", "acceptance"], {"method": "direct"}),
+        (["simulate"], {"table": "q"}),
+    ], ids=["unknown-table", "n-above-the-bound", "no-table", "empty-tables", "out-missing-dir",
+            "method-cannot-fill", "exact-only-table"])
+    def test_refusal_of_a_run_with_a_config_file_names_it(self, argv, config, tmp_path, capsys):
+        # the file gave the refused value, or did not give the missing one
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config).replace("{tmp}", str(tmp_path)))
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--config", str(path)])
+        message = exc.value.code
+        assert isinstance(message, str) and "\n" not in message and message.startswith("screamingtoes:")
+        assert message.endswith(f" (with --config {path})")
+        assert capsys.readouterr().out == ""
+
+
+def _cli_options(parser: argparse.ArgumentParser):
+    """(subcommand, option name) of every option of the CLI's grammar but
+    ``--config`` and ``--help``."""
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command, sub in commands.choices.items():
+        for action in sub._actions:
+            if action.dest not in ("help", "config"):
+                (flag,) = action.option_strings
+                yield command, flag.removeprefix("--")
+
+
+CLI_OPTIONS = [pytest.param(c, n, id=f"{c}--{n}") for c, n in _cli_options(cli.build_parser())]
+
+#: A valid value of every option in ``CLI_OPTIONS``, none of them the
+#: option's default, so that a value that is not taken shows; ``--out`` is
+#: a file under the test's directory.  Every run is small and serial.
+CLI_VALUES = {
+    "exact": {"table": "components", "n": 6, "model": "toes", "format": "json"},
+    "simulate": {"table": "scream", "n": 5, "reps": 300, "method": "direct", "workers": 1,
+                 "batch-size": 100, "seed": 7, "format": "csv"},
+    "tables": {"tables": "1,3", "n": 5, "reps": 300, "method": "brute-force", "workers": 1,
+               "batch-size": 100, "seed": 7, "format": "json"},
+    "validate": {"n": 3, "model": "standard", "seed": 1},
+}
+
+
+def _argv_without(command: str, name: str, out) -> list[str]:
+    """A valid command line of every option of ``command`` but ``name``."""
+    values = {**CLI_VALUES[command], "out": out}
+    return [command, *(t for key, value in values.items() if key != name for t in (f"--{key}", str(value)))]
+
+
+@pytest.mark.parametrize("command, name", CLI_OPTIONS)
+def test_a_flag_and_its_config_key_are_one_input(command, name, tmp_path):
+    out = tmp_path / "report"
+    value = {**CLI_VALUES[command], "out": str(out)}[name]
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({name: value}))
+    argv = _argv_without(command, name, out)
+    texts = []
+    for given in ([f"--{name}", str(value)], ["--config", str(config)]):
+        assert cli.main([*argv, *given]) == 0
+        texts.append(out.read_text())
+        out.unlink()
+    assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("command, name", [p for p in CLI_OPTIONS if len(p.values[1]) > 1])
+def test_an_abbreviated_option_is_refused_both_ways(command, name, tmp_path, capsys):
+    # one letter short, the name is a prefix of this option's alone (of
+    # --tables, it is --table, an option of the other commands)
+    out = tmp_path / "report"
+    short, value = name[:-1], {**CLI_VALUES[command], "out": str(out)}[name]
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({short: value}))
+    argv = _argv_without(command, name, out)
+    for given in ([f"--{short}", str(value)], ["--config", str(config)]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, *given])
+        message = exc.value.code
+        assert isinstance(message, str) and "\n" not in message and message.startswith("screamingtoes:")
+    assert capsys.readouterr().out == "" and not out.exists()
 
 
 #: Small CLI runs whose stdout is pinned byte for byte, in every format: they

@@ -742,6 +742,12 @@ def test_component_pmf_values_are_probabilities(n):
     (laws.component_means, (5, "foo")),
     (laws.component_count_with_core, (3, 4)),
     (laws.factorial_moment, (1, {})),
+    (laws.component_pmf, (0, (), "standard")),
+    (laws.component_pmf_table, (1, "toes")),
+    (laws.component_pmf_table, (0, "standard")),
+    (exact.fraction_over_power, (5, 0, 3)),
+    (exact.fraction_over_power, (1, 2, -1)),
+    (exact.fraction_over_power, (6, -2, 2)),
     (exact.poisson_partial_sum, (0, 2)),
     (exact.format_fixed, (F(1, 3), -1)),
     (exact.derangement_numbers, (-1,)),
