@@ -112,6 +112,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         # a table named twice, by its name and its number, runs and reports once
         self.tables = tuple(dict.fromkeys(canonical_table(t) for t in self.tables))
+        if not self.tables:
+            raise ValueError("no table to run; name at least one")
         if self.n is not None and self.n < 2:
             raise ValueError(f"n must be >= 2 (got {self.n})")
         if self.method is not None and self.method not in METHODS:

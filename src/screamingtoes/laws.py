@@ -115,14 +115,19 @@ def _check_sums_to_one(pmf: dict, what: str, n: int) -> None:
 
 
 def partitions(n: int, min_part: int = 1, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Integer partitions of n with parts in [min_part, max_part], descending tuples."""
-    if max_part is None:
-        max_part = n
+    """Integer partitions of n with parts in [min_part, max_part], descending
+    tuples; min_part must be positive, or a part of 0 would recur forever."""
+    if min_part < 1:
+        raise ValueError(f"min_part must be >= 1 (got {min_part})")
+    return _partitions(n, min_part, n if max_part is None else max_part)
+
+
+def _partitions(n: int, min_part: int, max_part: int) -> Iterator[tuple[int, ...]]:
     if n == 0:
         yield ()
         return
     for p in range(min(n, max_part), min_part - 1, -1):
-        for rest in partitions(n - p, min_part, p):
+        for rest in _partitions(n - p, min_part, p):
             yield (p,) + rest
 
 

@@ -252,6 +252,9 @@ class TestConfig:
             ExperimentConfig(workers=0)
         with pytest.raises(ValueError):
             ExperimentConfig(model="both-models")
+        # a run of no table would report nothing: a bare csv header, no pretty text
+        with pytest.raises(ValueError, match="no table to run"):
+            ExperimentConfig(tables=(), replicates=0)
         for n in (1, 0, -3):
             with pytest.raises(ValueError):
                 ExperimentConfig(n=n)
@@ -360,7 +363,7 @@ def _assert_tallies_merged_on_arrival(workers):
     takes, while this process spins through a second of CPU-bound work in
     place of the exact columns; with a pool, the tallies that arrive meanwhile
     must be merged, not queued behind it."""
-    config = ExperimentConfig(n=1000, replicates=2000, batch_size=1, tables=(), workers=workers)
+    config = ExperimentConfig(n=1000, replicates=2000, batch_size=1, workers=workers)
     tasks = harness._batch_tasks(config, {"core-joint": harness._SPECS["core"].reads})
     samplers._core_size_cdf(1000)  # the cached exact CDF is set-up, not tally memory
 
@@ -400,12 +403,22 @@ class TestDeterminism:
         assert r1.records == r2.records
 
     def test_json_bytes_identical_across_worker_counts(self):
-        # the tables' default methods: every simulation kind runs
-        cfg = dict(n=8, replicates=30_000, seed=77, tables=("components", "scream", "repeats"),
-                   batch_size=10_000)
-        a = emit(run_table(ExperimentConfig(**cfg, workers=1)), "json")
-        b = emit(run_table(ExperimentConfig(**cfg, workers=2)), "json")
-        assert a == b
+        top = samplers.TYPE_TABLE_MAX_N
+        for cfg in (
+            # the tables' default methods: every simulation kind runs
+            dict(n=8, replicates=30_000, tables=("components", "scream", "repeats"),
+                 batch_size=10_000),
+            # the reference tables, drawn whole-type from the widest tables
+            # and, one size above, by the step kernels
+            *(dict(n=n, replicates=20_000, tables=("1", "2", "3", "cycles", "core"),
+                   batch_size=5_000) for n in (top, top + 1)),
+            # direct batches of three chunks of samplers.chunk_rows(1000) rows,
+            # each batch's chunks decomposed in one set of working arrays
+            dict(n=1000, replicates=600, tables=("cycles",), method="direct", batch_size=300),
+        ):
+            a = emit(run_table(ExperimentConfig(**cfg, seed=77, workers=1)), "json")
+            b = emit(run_table(ExperimentConfig(**cfg, seed=77, workers=2)), "json")
+            assert a == b, cfg
 
     def test_nearby_seeds_draw_different_streams(self):
         # 16 batches a kind: seeds that differ below the batch count once
@@ -599,8 +612,9 @@ class TestEmit:
 def _no_repeat_shares(n, reps, seed, **config):
     """The direct route's (no repeated component size, no repeated cycle
     length, neither) shares, from batches that fill the repeats table's
-    tally; a config with no table builds no exact column, and takes any n."""
-    config = ExperimentConfig(n=n, replicates=reps, seed=seed, tables=(), **config)
+    tally; the config only sizes and seeds the batches, and builds no exact
+    column."""
+    config = ExperimentConfig(n=n, replicates=reps, seed=seed, **config)
     tasks = harness._batch_tasks(config, {"direct": harness._SPECS["repeats"].reads})
     tally = harness._simulate(tasks, config.resolved_workers(), lambda: None)[0]["direct"]
     assert tally["replicates"] == reps
@@ -692,18 +706,29 @@ class TestCli:
     def test_direct_route_labels_components_only_for_a_table_that_reads_them(
         self, argv, labelled, monkeypatch, capsys
     ):
-        def no_labelling(*args):
-            raise AssertionError("components labelled")
+        label, kernel = samplers._component_pairs, samplers.toes_mapping_counts_batch
+        calls = []
 
-        monkeypatch.setattr(samplers, "_component_pairs", no_labelling)
+        def counted(*args):
+            calls.append(args)
+            return label(*args)
+
+        monkeypatch.setattr(samplers, "_component_pairs", counted)
         argv += ["--method", "direct", "--reps", "600", "--batch-size", "300", "--workers", "1",
                  "--format", "csv"]
-        if labelled:
-            with pytest.raises(AssertionError, match="components labelled"):
-                cli.main(argv)
-        else:
-            assert cli.main(argv) == 0
-            assert "mean_cycles[j=2]" in capsys.readouterr().out
+        assert cli.main(argv) == 0
+        assert bool(calls) == labelled
+        if not labelled:
+            # labelling every batch's components changes no record of the run
+            report = capsys.readouterr().out
+            assert "mean_cycles[j=2]" in report
+
+            def labelling(n, count, rng, keys):
+                return kernel(n, count, rng, (*keys, "comp_sum"))
+
+            monkeypatch.setattr(samplers, "toes_mapping_counts_batch", labelling)
+            assert cli.main(argv) == 0 and calls
+            assert capsys.readouterr().out == report
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--table", "q", "--method", "direct", "--n", "5", "--reps", "100"],
@@ -729,8 +754,12 @@ class TestCli:
         assert capsys.readouterr().out == "statistic,exact,simulated,std_error,z\nq[n=5],0.5664,,,\n"
 
     def test_validate_cli(self, capsys):
-        assert cli.main(["validate", "--n", "3"]) == 0
-        assert "PASS" in capsys.readouterr().out
+        # every check, named and in order, at the degenerate size (the toes
+        # model has one mapping) and at the enumeration bound
+        for model, checks in (("toes", VALIDATE_CHECKS), ("standard", STANDARD_CHECKS)):
+            for n in (2, samplers.ENUMERATION_MAX_N):
+                assert cli.main(["validate", "--n", str(n), "--model", model]) == 0
+                assert capsys.readouterr().out == "".join(f"{name:<23}  PASS\n" for name in checks)
 
     def test_validate_writes_out_and_accepts_a_seed(self, tmp_path, capsys):
         assert cli.main(["validate", "--n", "3"]) == 0

@@ -752,6 +752,7 @@ def test_component_pmf_values_are_probabilities(n):
     (exact.format_fixed, (F(1, 3), -1)),
     (exact.derangement_numbers, (-1,)),
     (samplers.exact_acceptance_probability, (1,)),
+    (laws.partitions, (2, 0)),
 ], ids=lambda value: value.__name__ if callable(value) else ",".join(map(str, value)))
 def test_public_range_errors(function, args):
     with pytest.raises(ValueError):
