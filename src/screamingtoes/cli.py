@@ -17,8 +17,10 @@ names the ``--config`` file of a run that has one.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
+import stat
 import sys
 
 # The package makes no BLAS call, so numpy's OpenBLAS needs no thread pool.
@@ -142,15 +144,14 @@ def _merge_config(
 
 
 def _write(text: str, out: str | None) -> None:
-    """Write to ``--out``, or write and flush stdout.  Any error from opening,
-    writing or closing the output (a closed stdout under ``| head``, a full
-    device) exits 1 with one line.  A failed stdout is pointed at devnull
-    first, because the interpreter flushes it again at exit and would print
-    a traceback."""
+    """Write to ``--out`` (:func:`_write_file`), or write and flush stdout.
+    Any error from opening, writing or closing the output (a closed stdout
+    under ``| head``, a full device) exits 1 with one line.  A failed stdout
+    is pointed at devnull first, because the interpreter flushes it again at
+    exit and would print a traceback."""
     if out is not None:
         try:
-            with open(out, "w") as fh:
-                fh.write(text)
+            _write_file(text, out)
         except OSError as exc:
             raise SystemExit(f"screamingtoes: cannot write --out {out}: {exc.strerror or exc}") from None
         return
@@ -162,6 +163,36 @@ def _write(text: str, out: str | None) -> None:
         if isinstance(exc, BrokenPipeError):
             raise SystemExit("screamingtoes: stdout closed before all output was written") from None
         raise SystemExit(f"screamingtoes: cannot write stdout: {exc.strerror or exc}") from None
+
+
+def _write_file(text: str, out: str) -> None:
+    """Write ``text`` to the file ``out`` whole or not at all.  A new path or
+    an existing regular file, symlinks resolved, gets a temporary file
+    beside it, which takes an existing file's mode and is moved into place
+    by ``os.replace``, or removed if anything fails: a failed write leaves
+    the old file as it was.  An existing file that is not a regular one (a
+    device, a FIFO) is written in place."""
+    path = os.path.realpath(out)
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w") as fh:
+            fh.write(text)
+        return
+    head, name = os.path.split(path)
+    temporary = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
+    fh = open(temporary, "x")
+    try:
+        with fh:
+            fh.write(text)
+        if mode is not None:
+            os.chmod(temporary, stat.S_IMODE(mode))
+        os.replace(temporary, path)
+    finally:
+        with contextlib.suppress(OSError):  # gone once replaced
+            os.remove(temporary)
 
 
 def _report(args: argparse.Namespace) -> harness.ExperimentReport:

@@ -20,6 +20,14 @@ rng, keys) and returns the batch's whole tally, and the direct route and
 the brute-force oracle decompose their mappings by one kernel,
 :func:`decompose_batch`.
 
+The rejection and core-joint routes share one draw order.  Double i of the
+batch's generator is replicate or proposal i's first draw: its core size,
+or its U against the acceptance threshold.  Everything else that a route
+draws, a live proposal's cycle type or a core's derangement, comes from one
+child generator, ``rng.spawn(1)[0]``.  So for a seed the whole-type tables
+and the cycle-step kernel below give the same core sizes and the same U's,
+and at n <= :data:`TYPE_TABLE_MAX_N` no tally depends on the chunk size.
+
 Above :data:`TYPE_TABLE_MAX_N`, routes 2 and 3 share one kernel,
 :func:`_cycles_without_fixed_points`: it draws ESF(theta) conditioned on
 having no 1-cycle, one cycle at a time from one exact cumulative table, so
@@ -53,7 +61,6 @@ per-replicate (rows, n+1) count matrix.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import math
 from collections import Counter
@@ -614,98 +621,76 @@ def _core_type_table(n: int) -> tuple[np.ndarray, tuple]:
     return cdf, _type_pairs(types)
 
 
-def _accepted_components(n: int, count: int, rng: np.random.Generator):
+def _accepted(n: int, count: int, rng: np.random.Generator, draw):
     """Rejection from ESF(1/2) until ``count`` proposals are accepted.
 
-    Proposals come in chunks of at most ``ROW_CHUNK``, each one a uniform U.
-    One with U >= P(a_1 = 0) has a 1-cycle and is rejected undrawn; the
-    others are drawn from ESF(1/2) given a_1 = 0 by
-    :func:`_cycles_without_fixed_points` and accepted iff
-    U < P(a_1 = 0) prod_j (2 w_j)**a_j, the product the exp of log(2 w_len)
-    summed along the cycles.  So a proposal is accepted with probability
-    1{a_1 = 0} prod_j (2 w_j)**a_j, and acceptances are taken in proposal
-    order.  Yields, chunk by chunk, the (replicate, component size) pairs of
-    the accepted proposals, replicates numbered 0..count-1 across chunks,
-    and the number of proposals consumed so far through the last
-    acceptance.
+    Proposal i's U is double i of ``rng``, drawn in chunks of ``ROW_CHUNK``.
+    One with U >= P(a_1 = 0) has a 1-cycle and is rejected undrawn.  The k
+    others of a chunk, in proposal order, get their cycle types given
+    a_1 = 0 and their thresholds P(a_1 = 0) prod_j (2 w_j)**a_j from
+    ``draw(k, types)``, which returns (thresholds, the types drawn); every
+    chunk draws them from one child generator, ``types = rng.spawn(1)[0]``.
+    A proposal is accepted iff its U is below its threshold, so with
+    probability 1{a_1 = 0} prod_j (2 w_j)**a_j, and acceptances are taken in
+    proposal order.  Yields, chunk by chunk, the types drawn, the indices
+    among them of those accepted, and the number of proposals consumed so
+    far through the last acceptance.
     """
     p_none = _no_fixed_point_table(n, Fraction(1, 2))[1]
-    log_ratio = np.zeros(n + 1)
-    log_ratio[2:] = np.log(2.0 * omega_values(n)[2:])
+    types = rng.spawn(1)[0]
     have = attempts = 0
     while have < count:
-        chunk = _proposal_chunk(count - have)
-        u = rng.random(chunk)
-        drawn = np.flatnonzero(u < p_none)
-        prop, size = _cycles_without_fixed_points(np.full(drawn.size, n), n, Fraction(1, 2), rng)
-        log_acc = np.bincount(prop, weights=log_ratio[size], minlength=drawn.size)
-        took = np.flatnonzero(u[drawn] < p_none * np.exp(log_acc))[: count - have]
-        attempts += int(drawn[took[-1]]) + 1 if have + took.size == count else chunk
-        number = np.full(drawn.size, -1)
-        number[took] = np.arange(have, have + took.size)
-        keep = number[prop] >= 0
+        u = rng.random(ROW_CHUNK)
+        live = np.flatnonzero(u < p_none)
+        threshold, drawn = draw(live.size, types)
+        took = np.flatnonzero(u[live] < threshold)[: count - have]
         have += took.size
-        yield number[prop[keep]], size[keep], attempts
-
-
-def _proposal_chunk(left: int) -> int:
-    """Proposals that the rejection route draws at once when ``left`` are
-    still to be accepted: enough for them at an acceptance rate of 0.2 (it
-    is 0.2479 at n = 10 and rises towards 0.2601), at least 4096 and at
-    most ``ROW_CHUNK``."""
-    return min(max(4096, int(left / 0.2)), ROW_CHUNK)
-
-
-def _accepted_types(n: int, count: int, rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    """Rejection from ESF(1/2) until ``count`` proposals are accepted, each
-    proposal's whole cycle type drawn from :func:`_proposal_type_table`, at
-    n <= :data:`TYPE_TABLE_MAX_N`.
-
-    Doubles 2i and 2i+1 of ``rng`` are proposal i's u and v: v picks its
-    type given a_1 = 0, and it is accepted iff u is below the type's
-    threshold P(a_1 = 0) prod_j (2 w_j)**a_j, the rule of
-    :func:`_accepted_components`.  Proposals come in chunks of
-    :func:`_proposal_chunk`, and acceptances are taken in proposal order.
-    Returns the histogram of the accepted types and the number of proposals
-    consumed through the last acceptance.
-    """
-    cdf, threshold, _ = _proposal_type_table(n)
-    top = threshold.max()
-    hist = np.zeros(cdf.size, dtype=np.int64)
-    have = attempts = 0
-    while have < count:
-        chunk = _proposal_chunk(count - have)
-        u, v = rng.random((chunk, 2)).T
-        live = np.flatnonzero(u < top)  # no type accepts the others
-        kind = np.searchsorted(cdf, v[live], side="right")
-        took = np.flatnonzero(u[live] < threshold[kind])[: count - have]
-        attempts += int(live[took[-1]]) + 1 if have + took.size == count else chunk
-        hist += np.bincount(kind[took], minlength=cdf.size)
-        have += took.size
-    return hist, attempts
+        attempts += int(live[took[-1]]) + 1 if have == count else ROW_CHUNK
+        yield drawn, took, attempts
 
 
 def toes_component_counts_batch(
     n: int, count: int, rng: np.random.Generator, keys: Iterable[str] = ()
 ) -> dict:
     """Tallies of ``count`` component spectra of the toes mapping by
-    rejection from ESF(1/2): ``replicates``, ``attempts`` (the proposals
-    consumed through the last acceptance) and the ``zero_tally`` keys
-    ``comp_sum`` and ``comp_sumsq``, whatever ``keys`` names.  Up to
-    :data:`TYPE_TABLE_MAX_N` the table's pairs are folded once, each type
-    weighted by its count in the histogram of :func:`_accepted_types`;
-    above it each chunk of :func:`_accepted_components` is folded as it
-    comes, each replicate once."""
+    rejection from ESF(1/2) (:func:`_accepted`): ``replicates``,
+    ``attempts`` (the proposals consumed through the last acceptance) and
+    the ``zero_tally`` keys ``comp_sum`` and ``comp_sumsq``, whatever
+    ``keys`` names.  Up to :data:`TYPE_TABLE_MAX_N` a proposal's whole type
+    is one search of :func:`_proposal_type_table`, and the table's pairs are
+    folded once, each type weighted by its count among the acceptances.
+    Above it a proposal is drawn one cycle at a time by
+    :func:`_cycles_without_fixed_points`, its threshold the exp of
+    log(2 w_len) summed along its cycles, and each chunk's accepted pairs
+    are folded as they come, one row, weight 1, per live proposal."""
     _check_batch(n, count)
     tally = zero_tally(n, "comp_sum", "comp_sumsq")
+    attempts = 0
     if n <= TYPE_TABLE_MAX_N:
-        hist, attempts = _accepted_types(n, count, rng)
-        _tally_pairs(tally, "comp", *_proposal_type_table(n)[2], hist)
+        cdf, threshold, pairs = _proposal_type_table(n)
+
+        def draw(k, types):
+            kind = np.searchsorted(cdf, types.random(k), side="right")
+            return threshold[kind], kind
+
+        hist = np.zeros(cdf.size, dtype=np.int64)
+        for kind, took, attempts in _accepted(n, count, rng, draw):
+            hist += np.bincount(kind[took], minlength=cdf.size)
+        _tally_pairs(tally, "comp", *pairs, hist)
     else:
-        attempts = 0
-        once = np.broadcast_to(np.int64(1), count)  # rows run across chunks; a view, no memory
-        for rows, lengths, attempts in _accepted_components(n, count, rng):
-            _tally_pairs(tally, "comp", rows, lengths, once)
+        p_none = _no_fixed_point_table(n, Fraction(1, 2))[1]
+        log_ratio = np.zeros(n + 1)
+        log_ratio[2:] = np.log(2.0 * omega_values(n)[2:])
+
+        def draw(k, types):
+            prop, size = _cycles_without_fixed_points(np.full(k, n), n, Fraction(1, 2), types)
+            log_acc = np.bincount(prop, weights=log_ratio[size], minlength=k)
+            return p_none * np.exp(log_acc), (prop, size)
+
+        once = np.broadcast_to(np.int64(1), ROW_CHUNK)  # rows are a chunk's live proposals; a view
+        for (prop, size), took, attempts in _accepted(n, count, rng, draw):
+            keep = np.isin(prop, took)
+            _tally_pairs(tally, "comp", prop[keep], size[keep], once)
     return {"replicates": count, "attempts": attempts, **tally}
 
 
@@ -770,20 +755,14 @@ def toes_core_cycle_counts_batch(
     Up to :data:`TYPE_TABLE_MAX_N` each replicate's core size and cycle type
     come from one double (:func:`_core_types`), and its core size is the one
     that the same double gives by the core-size CDF below; the table's pairs
-    are folded once, weighted by that histogram.  Above it, blocks
-    of ``ROW_CHUNK`` replicates each draw their core sizes by inverse CDF
-    from the exact core-size law, then a uniform derangement of each size,
-    ESF(1) conditioned on a_1 = 0 by :func:`_cycles_without_fixed_points`,
-    and are tallied as they come, so memory does not grow with ``count``.
-    The draws are still those of
-    every core size first, then the derangements in block order, and
-    ``rng`` ends in that order's state: the core sizes come from a copy of
-    ``rng``, which itself skips their ``count`` doubles before it draws the
-    derangements.  The skip draws and discards them in chunks of
-    ``CHUNK_CELLS`` doubles, 1 MB: any chunking gives the same stream, and
-    in ``ROW_CHUNK`` chunks glibc's malloc kept unmapping and faulting in
-    again the blocks' 128 KB arrays, twice the page faults of a run at
-    n = 10 and about 40 ms more CPU for 10**6 replicates.
+    are folded once, weighted by that histogram.  Above it, blocks of
+    ``ROW_CHUNK`` replicates each draw their core sizes by inverse CDF from
+    the exact core-size law, double i of ``rng`` being replicate i's as in
+    the table, then a uniform derangement of each size, ESF(1) conditioned
+    on a_1 = 0 by :func:`_cycles_without_fixed_points`, from one child
+    generator, ``rng.spawn(1)[0]``.  Each block is tallied as it comes, so
+    memory does not grow with ``count``, and a seed gives the same core
+    sizes by either path, whatever the blocks.
     """
     _check_batch(n, count)
     tally = zero_tally(n, *_CORE_KEYS)
@@ -791,12 +770,10 @@ def toes_core_cycle_counts_batch(
         _tally_pairs(tally, "cyc", *_core_type_table(n)[1], _core_types(n, count, rng))
         return {"replicates": count, **tally}
     cdf = _core_size_cdf(n)
-    cores = copy.deepcopy(rng)
-    for done in range(0, count, CHUNK_CELLS):
-        rng.random(min(CHUNK_CELLS, count - done))
+    derangements = rng.spawn(1)[0]
     for done in range(0, count, ROW_CHUNK):
-        sizes = 2 + np.searchsorted(cdf, cores.random(min(ROW_CHUNK, count - done)), side="right")
-        pairs = _cycles_without_fixed_points(sizes, n, Fraction(1), rng)
+        sizes = 2 + np.searchsorted(cdf, rng.random(min(ROW_CHUNK, count - done)), side="right")
+        pairs = _cycles_without_fixed_points(sizes, n, Fraction(1), derangements)
         _tally_pairs(tally, "cyc", *pairs, np.ones(sizes.size, dtype=np.int64))
     return {"replicates": count, **tally}
 

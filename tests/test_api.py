@@ -1,5 +1,6 @@
 """The package's public surface is what runs: every public module-level name
-of the library modules is used by the package itself or named in the README.
+of the library modules is used by the package itself or named in the README,
+and every private one is used by the package itself.
 
 A law or helper that only the tests call belongs in ``tests/oracles.py``."""
 
@@ -21,9 +22,9 @@ def _trees() -> dict[str, ast.Module]:
     return {path.stem: ast.parse(path.read_text(), str(path)) for path in PACKAGE.glob("*.py")}
 
 
-def _public_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
-    """Public module-level names bound by def, class or assignment, each with
-    the statement that binds it."""
+def _definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Module-level names bound by def, class or assignment, dunder names
+    aside, each with the statement that binds it."""
     out = {}
     for stmt in tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -34,15 +35,19 @@ def _public_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
             names = [stmt.target.id]
         else:
             continue
-        out.update((name, stmt) for name in names if not name.startswith("_"))
+        out.update((name, stmt) for name in names if not name.startswith("__"))
     return out
+
+
+def _public_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    return {name: stmt for name, stmt in _definitions(tree).items() if not name.startswith("_")}
 
 
 def _loaded_names(module: str, trees: dict[str, ast.Module]) -> set[str]:
     """Names of `module` that package code loads: bare names inside `module`
     or in a module that imported them from it, and ``module.name``
     attributes anywhere.  A definition's own body does not count for itself."""
-    defined = _public_definitions(trees[module])
+    defined = _definitions(trees[module])
     used = set()
     for other, tree in trees.items():
         aliases = {}  # local name -> name in `module`
@@ -74,6 +79,16 @@ def test_every_public_name_is_used_or_documented(module):
         if name not in used and not re.search(rf"\b{re.escape(name)}\b", README)
     )
     assert unused == [], f"{module}: nothing in the package uses these and the README does not name them"
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in PACKAGE.glob("*.py")))
+def test_every_private_name_is_used(module):
+    # no functions that nothing calls: a private name is loaded by package
+    # code other than its own definition
+    trees = _trees()
+    used = _loaded_names(module, trees)
+    unused = sorted(name for name in _definitions(trees[module]) if name.startswith("_") and name not in used)
+    assert unused == [], f"{module}: nothing in the package uses these"
 
 
 @pytest.mark.parametrize("module", sorted(path.stem for path in PACKAGE.glob("*.py")))

@@ -9,6 +9,7 @@ import json
 import math
 import multiprocessing
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -972,7 +973,7 @@ class TestCli:
         # the table's law raises if called: the error comes before any law is built
         module, law = {
             "q": (laws, "prob_someone_screams"),
-            "scream": (laws, "scream_pmf"),
+            "scream": (laws, "scream_law"),
             "repeats": (laws, "prob_no_repeated_sizes"),
             "acceptance": (samplers, "exact_acceptance_probability"),
         }[table]
@@ -1043,6 +1044,35 @@ class TestCli:
         assert done.returncode == 1
         lines = done.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("screamingtoes: cannot write"), done.stderr
+
+    def test_failed_out_write_keeps_the_old_file(self, tmp_path):
+        # the child may write no file past 4096 bytes, and the report is
+        # longer: the run fails with one line, and the file it would have
+        # replaced keeps its bytes and mode, with no temporary file left
+        out = tmp_path / "report.json"
+        out.write_text("old report\n")
+        out.chmod(0o640)
+        script = ("import resource, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))\n"
+                  "from screamingtoes import cli\n"
+                  "sys.exit(cli.main(sys.argv[1:]))\n")
+        done = _run_python(script, ["exact", "--table", "core", "--n", "200", "--format", "json",
+                                    "--out", str(out)])
+        assert done.returncode == 1
+        assert done.stderr == f"screamingtoes: cannot write --out {out}: File too large\n"
+        assert out.read_text() == "old report\n" and stat.S_IMODE(out.stat().st_mode) == 0o640
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_out_replaces_the_file_a_symlink_names(self, tmp_path):
+        # the link stays a link, its target takes the report and keeps its mode
+        target, link = tmp_path / "report.csv", tmp_path / "link.csv"
+        target.write_text("old report\n")
+        target.chmod(0o604)
+        link.symlink_to(target.name)
+        assert cli.main(["exact", "--table", "q", "--n", "5", "--format", "csv", "--out", str(link)]) == 0
+        assert link.is_symlink() and target.read_text().startswith("statistic,exact")
+        assert stat.S_IMODE(target.stat().st_mode) == 0o604
+        assert sorted(tmp_path.iterdir()) == [link, target]
 
     @pytest.mark.parametrize("argv, config", [
         (["tables", "--tables", ","], None),
@@ -1259,18 +1289,18 @@ GOLDEN_RUNS = {
 }
 
 GOLDEN_SHA256 = {
-    ("tables-default", "json"): "0a64c5410dfc2bd3183eb3c86c902c5b37bf457fe40501472ccc9dce66230fb5",
-    ("tables-default", "csv"): "2dc3586181432a24b5dbb42b1534f0df4b7a31e7b2dd44ff3ba9d95224021621",
-    ("tables-default", "pretty"): "b52880e560ed1a7ac63667719636c9e16fa283086b3f7e0f8ba83675edb46135",
+    ("tables-default", "json"): "57994eca3e5ff8c7636d98d53327072394aa62fd7d5524b0d872a078deb02efa",
+    ("tables-default", "csv"): "b9a987b400ff4144dc98db6f211bec244368ed16d690fa279086ecd8116fc56e",
+    ("tables-default", "pretty"): "9e9e952e91404f79e5451ab55825802b2b7a4cbbba5d86508bd935a749107669",
     ("direct-n5", "json"): "e30cdd0b35b94cb7b879a2cc5f47dc19b79c24c1eebe16aaf2292b542de5b83b",
     ("direct-n5", "csv"): "8bac575f9d958742b0ebed799f5c4fa8f9ab003e064a02a8f1bc258ad49f8cad",
     ("direct-n5", "pretty"): "fa7478698f50d9841320c0f9af97b7d6cc559341c65afaf71463c6c353c1f3e5",
     ("direct-n1000", "json"): "48313b6626003e96a5a3ea72be189ba3e71b203f9b869e7adc1d7a4efe0566a5",
     ("direct-n1000", "csv"): "932c580f4f65c0ee1cda647e5b4e692063e87ede93b29e49c51ca9684c87439c",
     ("direct-n1000", "pretty"): "6ed2dd1bde7db5fb5cf6c6cccb03cb9a4cecbbb1b3c6790cfe4448e5376bbd37",
-    ("rejection-n5", "json"): "7c4d25e10b194fedc3b5c8c27b181e81208ffc715cb8286779d5e1325cdc792a",
-    ("rejection-n5", "csv"): "d4d074919ec509ef80547e1b422b7dadbd8b337729446c2a23da4ca8db35a258",
-    ("rejection-n5", "pretty"): "c4a5e542675b5ca99a9d6c323c49ecb97c2188df8801a72b7a4d40b53d9612c4",
+    ("rejection-n5", "json"): "952e3a6d0042fd4438e5547b283f7bd188e6d7cd6c793d6d964bc7293f71d283",
+    ("rejection-n5", "csv"): "118738824ce0909c231ecac970f2af2716a670e0acb1ebbdad3885f92f1cf9bd",
+    ("rejection-n5", "pretty"): "d05ad1e11f375a8ef26d03434709b37d9c3ccc36b9fcc80f3aaf3efa7f702643",
     ("core-joint-n5", "json"): "365f81bc9f9eaf6ab3ce667d34c1f69d6770b5dd00d4c340d82ec231347b463b",
     ("core-joint-n5", "csv"): "4aa8e25ae2c1fd87021f4045238736d154da609e7fbafa01ea9af6140c8cfc15",
     ("core-joint-n5", "pretty"): "3b8b9b90eb6de2683957eac0c5cb3dca3db56d39dbacdd1def989c73d009afc0",
@@ -1295,15 +1325,15 @@ GOLDEN_SHA256 = {
     ("exact-standard", "json"): "fd3cac4ec339a14329d472a0643a79b1091a43296720e5f19bf29c42bf88f3da",
     ("exact-standard", "csv"): "eaf04a4f666a5735800b6a16190455c8366ed94e23de56976b45340f2c297a6e",
     ("exact-standard", "pretty"): "f3fdc46116ff9cf4c4ec21fbe46f779ff548bdb7a14a5dd6facab918b0b421a2",
-    ("n2", "json"): "6c5b5092aaf8277e66e9958e0cb9b7c8625153af156615785d47eb7db735be20",
-    ("n2", "csv"): "31525b73237c63c211486103ad8469530bff704600d98010ee27cc58dd352bd2",
-    ("n2", "pretty"): "e76d775b304fdde731c5d9c6a39a6a2d2c38e415793cc6220e72de64115c5c1f",
-    ("core-joint-n21", "json"): "57e0e4f5a6cdb8f351f352516d4d2919270432e77df1e41172ebb5ce81d29ec3",
-    ("core-joint-n21", "csv"): "18851ce82f8f7ee13a1e2da9f0af20dfb2e66f9babddf76df981e2fc66f76327",
-    ("core-joint-n21", "pretty"): "8682279c95462e94e96bca912279165ecf08a7f4d8f9722ac7fff1dd6ab49831",
-    ("rejection-n21", "json"): "acec9c718dd34efd48c6d9d1f60de88c3888d3ec3a598cc5d977aca96b182853",
-    ("rejection-n21", "csv"): "4d8aaf0c08b9c5706226068345bd544c92769ea5762db0ce2f706a9fa9125ec9",
-    ("rejection-n21", "pretty"): "af4d47585b4db1ada8d6852c5f96a473eaa03b074797792cd204e2818e29f140",
+    ("n2", "json"): "664dddf771f7e5487de8936ca634c1a5c075366a731ac9b9b935e686b8b66cc6",
+    ("n2", "csv"): "bd79f138e4b873446c3d2597b65622bf94943e4c28e104521355b0aca95f245a",
+    ("n2", "pretty"): "f07d3c72d10a7853a01e680c0e6edc7f7f70fc8f9dce687a574858b0b936602f",
+    ("core-joint-n21", "json"): "7667439b21479f3a23f005fe9dafa3b55dce273419176ec08354ba584f4c49ae",
+    ("core-joint-n21", "csv"): "d0249935acb97657dda183f1328d3322b84418dba820eab83207d3855c0be9da",
+    ("core-joint-n21", "pretty"): "d06509165320d81f7242eeae43f53f9349bce5d9d3ac79a69f327d17de54fc6c",
+    ("rejection-n21", "json"): "6c55d312e235628044507b256a729dcb2383a511e8a607e5f7776a7e2fb7f1ee",
+    ("rejection-n21", "csv"): "79b61510ec6d551154e0893669e8cb62a9c40b898bcc9f50f12b20c2e9e15631",
+    ("rejection-n21", "pretty"): "5ca55d5943c2056f552da4d0475a08d9979044ca2d111fe8de9406fb92f3416e",
 }
 
 

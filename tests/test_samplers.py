@@ -328,11 +328,43 @@ def _adversarial_rows(n):
 
 
 def _accepted(n, reps, rng):
-    """Every chunk of the rejection route's accepted (replicate, size)
-    pairs, joined, and the proposals it consumed."""
-    chunks = list(samplers._accepted_components(n, reps, rng))
-    rows, lengths, attempts = zip(*chunks)
-    return np.concatenate(rows), np.concatenate(lengths), attempts[-1]
+    """The rejection route's accepted (replicate, component size) pairs,
+    replicates numbered in acceptance order, and the proposals consumed:
+    ``samplers._accepted`` with each live proposal drawn one cycle at a time
+    and its threshold the product of P(a_1 = 0) and 2 w_j over its cycles."""
+    p_none = samplers._no_fixed_point_table(n, F(1, 2))[1]
+    w = omega_values(n)
+
+    def draw(k, types):
+        prop, size = samplers._cycles_without_fixed_points(np.full(k, n), n, F(1, 2), types)
+        threshold = np.full(k, p_none)
+        np.multiply.at(threshold, prop, 2 * w[size])
+        return threshold, (prop, size)
+
+    rows, lengths, have = [], [], 0
+    for (prop, size), took, attempts in samplers._accepted(n, reps, rng, draw):
+        keep = np.isin(prop, took)
+        rows.append(have + np.searchsorted(took, prop[keep]))
+        lengths.append(size[keep])
+        have += took.size
+    return np.concatenate(rows), np.concatenate(lengths), attempts
+
+
+def _accepted_types(n, reps, rng):
+    """The histogram of the rejection route's accepted types over
+    ``samplers._proposal_type_table``, and the proposals consumed:
+    ``samplers._accepted`` with each live proposal's type one search of
+    that table."""
+    cdf, threshold, _ = samplers._proposal_type_table(n)
+
+    def draw(k, types):
+        kind = np.searchsorted(cdf, types.random(k), side="right")
+        return threshold[kind], kind
+
+    hist = np.zeros(cdf.size, dtype=np.int64)
+    for kind, took, attempts in samplers._accepted(n, reps, rng, draw):
+        hist += np.bincount(kind[took], minlength=cdf.size)
+    return hist, attempts
 
 
 def _dense_counts(rows, lengths, num_rows, n):
@@ -804,7 +836,7 @@ class TestTypeTables:
 
     def test_accepted_types_match_the_component_law(self):
         n, reps = 10, 200_000
-        hist, attempts = samplers._accepted_types(n, reps, np.random.default_rng(1601))
+        hist, attempts = _accepted_types(n, reps, np.random.default_rng(1601))
         assert hist.sum() == reps and attempts > reps
         law = {t: laws.component_pmf(n, parts) for t, parts in enumerate(laws.partitions(n, 2))}
         observed = {t: int(c) for t, c in enumerate(hist) if c}
@@ -812,22 +844,32 @@ class TestTypeTables:
 
     @pytest.mark.parametrize("chunk", [samplers.ROW_CHUNK, 1000, 64])
     def test_draw_order(self, chunk, monkeypatch):
-        # core-joint: double i is replicate i's; rejection: doubles 2i and
-        # 2i+1 are proposal i's u and v, and acceptances are taken in
-        # proposal order; whatever the chunks the doubles are drawn in
-        monkeypatch.setattr(samplers, "ROW_CHUNK", chunk)
+        # whatever the chunks the doubles are drawn in: in the core-joint
+        # route double i is replicate i's, whole type or core size, so the
+        # table and the step kernel give the same core sizes on every bit
+        # generator; in the rejection route proposal i's U is double i, and
+        # the live proposals' types come from one child generator, so that
+        # at n <= TYPE_TABLE_MAX_N the whole tally does not depend on the
+        # chunk size
         n, reps, seed = 10, 3000, 1602
         cdf = samplers._core_type_table(n)[0]
         kind = np.searchsorted(cdf, np.random.default_rng(seed).random(reps), side="right")
+        monkeypatch.setattr(samplers, "ROW_CHUNK", chunk)
         hist = samplers._core_types(n, reps, np.random.default_rng(seed))
         assert np.array_equal(hist, np.bincount(kind, minlength=cdf.size))
-        cdf, threshold, _ = samplers._proposal_type_table(n)
-        u, v = np.random.default_rng(seed).random((8 * reps, 2)).T
-        kind = np.searchsorted(cdf, v, side="right")
-        took = np.flatnonzero(u < threshold[kind])[:reps]
-        hist, attempts = samplers._accepted_types(n, reps, np.random.default_rng(seed))
-        assert np.array_equal(hist, np.bincount(kind[took], minlength=cdf.size))
-        assert attempts == took[-1] + 1
+        for bit_generator in (np.random.PCG64, np.random.MT19937, np.random.SFC64, np.random.Philox):
+            table = toes_core_cycle_counts_batch(n, reps, np.random.Generator(bit_generator(seed)))
+            with monkeypatch.context() as patch:
+                patch.setattr(samplers, "TYPE_TABLE_MAX_N", 1)
+                steps = toes_core_cycle_counts_batch(n, reps, np.random.Generator(bit_generator(seed)))
+            assert np.array_equal(table["core_hist"], steps["core_hist"]), bit_generator
+        for n, by in ((10, _DEFAULT_ROW_CHUNK), (samplers.TYPE_TABLE_MAX_N, _DEFAULT_ROW_CHUNK),
+                      (samplers.TYPE_TABLE_MAX_N + 1, chunk)):
+            want = _rejection_reference(n, reps, seed, by)
+            got = toes_component_counts_batch(n, reps, np.random.default_rng(seed))
+            assert sorted(got) == sorted(want)
+            for key, value in want.items():
+                assert np.array_equal(got[key], value), (n, key)
 
     def test_kernel_tallies_fold_the_types(self):
         # each kernel's tally is that of the per-replicate count matrix of
@@ -837,7 +879,7 @@ class TestTypeTables:
             (toes_core_cycle_counts_batch, "cyc", samplers._core_type_table(n),
              samplers._core_types(n, reps, np.random.default_rng(seed))),
             (toes_component_counts_batch, "comp", samplers._proposal_type_table(n),
-             samplers._accepted_types(n, reps, np.random.default_rng(seed))[0]),
+             _accepted_types(n, reps, np.random.default_rng(seed))[0]),
         )
         for kernel, name, table, hist in routes:
             counts = _dense_counts(*table[-1], table[0].size, n)
@@ -1002,17 +1044,15 @@ class TestChunkedTallies:
 
     @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.SFC64, np.random.Philox])
     def test_core_joint_route_block_size(self, monkeypatch, bit_generator):
-        # whatever the block size and the chunks that skip the core sizes'
-        # doubles, on generators with no jump-ahead too, the kernel draws
-        # every core size before any derangement: its core sizes do not
-        # depend on the blocks, and its tally is the reference's for the
-        # same blocks; the cycle-at-a-time path, below the type tables'
-        # bound too
+        # whatever the block size, on generators with no jump-ahead too, the
+        # kernel draws core size i from double i and the derangements from
+        # one child generator: its core sizes do not depend on the blocks,
+        # and its tally is the reference's for the same blocks; the
+        # cycle-at-a-time path, below the type tables' bound too
         monkeypatch.setattr(samplers, "TYPE_TABLE_MAX_N", 1)
         core_hists = []
-        for block, skip in ((samplers.ROW_CHUNK, samplers.CHUNK_CELLS), (700, 64), (64, 1000)):
+        for block in (samplers.ROW_CHUNK, 700, 64):
             monkeypatch.setattr(samplers, "ROW_CHUNK", block)
-            monkeypatch.setattr(samplers, "CHUNK_CELLS", skip)
             rng = np.random.Generator(bit_generator(4646))
             want = _core_joint_reference(10, 3000, rng, block)
             kernel_rng = np.random.Generator(bit_generator(4646))
@@ -1026,13 +1066,15 @@ class TestChunkedTallies:
 
 
 def _core_joint_reference(n, reps, rng, block):
-    """The core-joint route's tally from its draws in their order, every
-    core size by inverse CDF, then the derangements in blocks of ``block``
-    rows, tallied as a full per-row cycle-count matrix."""
+    """The core-joint route's tally from its draws in their order: core
+    size i by inverse CDF from double i of ``rng``, then the derangements in
+    blocks of ``block`` rows from one child of ``rng``, tallied as a full
+    per-row cycle-count matrix."""
     sizes = 2 + np.searchsorted(samplers._core_size_cdf(n), rng.random(reps), side="right")
+    derangements = rng.spawn(1)[0]
     cyc = np.zeros((reps, n + 1), dtype=np.int64)
     for lo in range(0, reps, block):
-        rows, lengths = _derangement_cycles(sizes[lo:lo + block], n, rng)
+        rows, lengths = _derangement_cycles(sizes[lo:lo + block], n, derangements)
         cyc[lo:lo + block] = _dense_counts(rows, lengths, sizes[lo:lo + block].size, n)
     assert (cyc @ np.arange(n + 1) == sizes).all()
     assert (cyc[:, 1] == 0).all()
@@ -1042,6 +1084,43 @@ def _core_joint_reference(n, reps, rng, block):
         "scream_hist": np.bincount(cyc[:, 2], minlength=n // 2 + 1),
         "core_hist": np.bincount(sizes, minlength=n + 1),
     }
+
+
+#: ``samplers.ROW_CHUNK`` as the package sets it, which tests patch.
+_DEFAULT_ROW_CHUNK = samplers.ROW_CHUNK
+
+
+def _rejection_reference(n, reps, seed, chunk):
+    """The rejection route's tally from its draws in their order: proposal
+    i's U is double i of the batch generator; the live proposals, U below
+    P(a_1 = 0), of each chunk of ``chunk`` take their types from one child
+    of it, whole from the proposal table at n <= TYPE_TABLE_MAX_N, one
+    double each, or else one cycle at a time; U below the type's threshold
+    accepts, and acceptances are taken in proposal order."""
+    rng = np.random.default_rng(seed)
+    types = rng.spawn(1)[0]
+    p_none = samplers._no_fixed_point_table(n, F(1, 2))[1]
+    w = omega_values(n)
+    tally = samplers.zero_tally(n, "comp_sum", "comp_sumsq")
+    have = done = 0
+    while have < reps:
+        u = rng.random(chunk)
+        live = np.flatnonzero(u < p_none)
+        if n <= samplers.TYPE_TABLE_MAX_N:
+            cdf, threshold, pairs = samplers._proposal_type_table(n)
+            kind = np.searchsorted(cdf, types.random(live.size), side="right")
+            counts, threshold = _dense_counts(*pairs, cdf.size, n)[kind], threshold[kind]
+        else:
+            pairs = samplers._cycles_without_fixed_points(np.full(live.size, n), n, F(1, 2), types)
+            counts = _dense_counts(*pairs, live.size, n)
+            threshold = p_none * np.prod((2 * w) ** counts, axis=1)
+        took = np.flatnonzero(u[live] < threshold)[: reps - have]
+        for key, value in _matrix_tally(counts[took], "comp").items():
+            tally[key] += value
+        have += took.size
+        attempts = done + int(live[took[-1]]) + 1 if have == reps else None
+        done += chunk
+    return {"replicates": reps, "attempts": attempts, **tally}
 
 
 def _traced_peak_mb(fn, *args):
