@@ -132,6 +132,8 @@ def _merge_config(
     at = argv.index(args.command) + 1
     tokens = [f"--{key.replace('_', '-')}={value}" for key, value in values.items()]
     try:
+        if "config" in values:  # the command line's own --config would win, unread
+            parser.error("a config file cannot name another with a 'config' key")
         args = parser.parse_args(argv[:at] + tokens + argv[at:])
         for key, value in values.items():
             wanted = type(getattr(args, key.replace("-", "_")))  # "n": "6" parses as an integer

@@ -40,7 +40,6 @@ import multiprocessing
 import os
 import sys
 import time
-from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -523,7 +522,6 @@ class BruteForceLaw:
     model: str
     total: int
     component_pmf: dict[tuple[int, ...], Fraction]
-    joint_pmf: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction]
     core_size_counts: tuple[int, ...]
     core_size_law: tuple[Fraction, ...]
     component_means: tuple[Fraction, ...]
@@ -534,11 +532,8 @@ class BruteForceLaw:
 
 def brute_force_law(n: int, model: str = "toes") -> BruteForceLaw:
     """Decompose every mapping (with or without the f(i) != i constraint)."""
-    tally, joint_tally = samplers.every_mapping_counts(n, model)
+    tally, spectra = samplers.every_mapping_counts(n, model)
     total = tally["replicates"]
-    comp_tally = Counter()
-    for (comp, _), count in joint_tally.items():
-        comp_tally[comp] += count
 
     def law(key: str) -> tuple[Fraction, ...]:
         return tuple(Fraction(count, total) for count in tally[key].tolist())
@@ -547,8 +542,7 @@ def brute_force_law(n: int, model: str = "toes") -> BruteForceLaw:
         n=n,
         model=model,
         total=total,
-        component_pmf={k: Fraction(v, total) for k, v in sorted(comp_tally.items())},
-        joint_pmf={k: Fraction(v, total) for k, v in sorted(joint_tally.items())},
+        component_pmf={k: Fraction(v, total) for k, v in sorted(spectra.items())},
         core_size_counts=tuple(tally["core_hist"].tolist()),
         core_size_law=law("core_hist"),
         component_means=law("comp_sum"),

@@ -27,7 +27,7 @@ sum behind the rejection sampler's acceptance rate
 (:func:`spitzer_partial_sum`).  A spectrum, a mapping's component sizes or
 its core's cycle type, is the tuple of its sizes in ascending order:
 :func:`component_pmf_table` keys its entries so, the enumeration
-``samplers.every_mapping_counts`` counts joint spectra so, and
+``samplers.every_mapping_counts`` counts component spectra so, and
 :func:`component_pmf` takes the sizes in any order.  The two cycle-type
 laws that the samplers draw from are not here: the Ewens sampling formula
 given no 1-cycle, and at parameter 1 the derangement cycle-type law, live

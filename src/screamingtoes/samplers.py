@@ -27,6 +27,10 @@ draws, a live proposal's cycle type or a core's derangement, comes from one
 child generator, ``rng.spawn(1)[0]``.  So for a seed the whole-type tables
 and the cycle-step kernel below give the same core sizes and the same U's,
 and at n <= :data:`TYPE_TABLE_MAX_N` no tally depends on the chunk size.
+Each call of the rejection kernel, or of the core-joint kernel above
+:data:`TYPE_TABLE_MAX_N`, spawns the next child of its generator's
+``SeedSequence``, so two calls on one generator never share a child
+stream; the core-joint table path and the direct route spawn none.
 
 Above :data:`TYPE_TABLE_MAX_N`, routes 2 and 3 share one kernel,
 :func:`_cycles_without_fixed_points`: it draws ESF(theta) conditioned on
@@ -54,7 +58,9 @@ There is one tally format and one fold.  Every kernel, the brute-force
 oracle's :func:`every_mapping_counts` too, hands its groups (components or
 cycles) to :func:`_tally_pairs` as (row, size) pairs, one pair per group,
 with a weight per row: a row is one replicate, weight 1, or, drawing whole
-types, one type of a table, weighted by how many replicates drew it.  That
+types, one type of a table, weighted by how many replicates drew it.  The
+direct route, the oracle and the core-joint route each run one loop over
+chunks and fold every chunk as it comes.  That
 fold builds every integer tally of :func:`zero_tally`; nothing builds a
 per-replicate (rows, n+1) count matrix.
 """
@@ -377,14 +383,15 @@ def every_mapping_counts(n: int, model: str) -> tuple[dict[str, np.ndarray], dic
     """The brute-force oracle's fold: the tallies (``replicates`` and the
     keys ``_MAPPING_KEYS``) of every mapping of size n, 2 <= n <=
     :data:`ENUMERATION_MAX_N`, with no fixed point in the "toes" model and
-    any in the "standard" one, and the number of mappings with each joint
-    spectrum (component sizes, cycle lengths), as tuples of sizes.
+    any in the "standard" one, and the number of mappings with each
+    component spectrum, a tuple of sizes.
 
     The m-th mapping has the base-``choices`` digits of m as images,
-    shifted past their own index in the toes model.  A block's joint
-    spectra are first base-(n+1) codes, one bincount over its pairs: a
-    size-j component adds (n+1)**(j-1) to its mapping's code and a
-    length-j cycle (n+1)**(n+j-1).
+    shifted past their own index in the toes model.  The mappings are
+    decomposed :func:`chunk_rows` at a time in one set of working arrays,
+    as the direct route does.  A block's spectra are first base-(n+1)
+    codes, one bincount over its component pairs: a size-j component adds
+    (n+1)**(j-1) to its mapping's code.
     """
     laws._check_model(model)
     if not 2 <= n <= ENUMERATION_MAX_N:
@@ -394,31 +401,27 @@ def every_mapping_counts(n: int, model: str) -> tuple[dict[str, np.ndarray], dic
     tally = zero_tally(n, *_MAPPING_KEYS)
     codes: Counter[int] = Counter()
     place = choices ** np.arange(n, dtype=np.int64)
-    digit = (n + 1) ** np.arange(2 * n, dtype=np.int64)
-    block = 1 << 14  # mappings decomposed at once: about 6 MB at n = 7
-    for start in range(0, total, block):
-        images = np.arange(start, min(start + block, total))[:, None] // place % choices
+    digit = (n + 1) ** np.arange(n, dtype=np.int64)
+    step = chunk_rows(n)
+    scratch = _decomposition_scratch(min(step, total) * n)
+    for start in range(0, total, step):
+        images = np.arange(start, min(start + step, total))[:, None] // place % choices
         if model == "toes":
             images += images >= np.arange(n)
-        dec = _tally_mappings(tally, images)
-        (comp_rows, comp_sizes), (cyc_rows, cyc_lengths) = dec.components, dec.cycles
-        # float64 sums are exact: every code is below (n+1)**(2n) <= 2**42
-        code = np.bincount(
-            np.concatenate([comp_rows, cyc_rows]),
-            weights=np.concatenate([digit[comp_sizes - 1], digit[n + cyc_lengths - 1]]),
-        ).astype(np.int64)
+        rows, sizes = _tally_mappings(tally, images, scratch).components
+        # float64 sums are exact: every code is below (n+1)**n, below 2**53 up to n = 13
+        code = np.bincount(rows, weights=digit[sizes - 1]).astype(np.int64)
         values, counts = np.unique(code, return_counts=True)
         codes.update(dict(zip(values.tolist(), counts.tolist())))
     counted = sum(codes.values())
     if counted != total:
         raise laws.ConsistencyError(f"{model} enumeration at n={n} counted {counted} of {total} mappings")
 
-    def sizes(code: int) -> tuple[int, ...]:  # the spectrum in the n low digits
+    def spectrum(code: int) -> tuple[int, ...]:
         digits = [code // (n + 1) ** k % (n + 1) for k in range(n)]
         return tuple(j for j, times in enumerate(digits, 1) for _ in range(times))
 
-    joint = {(sizes(c), sizes(c // (n + 1) ** n)): k for c, k in codes.items()}
-    return {"replicates": total, **tally}, joint
+    return {"replicates": total, **tally}, {spectrum(c): k for c, k in codes.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -733,48 +736,43 @@ def _core_size_cdf(n: int) -> np.ndarray:
     return _cumulative_table((n - 1) ** n, _core_masses(n), lambda r: ([r], [1]))[0]
 
 
-def _core_types(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """The histogram of ``count`` replicates' (core size, derangement type)
-    pairs, indices of :func:`_core_type_table`, at n <=
-    :data:`TYPE_TABLE_MAX_N`: double i of ``rng`` is replicate i's, one
-    search of the table, in chunks of ``ROW_CHUNK`` doubles."""
-    cdf = _core_type_table(n)[0]
-    hist = np.zeros(cdf.size, dtype=np.int64)
-    for done in range(0, count, ROW_CHUNK):
-        kind = np.searchsorted(cdf, rng.random(min(ROW_CHUNK, count - done)), side="right")
-        hist += np.bincount(kind, minlength=cdf.size)
-    return hist
-
-
 def toes_core_cycle_counts_batch(
     n: int, count: int, rng: np.random.Generator, keys: Iterable[str] = ()
 ) -> dict:
     """Tallies of ``count`` replicates by the core-joint route, whatever
     ``keys`` names: ``replicates`` and the keys ``_CORE_KEYS``.
 
-    Up to :data:`TYPE_TABLE_MAX_N` each replicate's core size and cycle type
-    come from one double (:func:`_core_types`), and its core size is the one
-    that the same double gives by the core-size CDF below; the table's pairs
-    are folded once, weighted by that histogram.  Above it, blocks of
-    ``ROW_CHUNK`` replicates each draw their core sizes by inverse CDF from
-    the exact core-size law, double i of ``rng`` being replicate i's as in
-    the table, then a uniform derangement of each size, ESF(1) conditioned
-    on a_1 = 0 by :func:`_cycles_without_fixed_points`, from one child
-    generator, ``rng.spawn(1)[0]``.  Each block is tallied as it comes, so
-    memory does not grow with ``count``, and a seed gives the same core
-    sizes by either path, whatever the blocks.
+    Double i of ``rng`` is replicate i's, drawn in chunks of ``ROW_CHUNK``,
+    and each chunk is folded as it comes, so memory does not grow with
+    ``count``.  Up to :data:`TYPE_TABLE_MAX_N` the double gives the
+    replicate's core size and cycle type at once, one search of
+    :func:`_core_type_table`, and the chunk folds the table's pairs
+    weighted by its histogram of them.  Above it the double gives the core
+    size by inverse CDF from the exact core-size law, the same size as by
+    the table, and a uniform derangement of each size, ESF(1) conditioned
+    on a_1 = 0 by :func:`_cycles_without_fixed_points`, comes from one
+    child generator, ``rng.spawn(1)[0]``; the chunk folds those pairs, one
+    row, weight 1, per replicate.  So a seed gives the same core sizes by
+    either path, whatever the chunks.
     """
     _check_batch(n, count)
     tally = zero_tally(n, *_CORE_KEYS)
     if n <= TYPE_TABLE_MAX_N:
-        _tally_pairs(tally, "cyc", *_core_type_table(n)[1], _core_types(n, count, rng))
-        return {"replicates": count, **tally}
-    cdf = _core_size_cdf(n)
-    derangements = rng.spawn(1)[0]
+        cdf, pairs = _core_type_table(n)
+
+        def draw(u):
+            return *pairs, np.bincount(np.searchsorted(cdf, u, side="right"), minlength=cdf.size)
+    else:
+        cdf = _core_size_cdf(n)
+        derangements = rng.spawn(1)[0]
+
+        def draw(u):
+            sizes = 2 + np.searchsorted(cdf, u, side="right")
+            pairs = _cycles_without_fixed_points(sizes, n, Fraction(1), derangements)
+            return *pairs, np.ones(u.size, dtype=np.int64)
+
     for done in range(0, count, ROW_CHUNK):
-        sizes = 2 + np.searchsorted(cdf, rng.random(min(ROW_CHUNK, count - done)), side="right")
-        pairs = _cycles_without_fixed_points(sizes, n, Fraction(1), derangements)
-        _tally_pairs(tally, "cyc", *pairs, np.ones(sizes.size, dtype=np.int64))
+        _tally_pairs(tally, "cyc", *draw(rng.random(min(ROW_CHUNK, count - done))))
     return {"replicates": count, **tally}
 
 

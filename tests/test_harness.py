@@ -2,6 +2,7 @@
 determinism, and the CLI."""
 
 import argparse
+import contextlib
 import errno
 import hashlib
 import io
@@ -12,6 +13,7 @@ import os
 import stat
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
@@ -32,20 +34,20 @@ from screamingtoes.harness import ExperimentConfig, brute_force_law, emit, parse
 #: oracles.decompose_image, independently of decompose_batch.
 BRUTE_FORCE_SHA256 = {
     "toes": (
-        "f151e6ecc39d76cc015926b1bcd899d6fa24f946f169326512042875e825300a",
-        "76d2cfd5277c4fef6b1b35cee70d38667c458b07eed3f93e368c1718c52264f8",
-        "9099009a0ad387cce7f74bcd015eb72ce2eb70518cf19af9951ed850274f027b",
-        "77588e1edb4ecdae5cb7b2a222b87fd162796d9808d2fd286551a4ff3e49410c",
-        "ee49dfd3cc31dafdf001525c26118a87fe8a5966ec2bd317a1b9a7c10bb640a8",
-        "a88d1e517725f5110e7f62357550063a17d06af8c22e8c0376c09934b3e61de1",
+        "74d0b10766b1ac8c65aa75dae661ee114fd94429f2ca8f72027693602d3b7dc9",
+        "4ddd50f4a5351358f115859016604e122c5491df75573c2a1481779b904106aa",
+        "827367575c78d1b3e432b82c018560ed2e9a9ac589b0f748a56235fd299dfdec",
+        "c6641df5fc664bddcc57a40e5cb20bd995c4f433506f5e6740c286139a8efa7e",
+        "d123ce3efe3fa07c471e9dbb8de947566d5659a41559909fd173750b7161fae6",
+        "ec1c9344ac97ed46f7e5c6ab4353b6c161cf0b39e3cd271d5be79f97701463b5",
     ),
     "standard": (
-        "d58042512fe2d6ac18649557e19fe1437e473f439bf4c2786507d4bccf22fd33",
-        "c738acb6dc996eeb048ac0e65d2892445993eff748dbfc9625b3008f10886cb1",
-        "948f22ac40002f4aefb871b357bb8d8ac4a663fafbaa5de33df61ce4936fb48c",
-        "d2bc564e93866a544233e666f70fa4a622ec66b945fa555b4c3f240136270423",
-        "551b9f7e78015513ab7649c4b5dd78d3e581af9fda3a3309f7a4b0c26d6445d1",
-        "4d57045833ad2793dc90dff9985a5fe7847ab1965d3b350c0881e6b8b99e7f0a",
+        "ff452584d3e769cfe1aba09c64548ad76d4aaa13e39191f0d1dd10b68fcf8f0c",
+        "2fd663cb27b8cce5282690a9de57cd8a1798eca463ae63b274b3965316e5df89",
+        "a69051e209a3e30b8c97b7868f850f54954d285df6f2fac37f7fb279d58c9ee1",
+        "d786b9d6bcdc4b4219cd8c1de42e26b269af06b13c8d0bffce49cd00f2a6ed23",
+        "40b3ae6d80126aaf1fa12fc3afbb88a161d26d7c0b0001a9b1275f95963a8cb8",
+        "17042a6430e6757d740541e1fd9de9951454aab1a80a7b2bc1acb0c9028f3810",
     ),
 }
 
@@ -88,7 +90,6 @@ class TestBruteForce:
         assert law.cycle_means == (0, 0, F(3, 4), F(1, 4))
         assert law.scream_law == (F(1, 4), F(3, 4))
         assert law.no_repeat == (1, 1, 1)
-        assert law.joint_pmf == {((3,), (2,)): F(3, 4), ((3,), (3,)): F(1, 4)}
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_validate_toes(self, n):
@@ -1120,6 +1121,7 @@ class TestCli:
         (["exact", "--table", "q"], '{"help": true}'),
         (["simulate", "--table", "scream"], '{"rep": 100}'),
         (["exact", "--table", "q"], '{"bogus": "a\\nb"}'),
+        (["exact"], '{"config": "missing.json", "table": "q", "n": 5}'),
         (["exact", "--table", "acceptance", "--n", "3001"], None),
         (["tables", "--tables", "q,scream", "--n", "3001", "--reps", "0"], None),
         (["exact", "--table", "components", "--n", "1001"], None),
@@ -1145,7 +1147,7 @@ class TestCli:
             "exact-without-table", "config-without-table",
             "empty-argv", "format-choice", "method-choice", "validate-model-both",
             "config-numeric-str-n", "config-bool-n", "config-help", "config-abbreviated-key",
-            "config-unknown-key-with-a-newline", "acceptance-above-the-bound",
+            "config-unknown-key-with-a-newline", "config-names-a-config", "acceptance-above-the-bound",
             "scream-above-the-bound", "components-above-the-bound", "cycles-above-the-bound",
             "core-above-the-bound", "q-above-the-bound", "batches-above-the-bound",
             "abbreviated-flag", "abbreviated-table-flag", "long-table-alias", "table-in-capitals",
@@ -1250,6 +1252,61 @@ def test_an_abbreviated_option_is_refused_both_ways(command, name, tmp_path, cap
         message = exc.value.code
         assert isinstance(message, str) and "\n" not in message and message.startswith("screamingtoes:")
     assert capsys.readouterr().out == "" and not out.exists()
+
+
+#: The flags of an ``exact`` run that the property test below draws, each
+#: with the values it may take.
+EXACT_FLAGS = {
+    "table": st.sampled_from(sorted(harness.TABLE_ALIASES)),
+    "n": st.integers(2, 40),
+    "model": st.sampled_from(harness.REPORT_MODELS),
+    "format": st.sampled_from(["pretty", "csv", "json"]),
+}
+
+
+def _main_output(argv):
+    """The stdout and exit status of ``cli.main(argv)`` run in-process: its
+    return value, or the code of the SystemExit it raised."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            status = cli.main(argv)
+    except SystemExit as exc:
+        status = exc.code
+    return out.getvalue(), status
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_an_exact_run_split_between_flags_and_a_config_file(data):
+    # each flag on the command line, in the --config file, or in both with
+    # another value in the file: the run gives the stdout bytes and status
+    # of the command line alone, whose values win; a refused run, such as
+    # a toes-only table in the standard model, is one line both ways, and
+    # names the file when there is one
+    values = {name: data.draw(drawn, name) for name, drawn in EXACT_FLAGS.items()}
+    alone = ["exact", *(token for name, value in values.items() for token in (f"--{name}", str(value)))]
+    argv, config = ["exact"], {}
+    for name, value in values.items():
+        where = data.draw(st.sampled_from(["flag", "file", "both"]), f"where --{name} is given")
+        if where != "file":
+            argv += [f"--{name}", str(value)]
+        if where != "flag":
+            config[name] = value if where == "file" else data.draw(
+                EXACT_FLAGS[name].filter(lambda other, value=value: other != value), f"{name} in the file"
+            )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(config, fh)
+        split = _main_output([*argv, "--config", path])
+    want = _main_output(alone)
+    if want[1] == 0:
+        assert split == want
+    else:
+        for (text, status), suffix in ((want, ""), (split, f"--config {path})")):
+            assert text == "" and isinstance(status, str), status
+            assert status.startswith("screamingtoes:") and "\n" not in status and status.endswith(suffix)
 
 
 #: Small CLI runs whose stdout is pinned byte for byte, in every format: they

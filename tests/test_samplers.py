@@ -367,6 +367,15 @@ def _accepted_types(n, reps, rng):
     return hist, attempts
 
 
+def _core_types(n, reps, rng):
+    """The histogram of ``reps`` core-joint replicates over
+    ``samplers._core_type_table`` at n <= TYPE_TABLE_MAX_N: double i of
+    ``rng`` is replicate i's (core size, derangement type), one search of
+    that table, all doubles drawn at once."""
+    cdf = samplers._core_type_table(n)[0]
+    return np.bincount(np.searchsorted(cdf, rng.random(reps), side="right"), minlength=cdf.size)
+
+
 def _dense_counts(rows, lengths, num_rows, n):
     """(num_rows, n+1) count matrix of (row, group length) pairs."""
     counts = np.zeros((num_rows, n + 1), dtype=np.int64)
@@ -828,7 +837,7 @@ class TestTypeTables:
 
     def test_core_joint_types_match_the_joint_law(self):
         n, reps = 10, 200_000
-        hist = samplers._core_types(n, reps, np.random.default_rng(1600))
+        hist = _core_types(n, reps, np.random.default_rng(1600))
         assert hist.sum() == reps
         law = dict(enumerate(p for _, p in _core_joint_law(n)))
         observed = {t: int(c) for t, c in enumerate(hist) if c}
@@ -846,17 +855,21 @@ class TestTypeTables:
     def test_draw_order(self, chunk, monkeypatch):
         # whatever the chunks the doubles are drawn in: in the core-joint
         # route double i is replicate i's, whole type or core size, so the
-        # table and the step kernel give the same core sizes on every bit
+        # table path's tally is the fold of every double's type at once, and
+        # the table and the step kernel give the same core sizes on every bit
         # generator; in the rejection route proposal i's U is double i, and
         # the live proposals' types come from one child generator, so that
         # at n <= TYPE_TABLE_MAX_N the whole tally does not depend on the
         # chunk size
         n, reps, seed = 10, 3000, 1602
-        cdf = samplers._core_type_table(n)[0]
-        kind = np.searchsorted(cdf, np.random.default_rng(seed).random(reps), side="right")
+        want = samplers.zero_tally(n, *samplers._CORE_KEYS)
+        samplers._tally_pairs(want, "cyc", *samplers._core_type_table(n)[1],
+                              _core_types(n, reps, np.random.default_rng(seed)))
         monkeypatch.setattr(samplers, "ROW_CHUNK", chunk)
-        hist = samplers._core_types(n, reps, np.random.default_rng(seed))
-        assert np.array_equal(hist, np.bincount(kind, minlength=cdf.size))
+        got = toes_core_cycle_counts_batch(n, reps, np.random.default_rng(seed))
+        assert sorted(got) == sorted(["replicates", *want])
+        for key, value in want.items():
+            assert np.array_equal(got[key], value), key
         for bit_generator in (np.random.PCG64, np.random.MT19937, np.random.SFC64, np.random.Philox):
             table = toes_core_cycle_counts_batch(n, reps, np.random.Generator(bit_generator(seed)))
             with monkeypatch.context() as patch:
@@ -877,7 +890,7 @@ class TestTypeTables:
         n, reps, seed = 10, 5000, 1603
         routes = (
             (toes_core_cycle_counts_batch, "cyc", samplers._core_type_table(n),
-             samplers._core_types(n, reps, np.random.default_rng(seed))),
+             _core_types(n, reps, np.random.default_rng(seed))),
             (toes_component_counts_batch, "comp", samplers._proposal_type_table(n),
              _accepted_types(n, reps, np.random.default_rng(seed))[0]),
         )
@@ -1042,6 +1055,24 @@ class TestChunkedTallies:
         # and the caller's generator ends where those draws leave it
         assert kernel_rng.bit_generator.state == rng.bit_generator.state
 
+    @pytest.mark.parametrize("model", ["toes", "standard"])
+    def test_oracle_block_size(self, model, monkeypatch):
+        # the brute-force oracle decomposes its mappings in blocks of
+        # chunk_rows(n) in one set of working arrays: blocks of 7 rows, with
+        # edges anywhere in the enumeration and a shorter last block, give
+        # the default blocks' tally and spectra, so nothing leaks across a
+        # block edge or through the reused arrays
+        for n in range(2, 7):
+            want, want_spectra = samplers.every_mapping_counts(n, model)
+            with monkeypatch.context() as patch:
+                patch.setattr(samplers, "CHUNK_CELLS", 7 * n)
+                assert samplers.chunk_rows(n) == 7
+                got, spectra = samplers.every_mapping_counts(n, model)
+            assert spectra == want_spectra, n
+            assert sorted(got) == sorted(want)
+            for key, value in want.items():
+                assert np.array_equal(got[key], value), (n, key)
+
     @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.SFC64, np.random.Philox])
     def test_core_joint_route_block_size(self, monkeypatch, bit_generator):
         # whatever the block size, on generators with no jump-ahead too, the
@@ -1171,22 +1202,31 @@ class TestMemoryBound:
         assert peak < 10
 
     def test_brute_force_oracle(self):
-        # blocks of 2**14 mappings take about 6 MB; all 7**7 at once would
-        # take well over 100 MB
+        # blocks of chunk_rows(7) mappings in one set of working arrays
+        # trace 7-9 MB; all 7**7 at once would take well over 100 MB
         assert _traced_peak_mb(harness.brute_force_law, 7, "standard") < 30
 
 
 class TestDirectRegression:
     """Empirical law of the full decomposition vs exhaustive enumeration."""
 
+    @staticmethod
+    def joint_law(n):
+        """The exact law of a toes mapping's (component counts, cycle
+        counts), by the scalar walk over every one of the (n-1)**n
+        mappings, independently of decompose_batch."""
+        counts = Counter()
+        for image in itertools.product(range(n), repeat=n):
+            if all(v != i for i, v in enumerate(image)):
+                comps, cycles, _ = decompose_image(image)
+                counts[_class_key_from_sizes(comps, n) + _class_key_from_sizes(cycles, n)] += 1
+        assert sum(counts.values()) == (n - 1) ** n
+        return {key: F(c, (n - 1) ** n) for key, c in counts.items()}
+
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_chi_square_against_enumeration(self, n):
         reps = 1_000_000
-        brute = harness.brute_force_law(n, "toes")
-        expected = {}
-        for (comp_key, cyc_key), prob in brute.joint_pmf.items():
-            key = _class_key_from_sizes(comp_key, n) + _class_key_from_sizes(cyc_key, n)
-            expected[key] = prob
+        expected = self.joint_law(n)
         rng = np.random.default_rng(1000 + n)
         observed: dict = {}
         done = 0
@@ -1276,6 +1316,23 @@ def test_route_kernels_refuse_n_below_2_alike(kernel, n, count):
 
 
 class TestBatchDeterminism:
+    @pytest.mark.parametrize("kernel, n, children", [
+        (toes_component_counts_batch, 10, 1),
+        (toes_component_counts_batch, samplers.TYPE_TABLE_MAX_N + 1, 1),
+        (toes_core_cycle_counts_batch, 10, 0),
+        (toes_core_cycle_counts_batch, samplers.TYPE_TABLE_MAX_N + 1, 1),
+        (samplers.toes_mapping_counts_batch, 10, 0),
+    ], ids=["rejection-10", "rejection-21", "core-joint-10", "core-joint-21", "direct-10"])
+    def test_each_call_spawns_the_next_child(self, kernel, n, children):
+        # a route that draws beyond double i per replicate takes one child
+        # per call, the next one of its generator's SeedSequence, so that two
+        # calls on one generator never share a child stream; the core-joint
+        # table path and the direct route spawn none
+        rng = np.random.default_rng(1210)
+        for calls in (1, 2):
+            kernel(n, 50, rng)
+            assert rng.bit_generator.seed_seq.n_children_spawned == children * calls
+
     def test_same_seed_same_tallies(self):
         a = toes_component_counts_batch(7, 5000, np.random.default_rng(1200))
         b = toes_component_counts_batch(7, 5000, np.random.default_rng(1200))
